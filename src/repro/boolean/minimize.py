@@ -18,20 +18,22 @@ IRREDUNDANT by greedy covering, then one REDUCE/re-EXPAND pass to escape
 local minima.  Heuristic, but verified: the result is checked to cover
 ``on`` and avoid ``off`` before being returned.
 
-Internally everything runs on bit-integers: a vector over ``support``
-is an int, a cube is a ``(mask, value)`` pair, and cube-covers-vector is
-one AND plus one compare.  The public API speaks
+Internally everything runs on Python ints: a vector over ``support`` is
+an int and a cube is a ``(mask, value)`` pair.  The vector *sets* are
+bit-sliced: :func:`minimize` transposes its sorted ON and OFF vectors
+once into per-signal column bitsets in which bit *j* stands for vector
+*j*.  The vectors a cube covers are then the AND of its literals'
+columns, and how many it covers is a popcount — Espresso's positional
+cubes turned sideways.  The public API speaks
 :class:`~repro.boolean.cube.Cube` / :class:`~repro.boolean.sop.SopCover`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-import numpy as np
-
-from repro._util import FrozenVector
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
@@ -39,42 +41,16 @@ from repro.errors import CoverError
 Vector = Mapping[str, int]
 IntCube = Tuple[int, int]  # (mask, value): v covered iff v & mask == value
 
-#: widest support that fits a signed 64-bit packed vector
-_INT64_WIDTH = 63
-
-
-def _pack_dtype(width: int) -> "np.dtype":
-    """Array dtype for packed vectors over a ``width``-signal support.
-
-    ``int64`` is the fast path; supports wider than 63 signals do not
-    fit a machine word, so the same kernels run on ``object`` arrays of
-    arbitrary-precision Python ints (slower, identical semantics).
-    """
-    return np.dtype(np.int64 if width <= _INT64_WIDTH else object)
-
-
-def _pack_array(ints: Iterable[int], width: int) -> "np.ndarray":
-    return np.array(list(ints), dtype=_pack_dtype(width))
+try:
+    _popcount = int.bit_count
+except AttributeError:  # Python 3.9
+    def _popcount(bits: int) -> int:
+        return bin(bits).count("1")
 
 
 def _vector_int(vector: Vector, support: Sequence[str]) -> int:
-    try:
-        return _vector_int_cached(vector, tuple(support))
-    except TypeError:        # unhashable mapping (plain dict input)
-        return _vector_int_compute(vector, tuple(support))
-
-
-@lru_cache(maxsize=1 << 18)
-def _vector_int_cached(vector: Vector, support: Tuple[str, ...]) -> int:
-    return _vector_int_compute(vector, support)
-
-
-def _vector_int_compute(vector: Vector, support: Tuple[str, ...]) -> int:
-    # State codes (FrozenVector) hash by content and recur across the
-    # thousands of minimize() calls of one mapping run; the memo turns
-    # the dominant cost of cover synthesis into a dict lookup.
     bits = 0
-    for name, index in _position_map(support).items():
+    for name, index in _position_map(tuple(support)).items():
         if vector[name]:
             bits |= 1 << index
     return bits
@@ -108,65 +84,110 @@ def _cube_back(int_cube: IntCube, support: Sequence[str]) -> Cube:
     return Cube(literals)
 
 
-def _hits(cube: IntCube, vectors: "np.ndarray") -> bool:
+class Columns(NamedTuple):
+    """A vector set bit-sliced by :func:`_transpose`: ``every`` has one
+    bit per vector, ``columns[i]`` is signal i's ``(zeros, ones)`` pair."""
+
+    every: int
+    columns: List[Tuple[int, int]]
+
+
+def _transpose(vectors: Sequence[int], width: int) -> Columns:
+    """Bit-slice ``vectors`` (packed over ``width`` signals) into
+    per-signal column bitsets: bit *j* stands for ``vectors[j]``."""
+    every = (1 << len(vectors)) - 1
+    if not vectors or not width:
+        return Columns(every, [(0, 0)] * width)
+    if max(vectors) >> width:
+        raise ValueError(f"a packed vector is wider than {width} signals")
+    # Vector j at bit offset j*width of one int, printed in binary: the
+    # strided slice of signal i reads vectors n-1 ... 0, most
+    # significant bit first, which is the column bitset of signal i.
+    packed = 0
+    for v in reversed(vectors):
+        packed = packed << width | v
+    text = format(packed, f"0{width * len(vectors)}b")
+    columns = []
+    for i in range(width):
+        ones = int(text[width - 1 - i::width], 2)
+        columns.append((every ^ ones, ones))
+    return Columns(every, columns)
+
+
+def _cover_bits(cube: IntCube, vectors: Columns) -> int:
+    """Bitset of the vectors ``cube`` covers: its literals' columns
+    ANDed together."""
     mask, value = cube
-    if len(vectors) == 0:
-        return False
-    return bool(((vectors & mask) == value).any())
+    bits, columns = vectors
+    while mask:
+        low = mask & -mask
+        bits &= columns[low.bit_length() - 1][1 if value & low else 0]
+        mask ^= low
+    return bits
 
 
-def _covered(cube: IntCube, vectors: Iterable[int]) -> List[int]:
-    mask, value = cube
-    return [v for v in vectors if (v & mask) == value]
+def _coverage(covers: Iterable[int]) -> Tuple[int, int]:
+    """``(any, once)``: the vectors at least one and exactly one of the
+    per-cube bitsets ``covers`` contain."""
+    once = twice = 0
+    for bits in covers:
+        twice |= once & bits
+        once |= bits
+    return once, once & ~twice
 
 
-def _count_covered(cube: IntCube, vectors: "np.ndarray") -> int:
-    mask, value = cube
-    if len(vectors) == 0:
-        return 0
-    return int(((vectors & mask) == value).sum())
-
-
-def _expand(cube: IntCube, off: "np.ndarray", prefer: "np.ndarray",
-            width: int) -> IntCube:
+def _expand(cube: IntCube, off: Columns, prefer: Columns) -> IntCube:
     """EXPAND: greedily drop literals while staying off the OFF-set,
     favouring drops that absorb the most ON-vectors.
 
-    One broadcast per greedy step: all candidate single-literal drops
-    are tested against the whole OFF-set (and scored against the whole
-    ON-set) in two ``(vectors, candidates)`` matrix compares, instead
-    of per-candidate numpy calls.  Picks the highest gain, ties broken
-    towards the highest bit index — the same ``(gain, index)`` ordering
-    as the scalar loop it replaces.
+    Each greedy step scores every candidate drop from prefix and
+    suffix ANDs over the cube's literal columns: the cube minus
+    literal k covers ``before[k] & after[k]``.  A drop is allowed when
+    that holds no OFF vector, and its gain is the popcount of the same
+    ANDs on the ``prefer`` side.  Picks the highest gain, ties broken
+    towards the highest bit index.  A literal once blocked stays
+    blocked (a wider cube only covers more), so blocked literals fold
+    into a fixed base and later steps rescan only the live candidates.
     """
     mask, value = cube
-    if width <= _INT64_WIDTH:
-        bits = np.left_shift(np.int64(1), np.arange(width, dtype=np.int64))
-    else:
-        bits = np.array([1 << i for i in range(width)], dtype=object)
-    n_off, n_prefer = len(off), len(prefer)
-    while True:
-        candidates = np.flatnonzero(mask & bits)
-        if len(candidates) == 0:
+    off_base, off_columns = off
+    on_base, on_columns = prefer
+    candidates = []
+    for i, (off_column, on_column) in enumerate(zip(off_columns,
+                                                    on_columns)):
+        if mask >> i & 1:
+            polarity = value >> i & 1
+            candidates.append((1 << i, off_column[polarity],
+                               on_column[polarity]))
+    while candidates:
+        off_after = [off_base] * len(candidates)
+        on_after = [on_base] * len(candidates)
+        off_acc, on_acc = off_base, on_base
+        for k in range(len(candidates) - 1, 0, -1):
+            off_acc &= candidates[k][1]
+            on_acc &= candidates[k][2]
+            off_after[k - 1] = off_acc
+            on_after[k - 1] = on_acc
+        off_before, on_before = off_base, on_base
+        allowed = []
+        pick = best = -1
+        for k, literal in enumerate(candidates):
+            if off_before & off_after[k]:
+                off_base &= literal[1]
+                on_base &= literal[2]
+            else:
+                gain = _popcount(on_before & on_after[k])
+                if gain >= best:
+                    best, pick = gain, len(allowed)
+                allowed.append(literal)
+            off_before &= literal[1]
+            on_before &= literal[2]
+        if not allowed:
             break
-        wider_masks = mask & ~bits[candidates]
-        wider_values = value & ~bits[candidates]
-        if n_off:
-            allowed = np.flatnonzero(~(
-                (off[:, None] & wider_masks[None, :])
-                == wider_values[None, :]).any(axis=0))
-        else:
-            allowed = np.arange(len(candidates))
-        if len(allowed) == 0:
-            break
-        if n_prefer:
-            gains = ((prefer[:, None] & wider_masks[None, allowed])
-                     == wider_values[None, allowed]).sum(axis=0)
-            pick = allowed[np.flatnonzero(gains == gains.max())[-1]]
-        else:
-            pick = allowed[-1]
-        mask = int(wider_masks[pick])
-        value = int(wider_values[pick])
+        bit = allowed.pop(pick)[0]
+        mask ^= bit
+        value &= ~bit
+        candidates = allowed
     return mask, value
 
 
@@ -179,81 +200,64 @@ def _contains(outer: IntCube, inner: IntCube) -> bool:
     return (i_value & o_mask) == o_value
 
 
-def _coverage_matrix(cubes: Sequence[IntCube],
-                     vectors: "np.ndarray") -> "np.ndarray":
-    """Boolean ``(len(vectors), len(cubes))`` matrix of cube-covers-
-    vector, built with one broadcast AND + compare."""
-    masks = np.array([c[0] for c in cubes], dtype=vectors.dtype)
-    values = np.array([c[1] for c in cubes], dtype=vectors.dtype)
-    return np.asarray(
-        (vectors[:, None] & masks[None, :]) == values[None, :],
-        dtype=bool)
-
-
-def _irredundant(cubes: List[IntCube], on: Sequence[int],
-                 dtype: "np.dtype" = np.dtype(np.int64)) -> List[IntCube]:
+def _irredundant(cubes: List[IntCube], on: Columns) -> List[IntCube]:
     """Greedy minimum-ish subset of ``cubes`` still covering ``on``.
 
-    Works on the coverage matrix: remaining ON-vectors are a boolean
-    row mask and per-cube cover counts are column sums, so each greedy
-    step is one matrix reduction.  Pick order matches the scalar
-    version exactly: essentials in ON order first, then first-maximal
-    ``(covered count, -literal count)`` over the pool, then a prune of
-    cubes made redundant by later picks.
+    Works on per-cube ON bitsets: remaining ON-vectors are one bitset
+    and a cube's cover count is a popcount.  Pick order: essentials
+    first, in the order of the first ON vector each covers alone, then
+    first-maximal ``(covered count, -literal count)`` over the pool,
+    then a prune of cubes made redundant by later picks.
     """
-    if not on:
+    every = on.every
+    if not every:
         return []
-    on_array = np.array(list(on), dtype=dtype)
-    cov = _coverage_matrix(cubes, on_array) if cubes else np.zeros(
-        (len(on), 0), dtype=bool)
-    if not cov.any(axis=1).all():
+    covers = [_cover_bits(cube, on) for cube in cubes]
+    covered, single = _coverage(covers)
+    if covered != every:
         raise CoverError("irredundant step cannot make progress; "
                          "ON-set vector not covered by any implicant")
-    chosen: List[int] = []
-    # Essential cubes first.
-    counts_per_vector = cov.sum(axis=1)
-    for row in np.flatnonzero(counts_per_vector == 1):
-        owner = int(cov[row].argmax())
-        if owner not in chosen:
-            chosen.append(owner)
-    remaining = ~cov[:, chosen].any(axis=1) if chosen else np.ones(
-        len(on), dtype=bool)
-    pool = [i for i in range(len(cubes)) if i not in chosen]
-    literal_counts = [bin(c[0]).count("1") for c in cubes]
-    while remaining.any():
-        ranked = pool or chosen
-        covered = cov[remaining][:, ranked].sum(axis=0)
-        best = ranked[max(range(len(ranked)),
-                          key=lambda p: (covered[p],
-                                         -literal_counts[ranked[p]]))]
-        gained = remaining & cov[:, best]
-        if not gained.any():
+    # Essential cubes first, in the order of the first vector each one
+    # covers alone (its lowest owned bit; no two owners share a bit).
+    owned = [bits & single for bits in covers]
+    chosen = sorted((k for k in range(len(cubes)) if owned[k]),
+                    key=lambda k: owned[k] & -owned[k])
+    remaining = every
+    for k in chosen:
+        remaining &= ~covers[k]
+    pool = [k for k in range(len(cubes)) if k not in chosen]
+    literal_counts = [_popcount(mask) for mask, _ in cubes]
+    while remaining:
+        best = max(pool or chosen,
+                   key=lambda k: (_popcount(remaining & covers[k]),
+                                  -literal_counts[k]))
+        if not remaining & covers[best]:
             raise CoverError("irredundant step cannot make progress")
         if best not in chosen:
             chosen.append(best)
-        remaining &= ~cov[:, best]
+        remaining &= ~covers[best]
     # Drop cubes made redundant by later picks.
     pruned = list(chosen)
     for index in list(chosen):
-        trial = [i for i in pruned if i != index]
-        if trial and cov[:, trial].any(axis=1).all():
+        trial = [k for k in pruned if k != index]
+        if trial and _coverage(covers[k] for k in trial)[0] == every:
             pruned = trial
-    return [cubes[i] for i in pruned]
+    return [cubes[k] for k in pruned]
 
 
-def _reduce(cube: IntCube, owned: Sequence[int], width: int) -> IntCube:
+def _reduce(cube: IntCube, owned: int, on: Columns) -> IntCube:
     """REDUCE: shrink a cube to the supercube of the ON-vectors only it
-    covers (so the next EXPAND can take a different direction)."""
+    covers (bitset ``owned``), so the next EXPAND can take a different
+    direction."""
     if not owned:
         return cube
-    full_mask = (1 << width) - 1
-    common_ones = full_mask
-    common_zeros = full_mask
-    for v in owned:
-        common_ones &= v
-        common_zeros &= ~v
-    mask = (common_ones | common_zeros) & full_mask
-    value = common_ones & mask
+    mask = value = 0
+    for i, (zeros, ones) in enumerate(on.columns):
+        if not owned & zeros:
+            mask |= 1 << i
+            value |= 1 << i
+        elif not owned & ones:
+            mask |= 1 << i
     outer_mask, outer_value = cube
     # Only shrink (never move outside the original cube).
     if (outer_mask & ~mask) or ((value & outer_mask) != outer_value):
@@ -308,50 +312,45 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
         return SopCover.one()
 
     full_mask = (1 << width) - 1
-    off_array = _pack_array(off_ints, width)
-    on_array = _pack_array(on_ints, width)
+    on_columns = _transpose(on_ints, width)
+    off_columns = _transpose(off_ints, width)
     cubes: List[IntCube] = [(full_mask, v) for v in on_ints]
+    position = {v: j for j, v in enumerate(on_ints)}
     for round_index in range(max(1, passes)):
         # Espresso-style EXPAND with covered-minterm skipping: a cube
         # whose seed minterm is already absorbed by an earlier prime is
-        # not expanded (IRREDUNDANT would drop it anyway).
+        # not expanded (IRREDUNDANT would drop it anyway).  Full-mask
+        # cubes are ON minterms: seeds, or kept because they cover ON.
         expanded: List[IntCube] = []
+        absorbed = 0
         for cube in cubes:
-            seed = cube[1] & full_mask if cube[0] == full_mask else None
-            if seed is not None and any(
-                    (seed & mask) == value for mask, value in expanded):
+            if cube[0] == full_mask and absorbed >> position[cube[1]] & 1:
                 continue
-            expanded.append(_expand(cube, off_array, on_array, width))
+            prime = _expand(cube, off_columns, on_columns)
+            expanded.append(prime)
+            absorbed |= _cover_bits(prime, on_columns)
         kept: List[IntCube] = []
-        for cube in sorted(set(expanded),
-                           key=lambda c: bin(c[0]).count("1")):
+        for cube in sorted(set(expanded), key=lambda c: _popcount(c[0])):
             if not any(_contains(other, cube) for other in kept):
                 kept.append(cube)
-        cubes = _irredundant(kept, on_ints, _pack_dtype(width))
+        cubes = _irredundant(kept, on_columns)
         if round_index + 1 < passes:
             # A vector is "owned" by a cube iff that cube is the only
-            # one covering it: rows of the coverage matrix with exactly
-            # one True.  (_irredundant returns distinct cubes, so
-            # "the others" is a column complement.)
-            cov = _coverage_matrix(cubes, on_array)
-            owned_rows = cov.sum(axis=1) == 1
-            cubes = [
-                _reduce(cube,
-                        [int(v) for v in on_array[owned_rows & cov[:, k]]],
-                        width)
-                for k, cube in enumerate(cubes)]
+            # one covering it.
+            covers = [_cover_bits(cube, on_columns) for cube in cubes]
+            single = _coverage(covers)[1]
+            cubes = [_reduce(cube, bits & single, on_columns)
+                     for cube, bits in zip(cubes, covers)]
 
     result = SopCover(_cube_back(c, support) for c in cubes)
-    _verify(cubes, on_array, off_array)
+    _verify(cubes, on_columns, off_columns)
     return result
 
 
-def _verify(cubes: Sequence[IntCube], on: "np.ndarray",
-            off: "np.ndarray") -> None:
-    cov_on = _coverage_matrix(cubes, on)
-    if not cov_on.any(axis=1).all():
+def _verify(cubes: Sequence[IntCube], on: Columns, off: Columns) -> None:
+    if _coverage(_cover_bits(c, on) for c in cubes)[0] != on.every:
         raise CoverError("minimized cover misses an ON vector")
-    if _coverage_matrix(cubes, off).any():
+    if _coverage(_cover_bits(c, off) for c in cubes)[0]:
         raise CoverError("minimized cover hits an OFF vector")
 
 
@@ -365,12 +364,12 @@ def expand_cube(cube: Cube, off: Sequence[Vector],
     support = sorted(set(cube.support)
                      | {n for v in off for n in v.keys()}
                      | {n for v in (prefer or []) for n in v.keys()})
-    off_ints = _pack_array((_vector_int(v, support) for v in off),
-                           len(support))
-    prefer_ints = _pack_array((_vector_int(v, support)
-                               for v in (prefer or [])), len(support))
-    expanded = _expand(_cube_int(cube, support), off_ints, prefer_ints,
-                       len(support))
+    width = len(support)
+    off_columns = _transpose([_vector_int(v, support) for v in off], width)
+    prefer_columns = _transpose([_vector_int(v, support)
+                                 for v in (prefer or [])], width)
+    expanded = _expand(_cube_int(cube, support), off_columns,
+                       prefer_columns)
     return _cube_back(expanded, support)
 
 

@@ -31,6 +31,11 @@ from xml.sax.saxutils import escape
 #: path is actually exercised by real stores
 MAX_KEYS_DEFAULT = 1000
 
+#: shutdown poll of a :meth:`FakeS3Server.start_background` accept
+#: loop; ``serve_forever``'s 0.5 s default makes every ``stop()`` wait
+#: about that long
+BACKGROUND_POLL_SECONDS = 0.05
+
 
 def _iso(epoch: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S.000Z",
@@ -253,9 +258,9 @@ class FakeS3Server(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def start_background(self) -> "FakeS3Server":
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="si-mapper-s3fake",
-                                        daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="si-mapper-s3fake",
+            kwargs={"poll_interval": BACKGROUND_POLL_SECONDS}, daemon=True)
         self._thread.start()
         return self
 

@@ -103,6 +103,11 @@ _RANGE = re.compile(r"^bytes=(\d*)-(\d*)$")
 #: maintenance (``/gc``, ``/clear``) and ``/claim`` bodies are tiny
 MAX_CONTROL_BYTES = 65536
 
+#: shutdown poll of a :meth:`ArtifactServer.start_background` accept
+#: loop; ``serve_forever``'s 0.5 s default makes every ``stop()`` wait
+#: about that long
+BACKGROUND_POLL_SECONDS = 0.05
+
 #: ``/jobs/<id>`` with an optional ``/result`` suffix; ids are the
 #: hex prefixes :func:`repro.dist.jobs.job_id_of` mints
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{8,64})(/result)?$")
@@ -806,9 +811,9 @@ class ArtifactServer(ThreadingHTTPServer):
 
     def start_background(self) -> "ArtifactServer":
         """Serve on a daemon thread (tests / embedded use)."""
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="si-mapper-serve",
-                                        daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="si-mapper-serve",
+            kwargs={"poll_interval": BACKGROUND_POLL_SECONDS}, daemon=True)
         self._thread.start()
         return self
 
