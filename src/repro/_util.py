@@ -1,7 +1,8 @@
 """Small shared helpers used across the library.
 
 Kept deliberately tiny: ordered deduplication, stable powerset slices,
-pairwise iteration and a frozen-dict used for hashable signal vectors.
+pairwise iteration, bitset popcounts and a frozen-dict used for hashable
+signal vectors.
 """
 
 from __future__ import annotations
@@ -10,6 +11,13 @@ from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+try:
+    popcount = int.bit_count
+except AttributeError:  # Python 3.9
+    def popcount(bits: int) -> int:
+        """Number of set bits of a non-negative int."""
+        return bin(bits).count("1")
 
 
 def unique(items: Iterable[T]) -> List[T]:

@@ -34,18 +34,13 @@ from functools import lru_cache
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
+from repro._util import popcount
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
 
 Vector = Mapping[str, int]
 IntCube = Tuple[int, int]  # (mask, value): v covered iff v & mask == value
-
-try:
-    _popcount = int.bit_count
-except AttributeError:  # Python 3.9
-    def _popcount(bits: int) -> int:
-        return bin(bits).count("1")
 
 
 def _vector_int(vector: Vector, support: Sequence[str]) -> int:
@@ -176,7 +171,7 @@ def _expand(cube: IntCube, off: Columns, prefer: Columns) -> IntCube:
                 off_base &= literal[1]
                 on_base &= literal[2]
             else:
-                gain = _popcount(on_before & on_after[k])
+                gain = popcount(on_before & on_after[k])
                 if gain >= best:
                     best, pick = gain, len(allowed)
                 allowed.append(literal)
@@ -226,10 +221,10 @@ def _irredundant(cubes: List[IntCube], on: Columns) -> List[IntCube]:
     for k in chosen:
         remaining &= ~covers[k]
     pool = [k for k in range(len(cubes)) if k not in chosen]
-    literal_counts = [_popcount(mask) for mask, _ in cubes]
+    literal_counts = [popcount(mask) for mask, _ in cubes]
     while remaining:
         best = max(pool or chosen,
-                   key=lambda k: (_popcount(remaining & covers[k]),
+                   key=lambda k: (popcount(remaining & covers[k]),
                                   -literal_counts[k]))
         if not remaining & covers[best]:
             raise CoverError("irredundant step cannot make progress")
@@ -330,7 +325,7 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
             expanded.append(prime)
             absorbed |= _cover_bits(prime, on_columns)
         kept: List[IntCube] = []
-        for cube in sorted(set(expanded), key=lambda c: _popcount(c[0])):
+        for cube in sorted(set(expanded), key=lambda c: popcount(c[0])):
             if not any(_contains(other, cube) for other in kept):
                 kept.append(cube)
         cubes = _irredundant(kept, on_columns)

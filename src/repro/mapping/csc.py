@@ -27,21 +27,28 @@ families are available, selected by :attr:`CscConfig.method`:
   "after ``u`` until ``v``": the forward closure of ``u``'s switching
   regions, cut at states where ``v`` is enabled.  The first candidate
   that reduces the conflict count wins.
+
+Both families run on the graph's packed
+:class:`~repro.sg.encoding.Encoding`: candidate blocks are state
+bitsets, so building, deduplicating and pre-ranking them are int
+operations and popcounts.  Only the blocks actually trial-inserted (at
+most :attr:`CscConfig.max_candidates` per signal) are unpacked into
+state sets for the I-partition growth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
+from repro._util import popcount
 from repro.errors import CoverError, CscViolation, InsertionError
 from repro.mapping.insertion import insert_signal
-from repro.mapping.partition import (compute_insertion_sets_from_states,
-                                     input_border)
-from repro.sg.graph import Event, State, StateGraph, event_signal
-from repro.sg.regions import (encoding_atoms, excitation_regions,
-                              switching_region)
+from repro.mapping.partition import compute_insertion_sets_from_states
+from repro.sg.encoding import Encoding
+from repro.sg.graph import State, StateGraph
+from repro.sg.regions import encoding_atoms, excitation_regions
 
 #: the candidate families :attr:`CscConfig.method` may select
 CSC_METHODS = ("regions", "blocks")
@@ -72,76 +79,62 @@ class CscConfig:
 
 def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
     """All unordered state pairs sharing a code but enabling different
-    output events."""
-    from repro.sg.properties import states_by_code
-    by_code = states_by_code(sg)
-    outputs = set(sg.outputs)
-    conflicts: List[Tuple[State, State]] = []
-    for states in by_code.values():
-        if len(states) < 2:
-            continue
-        enabled = {
-            state: frozenset(e for e in sg.enabled(state)
-                             if event_signal(e) in outputs)
-            for state in states}
-        for i, left in enumerate(states):
-            for right in states[i + 1:]:
-                if enabled[left] != enabled[right]:
-                    conflicts.append((left, right))
-    return conflicts
+    output events: states grouped by packed code (in first-occurrence
+    order), then compared by their masks of enabled output events."""
+    enc = sg.encoding()
+    by_code: Dict[int, List[int]] = {}
+    for i, code in enumerate(enc.codes):
+        by_code.setdefault(code, []).append(i)
+    enabled = [0] * len(enc.codes)
+    for k, event in enumerate(signal + direction for signal in sg.outputs
+                              for direction in "+-"):
+        for i in enc.iter_bits(enc.event_bits(event)):
+            enabled[i] |= 1 << k
+    return [(enc.states[left], enc.states[right])
+            for group in by_code.values()
+            for n, left in enumerate(group) for right in group[n + 1:]
+            if enabled[left] != enabled[right]]
 
 
 # ----------------------------------------------------------------------
 # Candidate families
 # ----------------------------------------------------------------------
 
-def _event_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
-    """Legacy candidate blocks: "after u, until v" state sets."""
-    events: List[Event] = sorted({
-        event for state in sg.states
-        for event, _ in sg.successors(state)})
-    blocks: List[Tuple[str, Set[State]]] = []
-    seen: Set[FrozenSet[State]] = set()
+def _fresh_filter() -> Callable[[int], bool]:
+    """A filter admitting every non-empty bitset once (no candidate is
+    full: atoms are proper, and a slice omits its stop event's ER)."""
+    seen: Set[int] = {0}
+
+    def fresh(bits: int) -> bool:
+        new = bits not in seen
+        seen.add(bits)
+        return new
+    return fresh
+
+
+def _event_blocks(sg: StateGraph,
+                  fresh: Optional[Callable[[int], bool]] = None
+                  ) -> List[Tuple[str, int]]:
+    """Legacy candidate blocks, as state bitsets: "after ``u`` until
+    ``v``" is the forward closure of ``u``'s switching regions through
+    the states where ``v`` is not enabled.  ``fresh`` filters them."""
+    enc = sg.encoding()
+    fresh = fresh or _fresh_filter()
+    blocks: List[Tuple[str, int]] = []
+    events = enc.events
     for start in events:
-        start_states: Set[State] = set()
-        for region in excitation_regions(sg, start):
-            start_states |= switching_region(sg, region)
-        if not start_states:
-            continue
+        sources = enc.event_targets(start, enc.event_bits(start))
         for stop in events:
-            if stop == start:
-                continue
-            block = _forward_until(sg, start_states, stop)
-            if not block or len(block) == len(sg):
-                continue
-            key = frozenset(block)
-            if key in seen:
-                continue
-            seen.add(key)
-            blocks.append((f"after {start} until {stop}", block))
+            if stop != start:
+                block = enc.closure_forward(
+                    sources, enc.full_mask & ~enc.event_bits(stop))
+                if fresh(block):
+                    blocks.append((f"after {start} until {stop}", block))
     return blocks
 
 
-def _forward_until(sg: StateGraph, sources: Set[State],
-                   stop: Event) -> Set[State]:
-    block: Set[State] = set()
-    frontier = [s for s in sources
-                if stop not in {e for e, _ in sg.successors(s)}]
-    block.update(frontier)
-    while frontier:
-        state = frontier.pop()
-        for _, target in sg.successors(state):
-            if target in block:
-                continue
-            if stop in {e for e, _ in sg.successors(target)}:
-                continue
-            block.add(target)
-            frontier.append(target)
-    return block
-
-
-def _region_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
-    """Regions-based candidate blocks (reference [6]).
+def _region_blocks(sg: StateGraph) -> List[Tuple[str, int]]:
+    """Regions-based candidate blocks (reference [6]), as bitsets.
 
     Three sources, all rooted in the region algebra of
     :mod:`repro.sg.regions`:
@@ -159,39 +152,24 @@ def _region_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
     Between them the family covers the classic hand-made CSC signals
     (phase flags, request-seen latches, done markers) and the finer
     per-region cuts the event-pair heuristic alone cannot make on
-    multi-region events.
+    multi-region events.  Deduplication keeps the first label of each
+    state set; labels are formatted only for new blocks.
     """
     atoms = encoding_atoms(sg)
-    total = len(sg)
-    blocks: List[Tuple[str, Set[State]]] = []
-    seen: Set[FrozenSet[State]] = set()
-
-    def add(label: str, states: Iterable[State]) -> None:
-        states = frozenset(states)
-        if not states or len(states) == total:
-            return
-        if states in seen:
-            return
-        seen.add(states)
-        blocks.append((label, set(states)))
-
-    for label, atom in atoms:
-        add(label, atom)
+    fresh = _fresh_filter()
+    blocks = [(label, atom) for label, atom in atoms if fresh(atom)]
     for i, (label_a, atom_a) in enumerate(atoms):
         for label_b, atom_b in atoms[i + 1:]:
-            add(f"{label_a} ∩ {label_b}", atom_a & atom_b)
-            add(f"{label_a} − {label_b}", atom_a - atom_b)
-            add(f"{label_b} − {label_a}", atom_b - atom_a)
-    for label, block in _event_blocks(sg):
-        add(label, block)
-    return blocks
-
-
-def _separated(sg: StateGraph, block: Set[State],
-               conflicts: Sequence[Tuple[State, State]]) -> int:
-    """How many conflict pairs the block splits (one in, one out)."""
-    return sum(1 for left, right in conflicts
-               if (left in block) != (right in block))
+            both = atom_a & atom_b
+            if fresh(both):
+                blocks.append((f"{label_a} ∩ {label_b}", both))
+            a_only = atom_a & ~atom_b
+            if fresh(a_only):
+                blocks.append((f"{label_a} − {label_b}", a_only))
+            b_only = atom_b & ~atom_a
+            if fresh(b_only):
+                blocks.append((f"{label_b} − {label_a}", b_only))
+    return blocks + _event_blocks(sg, fresh)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +294,10 @@ def _fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
     return name
 
 
-def _ranked_blocks(sg: StateGraph,
-                   blocks: Iterable[Tuple[str, Set[State]]],
+def _ranked_blocks(sg: StateGraph, blocks: Iterable[Tuple[str, int]],
                    conflicts: Sequence[Tuple[State, State]],
                    with_borders: bool = False
-                   ) -> List[Tuple[Tuple, str, Set[State]]]:
+                   ) -> List[Tuple[Tuple, str, int]]:
     """Pre-rank candidate blocks before any insertion is paid for.
 
     Primary key: conflict pairs split (desc).  With ``with_borders``
@@ -329,30 +306,67 @@ def _ranked_blocks(sg: StateGraph,
     regions, so they bound its trigger logic from below; the legacy
     method keeps its historical ``(block size, label)`` order so its
     results stay reproducible.
+
+    Splits XOR per-state masks (pair ``p`` owns bit ``p``): the pairs
+    with one end in the block keep their bit.  A side's input border is
+    its intersection with the other side's successor image.
     """
+    enc = sg.encoding()
+    masks = [0] * len(enc.states)
+    for pair, ends in enumerate(conflicts):
+        for state in ends:
+            masks[enc.index[state]] |= 1 << pair
+    conflicted = enc.bitset(state for ends in conflicts for state in ends)
+    image = _successor_image(enc) if with_borders else None
     ranked = []
     for label, block in blocks:
-        split = _separated(sg, block, conflicts)
+        flips = 0
+        for i in enc.iter_bits(block & conflicted):
+            flips ^= masks[i]
+        split = popcount(flips)
         if not split:
             continue
-        if with_borders:
-            complement = set(sg.states) - block
-            border = (len(input_border(sg, block))
-                      + len(input_border(sg, complement)))
-            key = (-split, border, len(block), label)
+        if image is not None:
+            rest = enc.full_mask & ~block
+            border = (popcount(block & image(rest))
+                      + popcount(rest & image(block)))
+            key = (-split, border, popcount(block), label)
         else:
-            key = (-split, len(block), label)
+            key = (-split, popcount(block), label)
         ranked.append((key, label, block))
     ranked.sort(key=lambda item: item[0])
     return ranked
 
 
-def _try_insertion(sg: StateGraph, block: Set[State],
+def _successor_image(enc: Encoding) -> Callable[[int], int]:
+    """The successor image of a dense state bitset: one lookup per byte
+    of the set in per-byte tables of the successor bitsets."""
+    succ = enc.succ_bits + [0] * 7
+    tables: List[List[int]] = []
+    for base in range(0, len(enc.succ_bits), 8):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            table[byte] = (table[byte ^ low]
+                           | succ[base + low.bit_length() - 1])
+        tables.append(table)
+
+    def image(bits: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[bits & 255]
+            bits >>= 8
+        return out
+    return image
+
+
+def _try_insertion(sg: StateGraph, block: int,
                    name: str) -> Optional[StateGraph]:
     """Grow the block into an I-partition and trial-insert ``name``;
     ``None`` when the block admits no legal SIP-preserving insertion."""
     try:
-        partition = compute_insertion_sets_from_states(sg, block)
+        partition = compute_insertion_sets_from_states(
+            sg, set(sg.encoding().states_of(block)))
         return insert_signal(sg, partition, name,
                              require_csc=False).sg
     except InsertionError:
@@ -371,10 +385,9 @@ def _insert_first_improving_block(
         evaluated += 1
         if candidate_sg is None:
             continue
-        remaining = csc_conflicts(candidate_sg)
-        if len(remaining) < len(conflicts):
-            record = CscStep(name, label, len(conflicts),
-                             len(remaining),
+        remaining = len(csc_conflicts(candidate_sg))
+        if remaining < len(conflicts):
+            record = CscStep(name, label, len(conflicts), remaining,
                              candidates_evaluated=evaluated)
             return candidate_sg, record
     return None
@@ -423,18 +436,18 @@ def _insert_best_region_block(
         evaluated += 1
         if candidate_sg is None:
             continue
-        remaining = csc_conflicts(candidate_sg)
-        if len(remaining) >= len(conflicts):
+        remaining = len(csc_conflicts(candidate_sg))
+        if remaining >= len(conflicts):
             continue
-        if best is not None and len(remaining) > best[0][0]:
+        if best is not None and remaining > best[0][0]:
             # conflicts-remaining dominates the score: this candidate
             # cannot beat the incumbent, skip the (expensive) pricing
             continue
         cost = _candidate_cost(candidate_sg, name)
-        score = (len(remaining), cost, len(candidate_sg), label)
+        score = (remaining, cost, len(candidate_sg), label)
         if best is None or score < best[0]:
-            record = CscStep(name, label, len(conflicts),
-                             len(remaining), cost=cost)
+            record = CscStep(name, label, len(conflicts), remaining,
+                             cost=cost)
             best = (score, candidate_sg, record)
     if best is None:
         return None

@@ -122,8 +122,8 @@ def compute_insertion_sets_from_states(sg: StateGraph,
             f"insertion block {label} is constant on the reachable "
             "states")
 
-    er_plus = _input_border(sg, ones)
-    er_minus = _input_border(sg, zeros)
+    er_plus = input_border(sg, ones)
+    er_minus = input_border(sg, zeros)
     if not er_plus or not er_minus:
         raise InsertionError(
             f"insertion block {label} never changes value")
@@ -143,13 +143,7 @@ def compute_insertion_sets_from_states(sg: StateGraph,
 
 
 def input_border(sg: StateGraph, half: Set[State]) -> Set[State]:
-    """States of ``half`` with a predecessor outside it (IB, §2.3).
-
-    Public because the CSC solver uses border sizes as a cheap cost
-    proxy when pre-ranking candidate blocks: the borders seed the
-    excitation regions of the inserted signal, so a wide border means
-    wide trigger logic before any growth has been paid for.
-    """
+    """States of ``half`` with a predecessor outside it (IB, §2.3)."""
     border = set()
     for state in half:
         for _, source in sg.predecessors(state):
@@ -157,10 +151,6 @@ def input_border(sg: StateGraph, half: Set[State]) -> Set[State]:
                 border.add(state)
                 break
     return border
-
-
-#: backwards-compatible alias (pre-regions-solver name)
-_input_border = input_border
 
 
 def _grow(sg: StateGraph, seed: Set[State], half: Set[State],

@@ -172,6 +172,11 @@ class Encoding:
     # Behaviour
     # ------------------------------------------------------------------
 
+    @property
+    def events(self) -> List[Event]:
+        """The events labelling at least one arc, sorted."""
+        return sorted(self._event_bits)
+
     def event_bits(self, event: Event) -> int:
         """Bitset of states where ``event`` is enabled."""
         return self._event_bits.get(event, 0)

@@ -18,16 +18,15 @@
 All region queries run on the graph's packed
 :class:`~repro.sg.encoding.Encoding`: state sets are bitsets over
 state indices, so membership, intersection and the forward closures
-behind SR/QR are bulk bitwise operations.  Public signatures keep the
-set-of-states vocabulary; the ``*_bits`` twins expose the bitset layer
-to the synthesis hot paths.
+behind SR/QR are bulk bitwise operations.  Region queries return state
+sets; the ``*_bits`` twins and the encoding-block atoms
+(:func:`event_cones`, :func:`encoding_atoms`) return the bitsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.sg.graph import Event, State, StateGraph, event_signal
 
@@ -152,10 +151,10 @@ def quiescent_regions_by_event(sg: StateGraph,
 
 def event_cones(sg: StateGraph, event: Event,
                 regions: Optional[List[ExcitationRegion]] = None
-                ) -> List[Tuple[str, FrozenSet[State]]]:
-    """The labelled *cones* of one event: per excitation region, the
-    states where ``event`` "has just happened" — entered by firing it
-    and kept while its signal is stable (``SR_j ∪ QR_j``).
+                ) -> List[Tuple[str, int]]:
+    """The labelled *cones* of one event, as bitsets: per excitation
+    region, the states where ``event`` "has just happened" — entered by
+    firing it and kept while its signal is stable (``SR_j ∪ QR_j``).
 
     Cones are the atoms of the encoding-block algebra used by the
     regions-based CSC solver (reference [6] of the paper): unlike any
@@ -166,8 +165,7 @@ def event_cones(sg: StateGraph, event: Event,
     """
     if regions is None:
         regions = excitation_regions(sg, event)
-    enc = sg.encoding()
-    cones: List[Tuple[str, FrozenSet[State]]] = []
+    cones: List[Tuple[str, int]] = []
     for region in regions:
         restricted = stable_closure_bits(sg, region)
         for sibling in regions:
@@ -178,12 +176,12 @@ def event_cones(sg: StateGraph, event: Event,
         if cone:
             label = (f"SR∪QR({event})" if len(regions) == 1
                      else f"SR∪QR_{region.index}({event})")
-            cones.append((label, frozenset(enc.states_of(cone))))
+            cones.append((label, cone))
     return cones
 
 
-def encoding_atoms(sg: StateGraph) -> List[Tuple[str, FrozenSet[State]]]:
-    """Atomic encoding blocks of the region algebra.
+def encoding_atoms(sg: StateGraph) -> List[Tuple[str, int]]:
+    """Atomic encoding blocks of the region algebra, as state bitsets.
 
     Three families of atoms, all extensional:
 
@@ -202,37 +200,31 @@ def encoding_atoms(sg: StateGraph) -> List[Tuple[str, FrozenSet[State]]]:
     candidate insertion blocks.
     """
     enc = sg.encoding()
-    events: List[Event] = sorted(enc._event_bits)
-    atoms: List[Tuple[str, FrozenSet[State]]] = []
-    seen: Set[FrozenSet[State]] = set()
+    atoms: List[Tuple[str, int]] = []
+    seen: Set[int] = set()
 
-    def add(label: str, states: FrozenSet[State]) -> None:
-        if not states or len(states) == len(sg):
-            return
-        if states in seen:
-            return
-        seen.add(states)
-        atoms.append((label, states))
+    def add(label: str, bits: int) -> None:
+        if bits and bits != enc.full_mask and bits not in seen:
+            seen.add(bits)
+            atoms.append((label, bits))
 
-    for event in events:
+    for event in enc.events:
         regions = excitation_regions(sg, event)
         cones = event_cones(sg, event, regions)
+        union = 0
         for label, cone in cones:
             add(label, cone)
+            union |= cone
         if len(cones) > 1:
-            union: FrozenSet[State] = frozenset().union(
-                *(cone for _, cone in cones))
             add(f"SR∪QR({event})", union)
         for region in regions:
             label = (f"ER({event})" if len(regions) == 1
                      else f"ER_{region.index}({event})")
-            add(label, region.states)
+            add(label, enc.bitset(region.states))
         if len(regions) > 1:
-            add(f"ER({event})", frozenset().union(
-                *(region.states for region in regions)))
+            add(f"ER({event})", enc.event_bits(event))
     for signal in sg.signals:
-        add(f"[{signal}=1]",
-            frozenset(enc.states_of(enc.value_bits(signal))))
+        add(f"[{signal}=1]", enc.value_bits(signal))
     return atoms
 
 

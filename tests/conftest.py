@@ -37,3 +37,25 @@ def chained_sequencer_stg(stages: int = 2):
         ["r"] + [f"ai{i}" for i in range(1, stages + 1)],
         ["a"] + [f"ro{i}" for i in range(1, stages + 1)],
         arcs, [("a-", "r+")])
+
+
+def alternator_stg(outputs: int = 2):
+    """One input handshaking with ``outputs`` outputs in turn: the ``r``
+    phases repeat unobserved, so ``outputs`` states share each code
+    while enabling different outputs.  Signals ``r`` and ``o1..on``,
+    the same circuit as perfbench's csc-encode ``alternator<n>``.
+    """
+    from repro.stg.builders import marked_graph
+
+    def edge(sign: str, i: int) -> str:
+        return f"r{sign}" if i == 1 else f"r{sign}/{i}"
+
+    arcs = []
+    for i in range(1, outputs + 1):
+        arcs += [(edge("+", i), f"o{i}+"), (f"o{i}+", edge("-", i)),
+                 (edge("-", i), f"o{i}-")]
+        if i < outputs:
+            arcs.append((f"o{i}-", edge("+", i + 1)))
+    return marked_graph(f"alternator{outputs}", ["r"],
+                        [f"o{i}" for i in range(1, outputs + 1)], arcs,
+                        [(f"o{outputs}-", "r+")])

@@ -102,7 +102,7 @@ class TestEncodingAtoms:
         assert label == "SR∪QR(c+)"
         expected = (switching_region(celement_sg, region)
                     | quiescent_region(celement_sg, region))
-        assert cone == frozenset(expected)
+        assert cone == celement_sg.encoding().bitset(expected)
 
     def test_multi_region_events_get_indexed_cones(self, two_er_sg):
         cones = event_cones(two_er_sg, "x+")
@@ -112,12 +112,14 @@ class TestEncodingAtoms:
 
     def test_atoms_are_deduplicated_and_nontrivial(self, celement_sg):
         atoms = encoding_atoms(celement_sg)
+        full = celement_sg.encoding().full_mask
         seen = set()
-        for label, states in atoms:
-            assert states, label
-            assert len(states) < len(celement_sg), label
-            assert states not in seen, f"duplicate atom {label}"
-            seen.add(states)
+        for label, bits in atoms:
+            assert bits, label
+            assert bits & full == bits, label
+            assert bits != full, label
+            assert bits not in seen, f"duplicate atom {label}"
+            seen.add(bits)
 
     def test_atoms_cover_all_three_families(self, celement_sg):
         labels = [label for label, _ in encoding_atoms(celement_sg)]
@@ -129,7 +131,8 @@ class TestEncodingAtoms:
     def test_atoms_deterministic(self, two_er_sg):
         first = encoding_atoms(two_er_sg)
         second = encoding_atoms(two_er_sg)
-        assert [(label, sorted(map(repr, states)))
-                for label, states in first] == \
-            [(label, sorted(map(repr, states)))
-             for label, states in second]
+        enc = two_er_sg.encoding()
+        assert [(label, sorted(map(repr, enc.states_of(bits))))
+                for label, bits in first] == \
+            [(label, sorted(map(repr, enc.states_of(bits))))
+             for label, bits in second]

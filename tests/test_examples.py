@@ -64,3 +64,18 @@ def test_vbe10b_decomposition():
     out = run_example("vbe10b_decomposition.py", timeout=1800)
     assert "before decomposition" in out
     assert "global acknowledgment" in out
+
+
+def test_badseq_example_is_the_chained_sequencer():
+    """README's CSC commands run on ``examples/badseq.g``: the two-stage
+    chained sequencer, with 12 states and 3 CSC conflict pairs."""
+    from repro.mapping.csc import csc_conflicts
+    from repro.sg.reachability import state_graph_of
+    from repro.stg.parser import parse_g
+    from repro.stg.writer import write_g
+    from tests.conftest import chained_sequencer_stg
+
+    text = (EXAMPLES / "badseq.g").read_text()
+    assert text == write_g(chained_sequencer_stg())
+    sg = state_graph_of(parse_g(text))
+    assert (len(sg), len(csc_conflicts(sg))) == (12, 3)

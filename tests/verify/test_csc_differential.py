@@ -27,7 +27,7 @@ from repro.sg.reachability import state_graph_of
 from repro.stg.parser import parse_g
 from repro.synthesis.cover import synthesize_all
 from repro.verify import verify_implementation, weakly_bisimilar
-from tests.conftest import chained_sequencer_stg
+from tests.conftest import alternator_stg, chained_sequencer_stg
 
 # ----------------------------------------------------------------------
 # Conflicted circuits (the built-in suite is CSC-clean by construction)
@@ -60,7 +60,9 @@ def _conflicted_circuits():
     circuits = {
         "seqcsc2": _sequencer(2),
         "seqcsc3": _sequencer(3),
+        "seqcsc4": _sequencer(4),
         "alternator": state_graph_of(parse_g(ALTERNATOR_G)),
+        "alternator3": state_graph_of(alternator_stg(3)),
     }
     for name, sg in circuits.items():
         assert csc_conflicts(sg), f"{name} fixture must conflict"
