@@ -59,14 +59,16 @@ STORE_LAYOUT = "v1"
 #: treated as misses and overwritten on the next compute.  Kinds not
 #: listed here are never persisted.
 ARTIFACT_FORMATS: Dict[str, int] = {
-    "sg": 1,
+    # sg v2, csc v3, map v2: the pickled StateGraph is int-indexed
+    # (identity list, packed codes, (event, j) arc tuples)
+    "sg": 2,
     # v2: the artifact is the whole CscResult (graph + steps +
     # telemetry), not just the solved StateGraph
-    "csc": 2,
+    "csc": 3,
     "implementations": 1,
     "netlist": 1,
     "check": 1,
-    "map": 1,
+    "map": 2,
     # finished job rows spilled by the serve daemon's retention layer
     "jobrow": 1,
 }

@@ -13,6 +13,14 @@ signal ``x`` is inserted into the state graph:
   the other level fire only after ``x`` (they are *delayed*, i.e. they
   acknowledge the new signal).
 
+The split runs on the graph's packed arrays.  One frontier sweep over
+per-level bitsets of the original states finds the reachable copies
+*before* anything is built — replicated arcs stay on their level,
+``x+`` lifts ``S+`` copies to level 1, ``x-`` drops ``S-`` copies to
+level 0 — so no unreachable copy is ever created or pruned.  The new
+graph is then built directly in the int-indexed layout: each copy's
+code is the original code with the new signal's bit inserted.
+
 The result is re-verified from scratch (consistency, determinism,
 commutativity, output persistency including the new signal, CSC, and
 input preservation); any violation raises :class:`InsertionError`, which
@@ -23,11 +31,11 @@ depends on the growth heuristics in :mod:`repro.mapping.partition`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro._util import FrozenVector
 from repro.errors import InsertionError
 from repro.mapping.partition import IPartition
+from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
 from repro.sg.properties import check_speed_independence
 
@@ -43,9 +51,9 @@ class InsertionChanges:
     everything else must be resynthesized.
 
     ``split_states`` are the original states with *both* copies
-    reachable after pruning (the ER(x+) / ER(x-) states of the
-    partition, minus copies pruning removed); ``levels`` maps every
-    unsplit original state to the level of its single surviving copy.
+    reachable (the ER(x+) / ER(x-) states of the partition, minus
+    unreachable copies); ``levels`` maps every unsplit original state
+    to the level of its single reachable copy.
     """
 
     signal: str
@@ -57,7 +65,7 @@ class InsertionChanges:
 
     def level_of(self, state: State) -> Optional[int]:
         """Level of an unsplit state's single copy (None if split or
-        no copy survived pruning)."""
+        no copy is reachable)."""
         return self.levels.get(state)
 
     def copy_of(self, state: State) -> State:
@@ -83,70 +91,16 @@ class InsertionResult:
 
 
 def insert_signal(sg: StateGraph, partition: IPartition, name: str,
-                  verify: bool = True,
                   require_csc: bool = True) -> InsertionResult:
     """Insert a new (internal output) signal according to the partition.
 
     State identities in the result graph are ``(old_state, level)``
-    tuples; the returned :class:`InsertionResult` pairs the graph with
-    the :class:`InsertionChanges` summary that incremental resynthesis
-    consumes.
-    """
-    if name in sg.signals:
-        raise InsertionError(f"signal name {name!r} already in use")
+    tuples, ordered by original state with ``(s, 0)`` before
+    ``(s, 1)``; the returned :class:`InsertionResult` pairs the graph
+    with the :class:`InsertionChanges` summary that incremental
+    resynthesis consumes.
 
-    new_sg = StateGraph(sg.name, sg.inputs, list(sg.outputs) + [name])
-
-    def copies(state: State) -> List[int]:
-        block = partition.block_of(state)
-        if block in ("S+", "S-"):
-            return [0, 1]
-        return [1] if block == "S1" else [0]
-
-    for state in sg.states:
-        base = sg.code(state)
-        for level in copies(state):
-            new_sg.add_state((state, level),
-                             FrozenVector({**base.as_dict(), name: level}))
-
-    # x transitions inside the excitation regions.
-    for state in partition.er_plus:
-        new_sg.add_arc((state, 0), f"{name}+", (state, 1))
-    for state in partition.er_minus:
-        new_sg.add_arc((state, 1), f"{name}-", (state, 0))
-
-    # Original arcs replicated level-wise.
-    for state in sg.states:
-        source_levels = copies(state)
-        for event, target in sg.successors(state):
-            target_levels = copies(target)
-            for level in source_levels:
-                if level in target_levels:
-                    new_sg.add_arc((state, level), event, (target, level))
-
-    initial_level = partition.initial_value(sg.initial)
-    new_sg.set_initial((sg.initial, initial_level))
-    new_sg.prune_unreachable()
-
-    if verify:
-        verify_insertion(sg, new_sg, name, require_csc=require_csc)
-
-    surviving: Dict[State, List[int]] = {}
-    for original, level in new_sg.states:
-        surviving.setdefault(original, []).append(level)
-    split = frozenset(s for s, levels in surviving.items()
-                      if len(levels) > 1)
-    levels = {s: levels[0] for s, levels in surviving.items()
-              if len(levels) == 1}
-    return InsertionResult(new_sg,
-                           InsertionChanges(name, split, levels))
-
-
-def verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
-                     name: str, require_csc: bool = True) -> None:
-    """Full posterior verification of an insertion.
-
-    Checks, in order:
+    The insertion is verified, in order:
 
     1. every original state keeps at least one reachable copy (no
        behaviour was amputated);
@@ -154,33 +108,30 @@ def verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
        original state is enabled at *every* reachable copy of it;
     3. the new SG passes the whole SI property suite (consistency,
        determinism, commutativity, output persistency — including the
-       inserted signal — and CSC);
+       inserted signal — and CSC unless ``require_csc`` is false);
     4. the inserted signal actually switches (it would otherwise be
        useless as a decomposition signal).
+
+    Checks 1 and 2 run on the level bitsets, before the graph is built.
     """
-    reachable: Dict[State, List[int]] = {}
-    for state in new_sg.states:
-        original, level = state
-        reachable.setdefault(original, []).append(level)
-
-    for state in old_sg.states:
-        if state not in reachable:
-            raise InsertionError(
-                f"insertion of {name!r} makes original state {state!r} "
-                "unreachable")
-
-    for state in old_sg.states:
-        inputs_enabled = [e for e in old_sg.enabled(state)
-                          if old_sg.is_input_event(e)]
-        if not inputs_enabled:
-            continue
-        for level in reachable[state]:
-            enabled_here = set(new_sg.enabled((state, level)))
-            for event in inputs_enabled:
-                if event not in enabled_here:
-                    raise InsertionError(
-                        f"input event {event} is delayed by {name!r} at "
-                        f"state {state!r} (level {level})")
+    if name in sg.signals:
+        raise InsertionError(f"signal name {name!r} already in use")
+    enc = sg.encoding()
+    lift = enc.bitset(partition.er_plus)
+    drop = enc.bitset(partition.er_minus)
+    split = lift | drop
+    one = enc.bitset(partition.s1) & ~split
+    zero = enc.bitset(partition.s0) & ~split & ~one
+    unassigned = enc.full_mask & ~(split | one | zero)
+    if unassigned:
+        # raises the partition's own "not in any block" error
+        partition.block_of(enc.states_of(unassigned)[0])
+    # levels[l]: original states with a copy at level l of the new signal
+    levels = (split | zero, split | one)
+    start = (enc.index[sg.initial], partition.initial_value(sg.initial))
+    reach = _reachable_copies(enc, levels, lift, drop, start)
+    _check_copies(sg, enc, levels, reach, name)
+    new_sg = _split_graph(sg, enc, levels, reach, lift, drop, start, name)
 
     report = check_speed_independence(new_sg)
     ok = report.implementable if require_csc else (
@@ -189,9 +140,119 @@ def verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
         raise InsertionError(
             f"insertion of {name!r} breaks the specification: "
             + "; ".join(report.all_violations()[:3]))
-
-    fires = any(event in (f"{name}+", f"{name}-")
-                for state in new_sg.states
-                for event, _ in new_sg.successors(state))
-    if not fires:
+    if not (lift & reach[0] or drop & reach[1]):
         raise InsertionError(f"inserted signal {name!r} never fires")
+
+    states = enc.states
+    both = reach[0] & reach[1]
+    changes = InsertionChanges(
+        name, frozenset(states[i] for i in enc.iter_bits(both)),
+        {states[i]: 0 if (reach[0] >> i) & 1 else 1
+         for i in range(len(states)) if not (both >> i) & 1})
+    return InsertionResult(new_sg, changes)
+
+
+def _reachable_copies(enc: Encoding, levels: Tuple[int, int], lift: int,
+                      drop: int, start: Tuple[int, int]) -> List[int]:
+    """Per-level bitsets of the original states whose copy at that level
+    is reachable from the copy ``start = (index, level)``: one frontier
+    sweep in which replicated arcs stay on their level, ``x+`` lifts
+    ``lift`` states to level 1 and ``x-`` drops ``drop`` states to
+    level 0."""
+    succ = enc.succ_bits
+    reach = [0, 0]
+    frontier = [0, 0]
+    frontier[start[1]] = 1 << start[0]
+    while frontier[0] or frontier[1]:
+        image = [0, 0]
+        for at in (0, 1):
+            reach[at] |= frontier[at]
+            for i in enc.iter_bits(frontier[at]):
+                image[at] |= succ[i]
+        frontier = [((image[0] & levels[0]) | (frontier[1] & drop))
+                    & ~reach[0],
+                    ((image[1] & levels[1]) | (frontier[0] & lift))
+                    & ~reach[1]]
+    return reach
+
+
+def _check_copies(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
+                  reach: List[int], name: str) -> None:
+    """Checks 1 and 2 of :func:`insert_signal` on the level bitsets."""
+    states = enc.states
+    missing = enc.full_mask & ~(reach[0] | reach[1])
+    if missing:
+        state = states[(missing & -missing).bit_length() - 1]
+        raise InsertionError(
+            f"insertion of {name!r} makes original state {state!r} "
+            "unreachable")
+    bit, masks = enc.event_masks()
+    inputs = 0
+    for event, mask in bit.items():
+        if sg.is_input_event(event):
+            inputs |= mask
+    if not inputs:
+        return
+    events = sorted(bit)
+    for i, arcs in enumerate(enc.arcs):
+        wanted = masks[i] & inputs
+        for at in (0, 1):
+            if not wanted or not (reach[at] >> i) & 1:
+                continue
+            kept = 0
+            for event, j in arcs:
+                if (levels[at] >> j) & 1:
+                    kept |= bit[event]
+            delayed = wanted & ~kept
+            if delayed:
+                event = events[(delayed & -delayed).bit_length() - 1]
+                raise InsertionError(
+                    f"input event {event} is delayed by {name!r} at "
+                    f"state {states[i]!r} (level {at})")
+
+
+def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
+                 reach: List[int], lift: int, drop: int,
+                 start: Tuple[int, int], name: str) -> StateGraph:
+    """Build the split graph from the reachable copies: ``(s, 0)``
+    before ``(s, 1)``, each copy's arcs as its ``x`` arc (if any) then
+    the replicated arcs in original order, and every predecessor list
+    as its ``x`` arc then the replicated arcs in source order."""
+    outputs = list(sg.outputs) + [name]
+    at = sorted(sg.signals + (name,)).index(name)
+    low, xbit = (1 << at) - 1, 1 << at
+    n = len(enc.states)
+    ids: List[State] = []
+    codes: List[int] = []
+    copy: Tuple[List[int], List[int]] = ([-1] * n, [-1] * n)
+    for i, state in enumerate(enc.states):
+        code = enc.codes[i]
+        code = (code & low) | ((code >> at) << (at + 1))
+        for level in (0, 1):
+            if (reach[level] >> i) & 1:
+                copy[level][i] = len(ids)
+                ids.append((state, level))
+                codes.append(code | xbit if level else code)
+    plus, minus = f"{name}+", f"{name}-"
+    succ: List[Tuple[Tuple[str, int], ...]] = []
+    pred: List[List[Tuple[str, int]]] = [[] for _ in ids]
+    for i, arcs in enumerate(enc.arcs):
+        for level, switch, event in ((0, lift, plus), (1, drop, minus)):
+            k = copy[level][i]
+            if k < 0:
+                continue
+            mine, other = copy[level], copy[1 - level]
+            replicated = tuple((label, mine[j]) for label, j in arcs
+                               if (levels[level] >> j) & 1)
+            if (switch >> i) & 1:
+                pred[other[i]].append((event, k))
+                succ.append(((event, other[i]),) + replicated)
+            else:
+                succ.append(replicated)
+    for k, arcs in enumerate(succ):
+        for label, j in arcs:
+            if label != plus and label != minus:
+                pred[j].append((label, k))
+    return StateGraph.from_arrays(
+        sg.name, sg.inputs, outputs, ids, codes, succ,
+        [tuple(arcs) for arcs in pred], copy[start[1]][start[0]])

@@ -19,14 +19,18 @@ one instance per (immutable snapshot of a) state graph fixes
   per-event enabledness bitsets, so forward/backward closures run as
   word-parallel frontier sweeps instead of per-arc Python loops.
 
-Instances are cached on the graph (:meth:`repro.sg.graph.StateGraph.
-encoding`) and invalidated by any mutation, so derived caches (stable
-closures, value half-spaces) may live here safely.
+An encoding is built by copying the graph's own int-indexed arrays
+(identities, packed codes, per-state ``(event, j)`` arcs) and deriving
+the bitsets from them in one pass over the arcs.  Instances are cached
+on the graph (:meth:`repro.sg.graph.StateGraph.encoding`) and
+invalidated by any mutation, so derived caches (stable closures, value
+half-spaces, per-state event masks) may live here safely.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro._util import FrozenVector
 from repro.errors import CscViolation
@@ -42,41 +46,34 @@ class Encoding:
     content-identical copies may share one encoding.
     """
 
-    __slots__ = ("signals", "bit", "states", "index", "codes",
+    __slots__ = ("signals", "bit", "states", "index", "codes", "arcs",
                  "full_mask", "succ_bits", "pred_bits", "_event_bits",
                  "_event_arcs", "_excited_bits", "_value_bits",
-                 "_closure_cache")
+                 "_closure_cache", "_event_masks")
 
     def __init__(self, sg: StateGraph):
         signals = sg.signals
         self.signals: Tuple[str, ...] = signals
         self.bit: Dict[str, int] = {name: i
                                     for i, name in enumerate(signals)}
-        states = sg.states
-        self.states: Tuple[State, ...] = states
-        self.index: Dict[State, int] = {s: i for i, s in enumerate(states)}
-        n = len(states)
+        # The graph already stores this layout; copy its arrays (the
+        # per-state arc tuples are immutable, so they are shared).
+        self.states: Tuple[State, ...] = tuple(sg._ids)
+        self.index: Dict[State, int] = dict(sg._index)
+        self.codes: List[int] = list(sg._codes)
+        #: per-state ``(event, j)`` successor arcs, in graph order
+        self.arcs: Tuple[Tuple[Tuple[Event, int], ...], ...] = \
+            tuple(sg._succ)
+        n = len(self.states)
         self.full_mask: int = (1 << n) - 1
-
-        bit = self.bit
-        codes: List[int] = []
-        for state in states:
-            packed = 0
-            for name, value in sg.code(state).items():
-                if value:
-                    packed |= 1 << bit[name]
-            codes.append(packed)
-        self.codes: List[int] = codes
 
         succ_bits = [0] * n
         pred_bits = [0] * n
         event_bits: Dict[Event, int] = {}
         event_arcs: Dict[Event, List[Tuple[int, int]]] = {}
-        index = self.index
-        for i, state in enumerate(states):
+        for i, arcs in enumerate(self.arcs):
             sbit = 1 << i
-            for event, target in sg.successors(state):
-                j = index[target]
+            for event, j in arcs:
                 succ_bits[i] |= 1 << j
                 pred_bits[j] |= sbit
                 event_bits[event] = event_bits.get(event, 0) | sbit
@@ -92,6 +89,7 @@ class Encoding:
         self._event_arcs = event_arcs
         self._value_bits: Dict[str, int] = {}
         self._closure_cache: Dict[Tuple[Event, int], int] = {}
+        self._event_masks: Optional[Tuple[Dict[Event, int], List[int]]] = None
 
     # ------------------------------------------------------------------
     # Bitset plumbing
@@ -176,6 +174,22 @@ class Encoding:
     def events(self) -> List[Event]:
         """The events labelling at least one arc, sorted."""
         return sorted(self._event_bits)
+
+    def event_masks(self) -> Tuple[Dict[Event, int], List[int]]:
+        """Per-state enabled-event masks (cached): ``(bit, masks)``
+        with ``bit[event]`` a one-bit mask in sorted event order — so
+        ascending bits list events sorted — and ``masks[i]`` the OR of
+        the events enabled at state ``i``."""
+        if self._event_masks is None:
+            bit = {event: 1 << k for k, event in enumerate(self.events)}
+            masks: List[int] = []
+            for arcs in self.arcs:
+                mask = 0
+                for event, _ in arcs:
+                    mask |= bit[event]
+                masks.append(mask)
+            self._event_masks = (bit, masks)
+        return self._event_masks
 
     def event_bits(self, event: Event) -> int:
         """Bitset of states where ``event`` is enabled."""

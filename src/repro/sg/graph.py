@@ -5,23 +5,34 @@ works on: states carry a binary code over the signal set, arcs carry
 *events* (``"a+"`` / ``"a-"`` strings), signals are partitioned into
 inputs and outputs.  State identities are opaque hashable objects —
 Petri-net markings after reachability, ``(state, phase)`` pairs after a
-signal insertion.
+signal insertion — and nothing in the library looks inside them.
 
-The class stores arcs as a list per state so that non-deterministic
-graphs can be represented (and then *rejected* by the property checks).
+Storage is int-indexed: states are numbered ``0..n-1`` in insertion
+order, and the graph keeps
+
+* the identity list (index → state) and its inverse dict;
+* one packed int code per state, bit ``k`` = ``signals[k]`` (the
+  :class:`~repro.sg.encoding.Encoding` bit layout);
+* per-state tuples of ``(event, j)`` successor and predecessor arcs.
+
+The public API speaks identities and :class:`FrozenVector` codes; the
+packed arrays are what :mod:`repro.sg.encoding` copies and what
+:meth:`StateGraph.from_arrays` validates.  Arcs are kept as a sequence
+per state so that non-deterministic graphs can be represented (and then
+*rejected* by the property checks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import FrozenVector
 from repro.errors import StgError
 
 State = Hashable
 Event = str  # "a+" or "a-"
+Arcs = Tuple[Tuple[Event, int], ...]
 
 
 def event_signal(event: Event) -> str:
@@ -86,13 +97,64 @@ class StateGraph:
         if overlap:
             raise StgError(f"signals {sorted(overlap)} are both input "
                            "and output")
-        self._codes: Dict[State, FrozenVector] = {}
-        self._succ: Dict[State, List[Tuple[Event, State]]] = {}
-        self._pred: Dict[State, List[Tuple[Event, State]]] = {}
-        self._initial: Optional[State] = None
+        self._signals: Tuple[str, ...] = tuple(
+            sorted(self._inputs + self._outputs))
+        self._ids: List[State] = []
+        self._index: Dict[State, int] = {}
+        self._codes: List[int] = []
+        self._succ: List[Arcs] = []
+        self._pred: List[Arcs] = []
+        self._initial: Optional[int] = None
+        self._vectors: Dict[int, FrozenVector] = {}
         self._diamond_cache: Optional[List[Diamond]] = None
+        self._diamond_index: Optional[Dict[State, List[Diamond]]] = None
         self._order_cache: Optional[Dict[State, int]] = None
         self._encoding_cache = None  # repro.sg.encoding.Encoding
+
+    @classmethod
+    def from_arrays(cls, name: str, inputs: Iterable[str],
+                    outputs: Iterable[str], states: Sequence[State],
+                    codes: Sequence[int], succ: Sequence[Arcs],
+                    pred: Sequence[Arcs], initial: int) -> "StateGraph":
+        """Build a graph straight from the int-indexed layout.
+
+        ``states[i]`` is the identity of state ``i``, ``codes[i]`` its
+        packed code (bit ``k`` = ``signals[k]``), ``succ[i]`` /
+        ``pred[i]`` its ``(event, j)`` arcs in order and ``initial`` an
+        index.  The arrays are validated (lengths, unique identities,
+        code width, event signals, initial index) and then owned by the
+        graph.
+        """
+        sg = cls(name, inputs, outputs)
+        n = len(states)
+        if not len(codes) == len(succ) == len(pred) == n:
+            raise StgError("state arrays disagree in length")
+        index = {state: i for i, state in enumerate(states)}
+        if len(index) != n:
+            raise StgError("state identities are not unique")
+        if codes and (min(codes) < 0
+                      or max(codes) >> len(sg._signals)):
+            raise StgError(f"state code wider than signals "
+                           f"{list(sg._signals)}")
+        known = set(sg._signals)
+        for event in {event for arcs in succ for event, _ in arcs}:
+            if event[:-1] not in known:
+                raise StgError(f"event {event!r} uses unknown signal")
+        if not 0 <= initial < n:
+            raise StgError(f"initial state index {initial} out of range")
+        sg._ids = list(states)
+        sg._index = index
+        sg._codes = list(codes)
+        sg._succ = list(succ)
+        sg._pred = list(pred)
+        sg._initial = initial
+        return sg
+
+    def _mutated(self) -> None:
+        self._diamond_cache = None
+        self._diamond_index = None
+        self._order_cache = None
+        self._encoding_cache = None
 
     # ------------------------------------------------------------------
     # Signals
@@ -108,7 +170,7 @@ class StateGraph:
 
     @property
     def signals(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._inputs + self._outputs))
+        return self._signals
 
     def is_input(self, signal: str) -> bool:
         return signal in self._inputs
@@ -122,68 +184,82 @@ class StateGraph:
 
     @property
     def states(self) -> Tuple[State, ...]:
-        return tuple(self._codes)
+        return tuple(self._ids)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self._ids)
 
     def __contains__(self, state: State) -> bool:
-        return state in self._codes
+        return state in self._index
 
     @property
     def initial(self) -> State:
         if self._initial is None:
             raise StgError("state graph has no initial state")
-        return self._initial
+        return self._ids[self._initial]
 
     def set_initial(self, state: State) -> None:
-        if state not in self._codes:
+        if state not in self._index:
             raise StgError(f"unknown state {state!r}")
-        self._initial = state
+        self._initial = self._index[state]
         self._order_cache = None
 
     def add_state(self, state: State, code: FrozenVector) -> State:
-        if state in self._codes:
+        if state in self._index:
             raise StgError(f"state {state!r} added twice")
-        expected = set(self.signals)
+        expected = set(self._signals)
         if set(code.keys()) != expected:
             raise StgError(
                 f"state code must cover signals {sorted(expected)}, "
                 f"got {code.keys()}")
-        self._codes[state] = code
-        self._succ[state] = []
-        self._pred[state] = []
-        self._diamond_cache = None
-        self._order_cache = None
-        self._encoding_cache = None
+        packed = 0
+        for k, signal in enumerate(self._signals):
+            if code[signal]:
+                packed |= 1 << k
+        self._index[state] = len(self._ids)
+        self._ids.append(state)
+        self._codes.append(packed)
+        self._vectors.setdefault(packed, code)
+        self._succ.append(())
+        self._pred.append(())
+        self._mutated()
         return state
 
     def add_arc(self, source: State, event: Event, target: State) -> None:
-        if source not in self._codes:
+        if source not in self._index:
             raise StgError(f"unknown source state {source!r}")
-        if target not in self._codes:
+        if target not in self._index:
             raise StgError(f"unknown target state {target!r}")
-        if event_signal(event) not in self.signals:
+        if event_signal(event) not in self._signals:
             raise StgError(f"event {event!r} uses unknown signal")
-        if (event, target) in self._succ[source]:
+        i, j = self._index[source], self._index[target]
+        if (event, j) in self._succ[i]:
             return
-        self._succ[source].append((event, target))
-        self._pred[target].append((event, source))
-        self._diamond_cache = None
-        self._order_cache = None
-        self._encoding_cache = None
+        self._succ[i] += ((event, j),)
+        self._pred[j] += ((event, i),)
+        self._mutated()
 
     def code(self, state: State) -> FrozenVector:
         try:
-            return self._codes[state]
+            packed = self._codes[self._index[state]]
         except KeyError:
             raise StgError(f"unknown state {state!r}")
+        vector = self._vectors.get(packed)
+        if vector is None:
+            # A racing miss on a shared graph only builds an equal
+            # vector twice.
+            vector = FrozenVector({signal: (packed >> k) & 1
+                                   for k, signal in enumerate(self._signals)})
+            self._vectors[packed] = vector
+        return vector
 
     def successors(self, state: State) -> List[Tuple[Event, State]]:
-        return list(self._succ[state])
+        ids = self._ids
+        return [(event, ids[j]) for event, j in self._succ[self._index[state]]]
 
     def predecessors(self, state: State) -> List[Tuple[Event, State]]:
-        return list(self._pred[state])
+        ids = self._ids
+        return [(event, ids[j]) for event, j in self._pred[self._index[state]]]
 
     def successor(self, state: State, event: Event) -> Optional[State]:
         """The unique successor by ``event`` (None if not enabled).
@@ -191,22 +267,23 @@ class StateGraph:
         Raises on non-determinism — call sites rely on the property
         checks having passed.
         """
-        targets = [t for e, t in self._succ[state] if e == event]
+        targets = [j for label, j in self._succ[self._index[state]]
+                   if label == event]
         if not targets:
             return None
         if len(targets) > 1:
             raise StgError(f"non-deterministic event {event!r} at "
                            f"{state!r}")
-        return targets[0]
+        return self._ids[targets[0]]
 
     def enabled(self, state: State) -> List[Event]:
         """Event labels enabled at a state (sorted, deduplicated)."""
-        return sorted({event for event, _ in self._succ[state]})
+        return sorted({event for event, _ in self._succ[self._index[state]]})
 
     def is_excited(self, state: State, signal: str) -> bool:
         """True iff some transition of ``signal`` is enabled at state."""
         return any(event_signal(event) == signal
-                   for event, _ in self._succ[state])
+                   for event, _ in self._succ[self._index[state]])
 
     def encoding(self):
         """The packed-integer view of this graph (cached).
@@ -225,6 +302,25 @@ class StateGraph:
     # Graph algorithms
     # ------------------------------------------------------------------
 
+    def _bfs(self) -> List[int]:
+        """State indices in BFS order from the initial state, each
+        state's successors visited in ``repr`` order of their
+        ``(event, state)`` arcs."""
+        ids, succ = self._ids, self._succ
+        start = self._index[self.initial]
+        order = [start]
+        seen = {start}
+        index = 0
+        while index < len(order):
+            arcs = succ[order[index]]
+            index += 1
+            for _, j in sorted(arcs, key=lambda arc: repr((arc[0],
+                                                           ids[arc[1]]))):
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
+        return order
+
     def bfs_order(self) -> Dict[State, int]:
         """Deterministic BFS numbering of states from the initial state
         (successors visited in ``repr`` order).
@@ -234,76 +330,10 @@ class StateGraph:
         mutation.  Callers must treat the returned dict as read-only.
         """
         if self._order_cache is None:
-            order: Dict[State, int] = {self.initial: 0}
-            frontier: List[State] = [self.initial]
-            index = 0
-            while index < len(frontier):
-                state = frontier[index]
-                index += 1
-                for _, target in sorted(self._succ[state], key=repr):
-                    if target not in order:
-                        order[target] = len(order)
-                        frontier.append(target)
-            self._order_cache = order
+            ids = self._ids
+            self._order_cache = {ids[i]: k
+                                 for k, i in enumerate(self._bfs())}
         return self._order_cache
-
-    def reachable_from(self, sources: Iterable[State],
-                       allowed: Optional[Set[State]] = None) -> Set[State]:
-        """Forward closure of ``sources`` (restricted to ``allowed``)."""
-        frontier = [s for s in sources
-                    if allowed is None or s in allowed]
-        seen: Set[State] = set(frontier)
-        while frontier:
-            state = frontier.pop()
-            for _, target in self._succ[state]:
-                if target in seen:
-                    continue
-                if allowed is not None and target not in allowed:
-                    continue
-                seen.add(target)
-                frontier.append(target)
-        return seen
-
-    def prune_unreachable(self) -> int:
-        """Drop states unreachable from the initial state."""
-        keep = self.reachable_from([self.initial])
-        dropped = [s for s in self._codes if s not in keep]
-        for state in dropped:
-            for event, target in self._succ.pop(state):
-                self._pred[target] = [(e, s) for e, s in self._pred[target]
-                                      if s != state]
-            for event, source in self._pred.pop(state):
-                self._succ[source] = [(e, t) for e, t in self._succ[source]
-                                      if t != state]
-            del self._codes[state]
-        self._diamond_cache = None
-        self._order_cache = None
-        self._encoding_cache = None
-        return len(dropped)
-
-    def connected_components(self, states: Iterable[State]) -> List[Set[State]]:
-        """Weakly connected components of the subgraph induced by
-        ``states`` (adjacency through arcs in either direction)."""
-        pool = set(states)
-        components: List[Set[State]] = []
-        while pool:
-            # seed selection fixes the order of the returned component
-            # list — repr order keeps it hash-seed independent
-            seed = min(pool, key=repr)
-            pool.remove(seed)
-            component = {seed}
-            frontier = [seed]
-            while frontier:
-                state = frontier.pop()
-                neighbours = ([t for _, t in self._succ[state]]
-                              + [s for _, s in self._pred[state]])
-                for other in neighbours:
-                    if other in pool:
-                        pool.remove(other)
-                        component.add(other)
-                        frontier.append(other)
-            components.append(component)
-        return components
 
     def diamonds(self) -> List[Diamond]:
         """All commutativity diamonds of the graph (cached).
@@ -315,32 +345,35 @@ class StateGraph:
         """
         if self._diamond_cache is not None:
             return list(self._diamond_cache)
+        ids, succ = self._ids, self._succ
         diamonds: List[Diamond] = []
-        for bottom in self._codes:
-            arcs = self._succ[bottom]
-            for i, (event_a, side_a) in enumerate(arcs):
-                for event_b, side_b in arcs[i + 1:]:
+        for bottom, arcs in enumerate(succ):
+            for k, (event_a, side_a) in enumerate(arcs):
+                for event_b, side_b in arcs[k + 1:]:
                     if event_a == event_b:
                         continue
-                    tops_ab = {t for e, t in self._succ[side_a]
-                               if e == event_b}
-                    tops_ba = {t for e, t in self._succ[side_b]
-                               if e == event_a}
-                    for top in sorted(tops_ab & tops_ba, key=repr):
-                        diamonds.append(Diamond(bottom, event_a, event_b,
-                                                side_a, side_b, top))
+                    tops_ab = {t for e, t in succ[side_a] if e == event_b}
+                    tops_ba = {t for e, t in succ[side_b] if e == event_a}
+                    for top in sorted(tops_ab & tops_ba,
+                                      key=lambda t: repr(ids[t])):
+                        diamonds.append(Diamond(
+                            ids[bottom], event_a, event_b, ids[side_a],
+                            ids[side_b], ids[top]))
         self._diamond_cache = diamonds
         return list(diamonds)
 
     def diamond_index(self) -> Dict[State, List[Diamond]]:
-        """Map each state to the diamonds containing it (cached via
-        :meth:`diamonds`; used by region-growth loops that only care
-        about diamonds touching a state set)."""
-        index: Dict[State, List[Diamond]] = {}
-        for diamond in self.diamonds():
-            for state in diamond.states:
-                index.setdefault(state, []).append(diamond)
-        return index
+        """Map each state to the diamonds containing it (cached; used by
+        region-growth loops that only care about diamonds touching a
+        state set).  Callers must treat the returned dict as
+        read-only."""
+        if self._diamond_index is None:
+            index: Dict[State, List[Diamond]] = {}
+            for diamond in self.diamonds():
+                for state in diamond.states:
+                    index.setdefault(state, []).append(diamond)
+            self._diamond_index = index
+        return self._diamond_index
 
     # ------------------------------------------------------------------
     # Serialization helpers
@@ -348,13 +381,13 @@ class StateGraph:
 
     def copy(self, name: Optional[str] = None) -> "StateGraph":
         clone = StateGraph(name or self.name, self._inputs, self._outputs)
-        for state, code in self._codes.items():
-            clone.add_state(state, code)
-        for state, arcs in self._succ.items():
-            for event, target in arcs:
-                clone.add_arc(state, event, target)
-        if self._initial is not None:
-            clone.set_initial(self._initial)
+        clone._ids = list(self._ids)
+        clone._index = dict(self._index)
+        clone._codes = list(self._codes)
+        clone._succ = list(self._succ)
+        clone._pred = list(self._pred)
+        clone._initial = self._initial
+        clone._vectors = self._vectors
         # The clone is content-identical, so the BFS numbering and the
         # packed encoding carry over; a later mutation of either graph
         # only drops its own reference (neither cache is ever mutated
@@ -366,45 +399,36 @@ class StateGraph:
     def relabel(self) -> "StateGraph":
         """Return a copy whose states are renamed ``s0, s1, ...`` in BFS
         order from the initial state (stable, readable identities)."""
-        order: List[State] = [self.initial]
-        seen = {self.initial}
-        index = 0
-        while index < len(order):
-            state = order[index]
-            index += 1
-            for _, target in sorted(self._succ[state], key=repr):
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-        mapping = {state: f"s{i}" for i, state in enumerate(order)}
-        clone = StateGraph(self.name, self._inputs, self._outputs)
-        for state in order:
-            clone.add_state(mapping[state], self._codes[state])
-        for state in order:
-            for event, target in self._succ[state]:
-                if target in mapping:
-                    clone.add_arc(mapping[state], event, mapping[target])
-        clone.set_initial(mapping[self.initial])
-        return clone
+        order = self._bfs()
+        new = {old: k for k, old in enumerate(order)}
+        succ: List[Arcs] = []
+        pred: List[List[Tuple[Event, int]]] = [[] for _ in order]
+        for k, old in enumerate(order):
+            arcs = tuple((event, new[j]) for event, j in self._succ[old]
+                         if j in new)
+            succ.append(arcs)
+            for event, j in arcs:
+                pred[j].append((event, k))
+        return StateGraph.from_arrays(
+            self.name, self._inputs, self._outputs,
+            [f"s{k}" for k in range(len(order))],
+            [self._codes[old] for old in order], succ,
+            [tuple(arcs) for arcs in pred], 0)
 
     def to_dot(self) -> str:
         """GraphViz rendering (debugging aid)."""
         lines = [f'digraph "{self.name}" {{']
-        order = sorted(self.signals)
-        names = {state: f"s{i}" for i, state in enumerate(self._codes)}
-        for state, node in names.items():
-            bits = self._codes[state].bits(order)
-            shape = ("doublecircle" if self._initial == state
-                     else "circle")
-            lines.append(f'  {node} [label="{bits}" shape={shape}];')
-        for state, arcs in self._succ.items():
-            for event, target in arcs:
-                lines.append(
-                    f'  {names[state]} -> {names[target]} '
-                    f'[label="{event}"];')
+        width = len(self._signals)
+        for i, packed in enumerate(self._codes):
+            bits = "".join(str((packed >> k) & 1) for k in range(width))
+            shape = "doublecircle" if self._initial == i else "circle"
+            lines.append(f'  s{i} [label="{bits}" shape={shape}];')
+        for i, arcs in enumerate(self._succ):
+            for event, j in arcs:
+                lines.append(f'  s{i} -> s{j} [label="{event}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"StateGraph({self.name!r}, |S|={len(self._codes)}, "
+        return (f"StateGraph({self.name!r}, |S|={len(self._ids)}, "
                 f"signals={list(self.signals)})")

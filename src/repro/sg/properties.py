@@ -18,31 +18,43 @@ library exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.errors import (ConsistencyError, CscViolation,
                           SpeedIndependenceError)
-from repro.sg.graph import StateGraph, event_signal
+from repro.sg.graph import StateGraph
 
 
 def consistency_violations(sg: StateGraph) -> List[str]:
-    """Arc-level consistency of the binary encoding."""
+    """Arc-level consistency of the binary encoding.
+
+    Runs on the packed codes: a consistent arc satisfies ``before ^
+    after == 1 << bit(signal)`` with the right before-value, so the
+    common case is one XOR and one compare per arc.
+    """
+    enc = sg.encoding()
+    codes, bit, states = enc.codes, enc.bit, enc.states
     problems: List[str] = []
-    for state in sg.states:
-        before = sg.code(state)
-        for event, target in sg.successors(state):
-            after = sg.code(target)
-            signal, direction = event[:-1], event[-1]
-            want = 0 if direction == "+" else 1
-            if before[signal] != want:
-                problems.append(
-                    f"{event} fires at {state!r} where {signal}={before[signal]}")
-            if after[signal] != 1 - want:
+    for i, arcs in enumerate(enc.arcs):
+        before = codes[i]
+        for event, j in arcs:
+            signal = event[:-1]
+            pos = bit[signal]
+            flip = 1 << pos
+            want = 0 if event[-1] == "+" else flip
+            diff = before ^ codes[j]
+            if diff == flip and before & flip == want:
+                continue
+            state = states[i]
+            if before & flip != want:
+                problems.append(f"{event} fires at {state!r} where "
+                                f"{signal}={(before >> pos) & 1}")
+            if codes[j] & flip != flip ^ want:
                 problems.append(f"{event} does not flip {signal} "
                                 f"at {state!r}")
-            changed = [s for s in sg.signals
-                       if s != signal and before[s] != after[s]]
-            if changed:
+            if diff & ~flip:
+                changed = [enc.signals[k]
+                           for k in enc.iter_bits(diff & ~flip)]
                 problems.append(f"{event} at {state!r} also changes "
                                 f"{changed}")
     return problems
@@ -50,15 +62,18 @@ def consistency_violations(sg: StateGraph) -> List[str]:
 
 def determinism_violations(sg: StateGraph) -> List[str]:
     """No state may have two outgoing arcs with the same event label."""
+    enc = sg.encoding()
     problems: List[str] = []
-    for state in sg.states:
-        targets: Dict[str, Set] = {}
-        for event, target in sg.successors(state):
-            targets.setdefault(event, set()).add(target)
+    for i, arcs in enumerate(enc.arcs):
+        if len({event for event, _ in arcs}) == len(arcs):
+            continue
+        targets: Dict[str, Set[int]] = {}
+        for event, j in arcs:
+            targets.setdefault(event, set()).add(j)
         for event, where in targets.items():
             if len(where) > 1:
                 problems.append(
-                    f"event {event} at state {state!r} leads to "
+                    f"event {event} at state {enc.states[i]!r} leads to "
                     f"{len(where)} different states")
     return problems
 
@@ -69,21 +84,23 @@ def commutativity_violations(sg: StateGraph) -> List[str]:
     Only applies when both interleavings *exist*; a missing second leg
     is a persistency issue, not a commutativity one.
     """
+    enc = sg.encoding()
+    succ = enc.arcs
     problems: List[str] = []
-    for bottom in sg.states:
-        arcs = sg.successors(bottom)
-        for i, (event_a, side_a) in enumerate(arcs):
-            for event_b, side_b in arcs[i + 1:]:
+    for bottom, arcs in enumerate(succ):
+        for k, (event_a, side_a) in enumerate(arcs):
+            for event_b, side_b in arcs[k + 1:]:
                 if event_a == event_b:
                     continue
-                tops_ab = {t for e, t in sg.successors(side_a)
-                           if e == event_b}
-                tops_ba = {t for e, t in sg.successors(side_b)
-                           if e == event_a}
-                if tops_ab and tops_ba and not (tops_ab & tops_ba):
+                tops_ab = {t for e, t in succ[side_a] if e == event_b}
+                if not tops_ab:
+                    continue
+                tops_ba = {t for e, t in succ[side_b] if e == event_a}
+                if tops_ba and not tops_ab & tops_ba:
                     problems.append(
-                        f"events {event_a}/{event_b} from {bottom!r} do "
-                        "not commute (the two orders reach different "
+                        f"events {event_a}/{event_b} from "
+                        f"{enc.states[bottom]!r} do not "
+                        "commute (the two orders reach different "
                         "states)")
     return problems
 
@@ -96,63 +113,66 @@ def persistency_violations(sg: StateGraph,
     fires, ``u`` must still be enabled in the successor.  Input events
     are exempt unless ``include_inputs`` (inputs are controlled by the
     environment; their non-persistency is an environment choice, not a
-    hazard).
+    hazard).  Runs on per-state enabled-event masks; within one state
+    the violations are listed by sorted event, then by arc.
     """
+    enc = sg.encoding()
+    bit, masks = enc.event_masks()
+    watched = 0
+    for event, mask in bit.items():
+        if include_inputs or not sg.is_input_event(event):
+            watched |= mask
+    events = sorted(bit)
     problems: List[str] = []
-    enabled_map: Dict = {
-        state: {event for event, _ in sg.successors(state)}
-        for state in sg.states}
-    for state, enabled in enabled_map.items():
-        for event in enabled:
-            if not include_inputs and sg.is_input_event(event):
-                continue
-            for other, target in sg.successors(state):
-                if other == event:
-                    continue
-                if event not in enabled_map[target]:
+    for i, arcs in enumerate(enc.arcs):
+        watch = masks[i] & watched
+        if not watch:
+            continue
+        lost = [watch & ~masks[j] & ~bit[other] for other, j in arcs]
+        union = 0
+        for mask in lost:
+            union |= mask
+        for k in enc.iter_bits(union):
+            for (other, _), mask in zip(arcs, lost):
+                if (mask >> k) & 1:
                     problems.append(
-                        f"output event {event} enabled at {state!r} is "
-                        f"disabled by {other}")
+                        f"output event {events[k]} enabled at "
+                        f"{enc.states[i]!r} is disabled by {other}")
     return problems
 
 
-def states_by_code(sg: StateGraph) -> Dict[FrozenSet, List]:
-    """Group the reachable states by their binary code.
-
-    The key is the code as a *mapping* (frozenset of items), never any
-    ordering of the signal vector — both CSC checkers (this module and
-    the solver's :func:`repro.mapping.csc.csc_conflicts`) must stay
-    stable across signal orderings, and they must agree on what "same
-    code" means.
-    """
-    by_code: Dict[FrozenSet, List] = {}
-    for state in sg.states:
-        by_code.setdefault(frozenset(sg.code(state).items()),
-                           []).append(state)
-    return by_code
-
-
 def csc_violations(sg: StateGraph) -> List[str]:
-    """Complete State Coding: same code ⇒ same enabled output events."""
-    problems: List[str] = []
-    by_code = states_by_code(sg)
+    """Complete State Coding: same code ⇒ same enabled output events.
+
+    States are grouped by packed code (first occurrence order) and
+    compared by their enabled-output event masks.
+    """
+    enc = sg.encoding()
+    bit, masks = enc.event_masks()
     outputs = set(sg.outputs)
-    for code, states in by_code.items():
-        if len(states) < 2:
+    output_mask = 0
+    for event, mask in bit.items():
+        if event[:-1] in outputs:
+            output_mask |= mask
+    by_code: Dict[int, List[int]] = {}
+    for i, code in enumerate(enc.codes):
+        by_code.setdefault(code, []).append(i)
+    events = sorted(bit)
+    width = len(enc.signals)
+    problems: List[str] = []
+    for code, group in by_code.items():
+        if len(group) < 2:
             continue
-        reference = None
-        for state in states:
-            enabled_outputs = frozenset(
-                e for e in sg.enabled(state)
-                if event_signal(e) in outputs)
-            if reference is None:
-                reference = enabled_outputs
-            elif enabled_outputs != reference:
-                bits = "".join(str(v) for _, v in sorted(code))
+        reference = masks[group[0]] & output_mask
+        for i in group[1:]:
+            enabled = masks[i] & output_mask
+            if enabled != reference:
+                bits = "".join(str((code >> k) & 1) for k in range(width))
                 problems.append(
                     f"states sharing code {bits} enable different "
-                    f"output events ({sorted(reference)} vs "
-                    f"{sorted(enabled_outputs)})")
+                    f"output events "
+                    f"({[events[k] for k in enc.iter_bits(reference)]} vs "
+                    f"{[events[k] for k in enc.iter_bits(enabled)]})")
                 break
     return problems
 

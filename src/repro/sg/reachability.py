@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro._util import FrozenVector
 from repro.errors import ConsistencyError
 from repro.sg.graph import StateGraph
+from repro.sg.properties import consistency_violations
 from repro.stg.petri import Marking
 from repro.stg.stg import Stg
 
@@ -94,39 +95,10 @@ def state_graph_of(stg: Stg, max_states: int = 200_000) -> StateGraph:
         sg.add_arc(source, event, target)
     sg.set_initial(initial)
 
-    _check_arc_consistency(sg)
+    # Every arc must flip exactly its own signal, in its direction.
+    # Checking builds the encoding, which also warms the graph's cache
+    # for every later synthesis stage.
+    problems = consistency_violations(sg)
+    if problems:
+        raise ConsistencyError(problems[0])
     return sg
-
-
-def _check_arc_consistency(sg: StateGraph) -> None:
-    """Every arc must flip exactly its own signal, in its direction.
-
-    Runs on the packed codes: a consistent arc satisfies
-    ``before ^ after == 1 << bit(signal)`` with the right before-value,
-    so the common case is one XOR and one compare per arc.  Building
-    the encoding here also warms the graph's cache for every later
-    synthesis stage.
-    """
-    enc = sg.encoding()
-    codes, index, bit = enc.codes, enc.index, enc.bit
-    for state in sg.states:
-        before = codes[index[state]]
-        for event, target in sg.successors(state):
-            after = codes[index[target]]
-            signal, direction = event[:-1], event[-1]
-            pos = bit[signal]
-            want_before = 0 if direction == "+" else 1
-            if (before >> pos) & 1 != want_before:
-                raise ConsistencyError(
-                    f"event {event} fires from a state where "
-                    f"{signal}={(before >> pos) & 1}")
-            diff = before ^ after
-            if diff == 1 << pos:
-                continue
-            if not (diff >> pos) & 1:
-                raise ConsistencyError(
-                    f"event {event} does not flip {signal}")
-            extra = diff & ~(1 << pos)
-            other = enc.signals[(extra & -extra).bit_length() - 1]
-            raise ConsistencyError(
-                f"event {event} also changes signal {other!r}")

@@ -14,7 +14,6 @@ from repro.boolean.minimize import minimize
 from repro.errors import CoverError
 from repro.pipeline import DiskArtifactCache
 from repro.pipeline import store as store_module
-from repro.sg.graph import StateGraph
 
 
 def vec(**kwargs):
@@ -49,29 +48,6 @@ class TestStoreInventoryOrder:
         names = [os.path.basename(path)
                  for _, path in store._entries()]
         assert names == sorted(names)
-
-
-class TestComponentSeedOrder:
-    def _sg(self):
-        sg = StateGraph("two-islands", ["a"], ["b"])
-        for name in ("s0", "s1", "t0", "t1"):
-            sg.add_state(name, vec(a=0, b=0))
-        sg.add_arc("s0", "a+", "s1")
-        sg.add_arc("t0", "a+", "t1")
-        return sg
-
-    def test_component_order_is_canonical(self):
-        """The component list is ordered by each component's repr-least
-        seed — not by hash-seed-dependent set.pop()."""
-        sg = self._sg()
-        parts = sg.connected_components({"t1", "s0", "t0", "s1"})
-        assert parts == [{"s0", "s1"}, {"t0", "t1"}]
-
-    def test_component_order_ignores_input_order(self):
-        sg = self._sg()
-        one = sg.connected_components(["s0", "s1", "t0", "t1"])
-        two = sg.connected_components(["t1", "t0", "s1", "s0"])
-        assert one == two
 
 
 class TestCanonicalWitnesses:

@@ -27,13 +27,14 @@ from repro.mapping.csc import (CSC_METHODS, CscConfig, _event_blocks,
 from repro._util import FrozenVector
 from repro.mapping.partition import input_border
 from repro.sg.graph import State, StateGraph, event_signal
-from repro.sg.properties import csc_violations, states_by_code
+from repro.sg.properties import csc_violations
 from repro.sg.reachability import state_graph_of
 from repro.sg.regions import (encoding_atoms, excitation_regions,
                               quiescent_region, switching_region)
 from repro.stg.builders import marked_graph
 from tests.conftest import alternator_stg, chained_sequencer_stg
 from tests.mapping.test_properties_hypothesis import handshake_sgs
+from tests.sg.test_properties_hypothesis import states_by_code
 
 # ----------------------------------------------------------------------
 # Set-based references

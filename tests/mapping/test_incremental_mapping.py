@@ -104,3 +104,46 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+    def test_minimize_inputs_stable_across_hash_seeds(self):
+        """Regression: monotonicity repair visited quiescent states in
+        ``repr`` order, and STG states are Petri-net markings —
+        frozensets whose ``repr`` follows string hashing — so mr1's
+        repairs forced different codes OFF under different seeds.  The
+        whole sequence of minimizer inputs (mr1's initial synthesis plus
+        one k=2 mapper step) must be one and the same."""
+        script = (
+            "import hashlib, importlib, sys\n"
+            "from repro.bench_suite import benchmark\n"
+            "from repro.mapping.decompose import MapperConfig, map_circuit\n"
+            "from repro.sg.reachability import state_graph_of\n"
+            "from repro.synthesis.cover import synthesize_all\n"
+            "from repro.synthesis.library import GateLibrary\n"
+            "original = importlib.import_module("
+            "'repro.boolean.minimize').minimize\n"
+            "digest = hashlib.sha256()\n"
+            "def spy(on, off, support=None, *args, **kwargs):\n"
+            "    digest.update(repr((list(on), list(off),\n"
+            "                        list(support or ()))).encode())\n"
+            "    return original(on, off, support, *args, **kwargs)\n"
+            "for module in list(sys.modules.values()):\n"
+            "    if (getattr(module, '__name__', '').startswith('repro')\n"
+            "            and getattr(module, 'minimize', None) is original):\n"
+            "        module.minimize = spy\n"
+            "sg = state_graph_of(benchmark('mr1'))\n"
+            "implementations = synthesize_all(sg)\n"
+            "map_circuit(sg, GateLibrary(2), MapperConfig(max_iterations=1),\n"
+            "            implementations)\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           "..", "..", "src"))
+        digests = set()
+        for seed in ("0", "9", "13"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=300,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1

@@ -4,9 +4,13 @@ Random labelled state graphs (not necessarily consistent STGs — the
 bitset layer is pure graph/code plumbing) drive the :class:`Encoding`
 kernels against straightforward set-based reference implementations:
 bitset round-trips, packed codes, forward closures, weakly connected
-components, event targets and the region queries built on them.
+components, event targets and the region queries built on them.  The
+encoding itself is built by copying the graph's int-indexed arrays; it
+must equal one built by walking the public, identity-keyed API.  A
+pickled and reloaded graph must be indistinguishable through that API.
 """
 
+import pickle
 from typing import Dict, List, Set, Tuple
 
 from hypothesis import given, settings, strategies as st
@@ -37,6 +41,46 @@ def graphs(draw):
         sg.add_arc(source, event, target)
     sg.set_initial(0)
     return sg
+
+
+def reference_encoding(sg: StateGraph) -> Dict:
+    """The encoding's fields, from a walk over the public API."""
+    states = sg.states
+    index = {state: i for i, state in enumerate(states)}
+    bit = {name: i for i, name in enumerate(sorted(sg.signals))}
+    codes = []
+    for state in states:
+        packed = 0
+        for name, value in sg.code(state).items():
+            if value:
+                packed |= 1 << bit[name]
+        codes.append(packed)
+    succ_bits = [0] * len(states)
+    pred_bits = [0] * len(states)
+    event_bits: Dict[str, int] = {}
+    arcs = []
+    for i, state in enumerate(states):
+        out = []
+        for event, target in sg.successors(state):
+            j = index[target]
+            succ_bits[i] |= 1 << j
+            pred_bits[j] |= 1 << i
+            event_bits[event] = event_bits.get(event, 0) | (1 << i)
+            out.append((event, j))
+        arcs.append(tuple(out))
+    return {"states": states, "index": index, "bit": bit, "codes": codes,
+            "succ_bits": succ_bits, "pred_bits": pred_bits,
+            "event_bits": event_bits, "arcs": tuple(arcs)}
+
+
+def public_view(sg: StateGraph) -> Tuple:
+    """Everything the public StateGraph API reveals about a graph."""
+    return (sg.name, sg.inputs, sg.outputs, sg.signals, sg.states,
+            sg.initial, [sg.code(s) for s in sg.states],
+            [sg.successors(s) for s in sg.states],
+            [sg.predecessors(s) for s in sg.states],
+            [sg.enabled(s) for s in sg.states], sg.bfs_order(),
+            sg.diamonds())
 
 
 def reference_closure(sg: StateGraph, start: Set, allowed: Set) -> Set:
@@ -146,6 +190,48 @@ class TestEncodingKernels:
         expected = {s for s in sg.states
                     if any(e == event for e, _ in sg.successors(s))}
         assert set(enc.states_of(enc.event_bits(event))) == expected
+
+
+class TestEncodingFromArrays:
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_public_api_walk(self, sg):
+        enc = sg.encoding()
+        ref = reference_encoding(sg)
+        assert enc.states == ref["states"]
+        assert enc.index == ref["index"]
+        assert enc.bit == ref["bit"]
+        assert enc.codes == ref["codes"]
+        assert enc.succ_bits == ref["succ_bits"]
+        assert enc.pred_bits == ref["pred_bits"]
+        assert enc.events == sorted(ref["event_bits"])
+        assert {e: enc.event_bits(e) for e in enc.events} \
+            == ref["event_bits"]
+        assert enc.arcs == ref["arcs"]
+
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_pickle_roundtrip(self, sg):
+        sg.encoding()
+        clone = pickle.loads(pickle.dumps(sg))
+        assert public_view(clone) == public_view(sg)
+        assert reference_encoding(clone) == reference_encoding(sg)
+
+    @given(graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_encoding_survives_later_mutation(self, sg):
+        """The encoding is a snapshot: growing the graph afterwards
+        leaves it (and a copy sharing it) unchanged."""
+        enc = sg.encoding()
+        before = (enc.states, list(enc.codes), enc.arcs,
+                  list(enc.succ_bits))
+        clone = sg.copy()
+        sg.add_state("extra", FrozenVector(dict.fromkeys(SIGNALS, 1)))
+        sg.add_arc(sg.states[0], "a+", "extra")
+        assert (enc.states, enc.codes, enc.arcs, enc.succ_bits) == before
+        assert clone.encoding() is enc
+        assert sg.encoding() is not enc
+        assert reference_encoding(clone)["arcs"] == before[2]
 
 
 class TestRegionQueries:

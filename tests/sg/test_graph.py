@@ -84,22 +84,6 @@ class TestStructure:
 
 
 class TestAlgorithms:
-    def test_reachable_from(self, diamond_sg):
-        assert diamond_sg.reachable_from(["sa"]) == {"sa", "st"}
-
-    def test_reachable_restricted(self, diamond_sg):
-        allowed = {"s0", "sa"}
-        assert diamond_sg.reachable_from(["s0"], allowed) == allowed
-
-    def test_prune_unreachable(self, diamond_sg):
-        diamond_sg.add_state("island", vec(a=0, b=0))
-        assert diamond_sg.prune_unreachable() == 1
-        assert "island" not in diamond_sg
-
-    def test_connected_components(self, diamond_sg):
-        parts = diamond_sg.connected_components({"s0", "st"})
-        assert len(parts) == 2
-
     def test_diamonds_found(self, diamond_sg):
         diamonds = diamond_sg.diamonds()
         assert len(diamonds) == 1
