@@ -67,7 +67,7 @@ def test_bench_diamonds(benchmark):
     sg = circuit_sg("mr1")
 
     def run():
-        sg._diamond_cache = None
+        sg.encoding()._diamonds = None
         return sg.diamonds()
 
     diamonds = benchmark(run)

@@ -13,6 +13,7 @@ Reproduces the §3 walkthrough:
 """
 
 from repro import GateLibrary, map_circuit, state_graph_of
+from repro._util import popcount
 from repro.bench_suite import benchmark
 from repro.boolean.divisors import generate_divisors
 from repro.errors import InsertionError
@@ -36,9 +37,10 @@ def show_regions(sg) -> None:
                               for s in region.states)
                 quiescent = quiescent_region(sg, region, regions)
                 switching = switching_region(sg, region)
+                # SR and QR are bitsets over the state indices
                 print(f"  ER({event})/{region.index} = {bits}  "
-                      f"SR={len(switching)} states, "
-                      f"QR={len(quiescent)} states, "
+                      f"SR={popcount(switching)} states, "
+                      f"QR={popcount(quiescent)} states, "
                       f"triggers={sorted(trigger_events(sg, region))}")
 
 

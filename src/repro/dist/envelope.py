@@ -60,15 +60,19 @@ STORE_LAYOUT = "v1"
 #: listed here are never persisted.
 ARTIFACT_FORMATS: Dict[str, int] = {
     # sg v2, csc v3, map v2: the pickled StateGraph is int-indexed
-    # (identity list, packed codes, (event, j) arc tuples)
-    "sg": 2,
+    # (identity list, packed codes, (event, j) arc tuples); sg v3,
+    # csc v4, map v3: it caches BFS ranks, and its encoding carries
+    # image tables and index-level diamonds
+    "sg": 3,
     # v2: the artifact is the whole CscResult (graph + steps +
     # telemetry), not just the solved StateGraph
-    "csc": 3,
-    "implementations": 1,
+    "csc": 4,
+    # v2 (and map v3): ExcitationRegion carries its bitset, and
+    # RegionCover its quiescent region and zone as bitsets
+    "implementations": 2,
     "netlist": 1,
     "check": 1,
-    "map": 2,
+    "map": 3,
     # finished job rows spilled by the serve daemon's retention layer
     "jobrow": 1,
 }

@@ -31,9 +31,9 @@ families are available, selected by :attr:`CscConfig.method`:
 Both families run on the graph's packed
 :class:`~repro.sg.encoding.Encoding`: candidate blocks are state
 bitsets, so building, deduplicating and pre-ranking them are int
-operations and popcounts.  Only the blocks actually trial-inserted (at
-most :attr:`CscConfig.max_candidates` per signal) are unpacked into
-state sets for the I-partition growth.
+operations and popcounts, and the blocks trial-inserted (at most
+:attr:`CscConfig.max_candidates` per signal) go to the I-partition
+growth as they are.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro._util import popcount
 from repro.errors import CoverError, CscViolation, InsertionError
 from repro.mapping.insertion import insert_signal
 from repro.mapping.partition import compute_insertion_sets_from_states
-from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
 from repro.sg.regions import encoding_atoms, excitation_regions
 
@@ -79,8 +78,16 @@ class CscConfig:
 
 def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
     """All unordered state pairs sharing a code but enabling different
-    output events: states grouped by packed code (in first-occurrence
-    order), then compared by their masks of enabled output events."""
+    output events (see :func:`_conflict_pairs`)."""
+    states = sg.encoding().states
+    return [(states[left], states[right])
+            for left, right in _conflict_pairs(sg)]
+
+
+def _conflict_pairs(sg: StateGraph) -> List[Tuple[int, int]]:
+    """The CSC conflicts as state index pairs: states grouped by packed
+    code (in first-occurrence order), then compared by their masks of
+    enabled output events."""
     enc = sg.encoding()
     by_code: Dict[int, List[int]] = {}
     for i, code in enumerate(enc.codes):
@@ -90,7 +97,7 @@ def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
                               for direction in "+-"):
         for i in enc.iter_bits(enc.event_bits(event)):
             enabled[i] |= 1 << k
-    return [(enc.states[left], enc.states[right])
+    return [(left, right)
             for group in by_code.values()
             for n, left in enumerate(group) for right in group[n + 1:]
             if enabled[left] != enabled[right]]
@@ -260,7 +267,7 @@ def solve_csc(sg: StateGraph, max_signals: Optional[int] = None,
     current = sg.copy()
     steps: List[CscStep] = []
     for index in range(config.max_signals):
-        conflicts = csc_conflicts(current)
+        conflicts = _conflict_pairs(current)
         if not conflicts:
             return CscResult(current, steps, config.method)
         name = _fresh_name(current, config.signal_prefix, index)
@@ -277,7 +284,7 @@ def solve_csc(sg: StateGraph, max_signals: Optional[int] = None,
                 "insertions")
         current, record = step
         steps.append(record)
-    if csc_conflicts(current):
+    if _conflict_pairs(current):
         raise CscViolation(
             f"CSC not solved within {config.max_signals} signal "
             "insertions")
@@ -295,7 +302,7 @@ def _fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
 
 
 def _ranked_blocks(sg: StateGraph, blocks: Iterable[Tuple[str, int]],
-                   conflicts: Sequence[Tuple[State, State]],
+                   conflicts: Sequence[Tuple[int, int]],
                    with_borders: bool = False
                    ) -> List[Tuple[Tuple, str, int]]:
     """Pre-rank candidate blocks before any insertion is paid for.
@@ -307,17 +314,19 @@ def _ranked_blocks(sg: StateGraph, blocks: Iterable[Tuple[str, int]],
     method keeps its historical ``(block size, label)`` order so its
     results stay reproducible.
 
-    Splits XOR per-state masks (pair ``p`` owns bit ``p``): the pairs
-    with one end in the block keep their bit.  A side's input border is
-    its intersection with the other side's successor image.
+    Conflicts are state index pairs.  Splits XOR per-state masks (pair
+    ``p`` owns bit ``p``): the pairs with one end in the block keep
+    their bit.  A side's input border is its intersection with the
+    other side's successor image.
     """
     enc = sg.encoding()
     masks = [0] * len(enc.states)
+    conflicted = 0
     for pair, ends in enumerate(conflicts):
-        for state in ends:
-            masks[enc.index[state]] |= 1 << pair
-    conflicted = enc.bitset(state for ends in conflicts for state in ends)
-    image = _successor_image(enc) if with_borders else None
+        for i in ends:
+            masks[i] |= 1 << pair
+            conflicted |= 1 << i
+    image = enc.successor_image if with_borders else None
     ranked = []
     for label, block in blocks:
         flips = 0
@@ -338,35 +347,12 @@ def _ranked_blocks(sg: StateGraph, blocks: Iterable[Tuple[str, int]],
     return ranked
 
 
-def _successor_image(enc: Encoding) -> Callable[[int], int]:
-    """The successor image of a dense state bitset: one lookup per byte
-    of the set in per-byte tables of the successor bitsets."""
-    succ = enc.succ_bits + [0] * 7
-    tables: List[List[int]] = []
-    for base in range(0, len(enc.succ_bits), 8):
-        table = [0] * 256
-        for byte in range(1, 256):
-            low = byte & -byte
-            table[byte] = (table[byte ^ low]
-                           | succ[base + low.bit_length() - 1])
-        tables.append(table)
-
-    def image(bits: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[bits & 255]
-            bits >>= 8
-        return out
-    return image
-
-
 def _try_insertion(sg: StateGraph, block: int,
                    name: str) -> Optional[StateGraph]:
     """Grow the block into an I-partition and trial-insert ``name``;
     ``None`` when the block admits no legal SIP-preserving insertion."""
     try:
-        partition = compute_insertion_sets_from_states(
-            sg, set(sg.encoding().states_of(block)))
+        partition = compute_insertion_sets_from_states(sg, block)
         return insert_signal(sg, partition, name,
                              require_csc=False).sg
     except InsertionError:
@@ -374,7 +360,7 @@ def _try_insertion(sg: StateGraph, block: int,
 
 
 def _insert_first_improving_block(
-        sg: StateGraph, conflicts: Sequence[Tuple[State, State]],
+        sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
         name: str, config: CscConfig
         ) -> Optional[Tuple[StateGraph, CscStep]]:
     """The legacy strategy: first candidate that reduces conflicts."""
@@ -385,7 +371,7 @@ def _insert_first_improving_block(
         evaluated += 1
         if candidate_sg is None:
             continue
-        remaining = len(csc_conflicts(candidate_sg))
+        remaining = len(_conflict_pairs(candidate_sg))
         if remaining < len(conflicts):
             record = CscStep(name, label, len(conflicts), remaining,
                              candidates_evaluated=evaluated)
@@ -421,7 +407,7 @@ def _candidate_cost(candidate_sg: StateGraph, name: str) -> int:
 
 
 def _insert_best_region_block(
-        sg: StateGraph, conflicts: Sequence[Tuple[State, State]],
+        sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
         name: str, config: CscConfig
         ) -> Optional[Tuple[StateGraph, CscStep]]:
     """The regions strategy: evaluate the top candidates of the region
@@ -436,7 +422,7 @@ def _insert_best_region_block(
         evaluated += 1
         if candidate_sg is None:
             continue
-        remaining = len(csc_conflicts(candidate_sg))
+        remaining = len(_conflict_pairs(candidate_sg))
         if remaining >= len(conflicts):
             continue
         if best is not None and remaining > best[0][0]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro._util import popcount
 from repro.boolean.divisors import algebraic_division, generate_divisors
 from repro.boolean.sop import SopCover
 from repro.errors import (CoverError, CscViolation, InsertionError,
@@ -612,7 +613,7 @@ class TechnologyMapper:
                 bounded, unbounded = estimate_global_impact(
                     sg, covers_by_region, partition, unit.key)
                 score = (fits, unbounded, 0 if p31_ok else 1, estimate,
-                         len(partition.er_plus) + len(partition.er_minus),
+                         popcount(partition.er_plus | partition.er_minus),
                          function.to_string())
             else:
                 score = (fits, estimate, function.to_string())

@@ -30,9 +30,10 @@ depends on the growth heuristics in :mod:`repro.mapping.partition`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
+from repro._util import popcount
 from repro.errors import InsertionError
 from repro.mapping.partition import IPartition
 from repro.sg.encoding import Encoding
@@ -50,36 +51,23 @@ class InsertionChanges:
     problem intact and can carry its covers over to the new code space;
     everything else must be resynthesized.
 
-    ``split_states`` are the original states with *both* copies
-    reachable (the ER(x+) / ER(x-) states of the partition, minus
-    unreachable copies); ``levels`` maps every unsplit original state
-    to the level of its single reachable copy.
+    ``split`` and ``levels`` are bitsets over the *old* graph's state
+    indices: ``split`` holds the states with both copies reachable (the
+    ER(x+) / ER(x-) states of the partition, minus unreachable copies),
+    ``levels[l]`` the unsplit states whose single copy sits at level
+    ``l`` of the new signal.  ``copies[l][i]`` is the new graph's index
+    of old state ``i``'s level-``l`` copy (``-1`` when it has none).
     """
 
     signal: str
-    split_states: FrozenSet[State]
-    levels: Dict[State, int] = field(default_factory=dict)
-
-    def is_split(self, state: State) -> bool:
-        return state in self.split_states
-
-    def level_of(self, state: State) -> Optional[int]:
-        """Level of an unsplit state's single copy (None if split or
-        no copy is reachable)."""
-        return self.levels.get(state)
-
-    def copy_of(self, state: State) -> State:
-        """New-graph identity of an unsplit state's single copy."""
-        return (state, self.levels[state])
-
-    def touches(self, states: Iterable[State]) -> bool:
-        """True iff any of the given original states was split."""
-        return any(state in self.split_states for state in states)
+    split: int
+    levels: Tuple[int, int]
+    copies: Tuple[List[int], List[int]]
 
     def __repr__(self) -> str:
+        unsplit = popcount(self.levels[0] | self.levels[1])
         return (f"InsertionChanges({self.signal!r}, "
-                f"split={len(self.split_states)}, "
-                f"unsplit={len(self.levels)})")
+                f"split={popcount(self.split)}, unsplit={unsplit})")
 
 
 @dataclass
@@ -117,21 +105,22 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
     if name in sg.signals:
         raise InsertionError(f"signal name {name!r} already in use")
     enc = sg.encoding()
-    lift = enc.bitset(partition.er_plus)
-    drop = enc.bitset(partition.er_minus)
+    lift, drop = partition.er_plus, partition.er_minus
     split = lift | drop
-    one = enc.bitset(partition.s1) & ~split
-    zero = enc.bitset(partition.s0) & ~split & ~one
+    one = partition.s1 & ~split
+    zero = partition.s0 & ~split & ~one
     unassigned = enc.full_mask & ~(split | one | zero)
     if unassigned:
-        # raises the partition's own "not in any block" error
-        partition.block_of(enc.states_of(unassigned)[0])
+        state = enc.states[(unassigned & -unassigned).bit_length() - 1]
+        raise InsertionError(f"state {state!r} not in any block")
     # levels[l]: original states with a copy at level l of the new signal
     levels = (split | zero, split | one)
-    start = (enc.index[sg.initial], partition.initial_value(sg.initial))
+    initial = enc.index[sg.initial]
+    start = (initial, partition.initial_value(initial))
     reach = _reachable_copies(enc, levels, lift, drop, start)
     _check_copies(sg, enc, levels, reach, name)
-    new_sg = _split_graph(sg, enc, levels, reach, lift, drop, start, name)
+    new_sg, copies = _split_graph(sg, enc, levels, reach, lift, drop,
+                                  start, name)
 
     report = check_speed_independence(new_sg)
     ok = report.implementable if require_csc else (
@@ -143,12 +132,9 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
     if not (lift & reach[0] or drop & reach[1]):
         raise InsertionError(f"inserted signal {name!r} never fires")
 
-    states = enc.states
     both = reach[0] & reach[1]
     changes = InsertionChanges(
-        name, frozenset(states[i] for i in enc.iter_bits(both)),
-        {states[i]: 0 if (reach[0] >> i) & 1 else 1
-         for i in range(len(states)) if not (both >> i) & 1})
+        name, both, (reach[0] & ~both, reach[1] & ~both), copies)
     return InsertionResult(new_sg, changes)
 
 
@@ -213,11 +199,13 @@ def _check_copies(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
 
 def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
                  reach: List[int], lift: int, drop: int,
-                 start: Tuple[int, int], name: str) -> StateGraph:
+                 start: Tuple[int, int], name: str
+                 ) -> Tuple[StateGraph, Tuple[List[int], List[int]]]:
     """Build the split graph from the reachable copies: ``(s, 0)``
     before ``(s, 1)``, each copy's arcs as its ``x`` arc (if any) then
     the replicated arcs in original order, and every predecessor list
-    as its ``x`` arc then the replicated arcs in source order."""
+    as its ``x`` arc then the replicated arcs in source order.  Returns
+    the graph and the new index of every copy, per level."""
     outputs = list(sg.outputs) + [name]
     at = sorted(sg.signals + (name,)).index(name)
     low, xbit = (1 << at) - 1, 1 << at
@@ -255,4 +243,4 @@ def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
                 pred[j].append((label, k))
     return StateGraph.from_arrays(
         sg.name, sg.inputs, outputs, ids, codes, succ,
-        [tuple(arcs) for arcs in pred], copy[start[1]][start[0]])
+        [tuple(arcs) for arcs in pred], copy[start[1]][start[0]]), copy

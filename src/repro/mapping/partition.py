@@ -21,59 +21,70 @@ changed value) by an iterative repair procedure:
 
 Growth fails — the divisor is rejected — when a repair would have to
 pull in a state of the opposite half-space ("calculation stops if
-ER(x+) intersects with S0", §3.2).  The procedure is a fixpoint: sets
-only grow and are bounded by the half-space, so it terminates.
+ER(x+) intersects with S0", §3.2).  Every round that changes anything
+adds a state of a finite half-space, so growth terminates.
+
+All four blocks are bitsets over the graph's state indices, and growth
+visits states in index order (reachability discovery order, which
+signal insertion preserves), so the partition and the first violation
+reported never depend on the hash seed.  Rules 2 and 4 run on the
+states added since their last pass — rule 2 as one predecessor image,
+rule 4 raising at the first offending arc of the lowest-index state —
+and the diamond rule runs sequentially over the diamonds touching the
+region, through the encoding's index-keyed diamond table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
+from repro._util import popcount
 from repro.boolean.sop import SopCover
 from repro.errors import InsertionError
-from repro.sg.graph import State, StateGraph
+from repro.sg.graph import StateGraph
 
 
 @dataclass
 class IPartition:
     """A validated four-block partition for inserting signal ``x``.
 
-    Blocks: ``er_plus`` (x+ excited), ``s1`` (x stable 1), ``er_minus``
-    (x- excited), ``s0`` (x stable 0).  ``function`` is the seed
-    function; the signal's final logic is *resynthesized* after
-    insertion and may differ (that is the paper's boolean-division
-    effect).
+    Blocks, as bitsets over the graph's state indices: ``er_plus`` (x+
+    excited), ``s1`` (x stable 1), ``er_minus`` (x- excited), ``s0`` (x
+    stable 0).  ``function`` is the seed function; the signal's final
+    logic is *resynthesized* after insertion and may differ (that is
+    the paper's boolean-division effect).
     """
 
     function: SopCover
-    er_plus: FrozenSet[State]
-    er_minus: FrozenSet[State]
-    s1: FrozenSet[State]   # f=1 states outside er_plus
-    s0: FrozenSet[State]   # f=0 states outside er_minus
+    er_plus: int
+    er_minus: int
+    s1: int   # f=1 states outside er_plus
+    s0: int   # f=0 states outside er_minus
 
-    def block_of(self, state: State) -> str:
-        if state in self.er_plus:
+    def block_of(self, index: int) -> str:
+        bit = 1 << index
+        if self.er_plus & bit:
             return "S+"
-        if state in self.er_minus:
+        if self.er_minus & bit:
             return "S-"
-        if state in self.s1:
+        if self.s1 & bit:
             return "S1"
-        if state in self.s0:
+        if self.s0 & bit:
             return "S0"
-        raise InsertionError(f"state {state!r} not in any block")
+        raise InsertionError(f"state {index} not in any block")
 
-    def initial_value(self, state: State) -> int:
-        """Value of ``x`` when entering this state 'fresh'.
+    def initial_value(self, index: int) -> int:
+        """Value of ``x`` when entering state ``index`` 'fresh'.
 
         ``S+`` states start at 0 (x rises there), ``S-`` states at 1.
         """
-        block = self.block_of(state)
+        block = self.block_of(index)
         return 1 if block in ("S1", "S-") else 0
 
     def summary(self) -> str:
-        return (f"|S+|={len(self.er_plus)} |S1|={len(self.s1)} "
-                f"|S-|={len(self.er_minus)} |S0|={len(self.s0)}")
+        return (f"|S+|={popcount(self.er_plus)} |S1|={popcount(self.s1)} "
+                f"|S-|={popcount(self.er_minus)} |S0|={popcount(self.s0)}")
 
 
 _ALLOWED_CROSSINGS = {
@@ -84,8 +95,7 @@ _ALLOWED_CROSSINGS = {
 }
 
 
-def compute_insertion_sets(sg: StateGraph, function: SopCover,
-                           max_rounds: int = 10_000) -> IPartition:
+def compute_insertion_sets(sg: StateGraph, function: SopCover) -> IPartition:
     """Grow and validate the insertion sets for ``function``.
 
     Raises :class:`InsertionError` when no legal I-partition exists for
@@ -93,19 +103,15 @@ def compute_insertion_sets(sg: StateGraph, function: SopCover,
     function is constant on the reachable states, or the final partition
     violates the allowed block crossings).
     """
-    ones: Set[State] = set()
-    for state in sg.states:
-        if function.evaluate(sg.code(state)):
-            ones.add(state)
     return compute_insertion_sets_from_states(
-        sg, ones, function=function, max_rounds=max_rounds)
+        sg, sg.encoding().cover_bits(function), function=function)
 
 
-def compute_insertion_sets_from_states(sg: StateGraph,
-                                       ones: Set[State],
-                                       function: Optional[SopCover] = None,
-                                       max_rounds: int = 10_000) -> IPartition:
-    """Grow insertion sets from an explicit target block of states.
+def compute_insertion_sets_from_states(sg: StateGraph, ones: int,
+                                       function: Optional[SopCover] = None
+                                       ) -> IPartition:
+    """Grow insertion sets from an explicit target block of states,
+    given as a bitset over the graph's state indices.
 
     This is the entry point for *state-encoding* insertions (CSC
     solving): conflicting states share their binary code, so no
@@ -113,10 +119,11 @@ def compute_insertion_sets_from_states(sg: StateGraph,
     be given extensionally.  ``function`` is recorded for reporting
     when provided (the mapper's combinational seeds).
     """
+    enc = sg.encoding()
+    ones &= enc.full_mask
+    zeros = enc.full_mask & ~ones
     label = (function.to_string() if function is not None
-             else f"<{len(ones)}-state block>")
-    ones = set(ones)
-    zeros = {s for s in sg.states if s not in ones}
+             else f"<{popcount(ones)}-state block>")
     if not ones or not zeros:
         raise InsertionError(
             f"insertion block {label} is constant on the reachable "
@@ -128,121 +135,122 @@ def compute_insertion_sets_from_states(sg: StateGraph,
         raise InsertionError(
             f"insertion block {label} never changes value")
 
-    er_plus = _grow(sg, er_plus, ones, "ER(x+)", max_rounds)
-    er_minus = _grow(sg, er_minus, zeros, "ER(x-)", max_rounds)
+    er_plus = _grow(sg, er_plus, ones, "ER(x+)")
+    er_minus = _grow(sg, er_minus, zeros, "ER(x-)")
 
     partition = IPartition(
         function=function if function is not None else SopCover.zero(),
-        er_plus=frozenset(er_plus),
-        er_minus=frozenset(er_minus),
-        s1=frozenset(ones - er_plus),
-        s0=frozenset(zeros - er_minus),
-    )
+        er_plus=er_plus, er_minus=er_minus,
+        s1=ones & ~er_plus, s0=zeros & ~er_minus)
     _validate_crossings(sg, partition)
     return partition
 
 
-def input_border(sg: StateGraph, half: Set[State]) -> Set[State]:
+def input_border(sg: StateGraph, half: int) -> int:
     """States of ``half`` with a predecessor outside it (IB, §2.3)."""
-    border = set()
-    for state in half:
-        for _, source in sg.predecessors(state):
-            if source not in half:
-                border.add(state)
-                break
-    return border
+    enc = sg.encoding()
+    return half & enc.successor_image(enc.full_mask & ~half)
 
 
-def _grow(sg: StateGraph, seed: Set[State], half: Set[State],
-          label: str, max_rounds: int) -> Set[State]:
+def _grow(sg: StateGraph, seed: int, half: int, label: str) -> int:
     """Fixpoint of the well-formedness / diamond / input-delay repairs
     inside one half-space."""
-    region = set(seed)
-    diamond_index = sg.diamond_index()
+    enc = sg.encoding()
+    states, arcs = enc.states, enc.arcs
+    diamonds, table = enc.diamonds(), enc.diamond_table()
+    inputs = {event for event in enc.events if sg.is_input_event(event)}
+    with_inputs = 0
+    for event in inputs:
+        with_inputs |= enc.event_bits(event)
+    region = seed
+    formed = delayed = 0      # states rules 2 / 4 have already repaired
 
-    def pull(state: State, reason: str) -> bool:
-        if state in region:
-            return False
-        if state not in half:
+    def pull(index: int, reason: str) -> int:
+        if not (half >> index) & 1:
             raise InsertionError(
-                f"{label} must absorb {state!r} ({reason}) but it lies "
-                "in the opposite half-space")
-        region.add(state)
-        return True
+                f"{label} must absorb {states[index]!r} ({reason}) but "
+                "it lies in the opposite half-space")
+        return region | 1 << index
 
-    for _ in range(max_rounds):
-        changed = False
-        # Rule 2: well-formedness — no arcs from half∖region into region.
-        # Snapshots are iterated in repr order: the fixpoint itself is
-        # monotone (pull only adds), but which violation raises first —
-        # and hence the error message — must not depend on the hash
-        # seed.
-        for state in sorted(region, key=repr):
-            for _, source in sg.predecessors(state):
-                if source in half and source not in region:
-                    changed |= pull(source, "well-formedness")
+    while True:
+        before = region
+        # Rule 2: well-formedness — no arcs from half∖region into
+        # region.  Repairs only add states of the half-space, so one
+        # predecessor image of the new states does the whole pass.
+        fresh, formed = region & ~formed, region
+        region |= enc.predecessor_image(fresh) & half
         # Rule 4: input events must not be delayed by the insertion —
         # an input arc leaving the region must stay observable, so its
         # target is pulled into the region (extending ER "beyond the
         # ER(b*)" in the paper's words).
-        for state in sorted(region, key=repr):
-            for event, target in sg.successors(state):
-                if not sg.is_input_event(event):
+        fresh, delayed = region & ~delayed, region
+        for i in enc.iter_bits(fresh & with_inputs):
+            for event, j in arcs[i]:
+                if event not in inputs:
                     continue
-                if target in half and target not in region:
-                    changed |= pull(target, f"input event {event}")
-                elif target not in half:
+                if not (half >> j) & 1:
                     raise InsertionError(
                         f"{label}: input event {event} would be delayed "
-                        f"at {state!r} and its target leaves the "
+                        f"at {states[i]!r} and its target leaves the "
                         "half-space")
+                region |= 1 << j
         # Rule 3: diamond (SIP) closure — both interleavings must cross
         # the region boundary equally often.  Only diamonds touching
-        # the region can be out of balance.
+        # the region can be out of balance; they are visited by their
+        # lowest region corner, then by position.
         touched = []
-        seen_ids: Set[int] = set()
-        for state in sorted(region, key=repr):
-            for diamond in diamond_index.get(state, ()):
-                if id(diamond) not in seen_ids:
-                    seen_ids.add(id(diamond))
-                    touched.append(diamond)
-        for diamond in touched:
-            in_region = [s in region for s in
-                         (diamond.bottom, diamond.side_a, diamond.side_b,
-                          diamond.top)]
-            bottom_in, side_a_in, side_b_in, top_in = in_region
+        seen = set()
+        for i in enc.iter_bits(region):
+            for position in table[i]:
+                if position not in seen:
+                    seen.add(position)
+                    touched.append(diamonds[position])
+        for bottom, _, _, side_a, side_b, top in touched:
+            bottom_in = (region >> bottom) & 1
+            side_a_in = (region >> side_a) & 1
+            side_b_in = (region >> side_b) & 1
+            top_in = (region >> top) & 1
             # Interior closure: with both sides excited the top must be
             # too — otherwise the second of the two concurrent events
             # is enabled at the pre-fire level in one corner and
             # suppressed in the other (a persistency violation of that
             # event, not of x).
             if side_a_in and side_b_in and not top_in:
-                changed |= pull(diamond.top, "interior diamond closure")
+                region = pull(top, "interior diamond closure")
                 continue
-            exits_a = (int(bottom_in and not side_a_in)
-                       + int(side_a_in and not top_in))
-            exits_b = (int(bottom_in and not side_b_in)
-                       + int(side_b_in and not top_in))
-            if exits_a == exits_b:
-                continue
+            exits_a = ((bottom_in and not side_a_in)
+                       + (side_a_in and not top_in))
+            exits_b = ((bottom_in and not side_b_in)
+                       + (side_b_in and not top_in))
             if exits_a > exits_b:
-                changed |= pull(diamond.side_b, "diamond closure")
-            else:
-                changed |= pull(diamond.side_a, "diamond closure")
-        if not changed:
+                region = pull(side_b, "diamond closure")
+            elif exits_b > exits_a:
+                region = pull(side_a, "diamond closure")
+        if region == before:
             return region
-    raise InsertionError(f"{label} growth did not converge")
 
 
 def _validate_crossings(sg: StateGraph, partition: IPartition) -> None:
     """Check the I-partition crossing rules (§2.3):
-    ``S0 → S+ → S1 → S- → S0`` plus ``S+ → S-`` and ``S- → S+``."""
-    for state in sg.states:
-        source_block = partition.block_of(state)
-        for event, target in sg.successors(state):
-            target_block = partition.block_of(target)
-            if (source_block, target_block) not in _ALLOWED_CROSSINGS:
-                raise InsertionError(
-                    f"arc {event} crosses {source_block} → "
-                    f"{target_block}, which is not allowed in an "
-                    "I-partition")
+    ``S0 → S+ → S1 → S- → S0`` plus ``S+ → S-`` and ``S- → S+``.
+
+    The sources of forbidden crossings are found with four predecessor
+    images; the first of them (lowest index, first arc) is reported.
+    """
+    enc = sg.encoding()
+    image = enc.predecessor_image
+    er_plus, er_minus, s1, s0 = (partition.er_plus, partition.er_minus,
+                                 partition.s1, partition.s0)
+    bad = ((s0 & image(s1 | er_minus)) | (er_plus & image(s0))
+           | (s1 & image(s0 | er_plus)) | (er_minus & image(s1)))
+    if not bad:
+        return
+    source = (bad & -bad).bit_length() - 1
+    source_block = partition.block_of(source)
+    for event, target in enc.arcs[source]:
+        target_block = partition.block_of(target)
+        if (source_block, target_block) not in _ALLOWED_CROSSINGS:
+            raise InsertionError(
+                f"arc {event} crosses {source_block} → "
+                f"{target_block}, which is not allowed in an "
+                "I-partition")

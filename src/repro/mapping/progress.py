@@ -27,20 +27,19 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple)
 
 from repro.boolean.sop import SopCover
 from repro.mapping.partition import IPartition
-from repro.sg.graph import State, StateGraph, event_signal
+from repro.sg.graph import StateGraph
 from repro.sg.regions import (ExcitationRegion, excitation_regions,
-                              quiescent_region, switching_region,
-                              trigger_events)
+                              quiescent_region, switching_region)
 
 
 def _extended_quiescent(sg: StateGraph, region: ExcitationRegion,
                         siblings: Sequence[ExcitationRegion],
-                        partition: IPartition) -> Set[State]:
-    """QR(a*)′ of Property 3.1.
+                        partition: IPartition) -> int:
+    """QR(a*)′ of Property 3.1, as a bitset.
 
     The restricted quiescent region extended with the excitation
     regions of the *following* transitions of the signal whenever the
@@ -55,19 +54,19 @@ def _extended_quiescent(sg: StateGraph, region: ExcitationRegion,
     states for own-signal successor arcs; ``x-`` counts as a trigger
     when ``ER(x-)`` meets the next ER or any of its entry states.
     """
+    enc = sg.encoding()
     quiescent = quiescent_region(sg, region, siblings)
-    extended = set(quiescent)
+    extended = quiescent
     signal = region.signal
     for direction in ("+", "-"):
         for er in excitation_regions(sg, signal + direction):
-            if er.states & quiescent:
+            if er.bits & quiescent:
                 continue
-            doorstep = {source for s in er.states
-                        for _, source in sg.predecessors(s)}
+            doorstep = enc.predecessor_image(er.bits)
             if not doorstep & quiescent:
                 continue          # not a following ER of this region
-            if (er.states | doorstep) & partition.er_minus:
-                extended |= er.states
+            if (er.bits | doorstep) & partition.er_minus:
+                extended |= er.bits
     return extended
 
 
@@ -102,66 +101,38 @@ def check_property_31(sg: StateGraph, region: ExcitationRegion,
        ``ER(x+)`` (the cover would rise late, breaking monotonicity);
     4. predecessors of ``QR(a*)′ ∩ ER(x-) ∩ g`` states must be covered
        by ``r + g`` (monotonous fall of ``x·g``).
+
+    Each condition is one bit test over the partition, the region, its
+    quiescent regions and the states where ``f``, ``g`` and ``r`` are 1.
     """
+    enc = sg.encoding()
     reasons: List[str] = []
-    er = region.states
+    er = region.bits
     quiescent = quiescent_region(sg, region, siblings)
     extended = _extended_quiescent(sg, region, siblings, partition)
     inside = er | extended
+    g = enc.cover_bits(quotient)
+    r = enc.cover_bits(remainder)
+    fg_only = enc.cover_bits(divisor) & g & ~r
+    er_plus, er_minus = partition.er_plus, partition.er_minus
 
-    def fg_only(state: State) -> bool:
-        code = sg.code(state)
-        return (divisor.evaluate(code) and quotient.evaluate(code)
-                and not remainder.evaluate(code))
-
-    # Condition 1.
-    for state in er:
-        if not fg_only(state):
-            continue
-        if state not in partition.er_plus:
-            continue
-        for _, target in sg.successors(state):
-            if target in er and target not in partition.er_plus:
-                reasons.append(
-                    f"cond1: {region.event} relies on f·g at a state "
-                    "where x may still be 0")
-                break
-        else:
-            continue
-        break
-
-    # Condition 2.
-    for state in sg.states:
-        if state in inside:
-            continue
-        if state in partition.er_minus and quotient.evaluate(sg.code(state)):
-            reasons.append(
-                "cond2: x·g can evaluate to 1 outside ER ∪ QR′ "
-                f"of {region.event}")
-            break
-
-    # Condition 3.
-    for state in quiescent:
-        if fg_only(state) and state in partition.er_plus:
-            reasons.append(
-                f"cond3: cover of {region.event} would rise late in its "
-                "quiescent region")
-            break
-
-    # Condition 4.
-    hot = {s for s in extended
-           if s in partition.er_minus and quotient.evaluate(sg.code(s))}
-    for state in hot:
-        for _, source in sg.predecessors(state):
-            code = sg.code(source)
-            if not (remainder.evaluate(code) or quotient.evaluate(code)):
-                reasons.append(
-                    f"cond4: non-monotonous fall of x·g into "
-                    f"QR′ of {region.event}")
-                break
-        if reasons and reasons[-1].startswith("cond4"):
-            break
-
+    if er & fg_only & er_plus & enc.predecessor_image(er & ~er_plus):
+        reasons.append(
+            f"cond1: {region.event} relies on f·g at a state "
+            "where x may still be 0")
+    if er_minus & g & ~inside:
+        reasons.append(
+            "cond2: x·g can evaluate to 1 outside ER ∪ QR′ "
+            f"of {region.event}")
+    if quiescent & fg_only & er_plus:
+        reasons.append(
+            f"cond3: cover of {region.event} would rise late in its "
+            "quiescent region")
+    hot = extended & er_minus & g
+    if hot & enc.successor_image(enc.full_mask & ~(r | g)):
+        reasons.append(
+            f"cond4: non-monotonous fall of x·g into "
+            f"QR′ of {region.event}")
     return Property31Result(holds=not reasons, reasons=reasons)
 
 
@@ -185,21 +156,17 @@ def _becomes_trigger(sg: StateGraph, region: ExcitationRegion,
     the excitation region overlapping the insertion set while the
     region's own trigger arcs cross the insertion boundary.
     """
-    overlap_plus = region.states & partition.er_plus
-    overlap_minus = region.states & partition.er_minus
-    if not overlap_plus and not overlap_minus:
+    overlap = region.bits & (partition.er_plus | partition.er_minus)
+    if not overlap:
         return False, False
     # x fires inside the region: since b* fires *from* the region, the
     # post-x copy re-excites b*, making x a trigger whenever some
-    # region state is only entered at the pre-x level.
-    replaced = False
-    for state in (overlap_plus | overlap_minus):
-        for event, source in sg.predecessors(state):
-            if source not in region.states:
-                # the old trigger enters at the pre-x level; x then
-                # fires inside the region and becomes the last event
-                # before b*, replacing this trigger for that entry.
-                replaced = True
+    # region state is only entered at the pre-x level.  An old trigger
+    # entering an overlapping state from outside the region enters at
+    # the pre-x level; x then fires inside the region and becomes the
+    # last event before b*, replacing that trigger for that entry.
+    replaced = bool(sg.encoding().predecessor_image(overlap)
+                    & ~region.bits)
     return True, replaced
 
 
@@ -221,8 +188,7 @@ def check_property_32(sg: StateGraph, region: ExcitationRegion,
         return Property32Result(region.event, False, True, False)
     switching = switching_region(sg, region)
     cond2 = not ((partition.er_plus | partition.er_minus) & switching)
-    cond3 = not any(cover.evaluate(sg.code(s))
-                    for s in partition.er_minus)
+    cond3 = not (sg.encoding().cover_bits(cover) & partition.er_minus)
     return Property32Result(region.event, True, cond2 and cond3, replaces)
 
 

@@ -8,7 +8,8 @@
   (consistency, determinism, commutativity, output persistency, CSC);
 * :mod:`~repro.sg.regions` — excitation / switching / quiescent regions
   and trigger events;
-* :mod:`~repro.sg.encoding` — next-state functions and code partitions.
+* :mod:`~repro.sg.encoding` — the packed view every state set is a
+  bitset of, and next-state functions.
 """
 
 from repro.sg.graph import StateGraph, Diamond

@@ -1,40 +1,48 @@
-"""Next-state functions, code partitions and the packed integer view.
+"""The packed integer view of a state graph, and next-state functions.
 
-The bridge between the behavioural world (states, regions) and the
-boolean world (vectors, covers): every synthesis step ultimately calls
-:func:`vectors_of` to turn state sets into ON/OFF vector sets for the
-minimizer, or :func:`next_state_sets` for complete covers.
-
-:class:`Encoding` is the shared integer-packing layer under all of it:
-one instance per (immutable snapshot of a) state graph fixes
+:class:`Encoding` is the one state-set form of the library: from
+reachability to the ``verify/`` oracles, every set of states is a
+Python int bitset over the state indices of one graph snapshot.  An
+instance fixes
 
 * a stable ``signal -> bit position`` map (sorted signal order, the
   same order :func:`repro.boolean.minimize._vector_int` packs vectors
   in), so every state code becomes one machine int;
-* a stable ``state -> index`` map, so every state *set* (excitation
-  region, quiescent cone, candidate block) becomes one arbitrary-width
-  Python int bitset — intersection, union, difference, containment and
-  emptiness checks collapse to single bulk bitwise operations;
+* the graph's ``state -> index`` map, so every state *set* (excitation
+  region, quiescent region, insertion block, cover zone) is one
+  arbitrary-width int — intersection, union, difference, containment
+  and emptiness checks are single bulk bitwise operations;
 * packed adjacency (successor/predecessor bitsets per state) and
-  per-event enabledness bitsets, so forward/backward closures run as
-  word-parallel frontier sweeps instead of per-arc Python loops.
+  per-event enabledness bitsets, so forward closures run as
+  word-parallel frontier sweeps, and successor/predecessor *images* of
+  whole sets are one table lookup per byte of the set;
+* the set of states where a cover evaluates to 1, as one AND of value
+  half-spaces per cube.
 
 An encoding is built by copying the graph's own int-indexed arrays
 (identities, packed codes, per-state ``(event, j)`` arcs) and deriving
 the bitsets from them in one pass over the arcs.  Instances are cached
 on the graph (:meth:`repro.sg.graph.StateGraph.encoding`) and
 invalidated by any mutation, so derived caches (stable closures, value
-half-spaces, per-state event masks) may live here safely.
+half-spaces, image tables, diamonds) may live here safely.
+
+Synthesis reads next-state functions through :func:`next_state_ints`:
+ON/OFF sets of packed codes, straight from the code array and the
+excitation bitsets.
 """
 
 from __future__ import annotations
 
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro._util import FrozenVector
+from repro.boolean.minimize import _cube_int
+from repro.boolean.sop import SopCover
 from repro.errors import CscViolation
 from repro.sg.graph import Event, State, StateGraph
+
+#: ``(bottom, event_a, event_b, side_a, side_b, top)`` state indices
+IndexDiamond = Tuple[int, Event, Event, int, int, int]
 
 
 class Encoding:
@@ -49,7 +57,8 @@ class Encoding:
     __slots__ = ("signals", "bit", "states", "index", "codes", "arcs",
                  "full_mask", "succ_bits", "pred_bits", "_event_bits",
                  "_event_arcs", "_excited_bits", "_value_bits",
-                 "_closure_cache", "_event_masks")
+                 "_closure_cache", "_event_masks", "_image_tables",
+                 "_diamonds", "_diamond_table")
 
     def __init__(self, sg: StateGraph):
         signals = sg.signals
@@ -90,18 +99,14 @@ class Encoding:
         self._value_bits: Dict[str, int] = {}
         self._closure_cache: Dict[Tuple[Event, int], int] = {}
         self._event_masks: Optional[Tuple[Dict[Event, int], List[int]]] = None
+        #: per-byte image tables, successor then predecessor (lazy)
+        self._image_tables: List[Optional[List[List[int]]]] = [None, None]
+        self._diamonds: Optional[List[IndexDiamond]] = None
+        self._diamond_table: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
     # Bitset plumbing
     # ------------------------------------------------------------------
-
-    def bitset(self, states: Iterable[State]) -> int:
-        """Pack a collection of states into one bitset."""
-        index = self.index
-        bits = 0
-        for state in states:
-            bits |= 1 << index[state]
-        return bits
 
     def states_of(self, bits: int) -> List[State]:
         """Unpack a bitset into states, in stable index order."""
@@ -120,6 +125,39 @@ class Encoding:
             low = bits & -bits
             yield low.bit_length() - 1
             bits ^= low
+
+    def successor_image(self, bits: int) -> int:
+        """States entered by one arc from a state of ``bits``."""
+        return self._image(0, self.succ_bits, bits)
+
+    def predecessor_image(self, bits: int) -> int:
+        """States with an arc into a state of ``bits``."""
+        return self._image(1, self.pred_bits, bits)
+
+    def _image(self, kind: int, adjacency: List[int], bits: int) -> int:
+        """One lookup per byte of ``bits`` in per-byte tables of the
+        adjacency bitsets (built on first use): ``tables[k][byte]`` is
+        the OR of ``adjacency[8k + b]`` over the set bits ``b`` of
+        ``byte``."""
+        tables = self._image_tables[kind]
+        if tables is None:
+            padded = adjacency + [0] * 7
+            tables = []
+            for base in range(0, len(adjacency), 8):
+                table = [0] * 256
+                for byte in range(1, 256):
+                    low = byte & -byte
+                    table[byte] = (table[byte ^ low]
+                                   | padded[base + low.bit_length() - 1])
+                tables.append(table)
+            self._image_tables[kind] = tables
+        out = 0
+        for table in tables:
+            if not bits:
+                break
+            out |= table[bits & 255]
+            bits >>= 8
+        return out
 
     # ------------------------------------------------------------------
     # Codes
@@ -152,6 +190,22 @@ class Encoding:
         for i, name in enumerate(support):
             if (packed >> bit[name]) & 1:
                 out |= 1 << i
+        return out
+
+    def cover_bits(self, cover: SopCover) -> int:
+        """Bitset of the states whose code ``cover`` evaluates to 1:
+        per cube, the AND of its literals' value half-spaces."""
+        signals = self.signals
+        out = 0
+        for cube in cover:
+            mask, value = _cube_int(cube, signals)
+            bits = self.full_mask
+            while mask:
+                low = mask & -mask
+                half = self.value_bits(signals[low.bit_length() - 1])
+                bits &= half if value & low else ~half
+                mask ^= low
+            out |= bits
         return out
 
     def value_bits(self, signal: str) -> int:
@@ -191,6 +245,45 @@ class Encoding:
             self._event_masks = (bit, masks)
         return self._event_masks
 
+    def diamonds(self) -> List[IndexDiamond]:
+        """Every complete commutativity diamond (cached): both firing
+        orders of two different events enabled at ``bottom`` exist and
+        meet in ``top``.  Bottoms ascend, event pairs follow the arc
+        order of the bottom, tops ascend."""
+        if self._diamonds is None:
+            arcs = self.arcs
+            found: List[IndexDiamond] = []
+            for bottom, out in enumerate(arcs):
+                for k, (event_a, side_a) in enumerate(out):
+                    for event_b, side_b in out[k + 1:]:
+                        if event_a == event_b:
+                            continue
+                        tops_ab = {t for e, t in arcs[side_a]
+                                   if e == event_b}
+                        tops_ba = {t for e, t in arcs[side_b]
+                                   if e == event_a}
+                        for top in sorted(tops_ab & tops_ba):
+                            found.append((bottom, event_a, event_b,
+                                          side_a, side_b, top))
+            self._diamonds = found
+        return self._diamonds
+
+    def diamond_table(self) -> List[List[int]]:
+        """Per-state diamond table (cached): ``table[i]`` lists, in
+        ascending order, the positions in :meth:`diamonds` of the
+        diamonds with a corner at state ``i``.  Partition growth reads
+        it to visit only the diamonds touching a region."""
+        if self._diamond_table is None:
+            table: List[List[int]] = [[] for _ in self.states]
+            for position, diamond in enumerate(self.diamonds()):
+                bottom, _, _, side_a, side_b, top = diamond
+                for corner in (bottom, side_a, side_b, top):
+                    entries = table[corner]
+                    if not entries or entries[-1] != position:
+                        entries.append(position)
+            self._diamond_table = table
+        return self._diamond_table
+
     def event_bits(self, event: Event) -> int:
         """Bitset of states where ``event`` is enabled."""
         return self._event_bits.get(event, 0)
@@ -211,7 +304,9 @@ class Encoding:
 
     def closure_forward(self, start: int, allowed: int) -> int:
         """Forward closure of ``start & allowed`` through arcs staying
-        inside ``allowed`` — one word-parallel frontier sweep."""
+        inside ``allowed`` — one word-parallel frontier sweep (each
+        state's successors are ORed once, so no image tables are
+        built)."""
         succ = self.succ_bits
         closure = start & allowed
         frontier = closure
@@ -251,19 +346,6 @@ class Encoding:
         return components
 
 
-def vectors_of(sg: StateGraph, states: Iterable[State]) -> List[FrozenVector]:
-    """Binary codes of the given states (deduplicated, sorted)."""
-    return sorted({sg.code(s) for s in states}, key=lambda v: v.items())
-
-
-def code_partition(sg: StateGraph) -> Dict[FrozenVector, List[State]]:
-    """Group states by binary code."""
-    partition: Dict[FrozenVector, List[State]] = {}
-    for state in sg.states:
-        partition.setdefault(sg.code(state), []).append(state)
-    return partition
-
-
 def next_value(sg: StateGraph, state: State, signal: str) -> int:
     """The *implied value* of a signal at a state.
 
@@ -283,11 +365,10 @@ def next_state_ints(sg: StateGraph, signal: str,
     projected onto ``support`` in :func:`repro.boolean.minimize.
     _vector_int` bit order.
 
-    The packed twin of :func:`next_state_sets`: one pass over the
-    precomputed codes and excitation bitsets instead of a per-state,
-    per-arc :meth:`~repro.sg.graph.StateGraph.is_excited` scan.  Raises
+    One pass over the packed codes and excitation bitsets.  Raises
     :class:`CscViolation` if some *full* code appears with both implied
-    values (checked before projection, exactly like the vector twin).
+    values (checked before projection) — exactly the situation in which
+    no logic function can implement the signal.
     """
     enc = sg.encoding()
     excited = enc.excited_bits(signal)
@@ -307,37 +388,3 @@ def next_state_ints(sg: StateGraph, signal: str,
         return sorted(on), sorted(off)
     return (sorted({enc.project(code, support) for code in on}),
             sorted({enc.project(code, support) for code in off}))
-
-
-def next_state_sets(sg: StateGraph,
-                    signal: str) -> Tuple[List[FrozenVector], List[FrozenVector]]:
-    """ON / OFF vector sets of the signal's next-state function.
-
-    Raises :class:`CscViolation` if some code appears with both implied
-    values — exactly the situation in which no logic function can
-    implement the signal.
-    """
-    enc = sg.encoding()
-    excited = enc.excited_bits(signal)
-    vbit = 1 << enc.bit[signal]
-    on_states: List[State] = []
-    off_states: List[State] = []
-    for i, state in enumerate(enc.states):
-        implied = bool(enc.codes[i] & vbit) ^ bool((excited >> i) & 1)
-        (on_states if implied else off_states).append(state)
-    on = vectors_of(sg, on_states)
-    off = vectors_of(sg, off_states)
-    clash = set(on) & set(off)
-    if clash:
-        sample = min(clash, key=repr)
-        raise CscViolation(
-            f"next-state function of {signal!r} is ill-defined on code "
-            f"{sample!r} (CSC violation)")
-    return on, off
-
-
-def excited_value_states(sg: StateGraph, signal: str,
-                         direction: str) -> Set[State]:
-    """States where the given transition of the signal is enabled."""
-    enc = sg.encoding()
-    return set(enc.states_of(enc.event_bits(signal + direction)))

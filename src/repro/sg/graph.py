@@ -106,9 +106,7 @@ class StateGraph:
         self._pred: List[Arcs] = []
         self._initial: Optional[int] = None
         self._vectors: Dict[int, FrozenVector] = {}
-        self._diamond_cache: Optional[List[Diamond]] = None
-        self._diamond_index: Optional[Dict[State, List[Diamond]]] = None
-        self._order_cache: Optional[Dict[State, int]] = None
+        self._rank_cache: Optional[List[int]] = None
         self._encoding_cache = None  # repro.sg.encoding.Encoding
 
     @classmethod
@@ -151,9 +149,7 @@ class StateGraph:
         return sg
 
     def _mutated(self) -> None:
-        self._diamond_cache = None
-        self._diamond_index = None
-        self._order_cache = None
+        self._rank_cache = None
         self._encoding_cache = None
 
     # ------------------------------------------------------------------
@@ -202,7 +198,7 @@ class StateGraph:
         if state not in self._index:
             raise StgError(f"unknown state {state!r}")
         self._initial = self._index[state]
-        self._order_cache = None
+        self._rank_cache = None
 
     def add_state(self, state: State, code: FrozenVector) -> State:
         if state in self._index:
@@ -304,9 +300,9 @@ class StateGraph:
 
     def _bfs(self) -> List[int]:
         """State indices in BFS order from the initial state, each
-        state's successors visited in ``repr`` order of their
-        ``(event, state)`` arcs."""
-        ids, succ = self._ids, self._succ
+        state's successors visited in ``(event, index)`` order of their
+        arcs."""
+        succ = self._succ
         start = self._index[self.initial]
         order = [start]
         seen = {start}
@@ -314,66 +310,43 @@ class StateGraph:
         while index < len(order):
             arcs = succ[order[index]]
             index += 1
-            for _, j in sorted(arcs, key=lambda arc: repr((arc[0],
-                                                           ids[arc[1]]))):
+            for _, j in sorted(arcs):
                 if j not in seen:
                     seen.add(j)
                     order.append(j)
         return order
 
-    def bfs_order(self) -> Dict[State, int]:
-        """Deterministic BFS numbering of states from the initial state
-        (successors visited in ``repr`` order).
+    def bfs_rank(self) -> List[int]:
+        """Deterministic BFS number of every state index, from the
+        initial state; states the BFS never reaches share the number
+        after the last reached one.
 
-        The mapping is cached — region indexing consults it once per
+        The list is cached — region indexing consults it once per
         excitation-region computation — and invalidated by any graph
-        mutation.  Callers must treat the returned dict as read-only.
+        mutation.  Callers must treat it as read-only.
         """
-        if self._order_cache is None:
-            ids = self._ids
-            self._order_cache = {ids[i]: k
-                                 for k, i in enumerate(self._bfs())}
-        return self._order_cache
+        if self._rank_cache is None:
+            order = self._bfs()
+            rank = [len(order)] * len(self._ids)
+            for k, i in enumerate(order):
+                rank[i] = k
+            self._rank_cache = rank
+        return self._rank_cache
 
     def diamonds(self) -> List[Diamond]:
-        """All commutativity diamonds of the graph (cached).
+        """All commutativity diamonds of the graph (the encoding's
+        index-level diamonds, cached there, as identities).
 
         Only complete diamonds are returned: both interleavings must
         exist and meet in the same top state.  (Incomplete diamonds are
         commutativity/persistency violations, reported by the property
         checks, not here.)
         """
-        if self._diamond_cache is not None:
-            return list(self._diamond_cache)
-        ids, succ = self._ids, self._succ
-        diamonds: List[Diamond] = []
-        for bottom, arcs in enumerate(succ):
-            for k, (event_a, side_a) in enumerate(arcs):
-                for event_b, side_b in arcs[k + 1:]:
-                    if event_a == event_b:
-                        continue
-                    tops_ab = {t for e, t in succ[side_a] if e == event_b}
-                    tops_ba = {t for e, t in succ[side_b] if e == event_a}
-                    for top in sorted(tops_ab & tops_ba,
-                                      key=lambda t: repr(ids[t])):
-                        diamonds.append(Diamond(
-                            ids[bottom], event_a, event_b, ids[side_a],
-                            ids[side_b], ids[top]))
-        self._diamond_cache = diamonds
-        return list(diamonds)
-
-    def diamond_index(self) -> Dict[State, List[Diamond]]:
-        """Map each state to the diamonds containing it (cached; used by
-        region-growth loops that only care about diamonds touching a
-        state set).  Callers must treat the returned dict as
-        read-only."""
-        if self._diamond_index is None:
-            index: Dict[State, List[Diamond]] = {}
-            for diamond in self.diamonds():
-                for state in diamond.states:
-                    index.setdefault(state, []).append(diamond)
-            self._diamond_index = index
-        return self._diamond_index
+        ids = self._ids
+        return [Diamond(ids[bottom], event_a, event_b, ids[side_a],
+                        ids[side_b], ids[top])
+                for bottom, event_a, event_b, side_a, side_b, top
+                in self.encoding().diamonds()]
 
     # ------------------------------------------------------------------
     # Serialization helpers
@@ -392,7 +365,7 @@ class StateGraph:
         # packed encoding carry over; a later mutation of either graph
         # only drops its own reference (neither cache is ever mutated
         # in place).
-        clone._order_cache = self._order_cache
+        clone._rank_cache = self._rank_cache
         clone._encoding_cache = self._encoding_cache
         return clone
 

@@ -16,28 +16,38 @@
   implementing ``a``.
 
 All region queries run on the graph's packed
-:class:`~repro.sg.encoding.Encoding`: state sets are bitsets over
-state indices, so membership, intersection and the forward closures
-behind SR/QR are bulk bitwise operations.  Region queries return state
-sets; the ``*_bits`` twins and the encoding-block atoms
-(:func:`event_cones`, :func:`encoding_atoms`) return the bitsets.
+:class:`~repro.sg.encoding.Encoding` and return state sets as bitsets
+over state indices: membership, intersection and the forward closures
+behind SR/QR are bulk bitwise operations.  Each query has exactly one
+function — :func:`switching_region`, :func:`stable_closure` (the
+unrestricted QR) and :func:`quiescent_region` (the restricted QR of one
+region or of a generalized-cover group) — and the encoding-block atoms
+(:func:`event_cones`, :func:`encoding_atoms`) are built from them.
+:class:`ExcitationRegion` carries its component bitset beside the
+paper-facing state set ``ER_j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.sg.graph import Event, State, StateGraph, event_signal
 
 
 @dataclass(frozen=True)
 class ExcitationRegion:
-    """One connected excitation region of an event."""
+    """One connected excitation region of an event.
+
+    ``states`` is the paper's ``ER_j`` as state identities; ``bits`` is
+    the same set as a bitset over the graph's state indices (the form
+    every region query and the mapping core compute with).
+    """
 
     event: Event
     index: int  # 1-based, per the paper's ER_j notation
     states: FrozenSet[State]
+    bits: int
 
     @property
     def signal(self) -> str:
@@ -62,12 +72,12 @@ def excitation_regions(sg: StateGraph, event: Event) -> List[ExcitationRegion]:
         return []
     components = enc.components(excited)
     if len(components) > 1:
-        order = sg.bfs_order()
-        fallback = len(order)
+        rank = sg.bfs_rank()
         components.sort(key=lambda bits: min(
-            order.get(s, fallback) for s in enc.states_of(bits)))
+            rank[i] for i in enc.iter_bits(bits)))
     return [ExcitationRegion(event, i + 1,
-                             frozenset(enc.states_of(component)))
+                             frozenset(enc.states_of(component)),
+                             component)
             for i, component in enumerate(components)]
 
 
@@ -83,70 +93,54 @@ def all_excitation_regions(sg: StateGraph,
     return regions
 
 
-def switching_region_bits(sg: StateGraph, region: ExcitationRegion) -> int:
-    """Bitset of states entered immediately after the event fires."""
-    enc = sg.encoding()
-    return enc.event_targets(region.event, enc.bitset(region.states))
+def switching_region(sg: StateGraph, region: ExcitationRegion) -> int:
+    """Bitset of the states entered immediately after the event fires
+    from the region (``SR_j``)."""
+    return sg.encoding().event_targets(region.event, region.bits)
 
 
-def switching_region(sg: StateGraph, region: ExcitationRegion) -> Set[State]:
-    """States entered immediately after the event fires from the region."""
-    enc = sg.encoding()
-    return set(enc.states_of(switching_region_bits(sg, region)))
-
-
-def quiescent_region(sg: StateGraph, region: ExcitationRegion,
-                     siblings: Sequence[ExcitationRegion] = ()) -> Set[State]:
-    """The restricted quiescent region of one excitation region.
-
-    ``siblings`` are the other excitation regions of the *same event*;
-    states reachable from a sibling without passing through ``region``
-    are excluded (the paper's "restricted" QR, footnote 2).  The region
-    itself and other-event excitation states of the signal bound the
-    expansion: a state belongs to the QR only while the signal is
-    stable.
-    """
-    enc = sg.encoding()
-    mine = stable_closure_bits(sg, region)
-    for sibling in siblings:
-        if sibling.index == region.index and sibling.event == region.event:
-            continue
-        if sibling.event != region.event:
-            continue
-        mine &= ~stable_closure_bits(sg, sibling)
-    return set(enc.states_of(mine))
-
-
-def stable_closure_bits(sg: StateGraph, region: ExcitationRegion) -> int:
+def stable_closure(sg: StateGraph, region: ExcitationRegion) -> int:
     """Bitset of the unrestricted quiescent region of ``region``:
     forward closure from its switching region through signal-stable
-    states.  Cached on the graph's encoding — region grouping and
-    cover synthesis both walk the same closures repeatedly."""
+    states.  Cached on the graph's encoding — region grouping, cover
+    synthesis and the progress filters walk the same closures
+    repeatedly."""
     enc = sg.encoding()
-    region_bits = enc.bitset(region.states)
-    key = (region.event, region_bits)
+    key = (region.event, region.bits)
     cached = enc._closure_cache.get(key)
     if cached is None:
-        start = enc.event_targets(region.event, region_bits)
+        start = enc.event_targets(region.event, region.bits)
         stable = enc.full_mask & ~enc.excited_bits(region.signal)
         cached = enc.closure_forward(start, stable)
         enc._closure_cache[key] = cached
     return cached
 
 
-def _stable_closure(sg: StateGraph, region: ExcitationRegion) -> Set[State]:
-    """Forward closure from the switching region through signal-stable
-    states (the unrestricted quiescent region)."""
-    enc = sg.encoding()
-    return set(enc.states_of(stable_closure_bits(sg, region)))
+def quiescent_region(sg: StateGraph,
+                     region: Union[ExcitationRegion,
+                                   Sequence[ExcitationRegion]],
+                     siblings: Sequence[ExcitationRegion] = ()) -> int:
+    """Bitset of the restricted quiescent region (``QR_j``).
 
-
-def quiescent_regions_by_event(sg: StateGraph,
-                               event: Event) -> List[Tuple[ExcitationRegion, Set[State]]]:
-    """Pair every ER of ``event`` with its restricted QR."""
-    regions = excitation_regions(sg, event)
-    return [(region, quiescent_region(sg, region, regions))
-            for region in regions]
+    ``region`` is one excitation region or a generalized-cover group of
+    regions of one event; ``siblings`` are regions of the same event.
+    The stable closures of the siblings outside the group are
+    subtracted from the group's: states reachable from another region
+    without passing through this one are excluded (the paper's
+    "restricted" QR, footnote 2).  Siblings of other events are
+    ignored.
+    """
+    group = ((region,) if isinstance(region, ExcitationRegion)
+             else tuple(region))
+    event = group[0].event
+    mine = {member.index for member in group}
+    restricted = 0
+    for member in group:
+        restricted |= stable_closure(sg, member)
+    for sibling in siblings:
+        if sibling.event == event and sibling.index not in mine:
+            restricted &= ~stable_closure(sg, sibling)
+    return restricted
 
 
 def event_cones(sg: StateGraph, event: Event,
@@ -167,12 +161,8 @@ def event_cones(sg: StateGraph, event: Event,
         regions = excitation_regions(sg, event)
     cones: List[Tuple[str, int]] = []
     for region in regions:
-        restricted = stable_closure_bits(sg, region)
-        for sibling in regions:
-            if sibling.index == region.index:
-                continue
-            restricted &= ~stable_closure_bits(sg, sibling)
-        cone = switching_region_bits(sg, region) | restricted
+        cone = (switching_region(sg, region)
+                | quiescent_region(sg, region, regions))
         if cone:
             label = (f"SR∪QR({event})" if len(regions) == 1
                      else f"SR∪QR_{region.index}({event})")
@@ -220,7 +210,7 @@ def encoding_atoms(sg: StateGraph) -> List[Tuple[str, int]]:
         for region in regions:
             label = (f"ER({event})" if len(regions) == 1
                      else f"ER_{region.index}({event})")
-            add(label, enc.bitset(region.states))
+            add(label, region.bits)
         if len(regions) > 1:
             add(f"ER({event})", enc.event_bits(event))
     for signal in sg.signals:

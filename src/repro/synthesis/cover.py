@@ -27,21 +27,28 @@ restricted to a support that excludes the signal itself; when it exists
 and is no more complex than the set/reset networks, the signal is
 implemented combinationally and the C element degenerates to a wire
 (Figure 2 b/c of the paper).
+
+State sets are bitsets over the graph's state indices throughout: the
+ON/OFF code sets come from the region bitsets, the monotonicity repair
+tests the cover's ON states (:meth:`~repro.sg.encoding.Encoding.
+cover_bits`) against the quiescent region, and a :class:`RegionCover`
+records its restricted quiescent region and its zone as bitsets, which
+incremental resynthesis carries into the new graph through the
+insertion's old→new index map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import FrozenVector
-from repro.boolean.minimize import _cube_int, minimize
+from repro.boolean.minimize import minimize
 from repro.boolean.sop import SopCover
-from repro.errors import CoverError, CscViolation
+from repro.errors import CoverError
 from repro.sg.encoding import next_state_ints
-from repro.sg.graph import State, StateGraph
+from repro.sg.graph import StateGraph
 from repro.sg.regions import (ExcitationRegion, excitation_regions,
-                              stable_closure_bits)
+                              quiescent_region, stable_closure)
 
 
 @dataclass
@@ -52,18 +59,19 @@ class RegionCover:
     code sharing forced a generalized (merged) cover.
 
     ``quiescent`` is the group's *restricted* quiescent region (sibling
-    closures subtracted); ``closure`` is the unrestricted union of the
-    group's stable closures.  Incremental resynthesis needs the latter:
-    the dirtiness test must see every state whose code participates in
-    the cover's covering conditions, including states the restriction
+    closures subtracted) and ``zone`` the group's ER states plus the
+    unrestricted union of its stable closures, both as bitsets over the
+    graph's state indices.  Incremental resynthesis needs the zone: the
+    dirtiness test must see every state whose code participates in the
+    cover's covering conditions, including states the restriction
     removed from ``quiescent``.
     """
 
     regions: Tuple[ExcitationRegion, ...]
     cover: SopCover
     complement: SopCover
-    quiescent: Set[State] = field(default_factory=set)
-    closure: Set[State] = field(default_factory=set)
+    quiescent: int = 0
+    zone: int = 0
 
     @property
     def region(self) -> ExcitationRegion:
@@ -73,13 +81,6 @@ class RegionCover:
     @property
     def event(self) -> str:
         return self.regions[0].event
-
-    @property
-    def states(self) -> Set[State]:
-        out: Set[State] = set()
-        for region in self.regions:
-            out |= region.states
-        return out
 
     @property
     def complexity(self) -> int:
@@ -107,9 +108,8 @@ def _group_regions(sg: StateGraph,
     if len(regions) <= 1:
         return [regions] if regions else []
     enc = sg.encoding()
-    closures = {r.index: stable_closure_bits(sg, r) for r in regions}
-    er_codes = {r.index: enc.codes_of(enc.bitset(r.states))
-                for r in regions}
+    closures = {r.index: stable_closure(sg, r) for r in regions}
+    er_codes = {r.index: enc.codes_of(r.bits) for r in regions}
     zone_codes = {r.index: er_codes[r.index]
                   | enc.codes_of(closures[r.index]) for r in regions}
 
@@ -141,42 +141,16 @@ def _group_regions(sg: StateGraph,
     return ordered
 
 
-def _group_quiescent_bits(sg: StateGraph, group: Sequence[ExcitationRegion],
-                          others: Sequence[ExcitationRegion]
-                          ) -> Tuple[int, int]:
-    """Bitset twin of :func:`_group_quiescent`."""
-    closure = 0
-    for region in group:
-        closure |= stable_closure_bits(sg, region)
-    restricted = closure
-    for region in others:
-        restricted &= ~stable_closure_bits(sg, region)
-    return restricted, closure
-
-
-def _group_quiescent(sg: StateGraph, group: Sequence[ExcitationRegion],
-                     others: Sequence[ExcitationRegion]
-                     ) -> Tuple[Set[State], Set[State]]:
-    """Quiescent regions of a region group.
-
-    Returns ``(restricted, closure)``: the union of the group's stable
-    closures minus the closures of non-group siblings, and the
-    unrestricted union itself.
-    """
-    enc = sg.encoding()
-    restricted, closure = _group_quiescent_bits(sg, group, others)
-    return set(enc.states_of(restricted)), set(enc.states_of(closure))
-
-
 def _synthesize_group(sg: StateGraph, group: Sequence[ExcitationRegion],
                       others: Sequence[ExcitationRegion],
                       support: Optional[Sequence[str]] = None) -> RegionCover:
     support = list(support) if support is not None else list(sg.signals)
     enc = sg.encoding()
-    quiescent_bits, closure_bits = _group_quiescent_bits(sg, group, others)
-    er_bits = 0
+    quiescent_bits = quiescent_region(sg, group, others)
+    er_bits = zone = 0
     for region in group:
-        er_bits |= enc.bitset(region.states)
+        er_bits |= region.bits
+        zone |= region.bits | stable_closure(sg, region)
     inside = er_bits | quiescent_bits
     # ON / OFF as packed full-signal codes; minimize() projects onto
     # ``support`` itself only when the caller restricted it.
@@ -186,14 +160,13 @@ def _synthesize_group(sg: StateGraph, group: Sequence[ExcitationRegion],
         on_ints = sorted({enc.project(c, support) for c in on_ints})
         off_ints = {enc.project(c, support) for c in off_ints}
 
-    for _ in range(len(sg.states) + 1):
+    for _ in range(len(sg) + 1):
         cover = minimize(on_ints, sorted(off_ints), support)
         violation = _monotonicity_violation(sg, cover, quiescent_bits)
         if violation is None:
             complement = minimize(sorted(off_ints), on_ints, support)
             return RegionCover(tuple(group), cover, complement,
-                               set(enc.states_of(quiescent_bits)),
-                               set(enc.states_of(closure_bits)))
+                               quiescent_bits, zone)
         off_ints.add(violation if tuple(support) == enc.signals
                      else enc.project(violation, support))
     event = group[0].event
@@ -234,26 +207,23 @@ def synthesize_event_covers(sg: StateGraph, event: str,
 def _monotonicity_violation(sg: StateGraph, cover: SopCover,
                             quiescent_bits: int) -> Optional[int]:
     """First quiescent state whose cover value *rises* along an arc
-    inside the quiescent region; its packed code must be forced OFF.
+    inside the quiescent region; the packed code of the state the arc
+    enters must be forced OFF.
 
     States are visited in index order: reachability discovery order,
     which signal insertion preserves, so the first forced-OFF state —
     and hence the repaired cover — never depends on hash order.  (A
     ``repr`` order would: STG states are Petri-net markings, frozensets
-    whose ``repr`` follows string hashing.)  Cover evaluation runs on
-    the packed codes: one AND + compare per cube.
+    whose ``repr`` follows string hashing.)
     """
     enc = sg.encoding()
-    cubes = [_cube_int(cube, enc.signals) for cube in cover]
-    codes, arcs = enc.codes, enc.arcs
-    for i in enc.iter_bits(quiescent_bits):
-        if any((codes[i] & mask) == value for mask, value in cubes):
-            continue
-        for _, j in arcs[i]:
-            if (quiescent_bits >> j) & 1:
-                after = codes[j]
-                if any((after & mask) == value for mask, value in cubes):
-                    return after
+    on = enc.cover_bits(cover) & quiescent_bits
+    succ = enc.succ_bits
+    for i in enc.iter_bits(quiescent_bits & ~on):
+        if succ[i] & on:
+            for _, j in enc.arcs[i]:
+                if (on >> j) & 1:
+                    return enc.codes[j]
     return None
 
 
@@ -394,8 +364,8 @@ def synthesize_all(sg: StateGraph) -> Dict[str, SignalImplementation]:
 # every split state maps one-to-one onto copies of itself in the new
 # graph (arc replication preserves every arc between unsplit states of
 # the same half-space).  Such a signal's covers remain word-for-word
-# valid — only the *state identities* they reference must be carried
-# into the new ``(state, level)`` code space.  Everything else — the
+# valid — only the *state indices* they reference must be carried into
+# the new graph.  Everything else — the
 # inserted signal itself and every signal whose zone was split or whose
 # zone spans both levels of the new signal (which could re-partition the
 # generalized-cover groups) — is resynthesized from scratch, exactly as
@@ -434,8 +404,9 @@ def _cover_reusable(rc: RegionCover, changes) -> bool:
 
     Requires every state of the cover's zone (ER states plus the
     unrestricted stable closure) to be unsplit *and* the whole zone to
-    sit at a single level of the new signal: split zone states change
-    the region / quiescent structure outright, and a zone spanning both
+    sit at a single level of the new signal — two mask tests against
+    the insertion's per-level sets: split zone states change the
+    region / quiescent structure outright, and a zone spanning both
     levels can dissolve the code-sharing relations that grouped regions
     into generalized covers.
 
@@ -449,13 +420,18 @@ def _cover_reusable(rc: RegionCover, changes) -> bool:
     netlists and report rows against the legacy pass across the
     benchmark suite.
     """
-    levels: Set[int] = set()
-    for state in rc.states | rc.closure:
-        level = changes.levels.get(state)
-        if level is None:          # split, or no copy survived pruning
-            return False
-        levels.add(level)
-    return len(levels) <= 1
+    low, high = changes.levels
+    return not rc.zone & ~low or not rc.zone & ~high
+
+
+def _carry(bits: int, copies: Sequence[int]) -> int:
+    """Map a bitset of old states onto their copies at one level."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << copies[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def _extend_event_covers(sg: StateGraph, event: str,
@@ -465,40 +441,32 @@ def _extend_event_covers(sg: StateGraph, event: str,
 
     The excitation regions are recomputed on the new graph (their
     indices follow the new BFS numbering) and matched to the old ones
-    by their underlying original states; the expensive minimized covers
-    are reused as-is.  Returns ``None`` when the new region structure
-    does not correspond one-to-one to the old — the caller then falls
-    back to full resynthesis of the signal.
+    by bitset: every reusable zone sits at one level of the new signal,
+    so an old region's bits map through that level's old→new index
+    map onto its counterpart's.  The expensive minimized covers are
+    reused as-is.  Returns ``None`` when the new region structure does
+    not correspond one-to-one to the old — the caller then falls back
+    to full resynthesis of the signal.
     """
     new_regions = excitation_regions(sg, event)
     if len(new_regions) != sum(len(rc.regions) for rc in old_covers):
         return None
-    by_base: Dict[FrozenSet[State], ExcitationRegion] = {}
-    for region in new_regions:
-        try:
-            base = frozenset(s for s, _ in region.states)
-        except (TypeError, ValueError):
-            return None
-        by_base[base] = region
-    if len(by_base) != len(new_regions):
-        return None
+    by_bits = {region.bits: region for region in new_regions}
 
     extended: List[RegionCover] = []
     for rc in old_covers:
+        copies = changes.copies[0 if not rc.zone & ~changes.levels[0]
+                                else 1]
         mapped = []
         for region in rc.regions:
-            counterpart = by_base.get(region.states)
+            counterpart = by_bits.get(_carry(region.bits, copies))
             if counterpart is None:
                 return None
             mapped.append(counterpart)
         mapped.sort(key=lambda r: r.index)
-        try:
-            quiescent = {(s, changes.levels[s]) for s in rc.quiescent}
-            closure = {(s, changes.levels[s]) for s in rc.closure}
-        except KeyError:
-            return None
-        extended.append(RegionCover(tuple(mapped), rc.cover,
-                                    rc.complement, quiescent, closure))
+        extended.append(RegionCover(
+            tuple(mapped), rc.cover, rc.complement,
+            _carry(rc.quiescent, copies), _carry(rc.zone, copies)))
     extended.sort(key=lambda rc: rc.regions[0].index)
     return extended
 

@@ -3,8 +3,11 @@
 The theory the paper builds on (Beerel/Meng ICCAD'92, Kondratyev et al.
 DAC'94) reduces hazard-freedom of the standard-C architecture to local
 conditions on the cover functions; this module re-checks those
-conditions *independently of the synthesis code*, walking every
-reachable state of the (final, post-insertion) state graph:
+conditions on the finished covers, walking every reachable state of the
+(final, post-insertion) state graph and evaluating each cover on the
+state's code.  It shares only the region queries of
+:mod:`repro.sg.regions` (excitation and restricted quiescent regions)
+with the synthesis code, not its cover construction or evaluation:
 
 1. **functional correctness** — in every state the gate network drives
    each output signal toward its implied next value (combinational
@@ -23,7 +26,7 @@ Any violation raises :class:`VerificationError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict
 
 from repro.errors import VerificationError
 from repro.sg.encoding import next_value
@@ -95,8 +98,7 @@ def _verify_standard_c(sg: StateGraph,
 
 def _verify_monotonous_covers(sg: StateGraph,
                               impl: SignalImplementation) -> None:
-    from repro.synthesis.cover import _group_quiescent
-
+    states, arcs = sg.states, sg.encoding().arcs
     for direction, covers in (("+", impl.set_covers),
                               ("-", impl.reset_covers)):
         event = impl.signal + direction
@@ -116,27 +118,26 @@ def _verify_monotonous_covers(sg: StateGraph,
                         f"cover of {event}/{region.index} refers to a "
                         "stale excitation region")
                 group.append(fresh)
-            others = [r for r in regions
-                      if r.index not in {g.index for g in group}]
-            quiescent, _ = _group_quiescent(sg, group, others)
-            er_states = {s for region in group for s in region.states}
-            inside = er_states | quiescent
+            quiescent = quiescent_region(sg, group, regions)
+            er = 0
+            for region in group:
+                er |= region.bits
+            inside = er | quiescent
             label = f"{event}/{group[0].index}"
-            for state in sg.states:
-                value = rc.cover.evaluate(sg.code(state))
-                if state in er_states and not value:
+            values = [rc.cover.evaluate(sg.code(state)) for state in states]
+            for i, state in enumerate(states):
+                if (er >> i) & 1 and not values[i]:
                     raise VerificationError(
                         f"cover of {label} misses an ER state {state!r}")
-                if state not in inside and value:
+                if not (inside >> i) & 1 and values[i]:
                     raise VerificationError(
                         f"cover of {label} covers state {state!r} "
                         "outside ER ∪ QR")
-            for state in quiescent:
-                if rc.cover.evaluate(sg.code(state)):
+            for i, state in enumerate(states):
+                if not (quiescent >> i) & 1 or values[i]:
                     continue
-                for _, target in sg.successors(state):
-                    if (target in quiescent
-                            and rc.cover.evaluate(sg.code(target))):
+                for _, j in arcs[i]:
+                    if (quiescent >> j) & 1 and values[j]:
                         raise VerificationError(
                             f"cover of {label} is not monotonous inside "
-                            f"its QR (rises at {target!r})")
+                            f"its QR (rises at {states[j]!r})")

@@ -19,20 +19,21 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mapping.csc import (CSC_METHODS, CscConfig, _event_blocks,
-                               _insert_best_region_block,
+from repro.mapping.csc import (CSC_METHODS, CscConfig, _conflict_pairs,
+                               _event_blocks, _insert_best_region_block,
                                _insert_first_improving_block,
                                _ranked_blocks, _region_blocks,
                                csc_conflicts)
 from repro._util import FrozenVector
-from repro.mapping.partition import input_border
 from repro.sg.graph import State, StateGraph, event_signal
 from repro.sg.properties import csc_violations
 from repro.sg.reachability import state_graph_of
-from repro.sg.regions import (encoding_atoms, excitation_regions,
-                              quiescent_region, switching_region)
+from repro.sg.regions import encoding_atoms, excitation_regions
 from repro.stg.builders import marked_graph
 from tests.conftest import alternator_stg, chained_sequencer_stg
+from tests.mapping.test_partition_reference import (ref_input_border,
+                                                    ref_quiescent_region,
+                                                    ref_switching_region)
 from tests.mapping.test_properties_hypothesis import handshake_sgs
 from tests.sg.test_properties_hypothesis import states_by_code
 
@@ -79,8 +80,8 @@ def ref_encoding_atoms(sg: StateGraph) -> List[Tuple[str, FrozenSet]]:
         regions = excitation_regions(sg, event)
         cones = []
         for region in regions:
-            cone = (switching_region(sg, region)
-                    | quiescent_region(sg, region, regions))
+            cone = (ref_switching_region(sg, region)
+                    | ref_quiescent_region(sg, region, regions))
             if cone:
                 label = (f"SR∪QR({event})" if len(regions) == 1
                          else f"SR∪QR_{region.index}({event})")
@@ -127,7 +128,7 @@ def ref_event_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
     for start in events:
         start_states: Set[State] = set()
         for region in excitation_regions(sg, start):
-            start_states |= switching_region(sg, region)
+            start_states |= ref_switching_region(sg, region)
         for stop in events:
             if stop == start:
                 continue
@@ -177,8 +178,8 @@ def ref_ranked_blocks(sg: StateGraph, blocks,
             continue
         if with_borders:
             complement = set(sg.states) - block
-            border = (len(input_border(sg, block))
-                      + len(input_border(sg, complement)))
+            border = (len(ref_input_border(sg, block))
+                      + len(ref_input_border(sg, complement)))
             key = (-split, border, len(block), label)
         else:
             key = (-split, len(block), label)
@@ -219,7 +220,7 @@ def mid_solve(sg: StateGraph, method: str, steps: int) -> StateGraph:
     strategy = (_insert_best_region_block if method == "regions"
                 else _insert_first_improving_block)
     for index in range(steps):
-        conflicts = csc_conflicts(sg)
+        conflicts = _conflict_pairs(sg)
         if not conflicts:
             break
         step = strategy(sg, conflicts, f"csc{index}",
@@ -266,10 +267,12 @@ def _check_candidate_families(sg):
 
 def _check_ranking(sg):
     conflicts = ref_csc_conflicts(sg)
+    index = sg.encoding().index
+    pairs = [(index[left], index[right]) for left, right in conflicts]
     assert unpacked(sg, _ranked_blocks(sg, _event_blocks(sg),
-                                       conflicts)) == \
+                                       pairs)) == \
         ref_ranked_blocks(sg, ref_event_blocks(sg), conflicts)
-    assert unpacked(sg, _ranked_blocks(sg, _region_blocks(sg), conflicts,
+    assert unpacked(sg, _ranked_blocks(sg, _region_blocks(sg), pairs,
                                        with_borders=True)) == \
         ref_ranked_blocks(sg, ref_region_blocks(sg), conflicts,
                           with_borders=True)

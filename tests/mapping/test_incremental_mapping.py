@@ -111,12 +111,19 @@ class TestDeterminism:
         frozensets whose ``repr`` follows string hashing — so mr1's
         repairs forced different codes OFF under different seeds.  The
         whole sequence of minimizer inputs (mr1's initial synthesis plus
-        one k=2 mapper step) must be one and the same."""
+        one k=2 mapper step) must be one and the same.  So must every
+        I-partition grown on the way (partition growth used to visit
+        region states in ``repr`` order too) — as index lists, or the
+        error type when growth fails — and a CSC solve of
+        ``examples/badseq.g`` under both candidate methods."""
         script = (
             "import hashlib, importlib, sys\n"
             "from repro.bench_suite import benchmark\n"
+            "import repro.mapping.csc as csc\n"
+            "import repro.mapping.partition as partition\n"
             "from repro.mapping.decompose import MapperConfig, map_circuit\n"
             "from repro.sg.reachability import state_graph_of\n"
+            "from repro.stg.parser import parse_g\n"
             "from repro.synthesis.cover import synthesize_all\n"
             "from repro.synthesis.library import GateLibrary\n"
             "original = importlib.import_module("
@@ -130,18 +137,41 @@ class TestDeterminism:
             "    if (getattr(module, '__name__', '').startswith('repro')\n"
             "            and getattr(module, 'minimize', None) is original):\n"
             "        module.minimize = spy\n"
+            "grow = partition.compute_insertion_sets_from_states\n"
+            "def grow_spy(sg, ones, *args, **kwargs):\n"
+            "    def indices(bits):\n"
+            "        return [i for i in range(len(sg)) if bits >> i & 1]\n"
+            "    try:\n"
+            "        p = grow(sg, ones, *args, **kwargs)\n"
+            "    except Exception as error:\n"
+            "        digest.update(repr((indices(ones),\n"
+            "                            type(error).__name__)).encode())\n"
+            "        raise\n"
+            "    digest.update(repr([indices(b) for b in (ones,\n"
+            "        p.er_plus, p.er_minus, p.s1, p.s0)]).encode())\n"
+            "    return p\n"
+            "partition.compute_insertion_sets_from_states = grow_spy\n"
+            "csc.compute_insertion_sets_from_states = grow_spy\n"
             "sg = state_graph_of(benchmark('mr1'))\n"
             "implementations = synthesize_all(sg)\n"
             "map_circuit(sg, GateLibrary(2), MapperConfig(max_iterations=1),\n"
             "            implementations)\n"
+            "with open(sys.argv[1]) as handle:\n"
+            "    badseq = state_graph_of(parse_g(handle.read()))\n"
+            "for method in csc.CSC_METHODS:\n"
+            "    result = csc.solve_csc(badseq, method=method)\n"
+            "    digest.update(repr((result.steps, len(result.sg)))"
+            ".encode())\n"
             "print(digest.hexdigest())\n"
         )
-        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
-                                           "..", "..", "src"))
+        root = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                            "..", ".."))
+        src = os.path.join(root, "src")
+        badseq = os.path.join(root, "examples", "badseq.g")
         digests = set()
         for seed in ("0", "9", "13"):
             proc = subprocess.run(
-                [sys.executable, "-c", script],
+                [sys.executable, "-c", script, badseq],
                 capture_output=True, text=True, timeout=300,
                 env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
             assert proc.returncode == 0, proc.stderr

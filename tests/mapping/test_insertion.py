@@ -34,7 +34,7 @@ class TestStructure:
 
     def test_er_states_split(self, inserted):
         old_sg, new_sg, partition = inserted
-        for state in partition.er_plus:
+        for state in old_sg.encoding().states_of(partition.er_plus):
             assert (state, 0) in new_sg
             assert (state, 1) in new_sg
             events = {e for e, _ in new_sg.successors((state, 0))}

@@ -16,7 +16,7 @@ after one or two such insertions, and every candidate partition the
 mapper tries on hazard, seq_mix and trimos-send.
 """
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,12 +46,20 @@ def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
                       require_csc: bool = True) -> InsertionResult:
     if name in sg.signals:
         raise InsertionError(f"signal name {name!r} already in use")
+    index = {state: i for i, state in enumerate(sg.states)}
 
     def copies(state: State) -> List[int]:
-        block = partition.block_of(state)
+        try:
+            block = partition.block_of(index[state])
+        except InsertionError:
+            raise InsertionError(f"state {state!r} not in any block")
         if block in ("S+", "S-"):
             return [0, 1]
         return [1] if block == "S1" else [0]
+
+    def members(bits: int) -> List[State]:
+        return [state for i, state in enumerate(sg.states)
+                if (bits >> i) & 1]
 
     full = StateGraph(sg.name, sg.inputs, list(sg.outputs) + [name])
     for state in sg.states:
@@ -61,9 +69,9 @@ def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
                            FrozenVector({**base.as_dict(), name: level}))
     arcs = []
     # x transitions inside the excitation regions.
-    for state in partition.er_plus:
+    for state in members(partition.er_plus):
         arcs.append(((state, 0), f"{name}+", (state, 1)))
-    for state in partition.er_minus:
+    for state in members(partition.er_minus):
         arcs.append(((state, 1), f"{name}-", (state, 0)))
     # Original arcs replicated level-wise.
     for state in sg.states:
@@ -75,7 +83,8 @@ def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
                     arcs.append(((state, level), event, (target, level)))
     for source, event, target in arcs:
         full.add_arc(source, event, target)
-    full.set_initial((sg.initial, partition.initial_value(sg.initial)))
+    full.set_initial((sg.initial,
+                      partition.initial_value(index[sg.initial])))
 
     # Prune the copies the initial state cannot reach, keeping the
     # order in which states and arcs were added.
@@ -97,14 +106,20 @@ def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
 
     ref_verify_insertion(sg, new_sg, name, require_csc=require_csc)
 
-    surviving: Dict[State, List[int]] = {}
-    for original, level in new_sg.states:
-        surviving.setdefault(original, []).append(level)
-    split = frozenset(s for s, levels in surviving.items()
-                      if len(levels) > 1)
-    levels = {s: levels[0] for s, levels in surviving.items()
-              if len(levels) == 1}
-    return InsertionResult(new_sg, InsertionChanges(name, split, levels))
+    split = 0
+    levels = [0, 0]
+    copies_at: Tuple[List[int], List[int]] = ([-1] * len(sg),
+                                              [-1] * len(sg))
+    for k, (original, level) in enumerate(new_sg.states):
+        copies_at[level][index[original]] = k
+    for i in range(len(sg)):
+        held = [level for level in (0, 1) if copies_at[level][i] >= 0]
+        if len(held) > 1:
+            split |= 1 << i
+        elif held:
+            levels[held[0]] |= 1 << i
+    return InsertionResult(new_sg, InsertionChanges(
+        name, split, (levels[0], levels[1]), copies_at))
 
 
 def ref_verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
@@ -181,9 +196,9 @@ def assert_same_insertion(sg: StateGraph, partition: IPartition,
         assert new.successors(state) == ref.successors(state)
         assert new.predecessors(state) == ref.predecessors(state)
     assert got.changes.signal == want.changes.signal
-    assert got.changes.split_states == want.changes.split_states
-    assert list(got.changes.levels.items()) \
-        == list(want.changes.levels.items())
+    assert got.changes.split == want.changes.split
+    assert got.changes.levels == want.changes.levels
+    assert got.changes.copies == want.changes.copies
     return got
 
 
@@ -206,8 +221,7 @@ def drawn_partitions(draw, sg):
     elif how == "any":
         block = draw(st.integers(1, sg.encoding().full_mask))
     try:
-        return compute_insertion_sets_from_states(
-            sg, set(sg.encoding().states_of(block)))
+        return compute_insertion_sets_from_states(sg, block)
     except InsertionError:
         return None
 
@@ -240,8 +254,8 @@ class TestDrawnBlocks:
             min_size=len(sg), max_size=len(sg)))
         if data.draw(st.integers(0, 9)) == 0:
             masks[data.draw(st.integers(0, len(sg) - 1))] = 0
-        blocks = [frozenset(s for s, m in zip(sg.states, masks)
-                            if m >> k & 1) for k in range(4)]
+        blocks = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+                  for k in range(4)]
         partition = IPartition(SopCover.zero(), blocks[0], blocks[1],
                                blocks[2], blocks[3])
         assert_same_insertion(sg, partition, "zz", require_csc)
@@ -252,11 +266,10 @@ class TestDrawnBlocks:
         assert assert_same_insertion(celement_sg, partition, "x")
         assert_same_insertion(celement_sg, partition, "a")
         partial = IPartition(partition.function, partition.er_plus,
-                             partition.er_minus, partition.s1,
-                             frozenset())
+                             partition.er_minus, partition.s1, 0)
         assert_same_insertion(celement_sg, partial, "x")
-        silent = IPartition(partition.function, frozenset(), frozenset(),
-                            frozenset(), frozenset(celement_sg.states))
+        silent = IPartition(partition.function, 0, 0, 0,
+                            celement_sg.encoding().full_mask)
         with pytest.raises(InsertionError, match="never fires"):
             insert_signal(celement_sg, silent, "x")
         assert_same_insertion(celement_sg, silent, "x")

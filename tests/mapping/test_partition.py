@@ -13,6 +13,10 @@ def cover(text):
     return SopCover.from_string(text)
 
 
+def states_of(sg, bits):
+    return set(sg.encoding().states_of(bits))
+
+
 class TestBasics:
     def test_constant_function_rejected(self, celement_sg):
         with pytest.raises(InsertionError):
@@ -22,26 +26,29 @@ class TestBasics:
 
     def test_partition_blocks_cover_all_states(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
-        blocks = (set(partition.er_plus) | set(partition.er_minus)
-                  | set(partition.s1) | set(partition.s0))
-        assert blocks == set(celement_sg.states)
+        blocks = (partition.er_plus | partition.er_minus
+                  | partition.s1 | partition.s0)
+        assert blocks == celement_sg.encoding().full_mask
+        assert not partition.er_plus & partition.s1
+        assert not partition.er_minus & partition.s0
 
     def test_er_plus_inside_ones(self, celement_sg):
         f = cover("a b")
         partition = compute_insertion_sets(celement_sg, f)
-        for state in partition.er_plus:
+        for state in states_of(celement_sg, partition.er_plus):
             assert f.evaluate(celement_sg.code(state))
-        for state in partition.er_minus:
+        for state in states_of(celement_sg, partition.er_minus):
             assert not f.evaluate(celement_sg.code(state))
 
     def test_initial_value(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
-        assert partition.initial_value(celement_sg.initial) == 0
+        initial = celement_sg.states.index(celement_sg.initial)
+        assert partition.initial_value(initial) == 0
 
     def test_block_of_unknown_state(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
         with pytest.raises(InsertionError):
-            partition.block_of("nonexistent")
+            partition.block_of(len(celement_sg))
 
     def test_summary_mentions_sizes(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
@@ -51,11 +58,11 @@ class TestBasics:
 class TestCrossingRules:
     def test_crossings_legal(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
-        order = {"S0": 0, "S+": 1, "S1": 2, "S-": 3}
+        index = celement_sg.encoding().index
         for state in celement_sg.states:
-            source = partition.block_of(state)
+            source = partition.block_of(index[state])
             for _, target_state in celement_sg.successors(state):
-                target = partition.block_of(target_state)
+                target = partition.block_of(index[target_state])
                 assert (source, target) in {
                     ("S0", "S0"), ("S0", "S+"), ("S+", "S+"),
                     ("S+", "S1"), ("S+", "S-"), ("S1", "S1"),
@@ -110,9 +117,10 @@ class TestInputPreservation:
         # f = a: ER(x+) starts where a just rose; input b+ leaves the
         # border state, so the region must absorb the target.
         partition = compute_insertion_sets(celement_sg, cover("a"))
-        for state in partition.er_plus:
+        er_plus = states_of(celement_sg, partition.er_plus)
+        for state in er_plus:
             for event, target in celement_sg.successors(state):
                 if celement_sg.is_input_event(event):
-                    assert (target in partition.er_plus
+                    assert (target in er_plus
                             or not cover("a").evaluate(
                                 celement_sg.code(target)))

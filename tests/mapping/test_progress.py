@@ -52,11 +52,9 @@ class TestExtendedQuiescent:
     def _partition(self, sg, er_minus):
         """A hand-crafted I-partition: only ``er_minus`` matters to
         the extension; the remaining blocks just tile the graph."""
-        er_minus = frozenset(er_minus)
-        rest = frozenset(s for s in sg.states if s not in er_minus)
         return IPartition(function=SopCover.from_string("a b"),
-                          er_plus=frozenset(), er_minus=er_minus,
-                          s1=frozenset(), s0=rest)
+                          er_plus=0, er_minus=er_minus, s1=0,
+                          s0=sg.encoding().full_mask & ~er_minus)
 
     def test_grows_when_x_minus_fires_inside_the_next_er(
             self, celement_sg):
@@ -65,14 +63,15 @@ class TestExtendedQuiescent:
         regions = excitation_regions(celement_sg, "c+")
         next_er = excitation_regions(celement_sg, "c-")[0]
         quiescent = quiescent_region(celement_sg, regions[0], regions)
-        partition = self._partition(celement_sg, next_er.states)
+        partition = self._partition(celement_sg, next_er.bits)
         # the scenario the old code missed: no quiescent state is in
         # ER(x-) — x- fires inside the following ER itself
         assert not quiescent & partition.er_minus
         extended = _extended_quiescent(celement_sg, regions[0],
                                        regions, partition)
-        assert extended > quiescent          # the region actually grew
-        assert next_er.states <= extended
+        # the region actually grew
+        assert extended & quiescent == quiescent and extended != quiescent
+        assert extended & next_er.bits == next_er.bits
 
     def test_grows_when_x_minus_pends_on_the_doorstep(self,
                                                       celement_sg):
@@ -81,14 +80,16 @@ class TestExtendedQuiescent:
         regions = excitation_regions(celement_sg, "c+")
         next_er = excitation_regions(celement_sg, "c-")[0]
         quiescent = quiescent_region(celement_sg, regions[0], regions)
-        doorstep = {source for s in next_er.states
-                    for _, source in celement_sg.predecessors(s)}
+        index = celement_sg.encoding().index
+        doorstep = sum(1 << index[source] for source in {
+            source for s in next_er.states
+            for _, source in celement_sg.predecessors(s)})
         entry = doorstep & quiescent
         assert entry                          # sanity: ER(c-) follows QR
         partition = self._partition(celement_sg, entry)
         extended = _extended_quiescent(celement_sg, regions[0],
                                        regions, partition)
-        assert next_er.states <= extended
+        assert extended & next_er.bits == next_er.bits
 
     def test_no_growth_without_x_minus_nearby(self, celement_sg):
         """With ER(x-) far from the following ER the extension must
@@ -96,7 +97,7 @@ class TestExtendedQuiescent:
         regions = excitation_regions(celement_sg, "c+")
         quiescent = quiescent_region(celement_sg, regions[0], regions)
         er_plus_region = excitation_regions(celement_sg, "c+")[0]
-        partition = self._partition(celement_sg, er_plus_region.states)
+        partition = self._partition(celement_sg, er_plus_region.bits)
         extended = _extended_quiescent(celement_sg, regions[0],
                                        regions, partition)
         assert extended == quiescent

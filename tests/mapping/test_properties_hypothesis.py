@@ -106,13 +106,13 @@ class TestInsertionProperties:
             partition = compute_insertion_sets(sg, function)
         except InsertionError:
             return
-        blocks = (set(partition.er_plus) | set(partition.er_minus)
-                  | set(partition.s1) | set(partition.s0))
-        assert blocks == set(sg.states)
-        assert not (set(partition.er_plus) & set(partition.er_minus))
+        blocks = (partition.er_plus | partition.er_minus
+                  | partition.s1 | partition.s0)
+        assert blocks == sg.encoding().full_mask
+        assert not partition.er_plus & partition.er_minus
         order = {"S0", "S+", "S1", "S-"}
-        for state in sg.states:
-            assert partition.block_of(state) in order
+        for index in range(len(sg)):
+            assert partition.block_of(index) in order
 
     @given(small_sgs(), seed_functions())
     @settings(max_examples=30, deadline=None)

@@ -493,14 +493,18 @@ class TestCscArtifact:
         report = DiskArtifactCache(str(tmp_path)).report()
         assert report.by_kind["csc"][0] == 2
 
+    # every kind whose pickled classes changed shape in the last
+    # format bump (StateGraph, ExcitationRegion, RegionCover)
+    @pytest.mark.parametrize("kind", ["sg", "csc", "implementations",
+                                      "map"])
     def test_stale_csc_format_recomputes_not_crashes(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, kind):
         config = self._config(tmp_path)
         cold = Pipeline(config).run(("badseq", BADSEQ_G))
-        monkeypatch.setitem(ARTIFACT_FORMATS, "csc",
-                            ARTIFACT_FORMATS["csc"] + 1)
+        monkeypatch.setitem(ARTIFACT_FORMATS, kind,
+                            ARTIFACT_FORMATS[kind] + 1)
         warm = Pipeline(config).run(("badseq", BADSEQ_G))
-        assert warm.stats["csc"] == 1            # stale: recomputed
+        assert warm.stats[kind] == 1             # stale: recomputed
         assert warm.stats["disk_stale"] >= 1
         assert warm.row == cold.row
         assert warm.stats["signals_inserted"] == \

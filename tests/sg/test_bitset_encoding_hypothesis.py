@@ -3,8 +3,10 @@
 Random labelled state graphs (not necessarily consistent STGs — the
 bitset layer is pure graph/code plumbing) drive the :class:`Encoding`
 kernels against straightforward set-based reference implementations:
-bitset round-trips, packed codes, forward closures, weakly connected
-components, event targets and the region queries built on them.  The
+bitset round-trips, packed codes, forward closures, successor and
+predecessor images, the states where a cover is 1, weakly connected
+components, event targets, diamonds and the region queries built on
+them.  The
 encoding itself is built by copying the graph's int-indexed arrays; it
 must equal one built by walking the public, identity-keyed API.  A
 pickled and reloaded graph must be indistinguishable through that API.
@@ -16,10 +18,12 @@ from typing import Dict, List, Set, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro._util import FrozenVector
+from repro.boolean.cube import Cube
 from repro.boolean.minimize import _vector_int
+from repro.boolean.sop import SopCover
 from repro.sg.graph import StateGraph
 from repro.sg.regions import (excitation_regions, quiescent_region,
-                              switching_region, _stable_closure)
+                              stable_closure, switching_region)
 
 SIGNALS = ("a", "b", "c")
 EVENTS = tuple(s + d for s in SIGNALS for d in "+-")
@@ -79,8 +83,14 @@ def public_view(sg: StateGraph) -> Tuple:
             sg.initial, [sg.code(s) for s in sg.states],
             [sg.successors(s) for s in sg.states],
             [sg.predecessors(s) for s in sg.states],
-            [sg.enabled(s) for s in sg.states], sg.bfs_order(),
+            [sg.enabled(s) for s in sg.states], sg.bfs_rank(),
             sg.diamonds())
+
+
+def bitset(sg: StateGraph, states) -> int:
+    """Pack states into a bitset over the graph's state indices."""
+    index = sg.encoding().index
+    return sum(1 << index[state] for state in set(states))
 
 
 def reference_closure(sg: StateGraph, start: Set, allowed: Set) -> Set:
@@ -121,7 +131,7 @@ class TestEncodingKernels:
         enc = sg.encoding()
         bits = raw & enc.full_mask
         states = enc.states_of(bits)
-        assert enc.bitset(states) == bits
+        assert bitset(sg, states) == bits
         assert states == sorted(states, key=enc.index.__getitem__)
 
     @given(graphs())
@@ -181,7 +191,43 @@ class TestEncodingKernels:
                     for label, target in sg.successors(state)
                     if label == event}
         assert set(enc.states_of(enc.event_targets(
-            event, enc.bitset(sources)))) == expected
+            event, bitset(sg, sources)))) == expected
+
+    @given(graphs(), st.integers(0, 2 ** 10 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_images_match_reference(self, sg, raw):
+        enc = sg.encoding()
+        sources = set(enc.states_of(raw & enc.full_mask))
+        bits = bitset(sg, sources)
+        assert set(enc.states_of(enc.successor_image(bits))) \
+            == {t for s in sources for _, t in sg.successors(s)}
+        assert set(enc.states_of(enc.predecessor_image(bits))) \
+            == {p for s in sources for _, p in sg.predecessors(s)}
+
+    @given(graphs(), st.lists(st.dictionaries(
+        st.sampled_from(SIGNALS), st.integers(0, 1)), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_cover_bits_match_evaluation(self, sg, cubes):
+        enc = sg.encoding()
+        cover = SopCover([Cube(literals) for literals in cubes])
+        assert set(enc.states_of(enc.cover_bits(cover))) \
+            == {s for s in sg.states if cover.evaluate(sg.code(s))}
+
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_diamond_table_lists_every_corner(self, sg):
+        enc = sg.encoding()
+        diamonds = enc.diamonds()
+        table = enc.diamond_table()
+        for i in range(len(sg)):
+            assert table[i] == [k for k, d in enumerate(diamonds)
+                                if i in (d[0], d[3], d[4], d[5])]
+        for bottom, event_a, event_b, side_a, side_b, top in diamonds:
+            assert event_a != event_b
+            assert (event_a, side_a) in enc.arcs[bottom]
+            assert (event_b, side_b) in enc.arcs[bottom]
+            assert (event_b, top) in enc.arcs[side_a]
+            assert (event_a, top) in enc.arcs[side_b]
 
     @given(graphs(), st.sampled_from(EVENTS))
     @settings(max_examples=100, deadline=None)
@@ -253,14 +299,16 @@ class TestRegionQueries:
     @settings(max_examples=100, deadline=None)
     def test_switching_and_quiescent_match_reference(self, sg, event):
         signal = event[:-1]
+        enc = sg.encoding()
         for region in excitation_regions(sg, event):
-            sr = switching_region(sg, region)
-            assert sr == {t for s in region.states
-                          for e, t in sg.successors(s) if e == event}
+            assert region.bits == bitset(sg, region.states)
+            sr = {t for s in region.states
+                  for e, t in sg.successors(s) if e == event}
+            assert set(enc.states_of(switching_region(sg, region))) == sr
             stable = {s for s in sg.states
                       if not sg.is_excited(s, signal)}
-            assert _stable_closure(sg, region) \
+            assert set(enc.states_of(stable_closure(sg, region))) \
                 == reference_closure(sg, sr, stable)
             # With no siblings the restricted QR is the closure itself.
             assert quiescent_region(sg, region) \
-                == _stable_closure(sg, region)
+                == stable_closure(sg, region)

@@ -4,8 +4,7 @@ import pytest
 
 from repro._util import FrozenVector
 from repro.errors import CscViolation
-from repro.sg.encoding import (code_partition, excited_value_states,
-                               next_state_sets, next_value, vectors_of)
+from repro.sg.encoding import next_state_ints, next_value
 from repro.sg.graph import StateGraph
 
 
@@ -23,8 +22,8 @@ class TestNextValue:
             else:
                 assert implied == code["c"]
 
-    def test_next_state_sets_partition(self, celement_sg):
-        on, off = next_state_sets(celement_sg, "c")
+    def test_next_state_ints_partition(self, celement_sg):
+        on, off = next_state_ints(celement_sg, "c", celement_sg.signals)
         assert not (set(on) & set(off))
         assert len(on) + len(off) == len(
             {celement_sg.code(s) for s in celement_sg.states})
@@ -42,25 +41,4 @@ class TestNextValue:
         sg.set_initial(0)
         # state 0 implies a rises (next=1); state 2 implies a stays 0.
         with pytest.raises(CscViolation):
-            next_state_sets(sg, "a")
-
-
-class TestHelpers:
-    def test_vectors_of_deduplicates(self, two_er_sg):
-        all_vectors = vectors_of(two_er_sg, two_er_sg.states)
-        assert len(all_vectors) == len(set(all_vectors))
-        assert len(all_vectors) <= len(two_er_sg)
-
-    def test_code_partition_covers_states(self, two_er_sg):
-        partition = code_partition(two_er_sg)
-        total = sum(len(states) for states in partition.values())
-        assert total == len(two_er_sg)
-        # two_er has code-sharing states by construction
-        assert any(len(states) > 1 for states in partition.values())
-
-    def test_excited_value_states(self, celement_sg):
-        rising = excited_value_states(celement_sg, "c", "+")
-        assert len(rising) == 1
-        (state,) = rising
-        assert celement_sg.code(state).as_dict() == {
-            "a": 1, "b": 1, "c": 0}
+            next_state_ints(sg, "a", sg.signals)

@@ -105,28 +105,29 @@ class TestAlgorithms:
         assert clone.initial == diamond_sg.initial
         assert clone.enabled("s0") == diamond_sg.enabled("s0")
 
-    def test_bfs_order_deterministic_and_complete(self, diamond_sg):
-        order = diamond_sg.bfs_order()
-        assert order[diamond_sg.initial] == 0
-        assert sorted(order.values()) == list(range(len(diamond_sg)))
-        assert diamond_sg.bfs_order() is order          # cached
+    def test_bfs_rank_deterministic_and_complete(self, diamond_sg):
+        rank = diamond_sg.bfs_rank()
+        assert rank[diamond_sg.states.index(diamond_sg.initial)] == 0
+        assert sorted(rank) == list(range(len(diamond_sg)))
+        assert diamond_sg.bfs_rank() is rank          # cached
 
-    def test_bfs_order_invalidated_by_mutation(self, diamond_sg):
-        order = diamond_sg.bfs_order()
+    def test_bfs_rank_invalidated_by_mutation(self, diamond_sg):
+        rank = diamond_sg.bfs_rank()
         diamond_sg.add_state("extra", vec(a=1, b=1))
         diamond_sg.add_arc("st", "a-", "extra")
-        fresh = diamond_sg.bfs_order()
-        assert fresh is not order
-        assert "extra" in fresh
+        fresh = diamond_sg.bfs_rank()
+        assert fresh is not rank
+        assert len(fresh) == len(diamond_sg)
+        assert fresh[diamond_sg.states.index("extra")] < len(diamond_sg)
 
-    def test_bfs_order_shared_by_copy(self, diamond_sg):
-        order = diamond_sg.bfs_order()
+    def test_bfs_rank_shared_by_copy(self, diamond_sg):
+        rank = diamond_sg.bfs_rank()
         clone = diamond_sg.copy()
-        assert clone.bfs_order() is order
+        assert clone.bfs_rank() is rank
         # mutating the clone detaches only the clone's cache
         clone.add_state("extra", vec(a=1, b=1))
-        assert clone.bfs_order() is not order
-        assert diamond_sg.bfs_order() is order
+        assert clone.bfs_rank() is not rank
+        assert diamond_sg.bfs_rank() is rank
 
     def test_relabel_bfs_names(self, diamond_sg):
         renamed = diamond_sg.relabel()

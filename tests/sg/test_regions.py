@@ -4,9 +4,13 @@ import pytest
 
 from repro.sg.regions import (all_excitation_regions, encoding_atoms,
                               event_cones, excitation_regions,
-                              quiescent_region, quiescent_regions_by_event,
+                              quiescent_region, stable_closure,
                               switching_region, trigger_events,
                               trigger_signals)
+
+
+def states_of(sg, bits):
+    return set(sg.encoding().states_of(bits))
 
 
 class TestExcitationRegions:
@@ -50,11 +54,15 @@ class TestExcitationRegions:
         (state,) = region.states
         assert state in region
 
+    def test_bits_match_states(self, two_er_sg):
+        for region in excitation_regions(two_er_sg, "x+"):
+            assert states_of(two_er_sg, region.bits) == set(region.states)
+
 
 class TestSwitchingRegion:
     def test_celement_sr(self, celement_sg):
         (region,) = excitation_regions(celement_sg, "c+")
-        sr = switching_region(celement_sg, region)
+        sr = states_of(celement_sg, switching_region(celement_sg, region))
         assert len(sr) == 1
         (state,) = sr
         assert celement_sg.code(state).as_dict() == {"a": 1, "b": 1, "c": 1}
@@ -63,7 +71,8 @@ class TestSwitchingRegion:
 class TestQuiescentRegion:
     def test_celement_qr(self, celement_sg):
         regions = excitation_regions(celement_sg, "c+")
-        qr = quiescent_region(celement_sg, regions[0], regions)
+        qr = states_of(celement_sg,
+                       quiescent_region(celement_sg, regions[0], regions))
         # After c+ fires, c stays 1 while a and b fall; c- becomes
         # excited only when a=b=0.  QR = {111, 011, 101} minus states
         # where c- is excited.
@@ -71,13 +80,23 @@ class TestQuiescentRegion:
         assert codes == {"111", "011", "101"}
 
     def test_restricted_qr_disjoint(self, two_er_sg):
-        pairs = quiescent_regions_by_event(two_er_sg, "x+")
-        (r1, q1), (r2, q2) = pairs
+        regions = excitation_regions(two_er_sg, "x+")
+        q1, q2 = (quiescent_region(two_er_sg, region, regions)
+                  for region in regions)
         assert not (q1 & q2)
+
+    def test_group_qr_subtracts_only_outside_siblings(self, two_er_sg):
+        regions = excitation_regions(two_er_sg, "x+")
+        closures = [stable_closure(two_er_sg, r) for r in regions]
+        assert quiescent_region(two_er_sg, regions, regions) \
+            == closures[0] | closures[1]
+        assert quiescent_region(two_er_sg, regions[:1], regions) \
+            == closures[0] & ~closures[1]
 
     def test_qr_excludes_excited_states(self, celement_sg):
         regions = excitation_regions(celement_sg, "c+")
-        qr = quiescent_region(celement_sg, regions[0], regions)
+        qr = states_of(celement_sg,
+                       quiescent_region(celement_sg, regions[0], regions))
         for state in qr:
             assert not celement_sg.is_excited(state, "c")
 
@@ -100,9 +119,8 @@ class TestEncodingAtoms:
         (region,) = excitation_regions(celement_sg, "c+")
         ((label, cone),) = event_cones(celement_sg, "c+")
         assert label == "SR∪QR(c+)"
-        expected = (switching_region(celement_sg, region)
-                    | quiescent_region(celement_sg, region))
-        assert cone == celement_sg.encoding().bitset(expected)
+        assert cone == (switching_region(celement_sg, region)
+                        | quiescent_region(celement_sg, region))
 
     def test_multi_region_events_get_indexed_cones(self, two_er_sg):
         cones = event_cones(two_er_sg, "x+")

@@ -70,19 +70,28 @@ class TestChangeSummary:
                                            SopCover.from_string("a b"))
         inserted = insert_signal(celement_sg, partition, "x")
         changes = inserted.changes
+        new_states = inserted.sg.states
         assert changes.signal == "x"
         # Every split state has both copies in the new graph; every
-        # unsplit state's level matches its copy's x code bit.
-        for state in changes.split_states:
-            assert (state, 0) in inserted.sg and (state, 1) in inserted.sg
-        for state, level in changes.levels.items():
-            assert (state, level) in inserted.sg
-            assert inserted.sg.code((state, level))["x"] == level
-            assert not changes.is_split(state)
-            assert changes.copy_of(state) == (state, level)
-        covered = changes.split_states | set(changes.levels)
-        assert covered == set(celement_sg.states)
-        assert changes.touches(changes.split_states)
+        # unsplit state's single copy sits at its level, and the copy
+        # index maps point at the (state, level) identities.
+        for i, state in enumerate(celement_sg.states):
+            held = [level for level in (0, 1)
+                    if changes.copies[level][i] >= 0]
+            for level in held:
+                copy = new_states[changes.copies[level][i]]
+                assert copy == (state, level)
+                assert inserted.sg.code(copy)["x"] == level
+            if (changes.split >> i) & 1:
+                assert held == [0, 1]
+            else:
+                (level,) = held
+                assert (changes.levels[level] >> i) & 1
+                assert not (changes.levels[1 - level] >> i) & 1
+        covered = changes.split | changes.levels[0] | changes.levels[1]
+        assert covered == celement_sg.encoding().full_mask
+        assert changes.split == partition.er_plus | partition.er_minus
+        assert "split=" in repr(changes)
 
     def test_stats_repr(self):
         stats = ResynthesisStats(resynthesized=2, reused=3)
