@@ -26,13 +26,38 @@ once into per-signal column bitsets in which bit *j* stands for vector
 columns, and how many it covers is a popcount — Espresso's positional
 cubes turned sideways.  The public API speaks
 :class:`~repro.boolean.cube.Cube` / :class:`~repro.boolean.sop.SopCover`.
+
+Inside a :func:`minimize_memo` scope an identical problem is solved
+once.  The synthesis flow poses many: it resynthesizes after every
+trial insertion, minimizes each gate in both polarities, and a
+pipeline run maps one circuit into several libraries from one initial
+synthesis.  The memo's
+
+* **scope** is the current thread, from entering
+  :func:`minimize_memo` until it exits; a nested scope shadows the
+  outer one and restores it on exit.  :meth:`repro.pipeline.run.
+  Pipeline.run` opens one per circuit around all its stages, so
+  concurrent jobs on other threads each see only their own memo.
+  With no scope active — direct library calls, ``map_circuit``, the
+  tests — every call computes;
+* **lifetime** ends with the scope: it is never process-wide and
+  never stored on a context, record or artifact;
+* **key** is exact: ``(support, passes, len(on), on, len(off), off)``
+  with each normalized (sorted, duplicate-free) vector list packed
+  into one int at ``len(support)`` bits per vector, the packing the
+  column transpose reads anyway.  The lookup runs after the overlap
+  check and the constant cases, so an over-constrained pair raises on
+  every call, and every cover handed out was verified on exactly its
+  own problem.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from functools import lru_cache
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro._util import popcount
 from repro.boolean.cube import Cube
@@ -87,21 +112,33 @@ class Columns(NamedTuple):
     columns: List[Tuple[int, int]]
 
 
-def _transpose(vectors: Sequence[int], width: int) -> Columns:
-    """Bit-slice ``vectors`` (packed over ``width`` signals) into
-    per-signal column bitsets: bit *j* stands for ``vectors[j]``."""
-    every = (1 << len(vectors)) - 1
-    if not vectors or not width:
-        return Columns(every, [(0, 0)] * width)
-    if max(vectors) >> width:
+def _pack(vectors: Sequence[int], width: int) -> int:
+    """Concatenate ``vectors`` (packed over ``width`` signals) into one
+    int, vector *j* at bit offset ``j * width``."""
+    if vectors and max(vectors) >> width:
         raise ValueError(f"a packed vector is wider than {width} signals")
-    # Vector j at bit offset j*width of one int, printed in binary: the
-    # strided slice of signal i reads vectors n-1 ... 0, most
-    # significant bit first, which is the column bitset of signal i.
     packed = 0
     for v in reversed(vectors):
         packed = packed << width | v
-    text = format(packed, f"0{width * len(vectors)}b")
+    return packed
+
+
+def _transpose(vectors: Sequence[int], width: int) -> Columns:
+    """Bit-slice ``vectors`` (packed over ``width`` signals) into
+    per-signal column bitsets: bit *j* stands for ``vectors[j]``."""
+    return _transpose_packed(_pack(vectors, width), len(vectors), width)
+
+
+def _transpose_packed(packed: int, count: int, width: int) -> Columns:
+    """:func:`_transpose` of the ``count`` vectors :func:`_pack` packed
+    into ``packed``."""
+    every = (1 << count) - 1
+    if not count or not width:
+        return Columns(every, [(0, 0)] * width)
+    # Vector j at bit offset j*width of one int, printed in binary: the
+    # strided slice of signal i reads vectors n-1 ... 0, most
+    # significant bit first, which is the column bitset of signal i.
+    text = format(packed, f"0{width * count}b")
     columns = []
     for i in range(width):
         ones = int(text[width - 1 - i::width], 2)
@@ -260,6 +297,47 @@ def _reduce(cube: IntCube, owned: int, on: Columns) -> IntCube:
     return mask, value
 
 
+class MinimizeMemo:
+    """The covers one :func:`minimize_memo` scope has solved, by exact
+    problem key, and how many calls it answered from them.  Keys share
+    one tuple per distinct support (a run poses thousands of problems
+    over a few dozen supports)."""
+
+    __slots__ = ("covers", "supports", "reused")
+
+    def __init__(self) -> None:
+        self.covers: Dict[Tuple, SopCover] = {}
+        self.supports: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self.reused = 0
+
+    @property
+    def solved(self) -> int:
+        """Distinct problems minimized in the scope."""
+        return len(self.covers)
+
+
+#: the current thread's memo scope (see :func:`minimize_memo`)
+_scope = threading.local()
+
+
+def current_memo() -> Optional[MinimizeMemo]:
+    """The current thread's innermost memo, or ``None``."""
+    return getattr(_scope, "memo", None)
+
+
+@contextmanager
+def minimize_memo() -> Iterator[MinimizeMemo]:
+    """Share a fresh :class:`MinimizeMemo` among every :func:`minimize`
+    call of the current thread until exit, then restore the enclosing
+    scope (or none)."""
+    outer = current_memo()
+    memo = _scope.memo = MinimizeMemo()
+    try:
+        yield memo
+    finally:
+        _scope.memo = outer
+
+
 def minimize(on: Iterable[Vector], off: Iterable[Vector],
              support: Sequence[str], passes: int = 2) -> SopCover:
     """Minimize the incompletely specified function (ON, OFF, DC=rest).
@@ -278,7 +356,9 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
     -------
     SopCover
         A cover ``c`` with ``c(v) = 1`` for all ``v`` in ``on`` and
-        ``c(v) = 0`` for all ``v`` in ``off``.
+        ``c(v) = 0`` for all ``v`` in ``off``.  Inside a
+        :func:`minimize_memo` scope, the cover the scope already solved
+        for the same problem.
 
     Raises
     ------
@@ -287,28 +367,35 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
     """
     support = tuple(support)
     width = len(support)
-    # Callers on the packed path (repro.sg.encoding.next_state_ints,
-    # synthesis/cover.py) pass vectors already packed in support bit
-    # order; mapping inputs are packed here.
-    on_ints = sorted({v if isinstance(v, int) else _vector_int(v, support)
-                      for v in on})
-    off_ints = sorted({v if isinstance(v, int) else _vector_int(v, support)
-                       for v in off})
-    overlap = set(on_ints) & set(off_ints)
-    if overlap:
-        bits = format(min(overlap), f"0{width}b")[::-1]
+    on_set = _vector_set(on, support)
+    off_set = _vector_set(off, support)
+    if not on_set.isdisjoint(off_set):
+        bits = format(min(on_set & off_set), f"0{width}b")[::-1]
         raise CoverError(
             f"ON and OFF sets overlap on vector {bits} over "
             f"{support}: the function is over-constrained (typically a "
             "CSC violation)")
-    if not on_ints:
+    if not on_set:
         return SopCover.zero()
-    if not off_ints:
+    if not off_set:
         return SopCover.one()
 
+    on_ints = sorted(on_set)
+    off_ints = sorted(off_set)
+    on_packed = _pack(on_ints, width)
+    off_packed = _pack(off_ints, width)
+    memo = current_memo()
+    if memo is not None:
+        key = (memo.supports.setdefault(support, support), passes,
+               len(on_ints), on_packed, len(off_ints), off_packed)
+        known = memo.covers.get(key)
+        if known is not None:
+            memo.reused += 1
+            return known
+
     full_mask = (1 << width) - 1
-    on_columns = _transpose(on_ints, width)
-    off_columns = _transpose(off_ints, width)
+    on_columns = _transpose_packed(on_packed, len(on_ints), width)
+    off_columns = _transpose_packed(off_packed, len(off_ints), width)
     cubes: List[IntCube] = [(full_mask, v) for v in on_ints]
     position = {v: j for j, v in enumerate(on_ints)}
     for round_index in range(max(1, passes)):
@@ -339,7 +426,19 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
 
     result = SopCover(_cube_back(c, support) for c in cubes)
     _verify(cubes, on_columns, off_columns)
+    if memo is not None:
+        memo.covers[key] = result
     return result
+
+
+def _vector_set(vectors: Iterable[Vector],
+                support: Tuple[str, ...]) -> Set[int]:
+    """The distinct vectors, packed in ``support`` bit order.  Callers on
+    the packed path (repro.sg.encoding.next_state_ints,
+    synthesis/cover.py) pass ints already in that order; mapping inputs
+    are packed here."""
+    return {v if isinstance(v, int) else _vector_int(v, support)
+            for v in vectors}
 
 
 def _verify(cubes: Sequence[IntCube], on: Columns, off: Columns) -> None:

@@ -129,6 +129,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         skipped = record.stats.get("signals_skipped", 0)
         print(f"resynthesis: {resynthesized} signals from scratch, "
               f"{reused} reused, {skipped} skipped")
+        print(record.minimizer_summary())
         if solve_csc:
             print(record.csc_summary())
         print(record.cache_summary())

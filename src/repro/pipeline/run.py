@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.boolean.minimize import minimize_memo
 from repro.mapping.decompose import MapperConfig, MappingResult
 from repro.mapping.progress import emit_progress
 from repro.obs.metrics import default_registry
@@ -103,6 +104,12 @@ class RunRecord:
                      f"writes, {self.stats.get('remote_errors', 0)} "
                      f"errors")
         return line
+
+    def minimizer_summary(self) -> str:
+        """One line of minimizer telemetry: distinct problems solved,
+        and calls answered from the run's memo."""
+        return (f"minimizer: {self.stats.get('minimize_solved', 0)} "
+                f"solved, {self.stats.get('minimize_reused', 0)} reused")
 
     def csc_summary(self) -> str:
         """One line of CSC-solver telemetry (only meaningful when the
@@ -206,7 +213,21 @@ class Pipeline:
 
     def run(self, source: Source) -> RunRecord:
         """Execute every stage for one circuit; errors propagate (the
-        batch runner adds per-circuit fault isolation on top)."""
+        batch runner adds per-circuit fault isolation on top).
+
+        All stages share one minimization memo (:func:`repro.boolean.
+        minimize.minimize_memo`), so a problem the initial synthesis,
+        the CSC solve or any mapping of the battery has solved is not
+        solved again for this circuit.  The memo dies with the run;
+        its counts land in ``stats`` as ``minimize_solved`` and
+        ``minimize_reused``."""
+        with minimize_memo() as memo:
+            record = self._run(source)
+        record.stats["minimize_solved"] = memo.solved
+        record.stats["minimize_reused"] = memo.reused
+        return record
+
+    def _run(self, source: Source) -> RunRecord:
         config = self.config
         mapper_config = config.mapper or MapperConfig()
         record = RunRecord(name="?")

@@ -33,6 +33,7 @@ excitation bitsets.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro._util import FrozenVector
@@ -43,6 +44,9 @@ from repro.sg.graph import Event, State, StateGraph
 
 #: ``(bottom, event_a, event_b, side_a, side_b, top)`` state indices
 IndexDiamond = Tuple[int, Event, Event, int, int, int]
+
+#: ``bytes.translate`` table from binary digits to 0/1 bytes
+_BINARY_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Encoding:
@@ -179,8 +183,10 @@ class Encoding:
 
     def codes_of(self, bits: int) -> Set[int]:
         """Distinct packed codes of the states in a bitset."""
-        codes = self.codes
-        return {codes[i] for i in self.iter_bits(bits)}
+        # The reversed binary numeral of ``bits`` holds state i's
+        # membership at byte i: one C-level compress over the codes.
+        flags = format(bits, "b").encode().translate(_BINARY_FLAGS)
+        return set(compress(self.codes, flags[::-1]))
 
     def project(self, packed: int, support: Sequence[str]) -> int:
         """Re-pack a code onto ``support`` (bit ``i`` = ``support[i]``),
@@ -365,26 +371,35 @@ def next_state_ints(sg: StateGraph, signal: str,
     projected onto ``support`` in :func:`repro.boolean.minimize.
     _vector_int` bit order.
 
-    One pass over the packed codes and excitation bitsets.  Raises
-    :class:`CscViolation` if some *full* code appears with both implied
-    values (checked before projection) — exactly the situation in which
-    no logic function can implement the signal.
+    The ON states are ``value_bits(signal) ^ excited_bits(signal)``:
+    1 and stable, or 0 and rising.  Their codes and the OFF states'
+    codes are collected as sets, and raise :class:`CscViolation` if
+    some *full* code appears in both (checked before projection) —
+    exactly the situation in which no logic function can implement the
+    signal.  The full support returns the codes as they are.  The
+    support of a complete cover — every signal but ``signal``, in
+    order — drops the signal's bit with one shift and mask per code;
+    any other support re-packs each code with :meth:`Encoding.project`.
     """
     enc = sg.encoding()
-    excited = enc.excited_bits(signal)
-    vbit = 1 << enc.bit[signal]
-    on: Set[int] = set()
-    off: Set[int] = set()
-    for i, code in enumerate(enc.codes):
-        implied = bool(code & vbit) ^ bool((excited >> i) & 1)
-        (on if implied else off).add(code)
+    on_bits = enc.value_bits(signal) ^ enc.excited_bits(signal)
+    on = enc.codes_of(on_bits)
+    off = enc.codes_of(enc.full_mask & ~on_bits)
     clash = on & off
     if clash:
         sample = enc.unpack(min(clash))
         raise CscViolation(
             f"next-state function of {signal!r} is ill-defined on code "
             f"{sample!r} (CSC violation)")
-    if tuple(support) == enc.signals:
+    support = tuple(support)
+    signals = enc.signals
+    if support == signals:
         return sorted(on), sorted(off)
+    position = enc.bit[signal]
+    if support == signals[:position] + signals[position + 1:]:
+        low = (1 << position) - 1
+        high = ~low
+        return (sorted({c & low | c >> 1 & high for c in on}),
+                sorted({c & low | c >> 1 & high for c in off}))
     return (sorted({enc.project(code, support) for code in on}),
             sorted({enc.project(code, support) for code in off}))

@@ -1,5 +1,7 @@
 """Tests for the ``si-mapper`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -112,6 +114,9 @@ b+/2 a+
         out = capsys.readouterr().out
         assert "half" in out
         assert "stage timings:" in out and "reach" in out
+        # the run's minimizer memo counts follow the resynthesis line
+        assert re.search(r"^resynthesis: .*\nminimizer: \d+ solved, "
+                         r"\d+ reused$", out, re.MULTILINE)
 
     def test_map_cache_dir_warm_run(self, tmp_path, capsys):
         """Second --cache-dir run: identical output, zero heavy
