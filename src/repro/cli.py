@@ -90,6 +90,18 @@ def _cache_of(args: argparse.Namespace) -> Optional[ArtifactCache]:
     return ArtifactCache(disk=store)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count that may be 0 but not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _solve_csc_requested(args: argparse.Namespace) -> bool:
     """Choosing a non-default CSC method implies the stage itself —
     one rule shared by every sub-command that has both flags."""
@@ -836,7 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_csc.add_argument("--csc-method", choices=["blocks", "regions"],
                        default="blocks",
                        help="candidate family (default: blocks)")
-    p_csc.add_argument("--max-signals", type=int, default=8,
+    p_csc.add_argument("--max-signals", type=_non_negative_int,
+                       default=8,
                        help="insertion budget (default 8)")
     p_csc.add_argument("--dot", help="write the solved SG as GraphViz")
     p_csc.set_defaults(func=_cmd_csc)

@@ -30,22 +30,43 @@ families are available, selected by :attr:`CscConfig.method`:
 
 Both families run on the graph's packed
 :class:`~repro.sg.encoding.Encoding`: candidate blocks are state
-bitsets, so building, deduplicating and pre-ranking them are int
-operations and popcounts, and the blocks trial-inserted (at most
-:attr:`CscConfig.max_candidates` per signal) go to the I-partition
-growth as they are.
+bitsets, ranked by the conflict pairs they split, and the blocks
+trial-inserted go to the I-partition growth as they are.  The solver
+builds and ranks only what its trial loop reads: the first ``limit``
+(:attr:`CscConfig.max_candidates`) places of the ranking.
+
+* *Slices.*  Every slice cut at one stop ``v`` is reachability in the
+  subgraph of the states where ``v`` is not enabled.  One
+  :meth:`~repro.sg.encoding.Encoding.reach_sets` table per stop (a
+  Tarjan condensation, so cycles cost nothing extra) holds every
+  state's reach set, and a slice is the OR of its sources' sets.
+* *The cut.*  The split of the ``limit``-th best distinct block seen
+  so far, seeded from the atoms and slices.  It only grows, and a
+  block splitting fewer pairs cannot reach the first ``limit``
+  places.
+* *The bound.*  A conflict pair split by ``a ∩ b``, ``a − b`` or
+  ``b − a`` is split by ``a`` or by ``b``, so with ``S`` an atom's
+  mask of split pairs, ``popcount(S_a | S_b)`` bounds all three.  An
+  atom pair whose bound falls below the cut is skipped unbuilt.  A
+  block that such a pair would have labelled first cannot reach the
+  first places either, so first-label-wins dedupe holds for every
+  block that can.
+* *Lazy keys.*  Input borders, block sizes and label strings are
+  built only for the split groups at or above the final cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from heapq import heappush, heapreplace
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util import popcount
 from repro.errors import CoverError, CscViolation, InsertionError
 from repro.mapping.insertion import insert_signal
 from repro.mapping.partition import compute_insertion_sets_from_states
+from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
 from repro.sg.regions import encoding_atoms, excitation_regions
 
@@ -60,8 +81,9 @@ class CscConfig:
     ``method`` selects the candidate-block family (``"regions"`` is the
     reference-[6] algebra, ``"blocks"`` the original after-u-until-v
     heuristic); ``max_signals`` bounds the number of inserted encoding
-    signals; ``max_candidates`` bounds the trial insertions evaluated
-    per signal; ``signal_prefix`` names the inserted signals.
+    signals (0 or more); ``max_candidates`` bounds the trial insertions
+    evaluated per signal (at least 1); ``signal_prefix`` names the
+    inserted signals.
     """
 
     method: str = "blocks"
@@ -74,6 +96,12 @@ class CscConfig:
             raise ValueError(
                 f"unknown CSC method {self.method!r} "
                 f"(choose from {', '.join(CSC_METHODS)})")
+        if self.max_candidates < 1:
+            raise ValueError(f"max_candidates must be at least 1, got "
+                             f"{self.max_candidates}")
+        if self.max_signals < 0:
+            raise ValueError(f"max_signals must not be negative, got "
+                             f"{self.max_signals}")
 
 
 def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
@@ -107,76 +135,163 @@ def _conflict_pairs(sg: StateGraph) -> List[Tuple[int, int]]:
 # Candidate families
 # ----------------------------------------------------------------------
 
-def _fresh_filter() -> Callable[[int], bool]:
-    """A filter admitting every non-empty bitset once (no candidate is
-    full: atoms are proper, and a slice omits its stop event's ER)."""
-    seen: Set[int] = {0}
-
-    def fresh(bits: int) -> bool:
-        new = bits not in seen
-        seen.add(bits)
-        return new
-    return fresh
+#: a candidate's label, kept as parts until the block can be ranked
+Label = Tuple[str, ...]
 
 
-def _event_blocks(sg: StateGraph,
-                  fresh: Optional[Callable[[int], bool]] = None
-                  ) -> List[Tuple[str, int]]:
-    """Legacy candidate blocks, as state bitsets: "after ``u`` until
-    ``v``" is the forward closure of ``u``'s switching regions through
-    the states where ``v`` is not enabled.  ``fresh`` filters them."""
-    enc = sg.encoding()
-    fresh = fresh or _fresh_filter()
-    blocks: List[Tuple[str, int]] = []
-    events = enc.events
-    for start in events:
-        sources = enc.event_targets(start, enc.event_bits(start))
-        for stop in events:
-            if stop != start:
-                block = enc.closure_forward(
-                    sources, enc.full_mask & ~enc.event_bits(stop))
-                if fresh(block):
-                    blocks.append((f"after {start} until {stop}", block))
-    return blocks
+def _event_slices(enc: Encoding) -> List[Tuple[Label, int]]:
+    """Every "after ``u`` until ``v``" slice, ``u`` outer and ``v``
+    inner in sorted event order, including empty and repeated ones: the
+    forward closure of ``u``'s switching regions through the states
+    where ``v`` is not enabled.
 
-
-def _region_blocks(sg: StateGraph) -> List[Tuple[str, int]]:
-    """Regions-based candidate blocks (reference [6]), as bitsets.
-
-    Three sources, all rooted in the region algebra of
-    :mod:`repro.sg.regions`:
-
-    * the *atoms* — event cones ``SR_j ∪ QR_j``, excitation regions and
-      signal half-spaces (:func:`~repro.sg.regions.encoding_atoms`);
-    * their closure under one level of pairwise intersection and
-      difference — intersections express "both u and v have happened"
-      windows, differences "after u but not yet v" windows;
-    * the inter-event *slices*: for every event pair, the forward
-      closure of ``u``'s switching regions cut at ``v``'s excitation
-      states — phase windows that span signal toggles, which no
-      single-signal cone can.
-
-    Between them the family covers the classic hand-made CSC signals
-    (phase flags, request-seen latches, done markers) and the finer
-    per-region cuts the event-pair heuristic alone cannot make on
-    multi-region events.  Deduplication keeps the first label of each
-    state set; labels are formatted only for new blocks.
+    All slices cut at one stop ``v`` are reachability in the same
+    subgraph, so one :meth:`~repro.sg.encoding.Encoding.reach_sets`
+    table per stop answers them all: a slice is the OR of its source
+    states' reach sets.
     """
-    atoms = encoding_atoms(sg)
-    fresh = _fresh_filter()
-    blocks = [(label, atom) for label, atom in atoms if fresh(atom)]
-    for i, (label_a, atom_a) in enumerate(atoms):
-        for label_b, atom_b in atoms[i + 1:]:
-            both = atom_a & atom_b
-            if fresh(both):
-                blocks.append((f"{label_a} ∩ {label_b}", both))
-            a_only = atom_a & ~atom_b
-            if fresh(a_only):
-                blocks.append((f"{label_a} − {label_b}", a_only))
-            b_only = atom_b & ~atom_a
-            if fresh(b_only):
-                blocks.append((f"{label_b} − {label_a}", b_only))
-    return blocks + _event_blocks(sg, fresh)
+    events = enc.events
+    sources = [list(enc.iter_bits(enc.event_targets(u, enc.event_bits(u))))
+               for u in events]
+    columns = []
+    for stop in events:
+        reach = enc.reach_sets(enc.full_mask & ~enc.event_bits(stop))
+        column = []
+        for states in sources:
+            block = 0
+            for i in states:
+                block |= reach[i]
+            column.append(block)
+        columns.append(column)
+    return [(("after ", start, " until ", stop), columns[k][m])
+            for m, start in enumerate(events)
+            for k, stop in enumerate(events) if k != m]
+
+
+def _split_masks(enc: Encoding, conflicts: Sequence[Tuple[int, int]]
+                 ) -> Callable[[int], int]:
+    """The conflict pairs a block splits, as a bitset over pair
+    positions, memoized on the block's conflicted states.
+
+    Pair ``p`` owns bit ``p`` of both its ends' masks, so the XOR of
+    the masks of the block's states keeps the pairs with exactly one
+    end inside.
+    """
+    masks = [0] * len(enc.states)
+    conflicted = 0
+    for pair, ends in enumerate(conflicts):
+        for i in ends:
+            masks[i] |= 1 << pair
+            conflicted |= 1 << i
+    memo: Dict[int, int] = {}
+
+    def split_mask(block: int) -> int:
+        key = block & conflicted
+        flips = memo.get(key)
+        if flips is None:
+            flips = 0
+            bits = key
+            while bits:
+                low = bits & -bits
+                flips ^= masks[low.bit_length() - 1]
+                bits ^= low
+            memo[key] = flips
+        return flips
+    return split_mask
+
+
+def _ranked_blocks(sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
+                   method: str, limit: int
+                   ) -> List[Tuple[Tuple, str, int]]:
+    """The ``limit`` best candidate blocks of ``method``'s family, as
+    ``(key, label, block)`` in ranking order.
+
+    The family is deduplicated by state set, first label winning: the
+    slices alone under ``"blocks"``; under ``"regions"`` the atoms,
+    then each atom pair's ``a ∩ b``, ``a − b`` and ``b − a``, then the
+    slices.  Blocks that split no conflict pair are dropped.
+
+    Primary key: conflict pairs split (desc).  The regions method
+    breaks ties by combined input-border size — the borders seed the
+    new signal's excitation regions, so they bound its trigger logic
+    from below — then block size and label; the blocks method keeps
+    its historical ``(block size, label)`` order.  A side's input
+    border is its intersection with the other side's successor image.
+
+    The result equals the first ``limit`` entries of that ranking over
+    the whole family; the cut, the bound and the lazy keys (see the
+    module docstring) only skip blocks that cannot reach them.
+    """
+    enc = sg.encoding()
+    split_mask = _split_masks(enc, conflicts)
+    splits: Dict[int, int] = {}  # every distinct block counted
+    top: List[int] = []  # min-heap: the best ``limit`` splits counted
+
+    def count(block: int) -> None:
+        """Count a block toward the cut, once per state set."""
+        if block in splits:
+            return
+        split = splits[block] = popcount(split_mask(block))
+        if split:
+            if len(top) < limit:
+                heappush(top, split)
+            elif split > top[0]:
+                heapreplace(top, split)
+
+    def cut() -> int:
+        return top[0] if len(top) == limit else 1
+
+    first: Dict[int, Label] = {}
+    slices = _event_slices(enc)
+    if method == "regions":
+        atoms = encoding_atoms(sg)  # distinct, non-empty and proper
+        for label, atom in atoms:
+            first[atom] = (label,)
+            count(atom)
+        later: Dict[int, Label] = {}
+        for label, block in slices:
+            if block and block not in first:
+                later.setdefault(block, label)
+                count(block)
+        masks = [split_mask(atom) for _, atom in atoms]
+        for i, (label_a, atom_a) in enumerate(atoms):
+            mask_a, bound = masks[i], cut()
+            for j in [j for j in range(i + 1, len(atoms))
+                      if popcount(mask_a | masks[j]) >= bound]:
+                label_b, atom_b = atoms[j]
+                for label, block in (
+                        ((label_a, " ∩ ", label_b), atom_a & atom_b),
+                        ((label_a, " − ", label_b), atom_a & ~atom_b),
+                        ((label_b, " − ", label_a), atom_b & ~atom_a)):
+                    if block and block not in first:
+                        first[block] = label
+                        count(block)
+        for block, label in later.items():
+            first.setdefault(block, label)
+    else:
+        for label, block in slices:
+            if block and block not in first:
+                first[block] = label
+                count(block)
+
+    floor = cut()
+    image = enc.successor_image
+    ranked = []
+    for block, parts in first.items():
+        split = splits[block]
+        if split < floor:
+            continue
+        label = "".join(parts)
+        if method == "regions":
+            rest = enc.full_mask & ~block
+            border = (popcount(block & image(rest))
+                      + popcount(rest & image(block)))
+            key: Tuple = (-split, border, popcount(block), label)
+        else:
+            key = (-split, popcount(block), label)
+        ranked.append((key, label, block))
+    ranked.sort(key=itemgetter(0))
+    return ranked[:limit]
 
 
 # ----------------------------------------------------------------------
@@ -301,52 +416,6 @@ def _fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
     return name
 
 
-def _ranked_blocks(sg: StateGraph, blocks: Iterable[Tuple[str, int]],
-                   conflicts: Sequence[Tuple[int, int]],
-                   with_borders: bool = False
-                   ) -> List[Tuple[Tuple, str, int]]:
-    """Pre-rank candidate blocks before any insertion is paid for.
-
-    Primary key: conflict pairs split (desc).  With ``with_borders``
-    (the regions method) the first tie-breaker is the combined
-    input-border size — the borders seed the new signal's excitation
-    regions, so they bound its trigger logic from below; the legacy
-    method keeps its historical ``(block size, label)`` order so its
-    results stay reproducible.
-
-    Conflicts are state index pairs.  Splits XOR per-state masks (pair
-    ``p`` owns bit ``p``): the pairs with one end in the block keep
-    their bit.  A side's input border is its intersection with the
-    other side's successor image.
-    """
-    enc = sg.encoding()
-    masks = [0] * len(enc.states)
-    conflicted = 0
-    for pair, ends in enumerate(conflicts):
-        for i in ends:
-            masks[i] |= 1 << pair
-            conflicted |= 1 << i
-    image = enc.successor_image if with_borders else None
-    ranked = []
-    for label, block in blocks:
-        flips = 0
-        for i in enc.iter_bits(block & conflicted):
-            flips ^= masks[i]
-        split = popcount(flips)
-        if not split:
-            continue
-        if image is not None:
-            rest = enc.full_mask & ~block
-            border = (popcount(block & image(rest))
-                      + popcount(rest & image(block)))
-            key = (-split, border, popcount(block), label)
-        else:
-            key = (-split, popcount(block), label)
-        ranked.append((key, label, block))
-    ranked.sort(key=lambda item: item[0])
-    return ranked
-
-
 def _try_insertion(sg: StateGraph, block: int,
                    name: str) -> Optional[StateGraph]:
     """Grow the block into an I-partition and trial-insert ``name``;
@@ -364,9 +433,9 @@ def _insert_first_improving_block(
         name: str, config: CscConfig
         ) -> Optional[Tuple[StateGraph, CscStep]]:
     """The legacy strategy: first candidate that reduces conflicts."""
-    ranked = _ranked_blocks(sg, _event_blocks(sg), conflicts)
     evaluated = 0
-    for _, label, block in ranked[:config.max_candidates]:
+    for _, label, block in _ranked_blocks(sg, conflicts, "blocks",
+                                          config.max_candidates):
         candidate_sg = _try_insertion(sg, block, name)
         evaluated += 1
         if candidate_sg is None:
@@ -413,11 +482,10 @@ def _insert_best_region_block(
     """The regions strategy: evaluate the top candidates of the region
     algebra and keep the one with the best (conflicts remaining,
     estimated logic cost) pair."""
-    ranked = _ranked_blocks(sg, _region_blocks(sg), conflicts,
-                            with_borders=True)
     best: Optional[Tuple[Tuple, StateGraph, CscStep]] = None
     evaluated = 0
-    for _, label, block in ranked[:config.max_candidates]:
+    for _, label, block in _ranked_blocks(sg, conflicts, "regions",
+                                          config.max_candidates):
         candidate_sg = _try_insertion(sg, block, name)
         evaluated += 1
         if candidate_sg is None:

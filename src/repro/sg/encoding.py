@@ -14,8 +14,10 @@ instance fixes
   and emptiness checks are single bulk bitwise operations;
 * packed adjacency (successor/predecessor bitsets per state) and
   per-event enabledness bitsets, so forward closures run as
-  word-parallel frontier sweeps, and successor/predecessor *images* of
-  whole sets are one table lookup per byte of the set;
+  word-parallel frontier sweeps, the closures of every single state
+  inside one subset come from one strongly-connected-component pass,
+  and successor/predecessor *images* of whole sets are one table
+  lookup per byte of the set;
 * the set of states where a cover evaluates to 1, as one AND of value
   half-spaces per cube.
 
@@ -326,6 +328,68 @@ class Encoding:
             frontier = step & allowed & ~closure
             closure |= frontier
         return closure
+
+    def reach_sets(self, allowed: int) -> List[int]:
+        """Forward closure of every single state inside ``allowed``:
+        ``reach[i] == closure_forward(1 << i, allowed)`` for ``i`` in
+        ``allowed``, 0 elsewhere.
+
+        One iterative Tarjan pass condenses the induced subgraph into
+        strongly connected components, so cycles cost nothing extra.
+        Tarjan completes a component only after every component it
+        reaches, so the component's reach set is its own states ORed
+        with the finished reach sets of the states its arcs leave to.
+        """
+        succ = self.succ_bits
+        reach = [0] * len(succ)
+        order = [0] * len(succ)      # DFS discovery number, 0: unvisited
+        low = [0] * len(succ)
+        stack: List[int] = []        # Tarjan's stack of open states
+        counter = 0
+        for root in self.iter_bits(allowed):
+            if order[root]:
+                continue
+            counter += 1
+            order[root] = low[root] = counter
+            stack.append(root)
+            work = [(root, succ[root] & allowed)]
+            while work:
+                v, rest = work[-1]
+                if rest:
+                    bit = rest & -rest
+                    work[-1] = (v, rest ^ bit)
+                    w = bit.bit_length() - 1
+                    if not order[w]:
+                        counter += 1
+                        order[w] = low[w] = counter
+                        stack.append(w)
+                        work.append((w, succ[w] & allowed))
+                    elif not reach[w] and order[w] < low[v]:
+                        # w is still open: on the stack, in v's component
+                        low[v] = order[w]
+                    continue
+                work.pop()
+                if low[v] == order[v]:
+                    members = exits = 0
+                    while True:
+                        w = stack.pop()
+                        members |= 1 << w
+                        exits |= succ[w]
+                        if w == v:
+                            break
+                    closure = members
+                    exits &= allowed & ~members
+                    while exits:
+                        bit = exits & -exits
+                        closure |= reach[bit.bit_length() - 1]
+                        exits ^= bit
+                    while members:
+                        bit = members & -members
+                        reach[bit.bit_length() - 1] = closure
+                        members ^= bit
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+        return reach
 
     def components(self, bits: int) -> List[int]:
         """Weakly connected components of the subgraph induced by

@@ -102,6 +102,20 @@ class TestSolver:
         with pytest.raises(ValueError):
             CscConfig(method="magic")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_candidate_budget_must_be_positive(self, budget):
+        """A budget below one would slice the ranking from the end
+        (-1) or try nothing and report a stall (0)."""
+        with pytest.raises(ValueError, match="max_candidates"):
+            CscConfig(max_candidates=budget)
+
+    def test_negative_signal_budget_rejected(self, bad_sequencer_sg):
+        with pytest.raises(ValueError, match="max_signals"):
+            CscConfig(max_signals=-1)
+        with pytest.raises(ValueError, match="max_signals"):
+            solve_csc(bad_sequencer_sg, max_signals=-1)
+        assert CscConfig(max_signals=0).max_signals == 0
+
     @pytest.mark.parametrize("method", CSC_METHODS)
     def test_both_methods_solve_and_stamp_result(self,
                                                  bad_sequencer_sg,

@@ -6,30 +6,36 @@ int bitsets).  The set-based formulations below are the reference
 semantics, kept only here: every kernel must reproduce them element by
 element and in order — same labels, same state sets, same ranking keys,
 same conflict pairs — because the candidate order decides which signal
-the solver inserts.
+the solver inserts.  The solver builds only the blocks that can reach
+the first ``limit`` places of the ranking, so its ranked output is
+compared with a prefix of the reference ranking of the whole family.
 
 The properties run on random handshake STGs, on chained sequencers and
-alternators, and on graphs taken mid-solve after one or two insertions
-(whose states are nested ``(state, level)`` tuples).
+alternators, on sequencers sharing a choice place with a second
+handshake (whose slices run through cycles), and on graphs taken
+mid-solve after one or two insertions (whose states are nested
+``(state, level)`` tuples).
 """
 
+import itertools
 import re
+import sys
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mapping.csc import (CSC_METHODS, CscConfig, _conflict_pairs,
-                               _event_blocks, _insert_best_region_block,
+                               _event_slices, _insert_best_region_block,
                                _insert_first_improving_block,
-                               _ranked_blocks, _region_blocks,
-                               csc_conflicts)
+                               _ranked_blocks, csc_conflicts)
 from repro._util import FrozenVector
 from repro.sg.graph import State, StateGraph, event_signal
 from repro.sg.properties import csc_violations
 from repro.sg.reachability import state_graph_of
 from repro.sg.regions import encoding_atoms, excitation_regions
 from repro.stg.builders import marked_graph
+from repro.stg.parser import parse_g
 from tests.conftest import alternator_stg, chained_sequencer_stg
 from tests.mapping.test_partition_reference import (ref_input_border,
                                                     ref_quiescent_region,
@@ -121,25 +127,30 @@ def ref_forward_until(sg: StateGraph, sources: Set[State],
     return block
 
 
-def ref_event_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
+def ref_slices(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
+    """Every "after u until v" slice, undeduplicated, u outer."""
     events = _arc_events(sg)
-    blocks = []
-    seen: Set[FrozenSet] = set()
+    slices = []
     for start in events:
         start_states: Set[State] = set()
         for region in excitation_regions(sg, start):
             start_states |= ref_switching_region(sg, region)
         for stop in events:
-            if stop == start:
-                continue
-            block = ref_forward_until(sg, start_states, stop)
-            if not block or len(block) == len(sg):
-                continue
-            key = frozenset(block)
-            if key in seen:
-                continue
-            seen.add(key)
-            blocks.append((f"after {start} until {stop}", block))
+            if stop != start:
+                slices.append((f"after {start} until {stop}",
+                               ref_forward_until(sg, start_states, stop)))
+    return slices
+
+
+def ref_event_blocks(sg: StateGraph) -> List[Tuple[str, Set[State]]]:
+    blocks = []
+    seen: Set[FrozenSet] = set()
+    for label, block in ref_slices(sg):
+        key = frozenset(block)
+        if not block or len(block) == len(sg) or key in seen:
+            continue
+        seen.add(key)
+        blocks.append((label, block))
     return blocks
 
 
@@ -210,8 +221,38 @@ def falling_alternator_stg(outputs: int):
                         [(f"o{outputs}+", "r+")])
 
 
+def choice_sequencer_stg(stages: int):
+    """A chained sequencer and a plain ``x``/``b`` handshake sharing one
+    choice place: at every return to the initial state the environment
+    picks a loop.  Cutting the graph at an event of either loop leaves
+    the other loop's cycle intact, so these are the graphs whose slices
+    run through cycles."""
+    arcs = [("p0", "r+"), ("r+", "ro1+")]
+    for i in range(1, stages + 1):
+        arcs += [(f"ro{i}+", f"ai{i}+"), (f"ai{i}+", f"ro{i}-"),
+                 (f"ro{i}-", f"ai{i}-")]
+        if i < stages:
+            arcs.append((f"ai{i}-", f"ro{i + 1}+"))
+    arcs += [(f"ai{stages}-", "a+"), ("a+", "r-"), ("r-", "a-"),
+             ("a-", "p0"), ("p0", "x+"), ("x+", "b+"), ("b+", "x-"),
+             ("x-", "b-"), ("b-", "p0")]
+    stages_of = range(1, stages + 1)
+    return parse_g("\n".join(
+        [f".model choice{stages}",
+         ".inputs r x " + " ".join(f"ai{i}" for i in stages_of),
+         ".outputs a b " + " ".join(f"ro{i}" for i in stages_of),
+         ".graph"]
+        + [f"{source} {target}" for source, target in arcs]
+        + [".marking { p0 }", ".end", ""]))
+
+
 BUILDERS = {"seqcsc": chained_sequencer_stg, "alternator": alternator_stg,
-            "falling": falling_alternator_stg}
+            "falling": falling_alternator_stg,
+            "choice": choice_sequencer_stg}
+
+#: ranking prefixes compared with the reference: the smallest cuts,
+#: the solver's default budget and the whole ranking
+LIMITS = (1, 2, 24, sys.maxsize)
 
 
 def mid_solve(sg: StateGraph, method: str, steps: int) -> StateGraph:
@@ -233,9 +274,9 @@ def mid_solve(sg: StateGraph, method: str, steps: int) -> StateGraph:
 
 @st.composite
 def candidate_sgs(draw):
-    """A handshake STG, a chained sequencer or an alternator of either
-    phase, taken before the solver starts or after one or two
-    insertions."""
+    """A handshake STG, a chained sequencer, an alternator of either
+    phase or a choice sequencer, taken before the solver starts or
+    after one or two insertions."""
     if draw(st.booleans()):
         base = draw(handshake_sgs())
     else:
@@ -261,21 +302,24 @@ def _check_candidate_families(sg):
     enc = sg.encoding()
     assert [(label, frozenset(enc.states_of(bits)))
             for label, bits in encoding_atoms(sg)] == ref_encoding_atoms(sg)
-    assert unpacked(sg, _event_blocks(sg)) == ref_event_blocks(sg)
-    assert unpacked(sg, _region_blocks(sg)) == ref_region_blocks(sg)
+    assert [("".join(parts), set(enc.states_of(bits)))
+            for parts, bits in _event_slices(enc)] == ref_slices(sg)
 
 
 def _check_ranking(sg):
+    """Every method and limit: the solver's ranked output is the
+    prefix of the reference ranking of the whole family."""
     conflicts = ref_csc_conflicts(sg)
     index = sg.encoding().index
     pairs = [(index[left], index[right]) for left, right in conflicts]
-    assert unpacked(sg, _ranked_blocks(sg, _event_blocks(sg),
-                                       pairs)) == \
-        ref_ranked_blocks(sg, ref_event_blocks(sg), conflicts)
-    assert unpacked(sg, _ranked_blocks(sg, _region_blocks(sg), pairs,
-                                       with_borders=True)) == \
-        ref_ranked_blocks(sg, ref_region_blocks(sg), conflicts,
-                          with_borders=True)
+    for method, family in (("blocks", ref_event_blocks(sg)),
+                           ("regions", ref_region_blocks(sg))):
+        reference = ref_ranked_blocks(sg, family, conflicts,
+                                      with_borders=method == "regions")
+        for limit in LIMITS:
+            assert unpacked(sg, _ranked_blocks(sg, pairs, method,
+                                               limit)) == \
+                reference[:limit]
 
 
 def _violation_codes(sg):
@@ -321,6 +365,45 @@ def test_mid_solve_graphs_match_set_reference(family, size, method, steps):
     _check_candidate_families(sg)
     _check_ranking(sg)
     _check_conflicts(sg)
+
+
+def test_family_cuts_inside_a_tie_group():
+    """Somewhere in the fixed family a cut falls inside a group of
+    equal split, and there the prefixes still match the reference: the
+    tie-breaking of the lazily keyed groups is checked, not only whole
+    groups."""
+    for family, size, method, steps in itertools.product(
+            sorted(BUILDERS), [2, 3, 4], CSC_METHODS, [0, 1, 2]):
+        sg = mid_solve(state_graph_of(BUILDERS[family](size)), method,
+                       steps)
+        ranked = _ranked_blocks(sg, _conflict_pairs(sg), method,
+                                sys.maxsize)
+        if any(len(ranked) > limit
+               and ranked[limit - 1][0][0] == ranked[limit][0][0]
+               for limit in LIMITS[:-1]):
+            _check_ranking(sg)
+            return
+    pytest.fail("no cut falls inside a tie group of equal split")
+
+
+def _cyclic_stops(sg: StateGraph) -> List[str]:
+    """Stop events ``v`` whose cut graph (the states not enabling
+    ``v``) still has a cycle: some state reaches itself inside it."""
+    return [stop for stop in _arc_events(sg)
+            if any(state in ref_forward_until(
+                sg, {target for _, target in sg.successors(state)}, stop)
+                for state in sg.states)]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_choice_slices_run_through_cycles(size):
+    """No sequencer, alternator or handshake graph keeps a cycle once
+    cut at an event, so only the choice sequencers check that the
+    per-stop reach tables handle cycles."""
+    sg = state_graph_of(choice_sequencer_stg(size))
+    assert _cyclic_stops(sg)
+    _check_candidate_families(sg)
+    _check_ranking(sg)
 
 
 def test_constant_signal_half_space_is_not_an_atom():

@@ -5,7 +5,9 @@ solved pairs), so a change to the candidate algebra that reordered the
 candidates while keeping the totals would pass it unnoticed.  These
 records pin every step — signal, chosen block label, conflicts before
 and after, estimated cost and candidates evaluated — for chained
-sequencers and alternators of 2–5 stages/outputs under both methods.
+sequencers and alternators of 2–5 stages/outputs under both methods,
+and at csc-encode sizes (6 under ``blocks``, 8 under ``regions``),
+where large tie groups of equal split meet the top-24 cut.
 
 Each row is ``(signal, block_label, conflicts_before, conflicts_after,
 cost, candidates_evaluated)``.
@@ -63,6 +65,22 @@ GOLDEN = {
         ("csc1", "after ai3+ until ro5-", 6, 2, 2, 24),
         ("csc2", "after ai2+ until a-", 2, 0, 2, 24),
     ],
+    "seqcsc6/blocks": [
+        ("csc0", "after ai1- until ai4+", 21, 13, None, 1),
+        ("csc1", "after r+ until ai2+", 13, 8, None, 1),
+        ("csc2", "after ai6- until ai1+", 8, 5, None, 1),
+        ("csc3", "after ai6- until r-", 5, 4, None, 1),
+        ("csc4", "after ai3- until ai5+", 4, 2, None, 1),
+        ("csc5", "after ai3- until ai6+", 2, 1, None, 1),
+        ("csc6", "after ai3+ until csc4+", 1, 0, None, 8),
+    ],
+    "seqcsc8/regions": [
+        ("csc0", "after ai1- until ro5-", 36, 21, 2, 24),
+        ("csc1", "after ai3+ until ro8-", 21, 8, 2, 24),
+        ("csc2", "after ai7+ until a-", 8, 4, 2, 24),
+        ("csc3", "after ai1+ until ro2-", 4, 2, 2, 24),
+        ("csc4", "after ai4+ until ro6-", 2, 0, 2, 24),
+    ],
     "alternator2/blocks": [
         ("csc0", "after r- until o1-", 1, 0, None, 7),
     ],
@@ -95,6 +113,21 @@ GOLDEN = {
         ("csc0", "after o1+ until o3-", 10, 4, 3, 24),
         ("csc1", "after o2+ until o4-", 4, 1, 3, 24),
         ("csc2", "after o5+ until csc0+", 1, 0, 2, 24),
+    ],
+    "alternator6/blocks": [
+        ("csc0", "after o1- until o4-", 15, 12, None, 1),
+        ("csc1", "after o3- until o1+", 12, 9, None, 1),
+        ("csc2", "after o3- until o5-", 9, 7, None, 1),
+        ("csc3", "after o1- until o3+", 7, 4, None, 1),
+        ("csc4", "after o1- until r-", 4, 3, None, 7),
+        ("csc5", "after o6+ until o1-", 3, 1, None, 4),
+        ("csc6", "after o2- until r-", 1, 0, None, 5),
+    ],
+    "alternator8/regions": [
+        ("csc0", "after o1+ until o5-", 28, 12, 3, 24),
+        ("csc1", "after o3+ until o7-", 12, 4, 3, 24),
+        ("csc2", "after o2+ until o4-", 4, 2, 3, 24),
+        ("csc3", "after o6+ until o8-", 2, 0, 3, 24),
     ],
 }
 

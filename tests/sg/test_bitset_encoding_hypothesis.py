@@ -3,8 +3,8 @@
 Random labelled state graphs (not necessarily consistent STGs — the
 bitset layer is pure graph/code plumbing) drive the :class:`Encoding`
 kernels against straightforward set-based reference implementations:
-bitset round-trips, packed codes, forward closures, successor and
-predecessor images, the states where a cover is 1, weakly connected
+bitset round-trips, packed codes, forward closures and per-state reach
+sets, successor and predecessor images, the states where a cover is 1, weakly connected
 components, event targets, diamonds and the region queries built on
 them.  The
 encoding itself is built by copying the graph's int-indexed arrays; it
@@ -169,6 +169,21 @@ class TestEncodingKernels:
             sg, set(enc.states_of(start)), set(enc.states_of(allowed)))
         assert set(enc.states_of(
             enc.closure_forward(start, allowed))) == expected
+
+    @given(graphs(), st.integers(0, 2 ** 10 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_reach_sets_match_reference(self, sg, raw_allowed):
+        """Random graphs carry cycles, self-loops and parallel arcs:
+        every state's reach set is its own closure inside ``allowed``,
+        and states outside ``allowed`` reach nothing."""
+        enc = sg.encoding()
+        allowed = raw_allowed & enc.full_mask
+        inside = set(enc.states_of(allowed))
+        reach = enc.reach_sets(allowed)
+        assert len(reach) == len(enc.states)
+        for state, bits in zip(enc.states, reach):
+            assert set(enc.states_of(bits)) == \
+                reference_closure(sg, {state}, inside)
 
     @given(graphs(), st.integers(0, 2 ** 10 - 1))
     @settings(max_examples=150, deadline=None)

@@ -247,6 +247,19 @@ b+/2 a+
         assert main(["csc", path, "--max-signals", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["-1", "two"])
+    def test_csc_subcommand_rejects_bad_signal_budget(self, tmp_path,
+                                                      capsys, budget):
+        """A negative or non-integer budget is a usage error (exit 2
+        from argparse, with the usage line), not a solver failure."""
+        path = self._badseq_file(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["csc", path, "--max-signals", budget])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--max-signals" in err
+
     def test_csc_subcommand_writes_dot(self, tmp_path, capsys):
         path = self._badseq_file(tmp_path)
         dot = str(tmp_path / "solved.dot")

@@ -79,3 +79,19 @@ def test_badseq_example_is_the_chained_sequencer():
     assert text == write_g(chained_sequencer_stg())
     sg = state_graph_of(parse_g(text))
     assert (len(sg), len(csc_conflicts(sg))) == (12, 3)
+
+
+def test_seqcsc6_example_is_the_six_stage_sequencer():
+    """CI's larger CSC smoke runs on ``examples/seqcsc6.g``: the
+    six-stage chained sequencer, with 28 states and 21 CSC conflict
+    pairs."""
+    from repro.mapping.csc import csc_conflicts
+    from repro.sg.reachability import state_graph_of
+    from repro.stg.parser import parse_g
+    from repro.stg.writer import write_g
+    from tests.conftest import chained_sequencer_stg
+
+    text = (EXAMPLES / "seqcsc6.g").read_text()
+    assert text == write_g(chained_sequencer_stg(6))
+    sg = state_graph_of(parse_g(text))
+    assert (len(sg), len(csc_conflicts(sg))) == (28, 21)
