@@ -4,14 +4,14 @@ all.
 ``si-mapper serve`` runs a :class:`ThreadingHTTPServer`: handler
 instances are per-request, but everything reachable through
 ``self.server`` (the store, its counters, any registry the server
-grows) is shared by every in-flight request.  PR 5 had to retrofit the
-``_ThreadSafeCounters`` locked-``add`` mixin precisely because bare
-``+=`` on a shared counter is a read-modify-write race.
+grows) is shared by every in-flight request.  Store counters live in
+:class:`~repro.pipeline.store.StoreStats`, whose locked ``add`` exists
+because bare ``+=`` on a shared counter is a read-modify-write race.
 
 * ``conc-handler-shared-write`` — inside a request-handler class,
   assignment to or mutation of anything rooted at ``self.server``
   outside a ``with <lock>:`` block.  The one blessed exception is the
-  locked mixin itself: ``....stats.add(...)`` is atomic by contract.
+  locked ``StoreStats.add``: ``....stats.add(...)`` is atomic.
 * ``conc-unlocked-counter`` — bare augmented assignment on counters:
   either ``self.<attr> += ...`` inside a class that owns a lock (the
   lock exists, so going around it is a lost-update bug), or
@@ -34,7 +34,7 @@ _MUTATORS = {"append", "extend", "insert", "add", "update", "pop",
              "sort", "reverse"}
 
 _LOCK_HINT = ("wrap the mutation in `with <lock>:` or route it "
-              "through the locked add() mixin")
+              "through the locked StoreStats.add()")
 
 
 def _server_rooted(node: ast.AST) -> Optional[List[str]]:
@@ -84,7 +84,7 @@ class HandlerSharedWriteRule(Rule):
             if chain is None:
                 return
             if func.attr == "add" and chain[-1] == "stats":
-                return        # the locked-counter mixin: atomic
+                return        # StoreStats.add: locked, atomic
             yield ctx.finding(
                 node, "conc-handler-shared-write", "error",
                 f"handler mutates shared server state "
@@ -118,7 +118,7 @@ class UnlockedCounterRule(Rule):
                 f"'{dotted} {_op(node)}= ...' mutates a shared stats "
                 "counter non-atomically — concurrent updates are "
                 "lost",
-                "use the locked mixin: "
+                "use the locked add(): "
                 f"{'.'.join(chain[:-1])}.add({chain[-1]}=...)")
             return
         if ctx.in_lock:

@@ -39,10 +39,6 @@ _LOCKISH = re.compile(r"(?i)(lock|mutex)")
 #: ``self.server``
 _HANDLER_BASE = re.compile(r"RequestHandler$")
 
-#: base-class name fragments marking a class whose counters are
-#: guarded by an internal lock (the ``_ThreadSafeCounters`` mixin)
-_LOCKED_BASE = re.compile(r"(?i)(threadsafe|lockedcounters)")
-
 
 def is_lockish(node: ast.AST) -> bool:
     """Whether a ``with`` context expression looks like a lock."""
@@ -81,20 +77,18 @@ def classify_class(node: ast.ClassDef) -> ClassInfo:
                   if name is not None)
     is_handler = any(_HANDLER_BASE.search(base.split(".")[-1])
                      for base in bases)
-    owns_lock = any(_LOCKED_BASE.search(base.split(".")[-1])
-                    for base in bases)
-    if not owns_lock:
-        for sub in ast.walk(node):
-            if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = (sub.targets if isinstance(sub, ast.Assign)
-                       else [sub.target])
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and _LOCKISH.search(target.attr)):
-                    owns_lock = True
+    owns_lock = False
+    for sub in ast.walk(node):
+        if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = (sub.targets if isinstance(sub, ast.Assign)
+                   else [sub.target])
+        for target in targets:
+            if (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                    and _LOCKISH.search(target.attr)):
+                owns_lock = True
     return ClassInfo(name=node.name, base_names=bases,
                      is_handler=is_handler, owns_lock=owns_lock)
 

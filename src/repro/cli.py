@@ -423,17 +423,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # an upstream shared store (tiered *behind* this server's disk for
     # job pipelines) comes only from explicit flags — picking up
     # $SI_MAPPER_CACHE_URL here could point the daemon at itself
-    upstream = None
-    if args.cache_url and args.cache_s3:
-        print("error: --cache-url and --cache-s3 are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
-    if args.cache_url:
-        from repro.dist.remote import RemoteArtifactCache
-        upstream = RemoteArtifactCache(args.cache_url)
-    elif args.cache_s3:
-        from repro.dist.objectstore import ObjectStoreArtifactCache
-        upstream = ObjectStoreArtifactCache(args.cache_s3)
+    from repro.dist.base import make_store
+    upstream = make_store(cache_url=args.cache_url,
+                          cache_s3=args.cache_s3)
     api_keys = tuple(part.strip()
                      for chunk in (args.api_keys or [])
                      for part in chunk.split(",") if part.strip())

@@ -20,19 +20,19 @@ small layers over it:
     object store, or a write-through :class:`TieredStore`.
 
 :mod:`repro.dist.remote`
-    :class:`RemoteArtifactCache`, the stdlib-HTTP client backend.
-    Content-addressed by the same sha256 keys as the disk store, same
-    envelope bytes, format stamps checked client-side, downloads in
-    ranged chunks and streams uploads; every network failure degrades
-    to a miss and opens a cooldown, so a dead server never fails a
-    run.
+    :class:`SharedStore`, the one client of the shared tier: the same
+    sha256 content addresses and envelope bytes as the disk store,
+    format stamps checked client-side; every transport failure
+    degrades to a miss and opens a cooldown, so a dead server never
+    fails a run.  :class:`RemoteArtifactCache` is that client over a
+    serve daemon (stdlib HTTP, ranged downloads, streamed uploads).
 
 :mod:`repro.dist.objectstore`
-    :class:`ObjectStoreArtifactCache`, the S3-compatible backend:
-    the same envelope bytes and content addresses filed as objects
-    under ``bucket/prefix``, via ``boto3`` when importable or a
-    stdlib-HTTP transport against any S3-compatible endpoint.
-    Serverless workers share a cache without running ``serve``.
+    :class:`ObjectStoreArtifactCache`, the same client over an
+    S3-compatible bucket: entries filed as objects under
+    ``bucket/prefix``, via ``boto3`` when importable or a stdlib-HTTP
+    transport against any S3-compatible endpoint.  Serverless workers
+    share a cache without running ``serve``.
 
 :mod:`repro.dist.server`
     :class:`ArtifactServer`, the ``si-mapper serve`` daemon: a
@@ -81,9 +81,9 @@ _EXPORTS = {
     "FakeS3Server": "repro.dist.s3fake",
     "ObjectStoreArtifactCache": "repro.dist.objectstore",
     "RemoteArtifactCache": "repro.dist.remote",
-    "RemoteStats": "repro.dist.remote",
     "SHARD_SCHEMA": "repro.dist.shard",
     "STORE_LAYOUT": "repro.dist.envelope",
+    "SharedStore": "repro.dist.remote",
     "TieredStore": "repro.dist.remote",
     "available_codecs": "repro.dist.envelope",
     "decode_entry": "repro.dist.envelope",

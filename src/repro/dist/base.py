@@ -1,10 +1,10 @@
 """The backend abstraction of the distributed execution subsystem.
 
 Every artifact-store backend — the local
-:class:`~repro.pipeline.store.DiskArtifactCache`, the HTTP
-:class:`~repro.dist.remote.RemoteArtifactCache`, the S3-compatible
-:class:`~repro.dist.objectstore.ObjectStoreArtifactCache`, and the
-write-through :class:`~repro.dist.remote.TieredStore` — implements the
+:class:`~repro.pipeline.store.DiskArtifactCache`, the shared tier's
+one client :class:`~repro.dist.remote.SharedStore` (over a serve
+daemon or an S3-compatible bucket), and the write-through
+:class:`~repro.dist.remote.TieredStore` — implements the
 :class:`ArtifactStore` protocol.  The in-memory
 :class:`~repro.pipeline.cache.ArtifactCache` layers over *any* of
 them, so the pipeline, the batch runner and the CLI never care where

@@ -1,11 +1,15 @@
-"""S3-compatible artifact-store backend.
+"""S3-compatible backend of the shared artifact tier.
 
-:class:`ObjectStoreArtifactCache` files the same codec-stamped
-envelopes every other backend moves (:mod:`repro.dist.envelope`) as
-objects under ``bucket/prefix/<layout>/<kind>/<digest>`` — identical
-content addresses, identical bytes — so serverless shard workers can
-share a cache through any S3-compatible object store without running
-a ``si-mapper serve`` daemon.
+:class:`ObjectStoreArtifactCache` is the :class:`~repro.dist.remote.
+SharedStore` client over a :class:`BucketBackend`: it files the same
+codec-stamped envelopes every other backend moves
+(:mod:`repro.dist.envelope`) as objects under
+``bucket/prefix/<layout>/<kind>/<digest>`` — identical content
+addresses, identical bytes — so serverless shard workers can share a
+cache through any S3-compatible object store without running a
+``si-mapper serve`` daemon.  Envelope checks, cooldown, failure model
+and ``remote_*`` counters are the shared client's (an object store
+*is* the run's remote tier).
 
 Two transports, picked automatically:
 
@@ -22,14 +26,6 @@ Two transports, picked automatically:
 a bare ``bucket/prefix`` spec without it is a clean
 :class:`~repro.errors.StoreConfigError`, never an ImportError at
 import time.
-
-Failure model: identical to :class:`~repro.dist.remote.
-RemoteArtifactCache` — the store is an accelerator, every transport
-failure degrades to a miss (or a skipped write) and opens a cooldown
-window, and the telemetry lands in the same ``remote_*`` counters (an
-object store *is* the run's remote tier).  Composes with
-:class:`~repro.dist.remote.TieredStore` for disk-in-front-of-object-
-store.
 """
 
 from __future__ import annotations
@@ -40,23 +36,13 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import xml.etree.ElementTree as ElementTree
-from typing import (Any, Dict, Hashable, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.dist.envelope import (ARTIFACT_FORMATS, STORE_LAYOUT,
-                                 decode_entry, digest_of, encode_entry,
-                                 kind_of, resolve_codec)
-from repro.dist.remote import RemoteStats, _NETWORK_ERRORS
+from repro.dist.envelope import ARTIFACT_FORMATS, STORE_LAYOUT
+from repro.dist.remote import (SharedStore, TransportError,
+                               _NETWORK_ERRORS)
 from repro.errors import StoreConfigError
-from repro.pipeline.store import MISS, StoreReport, empty_telemetry
-
-
-class TransportError(OSError):
-    """Any transport-level failure (network, 5xx, SDK error).
-
-    The cache layer maps it to miss + cooldown; a missing object is
-    *not* a transport error (``get`` returns ``None`` for that).
-    """
+from repro.pipeline.store import StoreReport
 
 
 def parse_object_store_spec(spec: str) -> Tuple[Optional[str], str,
@@ -126,7 +112,10 @@ class _HttpTransport:
         return self._base + "/" + urllib.parse.quote(key, safe="/")
 
     def _request(self, method: str, url: str,
-                 data: Optional[bytes] = None) -> bytes:
+                 data: Optional[bytes] = None,
+                 absent_ok: bool = False) -> Optional[bytes]:
+        """The response body, or ``None`` for a 404 when
+        ``absent_ok``; any other failure is a :class:`TransportError`."""
         request = urllib.request.Request(url, data=data, method=method)
         if data is not None:
             request.add_header("Content-Type",
@@ -135,39 +124,25 @@ class _HttpTransport:
             with urllib.request.urlopen(
                     request, timeout=self.timeout) as response:
                 return response.read()
-        except urllib.error.HTTPError:
-            raise                          # the caller maps status codes
+        except urllib.error.HTTPError as error:
+            code = error.code
+            error.close()
+            if absent_ok and code == 404:
+                return None
+            raise TransportError(f"{method} {url}: HTTP {code}") from error
         except _NETWORK_ERRORS as error:
             raise TransportError(str(error)) from error
 
     def get(self, key: str) -> Optional[bytes]:
-        try:
-            return self._request("GET", self._object_url(key))
-        except urllib.error.HTTPError as error:
-            code = error.code
-            error.close()
-            if code == 404:
-                return None
-            raise TransportError(f"GET {key}: HTTP {code}") from error
+        return self._request("GET", self._object_url(key),
+                             absent_ok=True)
 
     def put(self, key: str, data: bytes) -> None:
-        try:
-            self._request("PUT", self._object_url(key), data=data)
-        except urllib.error.HTTPError as error:
-            code = error.code
-            error.close()
-            raise TransportError(f"PUT {key}: HTTP {code}") from error
+        self._request("PUT", self._object_url(key), data=data)
 
     def delete(self, key: str) -> None:
-        try:
-            self._request("DELETE", self._object_url(key))
-        except urllib.error.HTTPError as error:
-            code = error.code
-            error.close()
-            if code == 404:                # already gone: fine
-                return
-            raise TransportError(
-                f"DELETE {key}: HTTP {code}") from error
+        # a 404 means already gone: fine
+        self._request("DELETE", self._object_url(key), absent_ok=True)
 
     def list(self, prefix: str) -> Iterator[Tuple[str, int, float]]:
         """Yield ``(key, size, last_modified_epoch)`` under a prefix."""
@@ -177,15 +152,9 @@ class _HttpTransport:
             if token:
                 query["continuation-token"] = token
             url = self._base + "?" + urllib.parse.urlencode(query)
+            body = self._request("GET", url)
             try:
-                body = self._request("GET", url)
-            except urllib.error.HTTPError as error:
-                code = error.code
-                error.close()
-                raise TransportError(
-                    f"LIST {prefix}: HTTP {code}") from error
-            try:
-                root = ElementTree.fromstring(body)
+                root = ElementTree.fromstring(body or b"")
             except ElementTree.ParseError as error:
                 raise TransportError(
                     f"LIST {prefix}: bad XML") from error
@@ -281,36 +250,16 @@ class _Boto3Transport:
                 return
 
 
-class ObjectStoreArtifactCache:
-    """Artifact store over an S3-compatible bucket.
+class BucketBackend:
+    """The store-owned objects under one bucket prefix, addressed as
+    ``<prefix>/<layout>/<kind>/<digest>`` over a four-method transport
+    (``get``/``put``/``delete``/``list``, each raising
+    :class:`TransportError`); maintenance runs over listings."""
 
-    Same contract as every backend: ``get`` never raises (a dead or
-    misbehaving object store degrades to misses plus a cooldown), and
-    ``put`` returns ``False`` on any skipped write.  Telemetry uses
-    the ``remote_*`` counters — for the pipeline this *is* the remote
-    tier.  Construction, by contrast, validates eagerly: a spec the
-    process cannot possibly serve raises :class:`StoreConfigError`.
-    """
-
-    def __init__(self, spec: str, timeout: float = 10.0,
-                 cooldown: float = 30.0, codec: Optional[str] = None,
-                 transport: Optional[Any] = None):
-        endpoint, bucket, prefix = parse_object_store_spec(spec)
-        self.spec = spec
+    def __init__(self, transport: Any, bucket: str, prefix: str):
+        self._transport = transport
         self.bucket = bucket
         self.prefix = prefix
-        self.codec = resolve_codec(codec)
-        self.cooldown = cooldown
-        self.stats = RemoteStats()
-        self.stats.bind("s3")
-        self._down_until = 0.0
-        if transport is not None:
-            self._transport = transport
-        elif endpoint is not None:
-            self._transport = _HttpTransport(endpoint, bucket,
-                                             timeout=timeout)
-        else:
-            self._transport = _Boto3Transport(bucket, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Keys
@@ -319,11 +268,8 @@ class ObjectStoreArtifactCache:
     def _root_key(self) -> str:
         return f"{self.prefix}/" if self.prefix else ""
 
-    def _layout_key(self, layout: str = STORE_LAYOUT) -> str:
-        return f"{self._root_key()}{layout}/"
-
     def _object_key(self, kind: str, digest: str) -> str:
-        return f"{self._layout_key()}{kind}/{digest}"
+        return f"{self._root_key()}{STORE_LAYOUT}/{kind}/{digest}"
 
     def _split_key(self, key: str) -> Optional[Tuple[str, str]]:
         """``(layout, kind)`` of a store-owned object key, or ``None``
@@ -339,92 +285,30 @@ class ObjectStoreArtifactCache:
             return None
         return layout, parts[1]
 
-    # ------------------------------------------------------------------
-    # Availability
-    # ------------------------------------------------------------------
+    def get(self, kind: str, digest: str) -> Optional[bytes]:
+        """The object's bytes, or ``None`` when it does not exist."""
+        return self._transport.get(self._object_key(kind, digest))
 
-    def _available(self) -> bool:
-        return time.monotonic() >= self._down_until
-
-    def _mark_down(self) -> None:
-        self._down_until = time.monotonic() + self.cooldown
+    def put(self, kind: str, digest: str, data: bytes) -> None:
+        self._transport.put(self._object_key(kind, digest), data)
 
     # ------------------------------------------------------------------
-    # ArtifactStore: get / put
-    # ------------------------------------------------------------------
-
-    def get(self, key: Hashable) -> Any:
-        """The stored artifact, or :data:`MISS`.  Never raises."""
-        return self.fetch(key)[0]
-
-    def fetch(self, key: Hashable) -> Tuple[Any, Optional[bytes]]:
-        """``(value, envelope_bytes)``, or ``(MISS, None)`` — the raw
-        bytes feed :class:`~repro.dist.remote.TieredStore` backfill."""
-        expected = ARTIFACT_FORMATS.get(kind_of(key))
-        if expected is None:
-            return MISS, None
-        if not self._available():
-            self.stats.add(misses=1)
-            return MISS, None
-        try:
-            data = self._transport.get(
-                self._object_key(kind_of(key), digest_of(key)))
-        except TransportError:
-            self.stats.add(errors=1)
-            self._mark_down()
-            return MISS, None
-        if data is None:
-            self.stats.add(misses=1)
-            return MISS, None
-        status, payload = decode_entry(data, key, expected)
-        if status == "stale":
-            self.stats.add(stale=1)
-            return MISS, None
-        if status == "error":
-            self.stats.add(errors=1)
-            return MISS, None
-        self.stats.add(hits=1, bytes_read=len(data))
-        return payload, data
-
-    def put(self, key: Hashable, value: Any) -> bool:
-        """Upload an artifact; ``False`` if it was skipped."""
-        version = ARTIFACT_FORMATS.get(kind_of(key))
-        if version is None:
-            return False
-        try:
-            data = encode_entry(key, value, version, codec=self.codec)
-        except Exception:
-            self.stats.add(write_skips=1)
-            return False
-        return self.put_raw(kind_of(key), digest_of(key), data)
-
-    def put_raw(self, kind: str, digest: str, data: bytes) -> bool:
-        """Upload already-encoded envelope bytes."""
-        if not self._available():
-            self.stats.add(write_skips=1)
-            return False
-        try:
-            self._transport.put(self._object_key(kind, digest), data)
-        except TransportError:
-            self.stats.add(errors=1, write_skips=1)
-            self._mark_down()
-            return False
-        self.stats.add(writes=1, bytes_written=len(data))
-        return True
-
-    # ------------------------------------------------------------------
-    # ArtifactStore: maintenance
+    # Maintenance
     # ------------------------------------------------------------------
 
     def _list_owned(self) -> List[Tuple[str, int, float, str, str]]:
         """Every store-owned object: ``(key, size, mtime, layout,
-        kind)``.  Raises :class:`TransportError` upward."""
+        kind)`` — none when the listing fails, so maintenance of an
+        unreachable store finds nothing to do."""
         owned = []
-        for key, size, mtime in self._transport.list(self._root_key()):
-            split = self._split_key(key)
-            if split is None:
-                continue
-            owned.append((key, size, mtime, split[0], split[1]))
+        try:
+            for key, size, mtime in self._transport.list(
+                    self._root_key()):
+                split = self._split_key(key)
+                if split is not None:
+                    owned.append((key, size, mtime, split[0], split[1]))
+        except TransportError:
+            return []
         return owned
 
     def report(self) -> StoreReport:
@@ -436,11 +320,7 @@ class ObjectStoreArtifactCache:
         """
         root = f"s3://{self.bucket}/{self.prefix}".rstrip("/")
         report = StoreReport(root=root)
-        try:
-            owned = self._list_owned()
-        except TransportError:
-            return report
-        for _, size, _, layout, kind in owned:
+        for _, size, _, layout, kind in self._list_owned():
             if layout != STORE_LAYOUT:
                 continue
             report.entries += 1
@@ -456,16 +336,11 @@ class ObjectStoreArtifactCache:
         """Same policy as the disk store's gc, over object listings:
         older layouts, unknown kinds, age, then newest-first size
         budget.  ``(0, 0)`` when the store is unreachable."""
-        try:
-            owned = self._list_owned()
-        except TransportError:
-            return 0, 0
-        removed = 0
-        freed = 0
         now = time.time()
         current_version = int(STORE_LAYOUT[1:])
+        doomed: List[Tuple[str, int]] = []
         survivors: List[Tuple[float, str, int]] = []
-        for key, size, mtime, layout, kind in owned:
+        for key, size, mtime, layout, kind in self._list_owned():
             version = int(layout[1:])
             if version > current_version:
                 continue                   # a newer binary's entries
@@ -474,12 +349,7 @@ class ObjectStoreArtifactCache:
                     or (max_age_seconds is not None and mtime > 0
                         and now - mtime > max_age_seconds))
             if drop:
-                try:
-                    self._transport.delete(key)
-                except TransportError:
-                    return removed, freed
-                removed += 1
-                freed += size
+                doomed.append((key, size))
             else:
                 survivors.append((mtime, key, size))
         if max_bytes is not None:
@@ -491,28 +361,25 @@ class ObjectStoreArtifactCache:
                     budget -= size
                     continue
                 overflowed = True
-                try:
-                    self._transport.delete(key)
-                except TransportError:
-                    return removed, freed
-                removed += 1
-                freed += size
-        return removed, freed
+                doomed.append((key, size))
+        return self._delete(doomed)
 
     def clear(self) -> Tuple[int, int]:
         """Delete every store-owned object (layout roots only — a
         neighbour object under the same prefix survives)."""
-        try:
-            owned = self._list_owned()
-        except TransportError:
-            return 0, 0
+        return self._delete([(key, size) for key, size, _, _, _
+                             in self._list_owned()])
+
+    def _delete(self, doomed: List[Tuple[str, int]]) -> Tuple[int, int]:
+        """Delete objects in order; ``(removed, freed)`` up to the
+        first transport failure."""
         removed = 0
         freed = 0
-        for key, size, _, _, _ in owned:
+        for key, size in doomed:
             try:
                 self._transport.delete(key)
             except TransportError:
-                return removed, freed
+                break
             removed += 1
             freed += size
         return removed, freed
@@ -526,12 +393,20 @@ class ObjectStoreArtifactCache:
         except TransportError:
             return False
 
-    def telemetry(self) -> Dict[str, int]:
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
 
-    def __repr__(self) -> str:
-        return (f"ObjectStoreArtifactCache({self.spec!r}, "
-                f"hits={self.stats.hits}, misses={self.stats.misses}, "
-                f"writes={self.stats.writes})")
+class ObjectStoreArtifactCache(SharedStore):
+    """The shared-tier client over an S3-compatible bucket.  Unlike
+    every later call, construction validates eagerly: a spec the
+    process cannot possibly serve raises :class:`StoreConfigError`.
+    ``transport`` replaces the one the spec would pick."""
+
+    def __init__(self, spec: str, timeout: float = 10.0,
+                 cooldown: float = 30.0, codec: Optional[str] = None,
+                 transport: Optional[Any] = None):
+        endpoint, bucket, prefix = parse_object_store_spec(spec)
+        if transport is None and endpoint is not None:
+            transport = _HttpTransport(endpoint, bucket, timeout=timeout)
+        elif transport is None:
+            transport = _Boto3Transport(bucket, timeout=timeout)
+        super().__init__(BucketBackend(transport, bucket, prefix), spec,
+                         "s3", cooldown=cooldown, codec=codec)

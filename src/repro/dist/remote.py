@@ -1,12 +1,17 @@
-"""HTTP artifact-store backends: remote client and tiered composite.
+"""The shared artifact tier: one client over two backends, and the
+tiered composite.
 
-:class:`RemoteArtifactCache` speaks the serve daemon's tiny
-content-addressed protocol (``GET/PUT /artifact/<kind>/<digest>``)
-over stdlib ``urllib`` — no third-party dependencies.  Entries travel
-in the exact codec-stamped envelope every other backend moves
+:class:`SharedStore` is the only client of the shared tier.  Entries
+travel in the exact codec-stamped envelope every other backend moves
 (:mod:`repro.dist.envelope`), and the *client* checks the per-kind
 :data:`~repro.dist.envelope.ARTIFACT_FORMATS` stamp after download, so
-a schema bump on one worker never poisons another.
+a schema bump on one worker never poisons another.  It also owns the
+cooldown and the ``remote_*`` counters; a backend only moves bytes.
+:class:`DaemonBackend` (behind :class:`RemoteArtifactCache`) speaks
+the serve daemon's tiny content-addressed protocol (``GET/PUT
+/artifact/<kind>/<digest>``) over stdlib ``urllib`` — no third-party
+dependencies; :class:`~repro.dist.objectstore.BucketBackend` files the
+same bytes in an S3-compatible bucket.
 
 Transfers never require whole-entry buffers on the server: downloads
 go in ranged chunks (``Range``/``Content-Range``; a pre-range server
@@ -18,10 +23,11 @@ envelopes — and falls back to ``identity`` for clients that predate
 the stamp.
 
 Failure model: the store is an accelerator.  Every network problem —
-connection refused, timeout, a 5xx — degrades to a cache miss (or a
-skipped write) and opens a cooldown window during which the server is
-not retried, so a dead server costs one connection attempt per
+connection refused, timeout, a 5xx, an SDK error — degrades to a cache
+miss (or a skipped write) and opens a cooldown window during which the
+tier is not retried, so a dead server costs one connection attempt per
 cooldown, never a failed run and never a per-artifact timeout storm.
+A daemon refusing one request (a non-404 4xx) opens no cooldown.
 
 :class:`TieredStore` composes a local disk store in front of a remote
 one: reads fill the local layer through (a warm worker re-reads from
@@ -38,46 +44,29 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
                                  decode_entry, digest_of, encode_entry,
                                  kind_of, resolve_codec)
 from repro.pipeline.store import (MISS, DiskArtifactCache, StoreReport,
-                                  _ThreadSafeCounters, empty_telemetry)
+                                  StoreStats, empty_telemetry)
 
 
-@dataclass
-class RemoteStats(_ThreadSafeCounters):
-    """Telemetry counters of one :class:`RemoteArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0          # 404s, and requests skipped in cooldown
-    stale: int = 0           # downloaded, but wrong format stamp / key
-    errors: int = 0          # network failures and server errors
-    writes: int = 0
-    write_skips: int = 0     # unpicklable, failed or skipped uploads
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "remote_hits": self.hits,
-                "remote_misses": self.misses,
-                "remote_stale": self.stale,
-                "remote_errors": self.errors,
-                "remote_writes": self.writes,
-                "remote_write_skips": self.write_skips,
-                "remote_bytes_read": self.bytes_read,
-                "remote_bytes_written": self.bytes_written,
-            }
+class TransportError(OSError):
+    """Any backend failure (network, 5xx, SDK error): a miss or a
+    skipped write, plus the cooldown.  A missing entry is *not* a
+    transport error (``get`` returns ``None`` for that)."""
 
 
-#: network exceptions that mean "server unreachable / broken", opening
-#: the cooldown window (HTTPError is handled separately: the server
-#: answered, it is not down)
+class Refused(TransportError):
+    """A live daemon refused one request (a non-404 4xx): counted like
+    any failure, but opens no cooldown."""
+
+
+#: network exceptions that mean "server unreachable / broken"
+#: (HTTPError is handled separately: the server answered, and its
+#: status decides)
 _NETWORK_ERRORS = (urllib.error.URLError, http.client.HTTPException,
                    ConnectionError, OSError, TimeoutError)
 
@@ -85,41 +74,153 @@ _NETWORK_ERRORS = (urllib.error.URLError, http.client.HTTPException,
 _CONTENT_RANGE = re.compile(r"bytes\s+(\d+)-(\d+)/(\d+)")
 
 
-class RemoteArtifactCache:
-    """Artifact-store client for a ``si-mapper serve`` daemon.
+class SharedStore:
+    """The one client of the shared artifact tier.
 
     Content-addressed exactly like the disk store: an entry's address
     is ``(kind, sha256(repr(key)))``, its body is the shared envelope.
-    Downloads are validated against the local
-    :data:`ARTIFACT_FORMATS` stamp before use.  ``codec`` names what
-    uploads are compressed with; ``chunk_bytes`` bounds how much of an
-    entry is requested per ranged GET.
+    ``address`` (a URL or spec) names the tier in ``repr``, ``tier``
+    labels its registry counters, and ``codec`` names what uploads are
+    compressed with.  The ``backend`` offers ``get(kind, digest)``
+    (bytes, or ``None`` when absent) and ``put(kind, digest, data)``,
+    both raising :class:`TransportError` on failure, plus
+    ``report``/``gc``/``clear``/``healthy``, which never raise.
     """
 
-    def __init__(self, base_url: str, timeout: float = 10.0,
-                 cooldown: float = 30.0,
-                 chunk_bytes: int = 4 * 1024 * 1024,
-                 codec: Optional[str] = None):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        #: seconds to stop talking to the server after a network
+    def __init__(self, backend: Any, address: str, tier: str,
+                 cooldown: float = 30.0, codec: Optional[str] = None):
+        self.backend = backend
+        self.address = address
+        #: seconds to stop talking to the tier after a transport
         #: failure; 0 retries every request (tests use that)
         self.cooldown = cooldown
-        self.chunk_bytes = max(1, int(chunk_bytes))
         self.codec = resolve_codec(codec)
-        self.stats = RemoteStats()
-        self.stats.bind("remote")
+        self.stats = StoreStats("remote", tier)
         self._down_until = 0.0
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
 
     def _available(self) -> bool:
         return time.monotonic() >= self._down_until
 
     def _mark_down(self) -> None:
         self._down_until = time.monotonic() + self.cooldown
+
+    # ------------------------------------------------------------------
+    # ArtifactStore: get / put
+    # ------------------------------------------------------------------
+
+    def get(self, key: Hashable) -> Any:
+        """The stored artifact, or :data:`MISS`.  Never raises: a 404,
+        a dead server, or a stale/corrupt download are all misses."""
+        return self.fetch(key)[0]
+
+    def fetch(self, key: Hashable) -> Tuple[Any, Optional[bytes]]:
+        """``(value, envelope_bytes)`` — the decoded artifact plus the
+        exact bytes that came over the wire (``(MISS, None)`` on any
+        miss).  :class:`TieredStore` writes the raw envelope back to
+        its local layer instead of re-pickling a multi-MB payload."""
+        expected = ARTIFACT_FORMATS.get(kind_of(key))
+        if expected is None:
+            return MISS, None
+        if not self._available():
+            self.stats.add(misses=1)
+            return MISS, None
+        try:
+            data = self.backend.get(kind_of(key), digest_of(key))
+        except TransportError as error:
+            self.stats.add(errors=1)
+            if not isinstance(error, Refused):
+                self._mark_down()
+            return MISS, None
+        if data is None:
+            self.stats.add(misses=1)
+            return MISS, None
+        status, payload = decode_entry(data, key, expected)
+        if status == "stale":
+            self.stats.add(stale=1)
+            return MISS, None
+        if status == "error":
+            self.stats.add(errors=1)
+            return MISS, None
+        self.stats.add(hits=1, bytes_read=len(data))
+        return payload, data
+
+    def put(self, key: Hashable, value: Any) -> bool:
+        """Upload an artifact; ``False`` if it was skipped.  Never
+        raises — an unpicklable value or an unreachable server only
+        costs the upload."""
+        version = ARTIFACT_FORMATS.get(kind_of(key))
+        if version is None:
+            return False
+        try:
+            data = encode_entry(key, value, version, codec=self.codec)
+        except Exception:
+            self.stats.add(write_skips=1)
+            return False
+        return self.put_raw(kind_of(key), digest_of(key), data)
+
+    def put_raw(self, kind: str, digest: str, data: bytes) -> bool:
+        """Upload already-encoded envelope bytes (the tiered write
+        path encodes once and feeds both layers raw)."""
+        if not self._available():
+            self.stats.add(write_skips=1)
+            return False
+        try:
+            self.backend.put(kind, digest, data)
+        except Refused:
+            self.stats.add(write_skips=1)
+            return False
+        except TransportError:
+            # a failed upload is an *error* — the telemetry an
+            # operator watches — and backs off
+            self.stats.add(errors=1, write_skips=1)
+            self._mark_down()
+            return False
+        self.stats.add(writes=1, bytes_written=len(data))
+        return True
+
+    # ------------------------------------------------------------------
+    # ArtifactStore: maintenance
+    # ------------------------------------------------------------------
+
+    def report(self) -> StoreReport:
+        return self.backend.report()
+
+    def gc(self, max_age_seconds: Optional[float] = None,
+           max_bytes: Optional[int] = None) -> Tuple[int, int]:
+        return self.backend.gc(max_age_seconds=max_age_seconds,
+                               max_bytes=max_bytes)
+
+    def clear(self) -> Tuple[int, int]:
+        return self.backend.clear()
+
+    def healthy(self) -> bool:
+        """One liveness probe — used by CLI and tests to wait for a
+        serve daemon to come up."""
+        return self.backend.healthy()
+
+    def telemetry(self) -> Dict[str, int]:
+        counters = empty_telemetry()
+        counters.update(self.stats.as_dict())
+        return counters
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.address!r}, "
+                f"hits={self.stats.hits}, misses={self.stats.misses}, "
+                f"writes={self.stats.writes})")
+
+
+class DaemonBackend:
+    """The wire of a ``si-mapper serve`` daemon.  ``chunk_bytes``
+    bounds how much of an entry is requested per ranged GET."""
+
+    def __init__(self, base_url: str, timeout: float, chunk_bytes: int):
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
+        self.chunk_bytes = max(1, int(chunk_bytes))
+
+    # ------------------------------------------------------------------
+    # HTTP plumbing
+    # ------------------------------------------------------------------
 
     def _open(self, method: str, path: str, data=None,
               headers: Optional[Dict[str, str]] = None):
@@ -147,8 +248,8 @@ class RemoteArtifactCache:
         which is accepted as-is.  A ``206`` reply's ``Content-Range``
         total drives the remaining chunk requests.  Raises the usual
         network errors (plus :class:`http.client.HTTPException` on a
-        protocol violation such as a no-progress chunk), which the
-        caller maps to a miss + cooldown.
+        protocol violation such as a no-progress chunk), which
+        :meth:`get` maps to a :class:`TransportError`.
         """
         codec_header = {"X-SI-Codecs": ", ".join(available_codecs())}
 
@@ -191,105 +292,43 @@ class RemoteArtifactCache:
         return (f"/artifact/{urllib.parse.quote(kind, safe='')}"
                 f"/{digest}")
 
-    # ------------------------------------------------------------------
-    # ArtifactStore: get / put
-    # ------------------------------------------------------------------
-
-    def get(self, key: Hashable) -> Any:
-        """The stored artifact, or :data:`MISS`.  Never raises: a 404,
-        a dead server, or a stale/corrupt download are all misses."""
-        return self.fetch(key)[0]
-
-    def fetch(self, key: Hashable) -> Tuple[Any, Optional[bytes]]:
-        """``(value, envelope_bytes)`` — the decoded artifact plus the
-        exact bytes that came over the wire (``(MISS, None)`` on any
-        miss).  :class:`TieredStore` writes the raw envelope back to
-        its local layer instead of re-pickling a multi-MB payload."""
-        expected = ARTIFACT_FORMATS.get(kind_of(key))
-        if expected is None:
-            return MISS, None
-        if not self._available():
-            self.stats.add(misses=1)
-            return MISS, None
+    def get(self, kind: str, digest: str) -> Optional[bytes]:
+        path = self._entry_path(kind, digest)
         try:
-            data = self._download(
-                self._entry_path(kind_of(key), digest_of(key)))
+            return self._download(path)
         except urllib.error.HTTPError as error:
             error.close()
             if error.code == 404:
-                self.stats.add(misses=1)
-            else:
-                self.stats.add(errors=1)
-                if error.code >= 500:
-                    # the server (or its proxy) is broken, not just
-                    # missing this entry: back off like a dead socket
-                    self._mark_down()
-            return MISS, None
-        except _NETWORK_ERRORS:
-            self.stats.add(errors=1)
-            self._mark_down()
-            return MISS, None
-        status, payload = decode_entry(data, key, expected)
-        if status == "stale":
-            self.stats.add(stale=1)
-            return MISS, None
-        if status == "error":
-            self.stats.add(errors=1)
-            return MISS, None
-        self.stats.add(hits=1, bytes_read=len(data))
-        return payload, data
+                return None
+            # a 5xx: the server (or its proxy) is broken, not just
+            # missing this entry — back off like a dead socket
+            failure = TransportError if error.code >= 500 else Refused
+            raise failure(f"GET {path}: HTTP {error.code}") from error
+        except _NETWORK_ERRORS as error:
+            raise TransportError(f"GET {path}: {error}") from error
 
-    def put(self, key: Hashable, value: Any) -> bool:
-        """Upload an artifact; ``False`` if it was skipped.  Never
-        raises — an unpicklable value or an unreachable server only
-        costs the upload."""
-        version = ARTIFACT_FORMATS.get(kind_of(key))
-        if version is None:
-            return False
-        try:
-            data = encode_entry(key, value, version, codec=self.codec)
-        except Exception:
-            self.stats.add(write_skips=1)
-            return False
-        return self.put_raw(kind_of(key), digest_of(key), data)
-
-    def put_raw(self, kind: str, digest: str, data: bytes) -> bool:
-        """Upload already-encoded envelope bytes (the tiered write
-        path encodes once and feeds both layers raw).
-
-        The body goes up as a streamed file object with an explicit
+    def put(self, kind: str, digest: str, data: bytes) -> None:
+        """The body goes up as a streamed file object with an explicit
         ``Content-Length`` — never chunked transfer-encoding, which
         the stdlib server cannot parse — so big uploads keep working
         if a caller swaps the ``BytesIO`` for a real spool file.
+
+        A refused upload (413, 400) is a skip; a server-side failure
+        (507 full store, proxy 5xx) is also an *error*.
         """
-        if not self._available():
-            self.stats.add(write_skips=1)
-            return False
+        path = self._entry_path(kind, digest)
         try:
-            self._request("PUT", self._entry_path(kind, digest),
-                          data=io.BytesIO(data),
+            self._request("PUT", path, data=io.BytesIO(data),
                           headers={"Content-Length": str(len(data))})
         except urllib.error.HTTPError as error:
-            # a refused upload (413, 400) is a skip; a server-side
-            # failure (507 full store, proxy 5xx) is an *error* — the
-            # telemetry an operator watches — and backs off
-            code = error.code
             error.close()
-            if code >= 500:
-                self.stats.add(errors=1, write_skips=1)
-                self._mark_down()
-            else:
-                self.stats.add(write_skips=1)
-            return False
-        except _NETWORK_ERRORS:
-            self.stats.add(errors=1, write_skips=1)
-            self._mark_down()
-            return False
-        self.stats.add(writes=1, bytes_written=len(data))
-        return True
+            failure = TransportError if error.code >= 500 else Refused
+            raise failure(f"PUT {path}: HTTP {error.code}") from error
+        except _NETWORK_ERRORS as error:
+            raise TransportError(f"PUT {path}: {error}") from error
 
     # ------------------------------------------------------------------
-    # ArtifactStore: maintenance
+    # Maintenance
     # ------------------------------------------------------------------
 
     def report(self) -> StoreReport:
@@ -344,22 +383,22 @@ class RemoteArtifactCache:
         return self._maintenance("/clear")
 
     def healthy(self) -> bool:
-        """One ``/healthz`` probe — used by CLI and tests to wait for
-        a serve daemon to come up."""
         try:
             return self._request("GET", "/healthz") is not None
         except (urllib.error.HTTPError, *_NETWORK_ERRORS):
             return False
 
-    def telemetry(self) -> Dict[str, int]:
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
 
-    def __repr__(self) -> str:
-        return (f"RemoteArtifactCache({self.base_url!r}, "
-                f"hits={self.stats.hits}, misses={self.stats.misses}, "
-                f"writes={self.stats.writes})")
+class RemoteArtifactCache(SharedStore):
+    """The shared-tier client of a ``si-mapper serve`` daemon."""
+
+    def __init__(self, base_url: str, timeout: float = 10.0,
+                 cooldown: float = 30.0,
+                 chunk_bytes: int = 4 * 1024 * 1024,
+                 codec: Optional[str] = None):
+        backend = DaemonBackend(base_url, timeout, chunk_bytes)
+        super().__init__(backend, backend.base_url, "remote",
+                         cooldown=cooldown, codec=codec)
 
 
 class TieredStore:
@@ -367,17 +406,16 @@ class TieredStore:
 
     Reads consult the local layer first; a hit on the shared layer is
     written back locally so the next read never leaves the machine.
-    Writes go to both layers.  The shared layer is any backend with
-    the raw-envelope surface (``fetch``/``put_raw`` + ``stats``) —
-    :class:`RemoteArtifactCache` or :class:`~repro.dist.objectstore.
-    ObjectStoreArtifactCache`.  Maintenance (:meth:`report` /
+    Writes go to both layers.  The shared layer is a
+    :class:`SharedStore` (its raw-envelope surface ``fetch``/
+    ``put_raw`` + ``stats``).  Maintenance (:meth:`report` /
     :meth:`gc` / :meth:`clear`) acts on the *local* layer — the shared
     store is maintained by its operator (``si-mapper cache
     --cache-url ...``), not as a side effect of one worker's
     housekeeping.
     """
 
-    def __init__(self, local: DiskArtifactCache, remote: Any):
+    def __init__(self, local: DiskArtifactCache, remote: SharedStore):
         self.local = local
         self.remote = remote
 

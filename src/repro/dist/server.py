@@ -210,6 +210,9 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "si-mapper-store/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a reply is two writes, and Nagle's algorithm would
+    #: hold the body for a keep-alive client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
 
     # the ThreadingHTTPServer subclass below carries these
     server: "ArtifactServer"

@@ -38,7 +38,7 @@ from repro.errors import InsertionError
 from repro.mapping.partition import IPartition
 from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
-from repro.sg.properties import check_speed_independence
+from repro.sg.properties import check_speed_independence, csc_violations
 
 
 @dataclass
@@ -122,9 +122,12 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
     new_sg, copies = _split_graph(sg, enc, levels, reach, lift, drop,
                                   start, name)
 
-    report = check_speed_independence(new_sg)
-    ok = report.implementable if require_csc else (
-        report.speed_independent and not report.consistency)
+    # CSC is computed only when required, or to end a rejection's message
+    report = check_speed_independence(new_sg, csc=False)
+    ok = report.speed_independent and not report.consistency
+    if require_csc or not ok:
+        report.csc = csc_violations(new_sg)
+        ok = ok and not (require_csc and report.csc)
     if not ok:
         raise InsertionError(
             f"insertion of {name!r} breaks the specification: "

@@ -68,11 +68,11 @@ from repro.pipeline.context import SynthesisContext
 from repro.pipeline.run import (Pipeline, PipelineConfig, RunRecord,
                                 StageTiming, STAGES)
 from repro.pipeline.store import (ARTIFACT_FORMATS, DiskArtifactCache,
-                                  DiskStats, StoreReport)
+                                  StoreReport, StoreStats)
 
 __all__ = [
     "ARTIFACT_FORMATS", "ArtifactCache", "BatchItem", "BatchRunner",
-    "DiskArtifactCache", "DiskStats", "Pipeline", "PipelineConfig",
-    "RunRecord", "STAGES", "StageTiming", "StoreReport",
+    "DiskArtifactCache", "Pipeline", "PipelineConfig", "RunRecord",
+    "STAGES", "StageTiming", "StoreReport", "StoreStats",
     "SynthesisContext", "content_key_of",
 ]

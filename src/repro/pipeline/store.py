@@ -10,15 +10,15 @@ memory is consulted first, then disk, then the compute thunk; computed
 values are written back through both layers.
 
 It is the *local* backend of the :class:`~repro.dist.base.
-ArtifactStore` protocol; :mod:`repro.dist` adds the remote HTTP
-backend (:class:`~repro.dist.remote.RemoteArtifactCache`), the
-S3-compatible :class:`~repro.dist.objectstore.ObjectStoreArtifactCache`,
-the write-through :class:`~repro.dist.remote.TieredStore`, and the
-``si-mapper serve`` daemon that exposes one of these stores to a
-cluster.  All backends share one wire/disk format — the codec-stamped
-*envelope* of :mod:`repro.dist.envelope` — so an entry written by a
-worker's disk store is byte-compatible with one PUT over HTTP or
-filed in an object store.
+ArtifactStore` protocol; :mod:`repro.dist` adds the shared tier's one
+client (:class:`~repro.dist.remote.SharedStore`, over a serve daemon
+or an S3-compatible bucket), the write-through
+:class:`~repro.dist.remote.TieredStore`, and the ``si-mapper serve``
+daemon that exposes a disk store to a cluster.  Every tier counts its
+traffic in one :class:`StoreStats`.  All backends share one wire/disk
+format — the codec-stamped *envelope* of :mod:`repro.dist.envelope` —
+so an entry written by a worker's disk store is byte-compatible with
+one PUT over HTTP or filed in an object store.
 
 Safety properties:
 
@@ -50,7 +50,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (Any, BinaryIO, Dict, Hashable, Iterable, List,
                     Optional, Tuple)
 
@@ -72,97 +72,75 @@ MISS = object()
 TEMP_REAP_SECONDS = 3600.0
 
 
-class _ThreadSafeCounters:
-    """Mixin giving a stats dataclass an internal lock and an atomic
-    multi-counter :meth:`add` — one store instance is hammered by many
-    threads (the memory layer's waiters, the serve daemon's handler
-    threads), and ``+=`` on a dataclass field is not atomic."""
+@dataclass
+class StoreStats:
+    """Telemetry counters of one store layer (``disk`` or ``remote``).
+
+    The ``tier`` (``disk``, ``remote`` or ``s3``) labels the mirror of
+    every increment on the process metrics registry,
+    ``si_store_ops_total{tier,op}`` / ``si_store_bytes_total``.  One
+    store is hammered by many threads (the memory layer's waiters, the
+    serve daemon's handler threads), and ``+=`` on a dataclass field is
+    not atomic: every increment goes through the locked :meth:`add`.
+    """
+
+    layer: str
+    tier: str
+    hits: int = 0
+    misses: int = 0          # absent, or skipped in a cooldown
+    stale: int = 0           # right key, outdated format stamp
+    errors: int = 0          # corrupt entries, network/server failures
+    writes: int = 0
+    write_skips: int = 0     # unpicklable, failed or skipped writes
+    bytes_read: int = 0
+    bytes_written: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        self._tier: Optional[str] = None
-
-    def bind(self, tier: str) -> None:
-        """Mirror future increments onto the process metrics registry
-        as ``si_store_ops_total{tier,op}`` / ``si_store_bytes_total``.
-
-        Binding is opt-in per instance: throwaway stats objects (the
-        zero-fill in :func:`empty_telemetry`) stay silent."""
-        self._tier = tier
 
     def add(self, **amounts: int) -> None:
         with self._lock:
             for name, amount in amounts.items():
                 setattr(self, name, getattr(self, name) + amount)
-            tier = self._tier
-        if tier is not None:
-            registry = default_registry()
-            for name, amount in amounts.items():
-                if amount <= 0:
-                    continue
-                if name in ("bytes_read", "bytes_written"):
-                    registry.counter(
-                        "si_store_bytes_total",
-                        "Bytes moved through artifact store tiers.",
-                        ("tier", "direction")).inc(
-                            amount, tier=tier,
-                            direction=("read" if name == "bytes_read"
-                                       else "written"))
-                else:
-                    registry.counter(
-                        "si_store_ops_total",
-                        "Artifact store operations by tier and outcome.",
-                        ("tier", "op")).inc(amount, tier=tier, op=name)
-
-
-@dataclass
-class DiskStats(_ThreadSafeCounters):
-    """Telemetry counters of one :class:`DiskArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    stale: int = 0           # right key, outdated format stamp
-    errors: int = 0          # corrupt / truncated / unreadable entries
-    writes: int = 0
-    write_skips: int = 0     # artifacts that refused to pickle
-    bytes_read: int = 0
-    bytes_written: int = 0
+        registry = default_registry()
+        for name, amount in amounts.items():
+            if amount <= 0:
+                continue
+            if name in ("bytes_read", "bytes_written"):
+                registry.counter(
+                    "si_store_bytes_total",
+                    "Bytes moved through artifact store tiers.",
+                    ("tier", "direction")).inc(
+                        amount, tier=self.tier,
+                        direction=("read" if name == "bytes_read"
+                                   else "written"))
+            else:
+                registry.counter(
+                    "si_store_ops_total",
+                    "Artifact store operations by tier and outcome.",
+                    ("tier", "op")).inc(amount, tier=self.tier, op=name)
 
     def as_dict(self) -> Dict[str, int]:
+        """The counters keyed ``<layer>_<field>``."""
         with self._lock:
-            return {
-                "disk_hits": self.hits,
-                "disk_misses": self.misses,
-                "disk_stale": self.stale,
-                "disk_errors": self.errors,
-                "disk_writes": self.writes,
-                "disk_write_skips": self.write_skips,
-                "disk_bytes_read": self.bytes_read,
-                "disk_bytes_written": self.bytes_written,
-            }
+            return {f"{self.layer}_{name}": getattr(self, name)
+                    for name in _COUNTERS}
 
 
-#: every remote-backend counter name (mirrors
-#: :class:`repro.dist.remote.RemoteStats`; a test pins the two lists
-#: together) — listed here so the base pipeline layer can zero-fill
-#: uniform telemetry without importing the dist layer.
-REMOTE_COUNTERS = ("remote_hits", "remote_misses", "remote_stale",
-                   "remote_errors", "remote_writes",
-                   "remote_write_skips", "remote_bytes_read",
-                   "remote_bytes_written")
+#: the counter fields of :class:`StoreStats` (all but layer and tier)
+_COUNTERS = tuple(item.name for item in fields(StoreStats))[2:]
 
 
 def empty_telemetry() -> Dict[str, int]:
-    """Zeroed counters of every backend kind (disk and remote).
+    """Zeroed counters of both store layers (disk and remote).
 
     All :class:`~repro.dist.base.ArtifactStore` backends report over
     this key set, so :meth:`~repro.pipeline.cache.ArtifactCache.
     telemetry` snapshots diff cleanly whichever backend (or none) is
     attached.
     """
-    counters = DiskStats().as_dict()
-    counters.update({name: 0 for name in REMOTE_COUNTERS})
-    return counters
+    return {f"{layer}_{name}": 0 for layer in ("disk", "remote")
+            for name in _COUNTERS}
 
 
 @dataclass
@@ -281,8 +259,7 @@ class DiskArtifactCache:
     def __init__(self, root: str, codec: Optional[str] = None):
         self.root = os.path.abspath(root)
         self.codec = resolve_codec(codec)
-        self.stats = DiskStats()
-        self.stats.bind("disk")
+        self.stats = StoreStats("disk", "disk")
 
     # ------------------------------------------------------------------
     # Key → path

@@ -205,14 +205,16 @@ class PropertyReport:
         return self.implementable
 
 
-def check_speed_independence(sg: StateGraph) -> PropertyReport:
-    """Run the complete property suite on a state graph."""
+def check_speed_independence(sg: StateGraph,
+                             csc: bool = True) -> PropertyReport:
+    """Run the complete property suite on a state graph (all but the
+    CSC check when ``csc`` is false)."""
     return PropertyReport(
         consistency=consistency_violations(sg),
         determinism=determinism_violations(sg),
         commutativity=commutativity_violations(sg),
         persistency=persistency_violations(sg),
-        csc=csc_violations(sg),
+        csc=csc_violations(sg) if csc else [],
     )
 
 

@@ -1,6 +1,9 @@
 """The S3-compatible backend: spec parsing, round trips against the
 in-process fake, the degrade-to-miss failure model, maintenance over
-listings, and pipeline warm starts through ``--cache-s3``."""
+listings, the boto3 transport, and pipeline warm starts through
+``--cache-s3``."""
+
+import sys
 
 import pytest
 
@@ -63,13 +66,11 @@ class TestSpecParsing:
         with pytest.raises(StoreConfigError):
             parse_object_store_spec(bad)
 
-    def test_bare_spec_without_boto3_is_a_config_error(self):
-        try:
-            import boto3                          # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("boto3 is installed here")
+    def test_bare_spec_without_boto3_is_a_config_error(self,
+                                                       monkeypatch):
+        # a None entry makes ``import boto3`` fail even where it is
+        # installed, so this path is checked on every host
+        monkeypatch.setitem(sys.modules, "boto3", None)
         with pytest.raises(StoreConfigError, match="boto3"):
             ObjectStoreArtifactCache("bucket/prefix")
 
@@ -297,6 +298,66 @@ class TestTransportInjection:
         removed, freed = cache.gc()
         assert removed == 1
         assert freed == 10
+
+
+class TestBoto3Transport:
+    """The boto3 transport against the fake, injected like any other:
+    dummy credentials, an explicit endpoint, nothing leaves the host."""
+
+    @pytest.fixture
+    def cache(self, fake, monkeypatch):
+        pytest.importorskip("boto3")
+        from repro.dist.objectstore import _Boto3Transport
+        for name, value in (("AWS_ACCESS_KEY_ID", "test"),
+                            ("AWS_SECRET_ACCESS_KEY", "test"),
+                            ("AWS_DEFAULT_REGION", "us-east-1"),
+                            ("AWS_EC2_METADATA_DISABLED", "true"),
+                            ("AWS_CONFIG_FILE", "/nonexistent"),
+                            ("AWS_SHARED_CREDENTIALS_FILE",
+                             "/nonexistent")):
+            monkeypatch.setenv(name, value)
+        transport = _Boto3Transport(BUCKET, endpoint=fake.url)
+        return ObjectStoreArtifactCache(f"{BUCKET}/{PREFIX}",
+                                        transport=transport)
+
+    def test_round_trip(self, cache):
+        assert cache.get(KEY) is MISS
+        assert cache.stats.misses == 1
+        assert cache.put(KEY, VALUE)
+        assert cache.get(KEY) == VALUE
+        assert cache.stats.hits == 1
+        assert cache.stats.errors == 0
+        assert cache.stats.bytes_read == cache.stats.bytes_written > 0
+
+    def test_stale_format_is_a_miss(self, cache, monkeypatch):
+        cache.put(KEY, VALUE)
+        monkeypatch.setitem(ARTIFACT_FORMATS, "sg",
+                            ARTIFACT_FORMATS["sg"] + 1)
+        assert cache.get(KEY) is MISS
+        assert cache.stats.stale == 1
+
+    def test_report(self, cache):
+        cache.put(KEY, VALUE)
+        report = cache.report()
+        assert report.entries == 1
+        assert report.bytes == cache.stats.bytes_written
+        assert report.by_kind["sg"][0] == 1
+        assert report.root == f"s3://{BUCKET}/{PREFIX}"
+
+    def test_gc_size_budget(self, cache):
+        cache.put(KEY, VALUE)
+        assert cache.gc(max_bytes=0) == (1, cache.stats.bytes_written)
+        assert cache.get(KEY) is MISS
+        assert cache.stats.errors == 0
+
+    def test_clear_spares_neighbour_objects(self, fake, cache):
+        cache.put(KEY, VALUE)
+        seed(fake, f"{PREFIX}/README", b"neighbour file")
+        removed, freed = cache.clear()
+        assert removed == 1
+        assert freed == cache.stats.bytes_written
+        assert fake.lookup(BUCKET, f"{PREFIX}/README")
+        assert cache.get(KEY) is MISS
 
 
 CONFIG = dict(libraries=(2,), with_siegel=False, keep_artifacts=False)

@@ -81,7 +81,7 @@ class TestRemoteRoundTrip:
         report = remote.report()
         assert report.entries == 2
         assert set(report.by_kind) == {"sg", "map"}
-        assert report.root == remote.base_url
+        assert report.root == remote.address
 
     def test_remote_gc_and_clear(self, remote):
         remote.put(KEY, "a")
@@ -114,20 +114,23 @@ class TestDeadServer:
         assert dead.stats.write_skips == 1
 
     @staticmethod
-    def _raising_5xx(client, code):
+    def _raising_http(client, code):
+        """Make every request of the client's daemon backend answer
+        ``code`` — patched on the backend, where the wire is, so the
+        dead URL behind it is never reached."""
         import io
 
         def boom(method, path, data=None, headers=None):
             raise urllib.error.HTTPError("url", code, "backend down",
                                          {}, io.BytesIO())
-        client._request = boom
-        client._open = boom
+        client.backend._request = boom
+        client.backend._open = boom
 
     def test_5xx_opens_the_cooldown(self):
         """A broken backend behind a live proxy must back off exactly
         like a dead socket — not one failed request per artifact."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
-        self._raising_5xx(client, 503)
+        self._raising_http(client, 503)
         assert client.get(KEY) is MISS
         assert client.stats.errors == 1
         assert client.get(KEY) is MISS         # cooldown: no request
@@ -138,11 +141,33 @@ class TestDeadServer:
         """A 507 (full store) is operator-visible in remote_errors,
         unlike a benign refused upload."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
-        self._raising_5xx(client, 507)
+        self._raising_http(client, 507)
         assert not client.put(KEY, "value")
         assert client.stats.errors == 1
         assert client.stats.write_skips == 1
         assert not client._available()         # backing off
+
+    def test_refused_put_is_a_skip_not_an_error(self):
+        """A 413 (entry over the daemon's size cap) refuses one upload
+        from a live daemon: a skip, with no error and no back-off."""
+        client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
+        self._raising_http(client, 413)
+        assert not client.put(KEY, "value")
+        assert client.stats.write_skips == 1
+        assert client.stats.errors == 0
+        assert client._available()
+
+    def test_refused_get_opens_no_cooldown(self):
+        """A 403 on a download is an error, but the daemon is alive:
+        the next read reaches the backend again."""
+        client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
+        self._raising_http(client, 403)
+        assert client.get(KEY) is MISS
+        assert client.stats.errors == 1
+        assert client._available()
+        assert client.get(KEY) is MISS         # a real request again
+        assert client.stats.errors == 2
+        assert client.stats.misses == 0
 
     def test_maintenance_degrades_to_zero(self):
         dead = RemoteArtifactCache(DEAD_URL, cooldown=0)
@@ -233,6 +258,26 @@ class TestServerProtocol:
         assert reply.status == 200
         assert reply.read() == data
         connection.close()
+
+    def test_keepalive_replies_do_not_stall(self, server):
+        """Headers and body leave as two writes; without TCP_NODELAY
+        the body waits for the client's delayed ACK (~40 ms) on every
+        reply of a reused connection."""
+        import http.client
+        import statistics
+        import time
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        laps = []
+        for _ in range(30):
+            start = time.perf_counter()
+            connection.request("GET", "/healthz")
+            reply = connection.getresponse()
+            reply.read()
+            laps.append(time.perf_counter() - start)
+            assert reply.status == 200
+        connection.close()
+        assert statistics.median(laps) < 0.020, laps
 
     def test_rejected_put_closes_the_connection(self, server):
         """A reply sent *before* the body is consumed (bad path here)
@@ -364,15 +409,6 @@ class TestTieredStore:
         assert remote.stats.write_skips == 1
         assert local.stats.writes == 0
         assert remote.stats.writes == 0
-
-
-def test_remote_counters_match_remote_stats():
-    """pipeline.store zero-fills remote telemetry from a static list;
-    it must stay in lockstep with RemoteStats.as_dict()."""
-    from repro.dist.remote import RemoteStats
-    from repro.pipeline.store import REMOTE_COUNTERS, empty_telemetry
-    assert set(REMOTE_COUNTERS) == set(RemoteStats().as_dict())
-    assert set(empty_telemetry()) >= set(REMOTE_COUNTERS)
 
 
 def test_serve_bind_failure_is_a_clean_cli_error(tmp_path, server,

@@ -85,6 +85,30 @@ class TestSemantics:
                   for e, _ in new_sg.successors(s)}
         assert "c+" in events and "c-" in events
 
+    def test_accepted_trial_skips_the_csc_check(self, celement_sg,
+                                                monkeypatch):
+        """A CSC-solver trial (require_csc=False) that is accepted
+        never computes CSC violations: nothing would read them."""
+        import repro.mapping.insertion
+        import repro.sg.properties
+        from repro.sg.properties import csc_violations
+        calls = []
+
+        def counted(sg):
+            calls.append(sg)
+            return csc_violations(sg)
+        # both the name insert_signal resolves and the one the
+        # property suite resolves
+        monkeypatch.setattr(repro.mapping.insertion, "csc_violations",
+                            counted)
+        monkeypatch.setattr(repro.sg.properties, "csc_violations",
+                            counted)
+        partition = compute_insertion_sets(celement_sg, cover("a b"))
+        insert_signal(celement_sg, partition, "x", require_csc=False)
+        assert calls == []
+        insert_signal(celement_sg, partition, "x", require_csc=True)
+        assert len(calls) == 1
+
 
 class TestResynthesis:
     def test_inserted_signal_synthesizable(self, inserted):

@@ -220,11 +220,28 @@ class TestLayeredCache:
         assert fresh.misses == 0
         assert fresh.disk.stats.hits == 1
 
-    def test_telemetry_without_disk_has_zero_counters(self):
+    def test_telemetry_without_disk_has_zero_counters(self, tmp_path):
         cache = ArtifactCache()
         telemetry = cache.telemetry()
         assert telemetry["disk_hits"] == 0
         assert telemetry["cache_misses"] == 0
+        # every backend reports over exactly the zero-filled key set
+        # (nothing here touches the network: the addresses are dead)
+        from repro.dist.objectstore import ObjectStoreArtifactCache
+        from repro.dist.remote import RemoteArtifactCache, TieredStore
+        from repro.pipeline.store import empty_telemetry
+        disk = DiskArtifactCache(str(tmp_path))
+        remote = RemoteArtifactCache("http://127.0.0.1:1")
+        bucket = ObjectStoreArtifactCache("http://127.0.0.1:1/b/p")
+        for store in (disk, remote, bucket, TieredStore(disk, remote),
+                      TieredStore(disk, bucket)):
+            assert set(store.telemetry()) == set(empty_telemetry())
+        remote_keys = {name for name in empty_telemetry()
+                       if name.startswith("remote_")}
+        assert set(remote.stats.as_dict()) == remote_keys
+        assert set(bucket.stats.as_dict()) == remote_keys
+        assert set(cache.telemetry()) - {"cache_hits", "cache_misses"} \
+            == set(empty_telemetry())
 
 
 BATTERY = PipelineConfig(libraries=(2,), with_siegel=True,

@@ -202,6 +202,21 @@ b+/2 a+
         assert main(["serve"]) == 2
         assert "store directory" in capsys.readouterr().err
 
+    def test_serve_rejects_two_shared_tiers(self, tmp_path, capsys,
+                                            monkeypatch):
+        """An upstream from --cache-url and one from --cache-s3 is a
+        configuration error, reported before any port is bound."""
+        import repro.dist.server
+
+        def never(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+        monkeypatch.setattr(repro.dist.server, "ArtifactServer", never)
+        assert main(["serve", "--cache-dir", str(tmp_path),
+                     "--cache-url", "http://127.0.0.1:1",
+                     "--cache-s3", "http://127.0.0.1:1/b/p"]) == 2
+        err = capsys.readouterr().err
+        assert "--cache-url" in err and "--cache-s3" in err
+
     @staticmethod
     def _badseq_file(tmp_path):
         from repro.stg.writer import write_g
