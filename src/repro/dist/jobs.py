@@ -12,8 +12,8 @@ Three pieces:
 * :class:`Job` — one synthesis request: a stable content-derived id,
   a state machine ``queued → running → done/failed`` (plus
   ``cancelled`` for jobs pulled from the queue before a worker took
-  them), per-stage progress events sourced from the
-  :mod:`repro.mapping.progress` hooks, and the finished Table-1 row as
+  them), per-stage progress events from the pipeline's ``on_stage``
+  callback, and the finished Table-1 row as
   *canonical bytes* so every fetch — and every replica — returns the
   byte-identical document;
 * :class:`JobService` — the queue, the worker pool, per-tenant quotas
@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.mapping.decompose import MapperConfig
-from repro.mapping.progress import ProgressEvent, progress_hook
 from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer
 from repro.stg.parser import parse_g
@@ -507,9 +506,9 @@ class JobService:
     def _run(self, job: Job) -> None:
         from repro.pipeline.run import Pipeline, PipelineConfig
 
-        def observe(event: ProgressEvent) -> None:
+        def observe(event: Dict[str, object]) -> None:
             with self._lock:
-                job.events.append(event.to_json())
+                job.events.append(event)
 
         config = PipelineConfig(
             libraries=job.params.libraries,
@@ -517,19 +516,16 @@ class JobService:
             mapper=MapperConfig(solve_csc=job.params.solve_csc,
                                 csc_method=job.params.csc_method),
             keep_artifacts=False)
+        pipeline = Pipeline(config, cache=self._cache, on_stage=observe)
         tracer = Tracer() if self.keep_trace else None
         try:
-            with progress_hook(observe):
-                if tracer is not None:
-                    with tracer.activate():
-                        with tracer.span("job", "job", id=job.id,
-                                         circuit=job.name):
-                            record = Pipeline(
-                                config, cache=self._cache).run(
-                                    (job.name, job.g_text))
-                else:
-                    record = Pipeline(config, cache=self._cache).run(
-                        (job.name, job.g_text))
+            if tracer is not None:
+                with tracer.activate():
+                    with tracer.span("job", "job", id=job.id,
+                                     circuit=job.name):
+                        record = pipeline.run((job.name, job.g_text))
+            else:
+                record = pipeline.run((job.name, job.g_text))
             result = canonical_row_bytes(record.row)
         except Exception as error:  # si-lint: disable=exc-broad-degrade
             # the job, not the service, fails: any pipeline error (CSC

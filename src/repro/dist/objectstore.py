@@ -42,7 +42,7 @@ from repro.dist.envelope import ARTIFACT_FORMATS, STORE_LAYOUT
 from repro.dist.remote import (SharedStore, TransportError,
                                _NETWORK_ERRORS)
 from repro.errors import StoreConfigError
-from repro.pipeline.store import StoreReport
+from repro.pipeline.store import StoreReport, over_budget
 
 
 def parse_object_store_spec(spec: str) -> Tuple[Optional[str], str,
@@ -353,15 +353,7 @@ class BucketBackend:
             else:
                 survivors.append((mtime, key, size))
         if max_bytes is not None:
-            survivors.sort(reverse=True)   # newest first
-            budget = max_bytes
-            overflowed = False
-            for _, key, size in survivors:
-                if not overflowed and size <= budget:
-                    budget -= size
-                    continue
-                overflowed = True
-                doomed.append((key, size))
+            doomed.extend(over_budget(survivors, max_bytes))
         return self._delete(doomed)
 
     def clear(self) -> Tuple[int, int]:

@@ -11,6 +11,8 @@ workers over a tiny content-addressed protocol:
 * ``PUT  /artifact/<kind>/<digest>`` — store an envelope atomically,
   streamed to disk chunk by chunk (no whole-entry buffer);
 * ``GET  /stats``    — JSON inventory + request counters;
+* ``GET  /metrics``  — the process metrics registry as Prometheus
+  text, request counts and latencies included;
 * ``GET  /healthz``  — liveness probe;
 * ``POST /gc``, ``POST /clear`` — remote store maintenance.
 
@@ -77,7 +79,6 @@ from repro.dist.jobs import (DEFAULT_RETAIN, DONE, FAILED, ClaimPool,
                              QuotaExceeded)
 from repro.errors import ParseError
 from repro.obs.metrics import default_registry
-from repro.obs.trace import Tracer, current_tracer
 from repro.pipeline.store import DiskArtifactCache
 
 #: an upload larger than this is refused (413) — the biggest real
@@ -132,29 +133,19 @@ def _route_of(path: str) -> str:
 
 def _observed(method: Callable[["_StoreRequestHandler"], None]
               ) -> Callable[["_StoreRequestHandler"], None]:
-    """Wrap one ``do_*`` verb with request metrics and an HTTP span.
+    """Wrap one ``do_*`` verb with request metrics.
 
     Counts ``si_http_requests_total{method,route,status}`` and times
-    ``si_http_request_seconds{method,route}``; when the server carries
-    a tracer (or the handler thread has one active), the whole request
-    is one ``http`` span."""
+    ``si_http_request_seconds{method,route}``."""
 
     @functools.wraps(method)
     def wrapper(self: "_StoreRequestHandler") -> None:
         route = _route_of(urllib.parse.urlsplit(self.path).path)
         verb = self.command or method.__name__.replace("do_", "")
-        tracer = self.server.tracer or current_tracer()
-        span = (tracer.span("http", "http", method=verb, route=route)
-                if tracer is not None else None)
         self._last_status = 0
         start = time.perf_counter()
         try:
-            if span is not None:
-                with span as annotations:
-                    method(self)
-                    annotations["status"] = self._last_status
-            else:
-                method(self)
+            method(self)
         finally:
             seconds = time.perf_counter() - start
             registry = default_registry()
@@ -766,10 +757,6 @@ class ArtifactServer(ThreadingHTTPServer):
         self.request_timeout = request_timeout
         self.claims = ClaimPool()
         self.jobs: Optional[JobService] = None
-        #: an optional :class:`~repro.obs.trace.Tracer` collecting one
-        #: ``http`` span per request (handler threads are short-lived,
-        #: so the thread-local mechanism alone cannot cover them)
-        self.tracer: Optional[Tracer] = None
         if workers:
             job_store: Any = self.store
             if upstream is not None:

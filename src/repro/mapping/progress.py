@@ -1,5 +1,4 @@
-"""Progress analysis: Properties 3.1 and 3.2 of the paper — and the
-progress-*event* hooks the synthesis service streams to clients.
+"""Progress analysis: Properties 3.1 and 3.2 of the paper.
 
 Both properties are *filters over the original SG* — they are checked
 before any insertion happens ("the conditions can be efficiently checked
@@ -11,23 +10,12 @@ In this implementation they guide candidate *ranking*; final soundness
 comes from resynthesis plus full verification after the insertion, so a
 filter that is slightly conservative or slightly optimistic only costs
 search time, never correctness.
-
-The hook layer at the bottom (:class:`ProgressEvent`,
-:func:`progress_hook`, :func:`emit_progress`) is how long-running flows
-report progress without knowing who is listening: the pipeline emits a
-start/done event per stage, and an observer — the ``si-mapper serve``
-job runner, a CLI spinner, a test spy — installs a per-thread callback
-around the run.  Hooks are thread-local, so concurrent jobs in one
-process each see only their own events.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Sequence, Tuple
 
 from repro.boolean.sop import SopCover
 from repro.mapping.partition import IPartition
@@ -220,81 +208,3 @@ def estimate_global_impact(sg: StateGraph,
         else:
             unbounded += 1
     return bounded, unbounded
-
-
-# ----------------------------------------------------------------------
-# Progress-event hooks
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One step of a long-running synthesis flow.
-
-    ``stage`` is a pipeline stage name (``load``/``reach``/``csc``/…),
-    ``status`` is ``"start"``, ``"done"`` or ``"note"``; ``seconds``
-    carries the stage wall-clock on ``done`` events.
-    """
-
-    stage: str
-    status: str = "note"
-    detail: str = ""
-    seconds: Optional[float] = None
-
-    def to_json(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"stage": self.stage,
-                                      "status": self.status}
-        if self.detail:
-            payload["detail"] = self.detail
-        if self.seconds is not None:
-            payload["seconds"] = round(self.seconds, 6)
-        return payload
-
-
-ProgressCallback = Callable[[ProgressEvent], None]
-
-#: per-thread observer stack — concurrent jobs in one process each see
-#: only the events of their own pipeline run
-_hooks = threading.local()
-
-
-def _hook_stack() -> List[ProgressCallback]:
-    stack = getattr(_hooks, "stack", None)
-    if stack is None:
-        stack = []
-        _hooks.stack = stack
-    return stack
-
-
-@contextmanager
-def progress_hook(callback: ProgressCallback) -> Iterator[ProgressCallback]:
-    """Observe every :func:`emit_progress` of the current thread.
-
-    Hooks nest: the innermost is called first, and all installed hooks
-    of the thread see every event.
-    """
-    stack = _hook_stack()
-    stack.append(callback)
-    try:
-        yield callback
-    finally:
-        stack.remove(callback)
-
-
-def emit_progress(stage: str, status: str = "note", detail: str = "",
-                  seconds: Optional[float] = None) -> None:
-    """Report one progress event to the current thread's observers.
-
-    A no-op without observers (the common, non-service case), and an
-    observer that raises never kills the synthesis it is watching —
-    progress reporting is telemetry, not control flow.
-    """
-    stack = _hook_stack()
-    if not stack:
-        return
-    event = ProgressEvent(stage, status, detail, seconds)
-    for callback in reversed(list(stack)):
-        try:
-            callback(event)
-        except Exception:  # si-lint: disable=exc-broad-degrade
-            # a broken observer must not fail the run it observes
-            continue

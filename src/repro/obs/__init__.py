@@ -8,14 +8,13 @@ to* its backward-compatible dict views, so cached artifacts, shard
 telemetry blocks and ``/stats`` JSON are byte-unchanged while
 ``GET /metrics`` exposes the same numbers as Prometheus text.
 
-The tracing half (:mod:`repro.obs.trace`) builds nestable spans over
-the :mod:`repro.mapping.progress` hook seam: activating a
-:class:`~repro.obs.trace.Tracer` turns the pipeline's per-stage
-start/done events into spans and arms the explicit
-:func:`~repro.obs.trace.trace_span` sites in the mapper inner loops,
-the store tiers and the HTTP handler.  With no tracer active every
-site is a near-free null check — the overhead contract of the
-recorded perf trajectory.
+The tracing half (:mod:`repro.obs.trace`) builds nestable spans:
+activating a :class:`~repro.obs.trace.Tracer` arms the explicit
+:func:`~repro.obs.trace.trace_span` sites — the pipeline stages, the
+report battery and its circuits, the mapper inner loops and the
+service client — and a daemon worker keeping job traces wraps each
+job in a span.  With no tracer active every site is a near-free null
+check — the overhead contract of the recorded perf trajectory.
 
 See ``docs/observability.md`` for the instrument catalogue, the span
 taxonomy and the exposition/trace file contracts.

@@ -11,6 +11,11 @@ modules can resolve instruments lazily without coordination.
 Every mutation happens under the instrument's lock; snapshot order is
 deterministic (sorted by metric name, then by label values) so that
 two scrapes of identical state render identical bytes.
+
+A *counter journal* (:func:`open_journal` / :func:`close_journal`)
+records the counter increments one thread makes while it is open —
+what a span attaches as its ``stats``, so concurrent jobs never see
+each other's work.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelKey = Tuple[str, ...]
+
+#: per-thread stack of open counter journals
+_journals = threading.local()
 
 
 def _check_name(name: str) -> str:
@@ -149,6 +157,12 @@ class Counter(Instrument):
         key = self._label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
+        journals = getattr(_journals, "stack", None)
+        if journals:
+            sample = (self.name + "_total"
+                      + _render_labels(self.labelnames, key))
+            for journal in journals:
+                journal[sample] = journal.get(sample, 0.0) + amount
 
     def value(self, **labels: str) -> float:
         key = self._label_key(labels)
@@ -337,24 +351,6 @@ class MetricsRegistry:
             out.extend(instrument.samples())
         return out
 
-    def counter_totals(self) -> Dict[str, float]:
-        """Flat {name or name{labels}: value} view over counters only.
-
-        This is the cheap delta source the tracer snapshots at span
-        boundaries; gauges and histograms are excluded because deltas
-        over them are not meaningful.
-        """
-        out: Dict[str, float] = {}
-        for instrument in self.instruments():
-            if not isinstance(instrument, Counter):
-                continue
-            for sample in instrument.samples():
-                key = sample.name + _render_labels(
-                    [name for name, _ in sample.labels],
-                    [value for _, value in sample.labels])
-                out[key] = sample.value
-        return out
-
     def render_prometheus(self) -> str:
         """Text exposition format 0.0.4 (what Prometheus scrapes)."""
         lines: List[str] = []
@@ -373,6 +369,28 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._instruments.clear()
+
+
+def open_journal() -> Dict[str, float]:
+    """Record this thread's counter increments from now on.
+
+    Returns the journal: ``{name_total{labels}: amount}``, filled by
+    every :meth:`Counter.inc` on this thread until
+    :func:`close_journal`.  Journals nest; an increment lands in every
+    open one."""
+    stack = getattr(_journals, "stack", None)
+    if stack is None:
+        stack = []
+        _journals.stack = stack
+    journal: Dict[str, float] = {}
+    stack.append(journal)
+    return journal
+
+
+def close_journal() -> Dict[str, float]:
+    """Stop this thread's innermost journal and return it."""
+    stack: List[Dict[str, float]] = _journals.stack
+    return stack.pop()
 
 
 _default_lock = threading.Lock()

@@ -1,23 +1,20 @@
-"""Span tracing over the progress-hook seam, with Chrome export.
+"""Span tracing, with Chrome export.
 
 A :class:`Tracer` records nestable spans — name, category, wall time,
 thread CPU time, thread identity, parent linkage and free-form args.
-Spans come from two sources:
-
-* the :mod:`repro.mapping.progress` bridge — activating a tracer
-  installs a progress hook, so the pipeline's existing per-stage
-  ``start``/``done`` events become ``stage:<name>`` spans with zero
-  changes to the pipeline itself; and
-* explicit :func:`trace_span` call sites in hot code (mapper candidate
-  trials, store tiers, HTTP handlers).  With no tracer active on the
-  current thread those sites cost one thread-local attribute read —
-  that is the whole "tracing off" overhead story.
+Every span is a ``with`` block at an explicit :func:`trace_span` call
+site: the pipeline's ``stage:<name>`` spans, the report battery and
+its circuits, the mapper's candidate trials, a job on a daemon worker
+and the service client's requests.  With no tracer active on the
+current thread those sites cost one thread-local attribute read —
+that is the whole "tracing off" overhead story.
 
 Span stacks are kept *per thread*, so concurrent jobs on a threaded
-daemon produce disjoint well-nested trees.  For spans in delta-worthy
-categories the tracer snapshots the default metrics registry's
-counter totals at entry and attaches the non-zero diffs to the span's
-args — "this stage did 3 disk hits and 1 miss" travels with the span.
+daemon produce disjoint well-nested trees.  A span in a delta-worthy
+category opens a counter journal (:func:`repro.obs.metrics.
+open_journal`) for its lifetime and attaches the counter increments
+its own thread made as ``args["stats"]`` — "this stage did 3 disk
+hits and 1 miss" travels with the span, untouched by other threads.
 
 Export is Chrome trace-event JSON ("X" complete events, microsecond
 timestamps) loadable in Perfetto / ``chrome://tracing``, plus a
@@ -35,11 +32,10 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.errors import ReproError
-from repro.mapping.progress import ProgressEvent, progress_hook
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import close_journal, open_journal
 
-#: Span categories whose entry/exit bracket a registry-counter
-#: snapshot; the non-zero deltas are attached as ``args["stats"]``.
+#: Span categories that attach their thread's counter increments as
+#: ``args["stats"]``.
 DELTA_CATEGORIES = frozenset({"stage", "battery", "circuit", "job",
                               "http"})
 
@@ -110,21 +106,12 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects spans for one activation window (a command or a job).
+    """Collects spans for one activation window (a command or a job)."""
 
-    ``limit`` bounds retained spans (oldest dropped first) so an
-    always-on daemon tracer cannot grow without bound; ``None`` keeps
-    everything, which is what the CLI ``--trace`` flag wants.
-    """
-
-    def __init__(self, limit: Optional[int] = None,
-                 stat_deltas: bool = True) -> None:
+    def __init__(self) -> None:
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._spans: List[SpanRecord] = []
-        self._dropped = 0
-        self._limit = limit
-        self._stat_deltas = stat_deltas
         self._next_id = 1
         self._tids: Dict[int, int] = {}
         self._thread_names: Dict[int, str] = {}
@@ -171,95 +158,41 @@ class Tracer:
             depth=len(stack),
             args=args,
         )
-        if self._stat_deltas and category in DELTA_CATEGORIES:
-            args["_stats_before"] = default_registry().counter_totals()
+        if category in DELTA_CATEGORIES:
+            open_journal()
         args["_cpu_start"] = time.thread_time()
         stack.append(record)
         return record
 
-    def _end(self, record: SpanRecord,
-             extra: Optional[Dict[str, Any]] = None) -> None:
-        stack = self._stack()
-        # Unwind to the given record; anything above it was left open
-        # (an exception skipped its exit) and is closed at this time.
-        now = time.perf_counter() - self._epoch
-        cpu_now = time.thread_time()
-        while stack:
-            open_record = stack.pop()
-            open_record.duration = now - open_record.start
-            cpu_start = open_record.args.pop("_cpu_start", None)
-            if isinstance(cpu_start, float):
-                open_record.cpu = max(0.0, cpu_now - cpu_start)
-            before = open_record.args.pop("_stats_before", None)
-            if isinstance(before, dict):
-                after = default_registry().counter_totals()
-                deltas = {key: value - before.get(key, 0.0)
-                          for key, value in after.items()
-                          if value != before.get(key, 0.0)}
-                if deltas:
-                    open_record.args["stats"] = {
-                        key: (int(value) if float(value).is_integer()
-                              else value)
-                        for key, value in sorted(deltas.items())}
-            if open_record is record and extra:
-                open_record.args.update(extra)
-            self._store(open_record)
-            if open_record is record:
-                return
-
-    def _store(self, record: SpanRecord) -> None:
+    def _end(self, record: SpanRecord) -> None:
+        # spans are ``with`` blocks, so the record closing is the
+        # innermost open one of this thread
+        closing = self._stack().pop()
+        assert closing is record
+        record.duration = time.perf_counter() - self._epoch - record.start
+        record.cpu = max(0.0, time.thread_time()
+                         - record.args.pop("_cpu_start"))
+        if record.category in DELTA_CATEGORIES:
+            stats = {key: (int(value) if float(value).is_integer()
+                           else value)
+                     for key, value in sorted(close_journal().items())
+                     if value}
+            if stats:
+                record.args["stats"] = stats
         with self._lock:
             self._spans.append(record)
-            if self._limit is not None and len(self._spans) > self._limit:
-                overflow = len(self._spans) - self._limit
-                del self._spans[:overflow]
-                self._dropped += overflow
 
     def span(self, name: str, category: str = "",
              **args: Any) -> _SpanHandle:
         return _SpanHandle(self, name, category, dict(args))
 
-    def instant(self, name: str, category: str = "",
-                **args: Any) -> None:
-        """A zero-duration marker (progress notes, warnings)."""
-        record = self._begin(name, category, dict(args))
-        self._end(record)
-
-    # -- progress-hook bridge --------------------------------------------
-
-    def _observe_progress(self, event: ProgressEvent) -> None:
-        if event.status == "start":
-            self._begin(f"stage:{event.stage}", "stage",
-                        {"detail": event.detail} if event.detail else {})
-            return
-        if event.status == "done":
-            stack = self._stack()
-            wanted = f"stage:{event.stage}"
-            for record in reversed(stack):
-                if record.name == wanted:
-                    extra: Dict[str, Any] = {}
-                    if event.detail:
-                        extra["detail"] = event.detail
-                    if event.seconds is not None:
-                        extra["reported_seconds"] = round(
-                            event.seconds, 6)
-                    self._end(record, extra)
-                    return
-            # "done" without a matching "start" (hook installed
-            # mid-stage): record it as an instant so nothing is lost.
-            self.instant(wanted, "stage", detail=event.detail)
-            return
-        detail = {"detail": event.detail} if event.detail else {}
-        self.instant(f"{event.stage}:{event.status}", "note", **detail)
-
     @contextmanager
     def activate(self) -> Iterator["Tracer"]:
-        """Make this tracer current for this thread and bridge progress."""
+        """Make this tracer current for this thread."""
         previous = getattr(_state, "tracer", None)
         _state.tracer = self
         try:
-            with progress_hook(self._observe_progress):
-                yield self
+            yield self
         finally:
             _state.tracer = previous
 
@@ -269,11 +202,6 @@ class Tracer:
         with self._lock:
             spans = list(self._spans)
         return sorted(spans, key=lambda s: (s.start, s.span_id))
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
 
     def chrome_trace(self) -> Dict[str, Any]:
         return chrome_trace(self.snapshot(),
@@ -320,13 +248,6 @@ def trace_span(name: str, category: str = "", **args: Any) -> Any:
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, category, **args)
-
-
-def trace_instant(name: str, category: str = "", **args: Any) -> None:
-    tracer = getattr(_state, "tracer", None)
-    if tracer is not None:
-        assert isinstance(tracer, Tracer)
-        tracer.instant(name, category, **args)
 
 
 # -- Chrome trace-event export -------------------------------------------

@@ -10,6 +10,12 @@ whole Table-1 battery (each configured library size plus the
 local-acknowledgment baseline); thanks to the context's artifact cache
 the battery shares a single reachability pass and a single initial
 synthesis.
+
+Each stage is observed in three ways: a ``stage:<name>`` span when a
+tracer is active (:func:`repro.obs.trace.trace_span`), the
+``si_stage_seconds`` histogram, and — for the job service, which
+streams them to clients — the ``on_stage`` callback given to
+:class:`Pipeline`.
 """
 
 from __future__ import annotations
@@ -17,12 +23,13 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.boolean.minimize import minimize_memo
 from repro.mapping.decompose import MapperConfig, MappingResult
-from repro.mapping.progress import emit_progress
 from repro.obs.metrics import default_registry
+from repro.obs.trace import trace_span
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import SynthesisContext
 from repro.stg.stg import Stg
@@ -34,6 +41,11 @@ STAGES = ("load", "reach", "csc", "synthesize", "map", "verify",
 #: a circuit source: benchmark name, ``.g`` path, (name, g_text) pair,
 #: parsed Stg, or a ready context
 Source = Union[str, Tuple[str, str], Stg, SynthesisContext]
+
+#: receives ``{"stage", "status": "start"}`` as a stage begins and
+#: ``{"stage", "status": "done", "seconds"}`` as it ends, errors
+#: included
+StageObserver = Callable[[Dict[str, object]], None]
 
 
 @dataclass
@@ -173,28 +185,18 @@ class PipelineConfig:
         return battery
 
 
-@contextmanager
-def _timed(record: RunRecord, stage: str):
-    emit_progress(stage, "start")
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds = time.perf_counter() - start
-        record.timings.append(StageTiming(stage, seconds))
-        default_registry().histogram(
-            "si_stage_seconds",
-            "Wall-clock seconds per pipeline stage.",
-            ("stage",)).observe(seconds, stage=stage)
-        emit_progress(stage, "done", seconds=seconds)
-
-
 class Pipeline:
-    """Run the staged synthesis flow for one circuit at a time."""
+    """Run the staged synthesis flow for one circuit at a time.
+
+    ``on_stage`` (see :data:`StageObserver`) hears each stage start
+    and end on the running thread; the job service records them as a
+    job's progress events."""
 
     def __init__(self, config: Optional[PipelineConfig] = None,
-                 cache: Optional[ArtifactCache] = None):
+                 cache: Optional[ArtifactCache] = None,
+                 on_stage: Optional[StageObserver] = None):
         self.config = config or PipelineConfig()
+        self.on_stage = on_stage
         if cache is None and (self.config.cache_dir
                               or self.config.cache_url
                               or self.config.cache_s3):
@@ -227,17 +229,36 @@ class Pipeline:
         record.stats["minimize_reused"] = memo.reused
         return record
 
+    @contextmanager
+    def _timed(self, record: RunRecord, stage: str) -> Iterator[None]:
+        if self.on_stage is not None:
+            self.on_stage({"stage": stage, "status": "start"})
+        start = time.perf_counter()
+        try:
+            with trace_span(f"stage:{stage}", "stage"):
+                yield
+        finally:
+            seconds = time.perf_counter() - start
+            record.timings.append(StageTiming(stage, seconds))
+            default_registry().histogram(
+                "si_stage_seconds",
+                "Wall-clock seconds per pipeline stage.",
+                ("stage",)).observe(seconds, stage=stage)
+            if self.on_stage is not None:
+                self.on_stage({"stage": stage, "status": "done",
+                               "seconds": round(seconds, 6)})
+
     def _run(self, source: Source) -> RunRecord:
         config = self.config
         mapper_config = config.mapper or MapperConfig()
         record = RunRecord(name="?")
 
-        with _timed(record, "load"):
+        with self._timed(record, "load"):
             context = self.context_of(source)
         record.name = context.name
         cache_before = context.cache.telemetry()
 
-        with _timed(record, "reach"):
+        with self._timed(record, "reach"):
             context.state_graph()
 
         # When CSC solving is requested, every later stage must work on
@@ -247,23 +268,23 @@ class Pipeline:
         method = mapper_config.csc_method
         csc_result = None
         if csc:
-            with _timed(record, "csc"):
+            with self._timed(record, "csc"):
                 csc_result = context.csc_result(method=method)
 
-        with _timed(record, "synthesize"):
+        with self._timed(record, "synthesize"):
             context.implementations(csc, method)
 
         mappings: Dict[Tuple[int, str], MappingResult] = {}
-        with _timed(record, "map"):
+        with self._timed(record, "map"):
             for literals, mode in config.modes:
                 mappings[(literals, mode)] = context.mapping(
                     literals, mode, mapper_config)
 
         if config.verify:
-            with _timed(record, "verify"):
+            with self._timed(record, "verify"):
                 record.verified = self._verify(mappings)
 
-        with _timed(record, "report"):
+        with self._timed(record, "report"):
             record.row = self._report(context, mappings, csc, method,
                                       csc_result)
 

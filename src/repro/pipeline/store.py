@@ -143,6 +143,25 @@ def empty_telemetry() -> Dict[str, int]:
             for name in _COUNTERS}
 
 
+def over_budget(entries: Iterable[Tuple[float, str, int]],
+                max_bytes: int) -> List[Tuple[str, int]]:
+    """The ``(id, size)`` pairs a ``max_bytes`` size budget evicts.
+
+    ``entries`` are ``(mtime, id, size)`` triples.  The newest entries
+    survive while they fit; from the first that does not, it and every
+    older entry go (the id breaks mtime ties, so equal-mtime runs
+    evict stably).  Shared by the disk store's and the bucket's gc.
+    """
+    doomed: List[Tuple[str, int]] = []
+    budget = max_bytes
+    for _, ident, size in sorted(entries, reverse=True):
+        if not doomed and size <= budget:
+            budget -= size
+            continue
+        doomed.append((ident, size))
+    return doomed
+
+
 @dataclass
 class StoreReport:
     """What ``si-mapper cache stats`` prints: on-disk inventory.
@@ -421,27 +440,6 @@ class DiskArtifactCache:
             self.stats.add(write_skips=1)
             return None
 
-    def put_raw_stream(self, kind: str, digest: str,
-                       chunks: Iterable[bytes]) -> bool:
-        """Store an entry from an iterable of byte chunks.
-
-        ``False`` on any filesystem failure *or* when the iterable
-        raises (a network read error mid-upload aborts the temp file,
-        never lands a torn entry).
-        """
-        writer = self.raw_writer(kind, digest)
-        if writer is None:
-            return False
-        with writer:
-            try:
-                for chunk in chunks:
-                    writer.write(chunk)
-            except (OSError, ValueError):
-                writer.abort()
-                self.stats.add(write_skips=1)
-                return False
-            return writer.commit()
-
     def has_raw(self, kind: str, digest: str) -> Optional[int]:
         """Entry size in bytes if present, else ``None`` (HTTP HEAD)."""
         try:
@@ -657,15 +655,7 @@ class DiskArtifactCache:
             except OSError:
                 continue
             survivors.append((stat.st_mtime, path, stat.st_size))
-        # newest first; path tie-break keeps equal-mtime runs stable
-        survivors.sort(reverse=True)
-        budget = max_bytes
-        overflowed = False
-        for _, path, size in survivors:
-            if not overflowed and size <= budget:
-                budget -= size
-                continue
-            overflowed = True
+        for path, size in over_budget(survivors, max_bytes):
             try:
                 os.unlink(path)
             except OSError:

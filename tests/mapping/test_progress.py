@@ -1,14 +1,19 @@
-"""Unit tests for the Property 3.1 / 3.2 progress filters."""
+"""Unit tests for the Property 3.1 / 3.2 progress filters, and for
+the pipeline's stage-progress callback."""
+
+import json
+import threading
 
 import pytest
 
 from repro.boolean.divisors import algebraic_division
 from repro.boolean.sop import SopCover
 from repro.mapping.partition import IPartition, compute_insertion_sets
-from repro.mapping.progress import (ProgressEvent, _extended_quiescent,
+from repro.mapping.progress import (_extended_quiescent,
                                     check_property_31, check_property_32,
-                                    emit_progress, estimate_global_impact,
-                                    progress_hook)
+                                    estimate_global_impact)
+from repro.pipeline.context import SynthesisContext
+from repro.pipeline.run import Pipeline, PipelineConfig
 from repro.sg.regions import excitation_regions, quiescent_region
 from repro.synthesis.cover import synthesize_all
 
@@ -129,75 +134,6 @@ class TestProperty32:
         assert result.becomes_trigger
 
 
-class TestProgressHooks:
-    def test_no_observer_is_a_noop(self):
-        emit_progress("reach", "start")  # must not raise
-
-    def test_hook_sees_events_in_order(self):
-        seen = []
-        with progress_hook(seen.append):
-            emit_progress("reach", "start")
-            emit_progress("reach", "done", seconds=0.25)
-        emit_progress("map", "start")    # after the scope: unobserved
-        assert [(e.stage, e.status) for e in seen] == [
-            ("reach", "start"), ("reach", "done")]
-        assert seen[1].seconds == 0.25
-
-    def test_hooks_nest_and_unwind(self):
-        outer, inner = [], []
-        with progress_hook(outer.append):
-            with progress_hook(inner.append):
-                emit_progress("csc")
-            emit_progress("map")
-        assert [e.stage for e in outer] == ["csc", "map"]
-        assert [e.stage for e in inner] == ["csc"]
-
-    def test_broken_observer_does_not_kill_the_run(self):
-        seen = []
-
-        def bomb(event):
-            raise RuntimeError("observer crashed")
-
-        with progress_hook(seen.append):
-            with progress_hook(bomb):
-                emit_progress("verify", "done")
-        assert [e.stage for e in seen] == ["verify"]
-
-    def test_hooks_are_thread_local(self):
-        import threading
-        seen = []
-        with progress_hook(seen.append):
-            worker = threading.Thread(
-                target=lambda: emit_progress("synthesize"))
-            worker.start()
-            worker.join()
-        assert seen == []                 # other thread, other stack
-
-    def test_event_json_shape(self):
-        event = ProgressEvent("map", "done", seconds=0.5)
-        assert event.to_json() == {"stage": "map", "status": "done",
-                                   "seconds": 0.5}
-        assert ProgressEvent("load").to_json() == {"stage": "load",
-                                                   "status": "note"}
-
-    def test_pipeline_emits_stage_events(self):
-        from repro.pipeline.run import Pipeline, PipelineConfig
-        events = []
-        pipeline = Pipeline(PipelineConfig(libraries=(2,),
-                                           with_siegel=False,
-                                           keep_artifacts=False))
-        with progress_hook(events.append):
-            record = pipeline.run("half")
-        assert record.row is not None
-        stages = [e.stage for e in events if e.status == "start"]
-        assert stages == ["load", "reach", "synthesize", "map",
-                          "report"]
-        done = {e.stage: e.seconds for e in events
-                if e.status == "done"}
-        assert set(done) == set(stages)
-        assert all(s is not None and s >= 0 for s in done.values())
-
-
 class TestGlobalImpact:
     def test_estimate_counts(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
@@ -210,3 +146,83 @@ class TestGlobalImpact:
         bounded, unbounded = estimate_global_impact(
             celement_sg, units, partition, ("c+", 1))
         assert bounded + unbounded == 1  # only c- is "other"
+
+
+class TestProgressHooks:
+    """Stage progress reaches an observer through one hook: the
+    ``on_stage`` callback a :class:`Pipeline` is built with."""
+
+    CONFIG = PipelineConfig(libraries=(2,), with_siegel=False,
+                            keep_artifacts=False)
+    STAGES = ["load", "reach", "synthesize", "map", "report"]
+
+    def test_no_observer_is_a_noop(self):
+        plain = Pipeline(self.CONFIG)
+        assert plain.on_stage is None
+        record = plain.run("half")
+        observed = Pipeline(self.CONFIG, on_stage=lambda event: None)
+        assert record.row == observed.run("half").row
+        assert [t.stage for t in record.timings] == self.STAGES
+
+    def test_hook_sees_events_in_order(self, monkeypatch):
+        """Events arrive live, around the stage's own work: reach's
+        start before its state graph is built, its done after."""
+        seen = []
+        build = SynthesisContext.state_graph
+
+        def building(context):
+            seen.append("building")
+            return build(context)
+
+        monkeypatch.setattr(SynthesisContext, "state_graph", building)
+        Pipeline(self.CONFIG, on_stage=lambda event: seen.append(
+            (event["stage"], event["status"]))).run("half")
+        first = seen.index("building")
+        assert seen[:first] == [("load", "start"), ("load", "done"),
+                                ("reach", "start")]
+        assert seen[first + 1] == ("reach", "done")
+        assert [e for e in seen if e != "building"] == [
+            (stage, status) for stage in self.STAGES
+            for status in ("start", "done")]
+
+    def test_hooks_are_thread_local(self):
+        """Two pipelines raced on two threads: each callback hears
+        only its own pipeline's events, on that pipeline's thread."""
+        barrier = threading.Barrier(2, timeout=30.0)
+        heard = {"half": [], "hazard": []}
+        threads = {}
+
+        def observer(name):
+            def on_stage(event):
+                if event == {"stage": "reach", "status": "start"}:
+                    barrier.wait()      # both runs are under way
+                heard[name].append((threading.get_ident(),
+                                    event["stage"], event["status"]))
+            return on_stage
+
+        def run(name):
+            Pipeline(self.CONFIG, on_stage=observer(name)).run(name)
+
+        for name in heard:
+            threads[name] = threading.Thread(target=run, args=(name,))
+            threads[name].start()
+        for thread in threads.values():
+            thread.join()
+        for name, events in heard.items():
+            assert {ident for ident, _, _ in events} \
+                == {threads[name].ident}
+            assert [(stage, status) for _, stage, status in events] == [
+                (stage, status) for stage in self.STAGES
+                for status in ("start", "done")]
+
+    def test_event_json_shape(self):
+        events = []
+        Pipeline(self.CONFIG, on_stage=events.append).run("half")
+        assert json.loads(json.dumps(events)) == events
+        for event in events:
+            if event["status"] == "start":
+                assert list(event) == ["stage", "status"]
+            else:
+                assert list(event) == ["stage", "status", "seconds"]
+                assert isinstance(event["seconds"], float)
+                assert round(event["seconds"], 6) == event["seconds"]

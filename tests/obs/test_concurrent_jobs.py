@@ -1,6 +1,7 @@
 """Two jobs raced through a 2-worker service with per-job tracing on:
 each job gets its own well-nested span tree on its own worker thread,
-and the shared registry counts every lifecycle event exactly once."""
+its own stage events and span stats, and the shared registry counts
+every lifecycle event exactly once."""
 
 import threading
 import time
@@ -33,6 +34,10 @@ def wait_done(service, jobs, timeout=60.0):
 
 @pytest.fixture
 def raced(monkeypatch):
+    return rendezvous(monkeypatch)
+
+
+def rendezvous(monkeypatch):
     """Both workers rendezvous inside their first ``state_graph``
     call, guaranteeing the two jobs genuinely overlap."""
     barrier = threading.Barrier(2, timeout=30.0)
@@ -108,3 +113,36 @@ def test_raced_jobs_trace_disjointly_and_count_exactly(raced):
             assert stage_seconds.count(stage=stage) == 2
         run_seconds = registry.histogram("si_job_run_seconds")
         assert run_seconds.count() == 2
+
+
+def run_jobs(workers):
+    """Run half and hazard on a traced service; returns the two
+    finished jobs."""
+    service = JobService(cache=None, workers=workers,
+                         keep_trace=True).start()
+    try:
+        first, _ = service.submit(HALF_G, key="", params=PARAMS)
+        second, _ = service.submit(HAZARD_G, key="", params=PARAMS)
+        return wait_done(service, [first, second])
+    finally:
+        service.stop()
+
+
+def job_stats(job):
+    (root,) = [span for span in job.trace if span["name"] == "job"]
+    return root["args"]["stats"]
+
+
+def test_raced_jobs_see_only_their_own_events_and_stats(monkeypatch):
+    with use_registry():
+        alone = run_jobs(workers=1)
+        rendezvous(monkeypatch)
+        raced_jobs = run_jobs(workers=2)
+    expected_events = [(stage, status) for stage in STAGES
+                       for status in ("start", "done")]
+    for solo, job in zip(alone, raced_jobs):
+        assert job.name == solo.name
+        assert [(event["stage"], event["status"])
+                for event in job.events] == expected_events
+        assert job_stats(job) == job_stats(solo)
+    assert job_stats(raced_jobs[0]) != job_stats(raced_jobs[1])

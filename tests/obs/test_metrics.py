@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry, default_registry,
+                               MetricsRegistry, close_journal,
+                               default_registry, open_journal,
                                use_registry)
 
 
@@ -108,12 +109,40 @@ class TestRegistry:
         with pytest.raises(ReproError):
             registry.counter("si_x_total", "", ("a", "a"))
 
-    def test_counter_totals_covers_counters_only(self, registry):
-        registry.counter("si_c_total", "", ("op",)).inc(3, op="hit")
-        registry.gauge("si_g").set(9)
-        registry.histogram("si_h").observe(0.1)
-        totals = registry.counter_totals()
-        assert totals == {'si_c_total{op="hit"}': 3}
+    def test_journal_records_counters_only(self, registry):
+        journal = open_journal()
+        try:
+            registry.counter("si_c_total", "", ("op",)).inc(3, op="hit")
+            registry.gauge("si_g").set(9)
+            registry.histogram("si_h").observe(0.1)
+        finally:
+            assert close_journal() is journal
+        assert journal == {'si_c_total{op="hit"}': 3}
+
+    def test_journals_nest_and_close_innermost_first(self, registry):
+        counter = registry.counter("si_c_total")
+        outer = open_journal()
+        inner = open_journal()
+        counter.inc()
+        # both hold the same, hence equal: closing must still pick by
+        # position
+        assert close_journal() is inner
+        counter.inc(2)
+        assert close_journal() is outer
+        assert (inner, outer) == ({"si_c_total": 1}, {"si_c_total": 3})
+
+    def test_journal_sees_only_its_own_thread(self, registry):
+        counter = registry.counter("si_c_total")
+        journal = open_journal()
+        try:
+            worker = threading.Thread(target=counter.inc, args=(5,))
+            worker.start()
+            worker.join()
+            counter.inc()
+        finally:
+            close_journal()
+        assert journal == {"si_c_total": 1}
+        assert counter.total() == 6
 
 
 class TestExposition:

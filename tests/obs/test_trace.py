@@ -1,6 +1,6 @@
-"""The span tracer: nesting, the progress bridge, stat deltas,
-Chrome export, the trace-file loader, and the Table-1 byte-identity
-guarantee with tracing on."""
+"""The span tracer: nesting, stage spans beside the stage events,
+stat deltas, Chrome export, the trace-file loader, and the Table-1
+byte-identity guarantee with tracing on."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.dist.jobs import canonical_row_bytes
 from repro.errors import ReproError
-from repro.mapping.progress import emit_progress
+from repro.obs import metrics
 from repro.obs.metrics import use_registry
 from repro.obs.trace import (Tracer, current_tracer, format_summary,
                              format_tree, load_trace, summarize_trace,
@@ -42,18 +42,33 @@ class TestSpans:
         span = span_by_name(tracer, "x")
         assert span.args == {"target": "csig", "outcome": "accepted"}
 
-    def test_instant_has_zero_ish_duration(self):
-        tracer = Tracer()
-        tracer.instant("note")
-        assert span_by_name(tracer, "note").duration is not None
-
-    def test_limit_drops_oldest(self):
-        tracer = Tracer(limit=2)
-        for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
-        assert [span.name for span in tracer.snapshot()] == ["s3", "s4"]
-        assert tracer.dropped == 3
+    def test_raising_spans_close_their_own_records(self):
+        """An exception leaves through every ``with``: each span ends
+        with a duration, the thread's stack and counter journals are
+        empty again, and the next span is a fresh root whose stats
+        are its own."""
+        with use_registry() as registry:
+            counter = registry.counter("si_t_total")
+            tracer = Tracer()
+            with pytest.raises(RuntimeError):
+                with tracer.span("outer", "stage"):
+                    counter.inc()
+                    with tracer.span("inner", "circuit"):
+                        counter.inc(2)
+                        raise RuntimeError("stage failed")
+            with tracer.span("after", "stage"):
+                counter.inc(4)
+        outer = span_by_name(tracer, "outer")
+        inner = span_by_name(tracer, "inner")
+        after = span_by_name(tracer, "after")
+        assert inner.parent_id == outer.span_id
+        assert outer.duration >= inner.duration >= 0
+        assert (outer.args["stats"], inner.args["stats"]) == (
+            {"si_t_total": 3}, {"si_t_total": 2})
+        assert after.parent_id is None and after.depth == 0
+        assert after.args["stats"] == {"si_t_total": 4}
+        assert tracer._stack() == []
+        assert metrics._journals.stack == []
 
     def test_cpu_time_recorded(self):
         tracer = Tracer()
@@ -81,35 +96,28 @@ class TestCurrentTracer:
 
 
 class TestProgressBridge:
+    """Stage progress and the trace agree: each ``done`` event the
+    pipeline's ``on_stage`` callback hears has its own closed
+    ``stage:<name>`` span, timed inside the reported seconds."""
+
     def test_stage_events_become_spans(self):
+        events = []
         tracer = Tracer()
-        with tracer.activate():
-            emit_progress("load", "start")
-            emit_progress("load", "done", seconds=0.25)
-        span = span_by_name(tracer, "stage:load")
-        assert span.category == "stage"
-        assert span.args["reported_seconds"] == 0.25
-
-    def test_mismatched_done_unwinds_left_open_spans(self):
-        """A `done` for an outer stage closes anything the exception
-        path left open above it — the tree stays well-formed."""
-        tracer = Tracer()
-        with tracer.activate():
-            emit_progress("outer", "start")
-            emit_progress("inner", "start")
-            emit_progress("outer", "done")
-        inner = span_by_name(tracer, "stage:inner")
-        outer = span_by_name(tracer, "stage:outer")
-        assert inner.duration is not None
-        assert inner.parent_id == outer.span_id
-
-    def test_other_statuses_become_instants(self):
-        tracer = Tracer()
-        with tracer.activate():
-            emit_progress("map", "note", detail="candidate 3")
-        span = span_by_name(tracer, "map:note")
-        assert span.category == "note"
-        assert span.args["detail"] == "candidate 3"
+        with use_registry():
+            with tracer.activate():
+                Pipeline(PipelineConfig(libraries=(2,),
+                                        with_siegel=False,
+                                        keep_artifacts=False),
+                         on_stage=events.append).run("half")
+        done = [e for e in events if e["status"] == "done"]
+        spans = [span for span in tracer.snapshot()
+                 if span.category == "stage"]
+        assert [span.name for span in spans] == [
+            f"stage:{e['stage']}" for e in done]
+        for span, event in zip(spans, done):
+            assert span.parent_id is None
+            assert 0 <= span.duration <= event["seconds"] + 1e-6
+            assert "reported_seconds" not in span.args
 
 
 class TestStatDeltas:
@@ -122,6 +130,13 @@ class TestStatDeltas:
         span = span_by_name(tracer, "work")
         assert span.args["stats"] == {'si_t_total{op="hit"}': 3}
         assert not any(key.startswith("_") for key in span.args)
+
+    def test_zero_increments_are_left_out(self):
+        with use_registry() as registry:
+            tracer = Tracer()
+            with tracer.span("work", "stage"):
+                registry.counter("si_t_total").inc(0)
+        assert "stats" not in span_by_name(tracer, "work").args
 
     def test_non_delta_category_attaches_nothing(self):
         with use_registry() as registry:

@@ -9,7 +9,8 @@ import pytest
 
 from repro.pipeline import (ArtifactCache, BatchRunner, DiskArtifactCache,
                             Pipeline, PipelineConfig)
-from repro.pipeline.store import ARTIFACT_FORMATS, MISS, STORE_LAYOUT
+from repro.pipeline.store import (ARTIFACT_FORMATS, MISS, STORE_LAYOUT,
+                                  over_budget)
 
 
 KEY = ("sg", "f" * 64)
@@ -317,6 +318,20 @@ class TestGcSizeBudget:
         assert freed == 3 * size
         survivors = {path for _, path in store._entries()}
         assert survivors == {path for path, _ in newest_first[:2]}
+
+    def test_over_budget_stops_keeping_at_the_first_misfit(self):
+        """The shared budget rule of the disk store and the bucket:
+        newest first, and once one entry does not fit, it and every
+        older entry go, even ones small enough for the room left."""
+        entries = [(1.0, "oldest-small", 1), (2.0, "old-big", 50),
+                   (3.0, "tie-b", 10), (3.0, "tie-a", 10),
+                   (4.0, "newest", 20)]
+        assert over_budget(entries, 35) == [
+            ("tie-a", 10), ("old-big", 50), ("oldest-small", 1)]
+        assert over_budget(entries, 10**9) == []
+        assert over_budget(entries, 0) == [
+            ("newest", 20), ("tie-b", 10), ("tie-a", 10),
+            ("old-big", 50), ("oldest-small", 1)]
 
     def test_budget_larger_than_store_removes_nothing(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path))
