@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.boolean.cube import Cube
+from repro.boolean.minimize import cheaper_polarity
 from repro.boolean.sop import SopCover
 from repro.mapping.cost import non_si_cost
 from repro.synthesis.cover import SignalImplementation
@@ -63,8 +64,8 @@ def decompose_cover(cover: SopCover, complement: SopCover, k: int,
     that the complemented polarity was used (an inverter on the output
     is assumed free, as in the paper's literal-count model).
     """
-    inverted = complement.literal_count() < cover.literal_count()
-    chosen = complement if inverted else cover
+    chosen = cheaper_polarity(cover, complement)
+    inverted = chosen is not cover
     gates: List[TreeGate] = []
     if chosen.is_zero() or chosen.is_one():
         return ("const", gates, inverted)

@@ -49,6 +49,18 @@ synthesis.  The memo's
   check and the constant cases, so an over-constrained pair raises on
   every call, and every cover handed out was verified on exactly its
   own problem.
+
+A gate's complexity is the literal count of its cheaper polarity
+(:func:`cheaper_polarity`: the complement only when it has strictly
+fewer literals), so :func:`minimize_complement` minimizes the
+complemented problem only when its result could win.  A variable is
+*essential* when some ON vector and some OFF vector differ only in
+it; every cover of either polarity needs a literal of each essential
+variable, and a non-constant one needs at least one literal.  So when
+the cover has at least one literal and at most ``max(1, |E|)`` of
+them (one literal per support variable, each essential, or a single
+literal), no complement can be cheaper, and the De Morgan complement
+of the cover stands in for the minimization.
 """
 
 from __future__ import annotations
@@ -299,16 +311,18 @@ def _reduce(cube: IntCube, owned: int, on: Columns) -> IntCube:
 
 class MinimizeMemo:
     """The covers one :func:`minimize_memo` scope has solved, by exact
-    problem key, and how many calls it answered from them.  Keys share
-    one tuple per distinct support (a run poses thousands of problems
-    over a few dozen supports)."""
+    problem key, how many calls it answered from them, and how many
+    complement minimizations :func:`minimize_complement` skipped.
+    Keys share one tuple per distinct support (a run poses thousands
+    of problems over a few dozen supports)."""
 
-    __slots__ = ("covers", "supports", "reused")
+    __slots__ = ("covers", "supports", "reused", "skipped")
 
     def __init__(self) -> None:
         self.covers: Dict[Tuple, SopCover] = {}
         self.supports: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.reused = 0
+        self.skipped = 0
 
     @property
     def solved(self) -> int:
@@ -467,6 +481,71 @@ def expand_cube(cube: Cube, off: Sequence[Vector],
     return _cube_back(expanded, support)
 
 
+def cheaper_polarity(cover: SopCover, complement: SopCover) -> SopCover:
+    """The polarity a gate is built in: ``complement`` when it has
+    strictly fewer literals than ``cover``, else ``cover``.
+
+    Ties go to the cover.  :func:`minimize_complement` relies on that:
+    it skips a minimization when the complement can at best tie."""
+    if complement.literal_count() < cover.literal_count():
+        return complement
+    return cover
+
+
+def _complement_cannot_win(on: Sequence[Vector], off: Sequence[Vector],
+                           support: Tuple[str, ...],
+                           cover: SopCover) -> bool:
+    """The essential-variable bound: ``cover`` has at least one and at
+    most ``max(1, |E|)`` literals, E being the variables in which some
+    ON and some OFF vector differ alone.
+
+    Every cover of either polarity has a literal of each variable in E
+    (it must tell those two vectors apart), and a non-constant one has
+    at least one literal; so no cover of the complemented problem has
+    fewer literals than ``cover``.  E lies in ``cover``'s support, so
+    the bound holds exactly when ``cover`` has one literal, or one
+    literal per support variable with each of them essential."""
+    literals = cover.literal_count()
+    names = cover.support
+    if not literals or len(names) != literals:
+        return False
+    on_set = _vector_set(on, support)
+    off_set = _vector_set(off, support)
+    if not on_set or not off_set or not on_set.isdisjoint(off_set):
+        return False
+    if literals == 1:
+        return True
+    smaller, larger = sorted((on_set, off_set), key=len)
+    scan = sorted(smaller)
+    position = _position_map(support)
+    for name in names:
+        bit = 1 << position[name]
+        if larger.isdisjoint(v ^ bit for v in scan):
+            return False
+    return True
+
+
+def minimize_complement(on: Sequence[Vector], off: Sequence[Vector],
+                        support: Sequence[str],
+                        cover: SopCover) -> SopCover:
+    """A cover of the complemented problem (ON and OFF swapped), given
+    ``cover``, a cover of (``on``, ``off``) over ``support``.
+
+    Runs :func:`minimize` only when the result could be the cheaper
+    polarity.  When the essential-variable bound shows it cannot, it
+    returns the De Morgan complement of ``cover`` instead (counted as
+    ``skipped`` in the current :func:`minimize_memo` scope), which
+    :func:`cheaper_polarity` never prefers to ``cover`` either.
+    Constant covers always go to :func:`minimize`."""
+    support = tuple(support)
+    if _complement_cannot_win(on, off, support, cover):
+        memo = current_memo()
+        if memo is not None:
+            memo.skipped += 1
+        return cover.complement()
+    return minimize(off, on, support)
+
+
 def literal_complexity(on: Iterable[Vector], off: Iterable[Vector],
                        support: Sequence[str]) -> Tuple[int, SopCover, SopCover]:
     """The paper's gate-complexity measure.
@@ -476,11 +555,12 @@ def literal_complexity(on: Iterable[Vector], off: Iterable[Vector],
     complemented or not" (§4) — i.e. ``min(lit(f), lit(f'))`` where both
     polarities are minimized against the same don't-care set.
 
-    Returns ``(complexity, cover, complement_cover)``.
+    Returns ``(complexity, cover, complement_cover)``; the complement
+    comes from :func:`minimize_complement`.
     """
     on_list = list(on)
     off_list = list(off)
     cover = minimize(on_list, off_list, support)
-    complement = minimize(off_list, on_list, support)
-    return (min(cover.literal_count(), complement.literal_count()),
+    complement = minimize_complement(on_list, off_list, support, cover)
+    return (cheaper_polarity(cover, complement).literal_count(),
             cover, complement)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Tuple
 
+from repro.boolean.minimize import cheaper_polarity
 from repro.boolean.sop import SopCover
 from repro.synthesis.cover import SignalImplementation
 
 
 def cover_complexity(cover: SopCover, complement: SopCover) -> int:
     """min(lit(f), lit(f')) over pre-minimized polarities."""
-    return min(cover.literal_count(), complement.literal_count())
+    return cheaper_polarity(cover, complement).literal_count()
 
 
 def signal_logic_cost(impl: SignalImplementation) -> int:
@@ -95,8 +96,7 @@ def tree_decomposition_cost(cover: SopCover, complement: SopCover,
     the OR).  This is what SIS ``tech_decomp -a 2`` does, up to local
     polarity optimizations the paper's cost comparison does not rely on.
     """
-    chosen = cover if (cover.literal_count()
-                       <= complement.literal_count()) else complement
+    chosen = cheaper_polarity(cover, complement)
     if chosen.is_zero() or chosen.is_one():
         return 0
     total = 0

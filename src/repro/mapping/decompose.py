@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._util import popcount
 from repro.boolean.divisors import algebraic_division, generate_divisors
+from repro.boolean.minimize import cheaper_polarity
 from repro.boolean.sop import SopCover
 from repro.errors import (CoverError, CscViolation, InsertionError,
                           MappingError)
@@ -174,15 +175,12 @@ class _Unit:
 
     @property
     def complexity(self) -> int:
-        return min(self.cover.literal_count(),
-                   self.complement.literal_count())
+        return self.chosen.literal_count()
 
     @property
     def chosen(self) -> SopCover:
         """The polarity that realizes the complexity measure."""
-        if self.cover.literal_count() <= self.complement.literal_count():
-            return self.cover
-        return self.complement
+        return cheaper_polarity(self.cover, self.complement)
 
     @property
     def label(self) -> str:

@@ -204,8 +204,12 @@ class Tracer:
         return sorted(spans, key=lambda s: (s.start, s.span_id))
 
     def chrome_trace(self) -> Dict[str, Any]:
-        return chrome_trace(self.snapshot(),
-                            thread_names=dict(self._thread_names))
+        """This tracer's spans as a Chrome trace-event document, the
+        one :func:`write_chrome_trace` writes."""
+        spans = self.snapshot()
+        with self._lock:
+            names = dict(self._thread_names)
+        return chrome_trace(spans, thread_names=names)
 
 
 _state = threading.local()
@@ -289,14 +293,14 @@ def chrome_trace(spans: Sequence[SpanRecord],
 
 
 def write_chrome_trace(path: str, tracer: Tracer) -> int:
-    """Write the tracer's spans as Chrome trace JSON; returns count."""
-    spans = tracer.snapshot()
-    document = chrome_trace(spans,
-                            thread_names=dict(tracer._thread_names))
+    """Write :meth:`Tracer.chrome_trace` as JSON; returns the number
+    of spans written."""
+    document = tracer.chrome_trace()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")
-    return len(spans)
+    return sum(1 for event in document["traceEvents"]
+               if event["ph"] == "X")
 
 
 # -- trace-file loading + aggregation (``si-mapper trace``) --------------

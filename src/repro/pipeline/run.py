@@ -119,9 +119,11 @@ class RunRecord:
 
     def minimizer_summary(self) -> str:
         """One line of minimizer telemetry: distinct problems solved,
-        and calls answered from the run's memo."""
+        calls answered from the run's memo, and complement
+        minimizations the essential-variable bound skipped."""
         return (f"minimizer: {self.stats.get('minimize_solved', 0)} "
-                f"solved, {self.stats.get('minimize_reused', 0)} reused")
+                f"solved, {self.stats.get('minimize_reused', 0)} reused, "
+                f"{self.stats.get('minimize_skipped', 0)} skipped")
 
     def csc_summary(self) -> str:
         """One line of CSC-solver telemetry (only meaningful when the
@@ -221,12 +223,15 @@ class Pipeline:
         minimize.minimize_memo`), so a problem the initial synthesis,
         the CSC solve or any mapping of the battery has solved is not
         solved again for this circuit.  The memo dies with the run;
-        its counts land in ``stats`` as ``minimize_solved`` and
-        ``minimize_reused``."""
+        its counts land in ``stats`` as ``minimize_solved``,
+        ``minimize_reused`` and ``minimize_skipped`` (complements
+        :func:`~repro.boolean.minimize.minimize_complement` did not
+        minimize)."""
         with minimize_memo() as memo:
             record = self._run(source)
         record.stats["minimize_solved"] = memo.solved
         record.stats["minimize_reused"] = memo.reused
+        record.stats["minimize_skipped"] = memo.skipped
         return record
 
     @contextmanager

@@ -42,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.boolean.minimize import minimize
+from repro.boolean.minimize import (cheaper_polarity, minimize,
+                                    minimize_complement)
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
 from repro.sg.encoding import next_state_ints
@@ -57,6 +58,11 @@ class RegionCover:
 
     ``regions`` usually holds a single region; it holds several when
     code sharing forced a generalized (merged) cover.
+
+    ``complement`` covers the complemented function (ON and OFF
+    swapped).  It is minimized only when it could be the cheaper
+    polarity; otherwise it is the De Morgan complement of ``cover``
+    (:func:`~repro.boolean.minimize.minimize_complement`).
 
     ``quiescent`` is the group's *restricted* quiescent region (sibling
     closures subtracted) and ``zone`` the group's ER states plus the
@@ -85,8 +91,7 @@ class RegionCover:
     @property
     def complexity(self) -> int:
         """The paper's complexity measure: min over both polarities."""
-        return min(self.cover.literal_count(),
-                   self.complement.literal_count())
+        return cheaper_polarity(self.cover, self.complement).literal_count()
 
     def __repr__(self) -> str:
         indices = ",".join(str(r.index) for r in self.regions)
@@ -161,10 +166,12 @@ def _synthesize_group(sg: StateGraph, group: Sequence[ExcitationRegion],
         off_ints = {enc.project(c, support) for c in off_ints}
 
     for _ in range(len(sg) + 1):
-        cover = minimize(on_ints, sorted(off_ints), support)
+        off_sorted = sorted(off_ints)
+        cover = minimize(on_ints, off_sorted, support)
         violation = _monotonicity_violation(sg, cover, quiescent_bits)
         if violation is None:
-            complement = minimize(sorted(off_ints), on_ints, support)
+            complement = minimize_complement(on_ints, off_sorted, support,
+                                             cover)
             return RegionCover(tuple(group), cover, complement,
                                quiescent_bits, zone)
         off_ints.add(violation if tuple(support) == enc.signals
@@ -238,7 +245,7 @@ def complete_cover(sg: StateGraph, signal: str) -> Optional[Tuple[SopCover, SopC
     on, off = next_state_ints(sg, signal, support)
     try:
         cover = minimize(on, off, support)
-        complement = minimize(off, on, support)
+        complement = minimize_complement(on, off, support, cover)
     except CoverError:
         return None
     return cover, complement
@@ -255,8 +262,7 @@ def complete_cover_with_self(sg: StateGraph,
     support = list(sg.signals)
     on, off = next_state_ints(sg, signal, support)
     cover = minimize(on, off, support)
-    complement = minimize(off, on, support)
-    return cover, complement
+    return cover, minimize_complement(on, off, support, cover)
 
 
 @dataclass
@@ -267,6 +273,11 @@ class SignalImplementation:
     admits a complete cover (no self-dependency) *and* that cover is no
     more complex than the set/reset networks it would replace, the C
     element collapses to a wire (Figure 2 b/c of the paper).
+
+    ``complete_complement`` covers the complemented next-state
+    function.  Like :attr:`RegionCover.complement` it is minimized only
+    when it could be the cheaper polarity, and is otherwise the De
+    Morgan complement of ``complete``.
     """
 
     signal: str
@@ -291,8 +302,8 @@ class SignalImplementation:
     def complete_complexity(self) -> Optional[int]:
         if self.complete is None:
             return None
-        return min(self.complete.literal_count(),
-                   self.complete_complement.literal_count())
+        return cheaper_polarity(self.complete,
+                                self.complete_complement).literal_count()
 
     def max_complexity(self) -> int:
         """Worst gate complexity of this signal's implementation.
@@ -319,8 +330,7 @@ def _choose_combinational(complete: Optional[SopCover],
     in total literals."""
     if complete is None:
         return False
-    complete_cost = min(complete.literal_count(),
-                        complement.literal_count())
+    complete_cost = cheaper_polarity(complete, complement).literal_count()
     # A constant (never-switching) output has a complete cover but no
     # region covers at all; max() over the empty sequence must not
     # crash — the signal degenerates to a combinational wire.

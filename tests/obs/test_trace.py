@@ -3,6 +3,7 @@ stat deltas, Chrome export, the trace-file loader, and the Table-1
 byte-identity guarantee with tracing on."""
 
 import json
+import threading
 
 import pytest
 
@@ -175,6 +176,30 @@ class TestChromeExport:
         events = load_trace(path)
         assert [e["name"] for e in events] == ["a", "b"]
         assert all(e["ph"] == "X" for e in events)
+
+    def test_written_file_is_the_tracer_document(self, tmp_path):
+        """``--trace`` files are ``Tracer.chrome_trace()`` dumped with
+        one-space indent and a final newline, thread names included."""
+        tracer = Tracer()
+        with tracer.span("main", "stage"):
+            pass
+
+        def traced():
+            with tracer.span("job", "job"):
+                pass
+
+        worker = threading.Thread(target=traced, name="worker-1")
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        path = tmp_path / "run.trace.json"
+        assert write_chrome_trace(str(path), tracer) == 2
+        document = tracer.chrome_trace()
+        assert path.read_text(encoding="utf-8") \
+            == json.dumps(document, indent=1) + "\n"
+        names = {e["args"]["name"] for e in document["traceEvents"]
+                 if e["ph"] == "M"}
+        assert "worker-1" in names
 
     def test_load_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"

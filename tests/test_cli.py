@@ -116,7 +116,7 @@ b+/2 a+
         assert "stage timings:" in out and "reach" in out
         # the run's minimizer memo counts follow the resynthesis line
         assert re.search(r"^resynthesis: .*\nminimizer: \d+ solved, "
-                         r"\d+ reused$", out, re.MULTILINE)
+                         r"\d+ reused, \d+ skipped$", out, re.MULTILINE)
 
     def test_map_cache_dir_warm_run(self, tmp_path, capsys):
         """Second --cache-dir run: identical output, zero heavy
