@@ -29,6 +29,7 @@ from repro.bench_suite import SUBSET, benchmark_names
 from repro.dist.base import make_store
 from repro.mapping.decompose import MappingResult
 from repro.pipeline import ArtifactCache, SynthesisContext
+from repro.pipeline.store import traffic_stats
 
 _CACHE_DIR = os.environ.get("SI_MAPPER_CACHE")
 _CACHE_URL = os.environ.get("SI_MAPPER_CACHE_URL")
@@ -67,9 +68,10 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Surface harness-wide cache telemetry in the benchmark output,
-    and emit a perf snapshot when ``SI_MAPPER_BENCH_OUT`` names one."""
-    telemetry = _CACHE.telemetry()
+    """Surface the session's cache telemetry (the process registry's
+    counts) in the benchmark output, and emit a perf snapshot when
+    ``SI_MAPPER_BENCH_OUT`` names one."""
+    telemetry = traffic_stats()
     store = " / ".join(filter(None, [_CACHE_DIR, _CACHE_URL]))
     terminalreporter.write_line(
         f"artifact cache: {len(_CACHE)} entries, "

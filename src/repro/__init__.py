@@ -20,7 +20,7 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.boolean import Bdd, Cube, SopCover, minimize
+from repro.boolean import Cube, SopCover, minimize
 from repro.mapping import (MapperConfig, MappingResult, TechnologyMapper,
                            map_circuit)
 from repro.sg import (StateGraph, check_speed_independence,
@@ -35,7 +35,6 @@ from repro.pipeline import (ArtifactCache, BatchRunner, Pipeline,
 __version__ = "1.0.0"
 
 __all__ = [
-    "Bdd",
     "Cube",
     "SopCover",
     "minimize",

@@ -3,20 +3,19 @@ all.
 
 ``si-mapper serve`` runs a :class:`ThreadingHTTPServer`: handler
 instances are per-request, but everything reachable through
-``self.server`` (the store, its counters, any registry the server
-grows) is shared by every in-flight request.  Store counters live in
-:class:`~repro.pipeline.store.StoreStats`, whose locked ``add`` exists
-because bare ``+=`` on a shared counter is a read-modify-write race.
+``self.server`` (the store, the job service, any registry the server
+grows) is shared by every in-flight request.  Traffic counters live on
+the metrics registry, whose instruments lock every increment, because
+bare ``+=`` on a shared counter is a read-modify-write race.
 
 * ``conc-handler-shared-write`` — inside a request-handler class,
   assignment to or mutation of anything rooted at ``self.server``
-  outside a ``with <lock>:`` block.  The one blessed exception is the
-  locked ``StoreStats.add``: ``....stats.add(...)`` is atomic.
+  outside a ``with <lock>:`` block.
 * ``conc-unlocked-counter`` — bare augmented assignment on counters:
   either ``self.<attr> += ...`` inside a class that owns a lock (the
   lock exists, so going around it is a lost-update bug), or
-  ``<anything>.stats.<counter> += ...`` anywhere (stats dataclasses
-  are shared across threads; all mutation goes through ``.add()``).
+  ``<anything>.stats.<counter> += ...`` anywhere (stats objects are
+  shared across threads).
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ _MUTATORS = {"append", "extend", "insert", "add", "update", "pop",
              "popitem", "remove", "discard", "clear", "setdefault",
              "sort", "reverse"}
 
-_LOCK_HINT = ("wrap the mutation in `with <lock>:` or route it "
-              "through the locked StoreStats.add()")
+_LOCK_HINT = ("wrap the mutation in `with <lock>:` or count it on "
+              "the metrics registry")
 
 
 def _server_rooted(node: ast.AST) -> Optional[List[str]]:
@@ -83,8 +82,6 @@ class HandlerSharedWriteRule(Rule):
             chain = _server_rooted(func.value)
             if chain is None:
                 return
-            if func.attr == "add" and chain[-1] == "stats":
-                return        # StoreStats.add: locked, atomic
             yield ctx.finding(
                 node, "conc-handler-shared-write", "error",
                 f"handler mutates shared server state "
@@ -110,16 +107,16 @@ class UnlockedCounterRule(Rule):
         if chain is None or len(chain) < 2:
             return
         dotted = ".".join(chain)
-        # stats dataclasses are shared across threads; field mutation
-        # bypasses the locked add() whatever the calling context
+        # stats objects are shared across threads: a bare field
+        # increment races whatever the calling context
         if len(chain) >= 3 and chain[-2] == "stats":
             yield ctx.finding(
                 node, "conc-unlocked-counter", "error",
                 f"'{dotted} {_op(node)}= ...' mutates a shared stats "
                 "counter non-atomically — concurrent updates are "
                 "lost",
-                "use the locked add(): "
-                f"{'.'.join(chain[:-1])}.add({chain[-1]}=...)")
+                "count it on the metrics registry, whose counters "
+                "lock every increment")
             return
         if ctx.in_lock:
             return

@@ -5,13 +5,12 @@ synthesis, implemented from scratch:
 
 * :class:`~repro.boolean.cube.Cube` — a product term over named signals;
 * :class:`~repro.boolean.sop.SopCover` — sum-of-products covers with
-  evaluation, containment, algebraic structure and literal counting;
+  evaluation, containment, tautology, equivalence and complement
+  checks, algebraic structure and literal counting;
 * :mod:`~repro.boolean.minimize` — espresso-style two-level minimization
   with don't-cares (EXPAND / IRREDUNDANT / REDUCE);
 * :mod:`~repro.boolean.divisors` — kernels, co-kernels, algebraic
-  division and the divisor enumeration of §3.1 of the paper;
-* :mod:`~repro.boolean.bdd` — a small ROBDD package used for tautology,
-  equivalence and complement checks.
+  division and the divisor enumeration of §3.1 of the paper.
 """
 
 from repro.boolean.cube import Cube
@@ -23,7 +22,6 @@ from repro.boolean.divisors import (
     generate_divisors,
     kernels,
 )
-from repro.boolean.bdd import Bdd
 
 __all__ = [
     "Cube",
@@ -33,5 +31,4 @@ __all__ = [
     "co_kernels",
     "algebraic_division",
     "generate_divisors",
-    "Bdd",
 ]

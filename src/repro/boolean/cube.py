@@ -189,10 +189,6 @@ class Cube:
         return Cube({name: value for name, value in self._literals
                      if name not in drop})
 
-    def expand_against(self, name: str) -> "Cube":
-        """Remove one literal (EXPAND primitive)."""
-        return self.without([name])
-
     def rename(self, mapping: Mapping[str, str]) -> "Cube":
         """Rename support signals according to ``mapping``."""
         return Cube({mapping.get(name, name): value

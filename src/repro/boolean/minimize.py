@@ -437,6 +437,15 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
             single = _coverage(covers)[1]
             cubes = [_reduce(cube, bits & single, on_columns)
                      for cube, bits in zip(cubes, covers)]
+            # Every cube shrank against the unreduced cover, so an ON
+            # vector two cubes shared can lie in neither: re-seed it
+            # (skipped above once an earlier prime absorbs it).
+            lost = on_columns.every & ~_coverage(
+                _cover_bits(cube, on_columns) for cube in cubes)[0]
+            while lost:
+                low = lost & -lost
+                cubes.append((full_mask, on_ints[low.bit_length() - 1]))
+                lost ^= low
 
     result = SopCover(_cube_back(c, support) for c in cubes)
     _verify(cubes, on_columns, off_columns)

@@ -185,8 +185,12 @@ class SopCover:
         neg = self.cofactor(name, 0).complement()
         pos = self.cofactor(name, 1).complement()
         cubes: List[Cube] = []
-        for half, value in ((neg, 0), (pos, 1)):
+        for half, other, value in ((neg, pos, 0), (pos, neg, 1)):
             for cube in half:
+                if any(wider.contains(cube) for wider in other):
+                    # true on both sides of the split: no literal of it
+                    cubes.append(cube)
+                    continue
                 merged = cube.intersect(Cube({name: value}))
                 if merged is not None:
                     cubes.append(merged)

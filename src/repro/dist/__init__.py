@@ -14,7 +14,7 @@ small layers over it:
 
 :mod:`repro.dist.base`
     The :class:`ArtifactStore` protocol every backend implements
-    (``get/put/report/gc/clear/telemetry``) and :func:`make_store`,
+    (``get/put/report/gc/clear``) and :func:`make_store`,
     the factory the pipeline and CLI use to turn ``--cache-dir`` /
     ``--cache-url`` / ``--cache-s3`` into a backend: disk, remote,
     object store, or a write-through :class:`TieredStore`.
@@ -88,7 +88,6 @@ _EXPORTS = {
     "available_codecs": "repro.dist.envelope",
     "decode_entry": "repro.dist.envelope",
     "digest_of": "repro.dist.envelope",
-    "empty_telemetry": "repro.dist.base",
     "encode_entry": "repro.dist.envelope",
     "kind_of": "repro.dist.envelope",
     "make_store": "repro.dist.base",

@@ -18,18 +18,16 @@ The shared contract, beyond the method signatures:
 * ``put`` returns ``False`` (never raises) when the artifact could not
   be persisted — the store is an accelerator, not a correctness
   dependency;
-* ``telemetry`` returns counters over the *full* backend counter set
-  (:func:`empty_telemetry`), so pipeline telemetry diffs are uniform
-  no matter which backend is configured.
+* traffic is counted on the caller's thread through
+  :func:`~repro.pipeline.store.count_traffic`, never on the backend.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Hashable, Optional, Protocol, Tuple,
+from typing import (Any, Hashable, Optional, Protocol, Tuple,
                     runtime_checkable)
 
-from repro.pipeline.store import (StoreReport,       # noqa: F401 -
-                                  empty_telemetry)   # re-exported API
+from repro.pipeline.store import StoreReport
 
 
 @runtime_checkable
@@ -52,9 +50,6 @@ class ArtifactStore(Protocol):
 
     def clear(self) -> Tuple[int, int]:
         """Drop every entry; ``(removed, freed_bytes)``."""
-
-    def telemetry(self) -> Dict[str, int]:
-        """Counters over the full backend counter set."""
 
 
 def make_store(cache_dir: Optional[str] = None,

@@ -6,7 +6,9 @@ travel in the exact codec-stamped envelope every other backend moves
 (:mod:`repro.dist.envelope`), and the *client* checks the per-kind
 :data:`~repro.dist.envelope.ARTIFACT_FORMATS` stamp after download, so
 a schema bump on one worker never poisons another.  It also owns the
-cooldown and the ``remote_*`` counters; a backend only moves bytes.
+cooldown and counts the tier's traffic (the ``remote_*`` counters of a
+run, :func:`~repro.pipeline.store.count_traffic`); a backend only
+moves bytes.
 :class:`DaemonBackend` (behind :class:`RemoteArtifactCache`) speaks
 the serve daemon's tiny content-addressed protocol (``GET/PUT
 /artifact/<kind>/<digest>``) over stdlib ``urllib`` — no third-party
@@ -50,7 +52,7 @@ from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
                                  decode_entry, digest_of, encode_entry,
                                  kind_of, resolve_codec)
 from repro.pipeline.store import (MISS, DiskArtifactCache, StoreReport,
-                                  StoreStats, empty_telemetry)
+                                  count_traffic)
 
 
 class TransportError(OSError):
@@ -80,11 +82,12 @@ class SharedStore:
     Content-addressed exactly like the disk store: an entry's address
     is ``(kind, sha256(repr(key)))``, its body is the shared envelope.
     ``address`` (a URL or spec) names the tier in ``repr``, ``tier``
-    labels its registry counters, and ``codec`` names what uploads are
-    compressed with.  The ``backend`` offers ``get(kind, digest)``
-    (bytes, or ``None`` when absent) and ``put(kind, digest, data)``,
-    both raising :class:`TransportError` on failure, plus
-    ``report``/``gc``/``clear``/``healthy``, which never raise.
+    (``remote`` or ``s3``) labels the traffic it counts, and ``codec``
+    names what uploads are compressed with.  The ``backend`` offers
+    ``get(kind, digest)`` (bytes, or ``None`` when absent) and
+    ``put(kind, digest, data)``, both raising :class:`TransportError`
+    on failure, plus ``report``/``gc``/``clear``/``healthy``, which
+    never raise.
     """
 
     def __init__(self, backend: Any, address: str, tier: str,
@@ -95,7 +98,7 @@ class SharedStore:
         #: failure; 0 retries every request (tests use that)
         self.cooldown = cooldown
         self.codec = resolve_codec(codec)
-        self.stats = StoreStats("remote", tier)
+        self.tier = tier
         self._down_until = 0.0
 
     def _available(self) -> bool:
@@ -122,26 +125,26 @@ class SharedStore:
         if expected is None:
             return MISS, None
         if not self._available():
-            self.stats.add(misses=1)
+            count_traffic(self.tier, misses=1)
             return MISS, None
         try:
             data = self.backend.get(kind_of(key), digest_of(key))
         except TransportError as error:
-            self.stats.add(errors=1)
+            count_traffic(self.tier, errors=1)
             if not isinstance(error, Refused):
                 self._mark_down()
             return MISS, None
         if data is None:
-            self.stats.add(misses=1)
+            count_traffic(self.tier, misses=1)
             return MISS, None
         status, payload = decode_entry(data, key, expected)
         if status == "stale":
-            self.stats.add(stale=1)
+            count_traffic(self.tier, stale=1)
             return MISS, None
         if status == "error":
-            self.stats.add(errors=1)
+            count_traffic(self.tier, errors=1)
             return MISS, None
-        self.stats.add(hits=1, bytes_read=len(data))
+        count_traffic(self.tier, hits=1, bytes_read=len(data))
         return payload, data
 
     def put(self, key: Hashable, value: Any) -> bool:
@@ -154,7 +157,7 @@ class SharedStore:
         try:
             data = encode_entry(key, value, version, codec=self.codec)
         except Exception:
-            self.stats.add(write_skips=1)
+            count_traffic(self.tier, write_skips=1)
             return False
         return self.put_raw(kind_of(key), digest_of(key), data)
 
@@ -162,20 +165,20 @@ class SharedStore:
         """Upload already-encoded envelope bytes (the tiered write
         path encodes once and feeds both layers raw)."""
         if not self._available():
-            self.stats.add(write_skips=1)
+            count_traffic(self.tier, write_skips=1)
             return False
         try:
             self.backend.put(kind, digest, data)
         except Refused:
-            self.stats.add(write_skips=1)
+            count_traffic(self.tier, write_skips=1)
             return False
         except TransportError:
             # a failed upload is an *error* — the telemetry an
             # operator watches — and backs off
-            self.stats.add(errors=1, write_skips=1)
+            count_traffic(self.tier, errors=1, write_skips=1)
             self._mark_down()
             return False
-        self.stats.add(writes=1, bytes_written=len(data))
+        count_traffic(self.tier, writes=1, bytes_written=len(data))
         return True
 
     # ------------------------------------------------------------------
@@ -198,15 +201,8 @@ class SharedStore:
         serve daemon to come up."""
         return self.backend.healthy()
 
-    def telemetry(self) -> Dict[str, int]:
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
-
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}({self.address!r}, "
-                f"hits={self.stats.hits}, misses={self.stats.misses}, "
-                f"writes={self.stats.writes})")
+        return f"{type(self).__name__}({self.address!r})"
 
 
 class DaemonBackend:
@@ -408,7 +404,7 @@ class TieredStore:
     written back locally so the next read never leaves the machine.
     Writes go to both layers.  The shared layer is a
     :class:`SharedStore` (its raw-envelope surface ``fetch``/
-    ``put_raw`` + ``stats``).  Maintenance (:meth:`report` /
+    ``put_raw`` + ``tier``).  Maintenance (:meth:`report` /
     :meth:`gc` / :meth:`clear`) acts on the *local* layer — the shared
     store is maintained by its operator (``si-mapper cache
     --cache-url ...``), not as a side effect of one worker's
@@ -440,8 +436,8 @@ class TieredStore:
             data = encode_entry(key, value, version,
                                 codec=self.local.codec)
         except Exception:
-            self.local.stats.add(write_skips=1)
-            self.remote.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
+            count_traffic(self.remote.tier, write_skips=1)
             return False
         kind, digest = kind_of(key), digest_of(key)
         stored_locally = self.local.put_raw(kind, digest, data)
@@ -458,11 +454,6 @@ class TieredStore:
 
     def clear(self) -> Tuple[int, int]:
         return self.local.clear()
-
-    def telemetry(self) -> Dict[str, int]:
-        counters = self.local.telemetry()
-        counters.update(self.remote.stats.as_dict())
-        return counters
 
     def __repr__(self) -> str:
         return f"TieredStore({self.local!r}, {self.remote!r})"

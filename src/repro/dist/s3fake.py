@@ -244,10 +244,6 @@ class FakeS3Server(ThreadingHTTPServer):
                 for (owner, key), entry in self._objects.items()
                 if owner == bucket and key.startswith(prefix))
 
-    def object_count(self) -> int:
-        with self._lock:
-            return len(self._objects)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

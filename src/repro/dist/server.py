@@ -79,7 +79,8 @@ from repro.dist.jobs import (DEFAULT_RETAIN, DONE, FAILED, ClaimPool,
                              QuotaExceeded)
 from repro.errors import ParseError
 from repro.obs.metrics import default_registry
-from repro.pipeline.store import DiskArtifactCache
+from repro.pipeline.store import (DiskArtifactCache, count_traffic,
+                                  traffic_stats)
 
 #: an upload larger than this is refused (413) — the biggest real
 #: artifacts (mapping results with embedded state graphs) are a few
@@ -359,7 +360,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         # so a chunking client sees a consistent byte stream across
         # its ranged requests.
         data = probe + handle.read()
-        self.server.store.stats.add(bytes_read=len(data))
+        count_traffic("disk", bytes_read=len(data))
         recoded = transcode(data, "identity")
         if recoded is None:
             # stamped with a codec this server build cannot decode —
@@ -459,7 +460,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             sent += len(chunk)
             remaining -= len(chunk)
         if count_bytes:
-            self.server.store.stats.add(bytes_read=sent)
+            count_traffic("disk", bytes_read=sent)
 
     @_observed
     def do_HEAD(self) -> None:
@@ -642,7 +643,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                     writer.write(chunk)
                 except OSError:
                     writer.abort()
-                    self.server.store.stats.add(write_skips=1)
+                    count_traffic("disk", write_skips=1)
                     if self._drain_body(remaining):
                         self.close_connection = False
                     self._reply(507, b"store write failed\n")
@@ -780,7 +781,9 @@ class ArtifactServer(ThreadingHTTPServer):
 
         ``by_kind`` values are ``[entries, stored_bytes, raw_bytes]``
         triples; pre-codec clients that expect pairs read the first
-        two elements and keep working.
+        two elements and keep working.  ``telemetry`` is the eight
+        ``disk_*`` counters of this process's metrics registry — the
+        served store's traffic, job runs included.
         """
         inventory = self.store.report()
         payload = {
@@ -792,7 +795,9 @@ class ArtifactServer(ThreadingHTTPServer):
             "codecs": list(available_codecs()),
             "by_kind": {kind: list(counts) for kind, counts
                         in inventory.by_kind.items()},
-            "telemetry": self.store.stats.as_dict(),
+            "telemetry": {key: value for key, value
+                          in traffic_stats().items()
+                          if key.startswith("disk_")},
             "claims": self.claims.stats_payload(),
         }
         if self.jobs is not None:

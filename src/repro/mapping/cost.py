@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Tuple
 
 from repro.boolean.minimize import cheaper_polarity
@@ -61,13 +60,6 @@ def implementation_cost(
         if not impl.is_combinational:
             c_elements += 1
     return literals, c_elements
-
-
-def _tree_gates(fanin: int, k: int) -> int:
-    """Internal nodes of a k-ary reduction tree over ``fanin`` leaves."""
-    if fanin <= 1:
-        return 0
-    return math.ceil((fanin - 1) / (k - 1))
 
 
 def tree_literal_cost(fanin: int, k: int) -> int:

@@ -1,12 +1,12 @@
 """Unified observability core: metrics registry + span tracing.
 
-One process-wide :class:`~repro.obs.metrics.MetricsRegistry` absorbs
-the counters previously scattered across ``RunRecord.stats`` dict
-diffs, the store stats mixins, the envelope codec layer and the job
-service — every component forwards its increments here *in addition
-to* its backward-compatible dict views, so cached artifacts, shard
-telemetry blocks and ``/stats`` JSON are byte-unchanged while
-``GET /metrics`` exposes the same numbers as Prometheus text.
+One process-wide :class:`~repro.obs.metrics.MetricsRegistry` holds
+the counters of the envelope codec layer, the job service and every
+cache and store tier; ``GET /metrics`` exposes them as Prometheus
+text.  Cache and store traffic is counted nowhere else: a run's
+``RunRecord.stats`` counters come from a per-thread counter journal
+and the daemon's ``/stats`` ``telemetry`` from the registry, so shard
+telemetry blocks and ``/stats`` JSON keep their keys.
 
 The tracing half (:mod:`repro.obs.trace`) builds nestable spans:
 activating a :class:`~repro.obs.trace.Tracer` arms the explicit

@@ -102,6 +102,14 @@ class Sample:
     labels: Tuple[Tuple[str, str], ...]
     value: float
 
+    @property
+    def key(self) -> str:
+        """``name{labels}``: the line without its value, which is also
+        how a counter journal keys the series."""
+        return self.name + _render_labels(
+            [name for name, _ in self.labels],
+            [value for _, value in self.labels])
+
 
 class Instrument:
     """Base class: name/label validation plus the per-instrument lock.
@@ -359,11 +367,8 @@ class MetricsRegistry:
                          f"{_escape_help(instrument.help)}")
             lines.append(f"# TYPE {instrument.name} {instrument.kind}")
             for sample in instrument.samples():
-                labels = _render_labels(
-                    [name for name, _ in sample.labels],
-                    [value for _, value in sample.labels])
                 lines.append(
-                    f"{sample.name}{labels} {_format_value(sample.value)}")
+                    f"{sample.key} {_format_value(sample.value)}")
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:

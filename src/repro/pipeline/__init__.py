@@ -68,11 +68,11 @@ from repro.pipeline.context import SynthesisContext
 from repro.pipeline.run import (Pipeline, PipelineConfig, RunRecord,
                                 StageTiming, STAGES)
 from repro.pipeline.store import (ARTIFACT_FORMATS, DiskArtifactCache,
-                                  StoreReport, StoreStats)
+                                  StoreReport)
 
 __all__ = [
     "ARTIFACT_FORMATS", "ArtifactCache", "BatchItem", "BatchRunner",
     "DiskArtifactCache", "Pipeline", "PipelineConfig", "RunRecord",
-    "STAGES", "StageTiming", "StoreReport", "StoreStats",
-    "SynthesisContext", "content_key_of",
+    "STAGES", "StageTiming", "StoreReport", "SynthesisContext",
+    "content_key_of",
 ]

@@ -7,27 +7,20 @@ the source STG — the SHA-256 of its canonical ``.g`` serialization —
 plus the artifact kind and its parameters.  Two contexts built from the
 same circuit therefore share one reachability pass and one initial
 synthesis, no matter how the circuit was loaded (benchmark registry,
-``.g`` file, inline text).
+``.g`` file, inline text).  The cache keeps no counts of its own: its
+traffic goes to the metrics registry, where a run reads its share.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
+
+from repro.pipeline.store import MISS, count_traffic
 
 if TYPE_CHECKING:
     from repro.dist.base import ArtifactStore
-
-
-def _cache_ops(op: str, amount: int = 1) -> None:
-    """Mirror a memory-layer cache event onto the process registry."""
-    from repro.obs.metrics import default_registry
-    default_registry().counter(
-        "si_cache_ops_total",
-        "Memory-layer artifact cache events.",
-        ("op",)).inc(amount, op=op)
 
 
 def content_key_of(g_text: str) -> str:
@@ -54,10 +47,11 @@ class ArtifactCache:
     :class:`~repro.dist.remote.RemoteArtifactCache` talking to a
     ``si-mapper serve`` daemon, or a tiered combination — a memory
     miss consults the store before computing, and computed values are
-    written through.  ``hits`` stays "served from memory" and
-    ``misses`` stays "actually computed"; store traffic has its own
-    counters on the backend (the ``disk_*`` / ``remote_*`` keys of
-    :meth:`telemetry`).
+    written through.  Every event is counted through
+    :func:`~repro.pipeline.store.count_traffic`: ``hit`` (served from
+    memory), ``miss`` (actually computed) and ``store_fill`` (served
+    by the store), on the caller's thread, so a run's counter journal
+    sees its own traffic only.
     """
 
     def __init__(self, disk: "Optional[ArtifactStore]" = None
@@ -66,8 +60,6 @@ class ArtifactCache:
         self._lock = threading.Lock()
         self._inflight: Dict[Hashable, threading.Event] = {}
         self.disk = disk
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -83,7 +75,6 @@ class ArtifactCache:
             hit = False
             with self._lock:
                 if key in self._store:
-                    self.hits += 1
                     value = self._store[key]
                     hit = True
                 else:
@@ -94,7 +85,7 @@ class ArtifactCache:
                     else:
                         owner = False
             if hit:
-                _cache_ops("hit")
+                count_traffic("memory", hit=1)
                 return value
             if not owner:
                 # Another thread is computing this key: wait for it,
@@ -104,16 +95,15 @@ class ArtifactCache:
                 pending.wait()
                 continue
             if self.disk is not None:
-                from repro.pipeline.store import MISS
                 value = self.disk.get(key)
                 if value is not MISS:
                     # warm start: neither a memory hit nor a compute —
-                    # the disk layer counted it on ``disk.stats``.
+                    # the store counted its own hit
                     with self._lock:
                         self._store[key] = value
                         del self._inflight[key]
                     pending.set()
-                    _cache_ops("store_fill")
+                    count_traffic("memory", store_fill=1)
                     return value
             try:
                 value = compute()
@@ -123,11 +113,10 @@ class ArtifactCache:
                 pending.set()
                 raise
             with self._lock:
-                self.misses += 1
                 self._store[key] = value
                 del self._inflight[key]
             pending.set()
-            _cache_ops("miss")
+            count_traffic("memory", miss=1)
             if self.disk is not None:
                 self.disk.put(key, value)
             return value
@@ -135,33 +124,6 @@ class ArtifactCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Tuple[int, int, int]:
-        """``(entries, hits, misses)`` — for telemetry and tests."""
-        with self._lock:
-            return len(self._store), self.hits, self.misses
-
-    def telemetry(self) -> Dict[str, int]:
-        """A flat counter snapshot across both layers.
-
-        ``cache_hits`` / ``cache_misses`` are the memory layer
-        (served-from-memory / actually-computed); the ``disk_*``
-        counters are zero when no store is attached.  The pipeline
-        diffs two snapshots to attribute traffic to one run.
-        """
-        with self._lock:
-            counters = {"cache_hits": self.hits,
-                        "cache_misses": self.misses}
-        if self.disk is not None:
-            counters.update(self.disk.telemetry())
-        else:
-            from repro.pipeline.store import empty_telemetry
-            counters.update(empty_telemetry())
-        return counters
 
     def __repr__(self) -> str:
-        entries, hits, misses = self.stats()
-        return (f"ArtifactCache(entries={entries}, hits={hits}, "
-                f"misses={misses})")
+        return f"ArtifactCache(entries={len(self)})"

@@ -15,7 +15,9 @@ Each stage is observed in three ways: a ``stage:<name>`` span when a
 tracer is active (:func:`repro.obs.trace.trace_span`), the
 ``si_stage_seconds`` histogram, and — for the job service, which
 streams them to clients — the ``on_stage`` callback given to
-:class:`Pipeline`.
+:class:`Pipeline`.  A run's cache and store counters come from a
+counter journal of its own thread, so concurrent runs over one shared
+cache never count each other's traffic.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
 
 from repro.boolean.minimize import minimize_memo
 from repro.mapping.decompose import MapperConfig, MappingResult
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import (close_journal, default_registry,
+                               open_journal)
 from repro.obs.trace import trace_span
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import SynthesisContext
+from repro.pipeline.store import traffic_stats
 from repro.stg.stg import Stg
 
 #: stage names, in execution order
@@ -226,9 +230,15 @@ class Pipeline:
         its counts land in ``stats`` as ``minimize_solved``,
         ``minimize_reused`` and ``minimize_skipped`` (complements
         :func:`~repro.boolean.minimize.minimize_complement` did not
-        minimize)."""
+        minimize).  Its cache and store counters come from a counter
+        journal open around the stages: this thread's traffic only."""
         with minimize_memo() as memo:
-            record = self._run(source)
+            journal = open_journal()
+            try:
+                record = self._run(source)
+            finally:
+                close_journal()
+        record.stats.update(traffic_stats(journal))
         record.stats["minimize_solved"] = memo.solved
         record.stats["minimize_reused"] = memo.reused
         record.stats["minimize_skipped"] = memo.skipped
@@ -261,7 +271,6 @@ class Pipeline:
         with self._timed(record, "load"):
             context = self.context_of(source)
         record.name = context.name
-        cache_before = context.cache.telemetry()
 
         with self._timed(record, "reach"):
             context.state_graph()
@@ -298,12 +307,6 @@ class Pipeline:
             # CSC telemetry rides on the artifact, so a warm cache hit
             # still reports how the solve went.
             record.stats.update(csc_result.stats())
-        for counter, value in context.cache.telemetry().items():
-            # attribute only this run's cache traffic (the cache may
-            # be shared across many runs in one process); a counter
-            # absent from the "before" snapshot is new traffic that
-            # belongs to this run in full
-            record.stats[counter] = value - cache_before.get(counter, 0)
         if config.keep_artifacts:
             record.mappings = mappings
             record.context = context

@@ -15,10 +15,13 @@ client (:class:`~repro.dist.remote.SharedStore`, over a serve daemon
 or an S3-compatible bucket), the write-through
 :class:`~repro.dist.remote.TieredStore`, and the ``si-mapper serve``
 daemon that exposes a disk store to a cluster.  Every tier counts its
-traffic in one :class:`StoreStats`.  All backends share one wire/disk
-format — the codec-stamped *envelope* of :mod:`repro.dist.envelope` —
-so an entry written by a worker's disk store is byte-compatible with
-one PUT over HTTP or filed in an object store.
+traffic on the metrics registry through :func:`count_traffic`;
+:func:`traffic_stats` reads the counts back as ``RunRecord.stats``
+keys, from a run's counter journal or the registry.  All backends
+share one wire/disk format — the codec-stamped *envelope* of
+:mod:`repro.dist.envelope` — so an entry written by a worker's disk
+store is byte-compatible with one PUT over HTTP or filed in an object
+store.
 
 Safety properties:
 
@@ -48,11 +51,10 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (Any, BinaryIO, Dict, Hashable, Iterable, List,
-                    Optional, Tuple)
+                    Mapping, Optional, Tuple)
 
 from repro.dist.envelope import (ARTIFACT_FORMATS,  # noqa: F401 -
                                  STORE_LAYOUT,      # re-exported API
@@ -60,7 +62,7 @@ from repro.dist.envelope import (ARTIFACT_FORMATS,  # noqa: F401 -
                                  kind_of, raw_size_of, read_header,
                                  resolve_codec, transcode,
                                  HEADER_PROBE_BYTES)
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Sample, default_registry
 
 #: sentinel distinguishing "no entry" from a stored ``None``
 MISS = object()
@@ -72,75 +74,82 @@ MISS = object()
 TEMP_REAP_SECONDS = 3600.0
 
 
-@dataclass
-class StoreStats:
-    """Telemetry counters of one store layer (``disk`` or ``remote``).
+def _series(tier: str, op: str) -> Tuple[str, str, Dict[str, str]]:
+    """The registry counter that counts ``op`` on ``tier``: its name,
+    help text and labels."""
+    if tier == "memory":
+        return ("si_cache_ops_total", "Memory-layer artifact cache events.",
+                {"op": op})
+    if op.startswith("bytes_"):
+        return ("si_store_bytes_total",
+                "Bytes moved through artifact store tiers.",
+                {"tier": tier, "direction": op[len("bytes_"):]})
+    return ("si_store_ops_total",
+            "Artifact store operations by tier and outcome.",
+            {"tier": tier, "op": op})
 
-    The ``tier`` (``disk``, ``remote`` or ``s3``) labels the mirror of
-    every increment on the process metrics registry,
-    ``si_store_ops_total{tier,op}`` / ``si_store_bytes_total``.  One
-    store is hammered by many threads (the memory layer's waiters, the
-    serve daemon's handler threads), and ``+=`` on a dataclass field is
-    not atomic: every increment goes through the locked :meth:`add`.
+
+def count_traffic(tier: str, **amounts: int) -> None:
+    """Count artifact traffic on the process metrics registry, the one
+    place cache and store traffic is counted.
+
+    Tier ``memory`` (the :class:`~repro.pipeline.cache.ArtifactCache`)
+    counts ``hit``, ``miss`` and ``store_fill``.  A store tier
+    (``disk``, ``remote`` or ``s3``) counts ``hits``, ``misses``
+    (absent, or skipped in a cooldown), ``stale`` (right key, outdated
+    format stamp), ``errors`` (corrupt entries, network/server
+    failures), ``writes``, ``write_skips`` (unpicklable, failed or
+    skipped writes), ``bytes_read`` and ``bytes_written``.
     """
-
-    layer: str
-    tier: str
-    hits: int = 0
-    misses: int = 0          # absent, or skipped in a cooldown
-    stale: int = 0           # right key, outdated format stamp
-    errors: int = 0          # corrupt entries, network/server failures
-    writes: int = 0
-    write_skips: int = 0     # unpicklable, failed or skipped writes
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def add(self, **amounts: int) -> None:
-        with self._lock:
-            for name, amount in amounts.items():
-                setattr(self, name, getattr(self, name) + amount)
-        registry = default_registry()
-        for name, amount in amounts.items():
-            if amount <= 0:
-                continue
-            if name in ("bytes_read", "bytes_written"):
-                registry.counter(
-                    "si_store_bytes_total",
-                    "Bytes moved through artifact store tiers.",
-                    ("tier", "direction")).inc(
-                        amount, tier=self.tier,
-                        direction=("read" if name == "bytes_read"
-                                   else "written"))
-            else:
-                registry.counter(
-                    "si_store_ops_total",
-                    "Artifact store operations by tier and outcome.",
-                    ("tier", "op")).inc(amount, tier=self.tier, op=name)
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters keyed ``<layer>_<field>``."""
-        with self._lock:
-            return {f"{self.layer}_{name}": getattr(self, name)
-                    for name in _COUNTERS}
+    registry = default_registry()
+    for op, amount in amounts.items():
+        if amount > 0:
+            name, text, labels = _series(tier, op)
+            registry.counter(name, text, tuple(labels)).inc(amount,
+                                                            **labels)
 
 
-#: the counter fields of :class:`StoreStats` (all but layer and tier)
-_COUNTERS = tuple(item.name for item in fields(StoreStats))[2:]
+def _journal_key(tier: str, op: str) -> str:
+    """How a counter journal keys the series :func:`count_traffic`
+    counts ``op`` of ``tier`` on."""
+    name, _, labels = _series(tier, op)
+    return Sample(name, tuple(labels.items()), 0.0).key
 
 
-def empty_telemetry() -> Dict[str, int]:
-    """Zeroed counters of both store layers (disk and remote).
+#: journal key -> ``RunRecord.stats`` key, in report order; the
+#: ``remote_*`` keys sum the daemon (``remote``) and bucket (``s3``)
+#: tiers
+_STATS_KEYS: Dict[str, str] = {
+    _journal_key("memory", "hit"): "cache_hits",
+    _journal_key("memory", "miss"): "cache_misses",
+    **{_journal_key(tier, op): f"{layer}_{op}"
+       for tier, layer in (("disk", "disk"), ("remote", "remote"),
+                           ("s3", "remote"))
+       for op in ("hits", "misses", "stale", "errors", "writes",
+                  "write_skips", "bytes_read", "bytes_written")},
+}
 
-    All :class:`~repro.dist.base.ArtifactStore` backends report over
-    this key set, so :meth:`~repro.pipeline.cache.ArtifactCache.
-    telemetry` snapshots diff cleanly whichever backend (or none) is
-    attached.
+
+def traffic_stats(samples: Optional[Mapping[str, float]] = None
+                  ) -> Dict[str, int]:
+    """Cache and store traffic as 18 zero-filled counters:
+    ``cache_hits`` (served from memory), ``cache_misses`` (actually
+    computed), and the eight ``disk_*`` and ``remote_*`` counters of
+    :func:`count_traffic`.
+
+    ``samples`` are counter samples keyed as a counter journal
+    (:func:`repro.obs.metrics.open_journal`) keys them; by default,
+    the process registry's totals.
     """
-    return {f"{layer}_{name}": 0 for layer in ("disk", "remote")
-            for name in _COUNTERS}
+    if samples is None:
+        samples = {sample.key: sample.value
+                   for sample in default_registry().snapshot()}
+    stats = dict.fromkeys(_STATS_KEYS.values(), 0)
+    for series, value in samples.items():
+        key = _STATS_KEYS.get(series)
+        if key is not None:
+            stats[key] += int(value)
+    return stats
 
 
 def over_budget(entries: Iterable[Tuple[float, str, int]],
@@ -210,7 +219,7 @@ class _AtomicWriter:
     file; only :meth:`commit` makes the entry visible.
     """
 
-    def __init__(self, store: "DiskArtifactCache", path: str):
+    def __init__(self, path: str):
         # may raise OSError: the caller (raw_writer) turns that into
         # a skipped write
         directory = os.path.dirname(path)
@@ -218,7 +227,6 @@ class _AtomicWriter:
         handle, self._temp_path = tempfile.mkstemp(
             dir=directory, prefix=".tmp-", suffix=".pkl")
         self._stream = os.fdopen(handle, "wb")
-        self._store = store
         self._path = path
         self._written = 0
         self._done = False
@@ -238,10 +246,10 @@ class _AtomicWriter:
             os.replace(self._temp_path, self._path)
         except OSError:
             self.abort()
-            self._store.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
             return False
         self._done = True
-        self._store.stats.add(writes=1, bytes_written=self._written)
+        count_traffic("disk", writes=1, bytes_written=self._written)
         return True
 
     def abort(self) -> None:
@@ -278,7 +286,6 @@ class DiskArtifactCache:
     def __init__(self, root: str, codec: Optional[str] = None):
         self.root = os.path.abspath(root)
         self.codec = resolve_codec(codec)
-        self.stats = StoreStats("disk", "disk")
 
     # ------------------------------------------------------------------
     # Key → path
@@ -316,17 +323,17 @@ class DiskArtifactCache:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            self.stats.add(misses=1)
+            count_traffic("disk", misses=1)
             return MISS
         status, payload = decode_entry(data, key, expected)
         if status == "error":
-            self.stats.add(errors=1)
+            count_traffic("disk", errors=1)
             self._unlink_quietly(path)
             return MISS
         if status == "stale":
-            self.stats.add(stale=1)
+            count_traffic("disk", stale=1)
             return MISS
-        self.stats.add(hits=1, bytes_read=len(data))
+        count_traffic("disk", hits=1, bytes_read=len(data))
         self._maybe_reencode(path, data)
         self._touch(path)
         return payload
@@ -345,7 +352,7 @@ class DiskArtifactCache:
         if recoded is None or len(recoded) >= len(data):
             return
         if self._write_atomically(path, recoded):
-            self.stats.add(writes=1, bytes_written=len(recoded))
+            count_traffic("disk", writes=1, bytes_written=len(recoded))
 
     def put(self, key: Hashable, value: Any) -> bool:
         """Persist an artifact; ``False`` if it was skipped.
@@ -359,12 +366,12 @@ class DiskArtifactCache:
         try:
             data = encode_entry(key, value, version, codec=self.codec)
         except Exception:
-            self.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
             return False
         if not self._write_atomically(self._path(key), data):
-            self.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
             return False
-        self.stats.add(writes=1, bytes_written=len(data))
+        count_traffic("disk", writes=1, bytes_written=len(data))
         return True
 
     # ------------------------------------------------------------------
@@ -383,9 +390,9 @@ class DiskArtifactCache:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            self.stats.add(misses=1)
+            count_traffic("disk", misses=1)
             return None
-        self.stats.add(hits=1, bytes_read=len(data))
+        count_traffic("disk", hits=1, bytes_read=len(data))
         self._touch(path)
         return data
 
@@ -405,9 +412,9 @@ class DiskArtifactCache:
             handle = open(path, "rb")
             size = os.fstat(handle.fileno()).st_size
         except OSError:
-            self.stats.add(misses=1)
+            count_traffic("disk", misses=1)
             return None
-        self.stats.add(hits=1)
+        count_traffic("disk", hits=1)
         self._touch(path)
         return handle, size
 
@@ -420,9 +427,9 @@ class DiskArtifactCache:
         ``digest`` — the serve daemon does.
         """
         if not self._write_atomically(self.raw_path(kind, digest), data):
-            self.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
             return False
-        self.stats.add(writes=1, bytes_written=len(data))
+        count_traffic("disk", writes=1, bytes_written=len(data))
         return True
 
     def raw_writer(self, kind: str,
@@ -435,9 +442,9 @@ class DiskArtifactCache:
         :meth:`put_raw`, without the whole-entry buffer.
         """
         try:
-            return _AtomicWriter(self, self.raw_path(kind, digest))
+            return _AtomicWriter(self.raw_path(kind, digest))
         except OSError:
-            self.stats.add(write_skips=1)
+            count_traffic("disk", write_skips=1)
             return None
 
     def has_raw(self, kind: str, digest: str) -> Optional[int]:
@@ -477,13 +484,6 @@ class DiskArtifactCache:
             os.unlink(path)
         except OSError:
             pass
-
-    def telemetry(self) -> Dict[str, int]:
-        """This backend's counters over the full backend counter set
-        (remote counters are zero — there is no remote layer here)."""
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
 
     # ------------------------------------------------------------------
     # Maintenance (``si-mapper cache stats | gc | clear``)
@@ -697,6 +697,4 @@ class DiskArtifactCache:
 
     def __repr__(self) -> str:
         return (f"DiskArtifactCache({self.root!r}, "
-                f"codec={self.codec!r}, "
-                f"hits={self.stats.hits}, misses={self.stats.misses}, "
-                f"writes={self.stats.writes})")
+                f"codec={self.codec!r})")

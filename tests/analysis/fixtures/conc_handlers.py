@@ -9,13 +9,14 @@ class TpHandler(BaseHTTPRequestHandler):
         self.server.jobs["x"] = 1  # expect: conc-handler-shared-write
         self.server.total += 1  # expect: conc-handler-shared-write
         self.server.log.append("posted")  # expect: conc-handler-shared-write
+        self.server.store.stats.add(hits=1)  # expect: conc-handler-shared-write
 
 
 class FpHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         with self.server.lock:
             self.server.jobs["x"] = 1
-        self.server.store.stats.add(hits=1)
+            self.server.store.stats.add(hits=1)
         self.body = b"local to this request"
         self.count = 0
 

@@ -206,6 +206,10 @@ def reference_minimize(on: Sequence[int], off: Sequence[int],
             cubes = [reference_reduce(
                 cube, [v for v in on_ints if owners[v] == [cube]], width)
                 for cube in cubes]
+            # Re-seed the ON vectors no reduced cube covers.
+            cubes += [(full_mask, v) for v in on_ints
+                      if not any((v & mask) == value
+                                 for mask, value in cubes)]
     return SopCover(_cube_back(c, support) for c in cubes)
 
 

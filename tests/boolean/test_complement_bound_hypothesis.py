@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 from repro.boolean.minimize import (cheaper_polarity, minimize,
                                     minimize_complement, minimize_memo)
 from repro.boolean.sop import SopCover
-from repro.errors import CoverError
 
 #: the module itself (the package re-exports its ``minimize``
 #: function under the same name)
@@ -35,21 +34,6 @@ minimize_module = importlib.import_module("repro.boolean.minimize")
 NAMES = [f"s{i}" for i in range(10)]
 
 Problem = Tuple[List[int], List[int], Tuple[str, ...]]
-
-
-def both_polarities_solve(problem: Problem) -> bool:
-    """Does the two-pass minimizer return a cover for ON/OFF and for
-    OFF/ON?  About 0.3 % of random problems make it raise
-    :class:`CoverError` instead: REDUCE shrinks every cube against the
-    unreduced cover at once, so an ON vector two cubes shared can end
-    up in neither.  The bound is about covers that exist."""
-    on, off, support = problem
-    try:
-        minimize(on, off, support)
-        minimize(off, on, support)
-    except CoverError:
-        return False
-    return True
 
 
 @st.composite
@@ -63,8 +47,8 @@ def disjoint_problems(draw) -> Problem:
 
 
 #: disjoint ON/OFF vector lists over 1-10 signals, either or both
-#: possibly empty, that the minimizer solves in both polarities
-problems = disjoint_problems().filter(both_polarities_solve)
+#: possibly empty
+problems = disjoint_problems()
 
 
 def as_mappings(vectors, support):

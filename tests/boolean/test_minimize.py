@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolean.minimize import (_vector_int, expand_cube,
                                     literal_complexity, minimize)
@@ -84,6 +85,38 @@ class TestMinimize:
         cover = minimize(on, off, support)
         assert cover.equivalent(minimize(on, off, support))
         assert cover.literal_count() == 2  # a + b
+
+
+class TestReduceReseed:
+    """REDUCE shrinks every cube against the unreduced cover, so an ON
+    vector exactly two cubes shared can end up in neither; the next
+    round re-seeds it instead of raising."""
+
+    SUPPORT = [f"s{i}" for i in range(9)]
+
+    def test_vector_lost_by_reduce_is_reseeded(self):
+        cover = minimize([0, 1, 2, 5, 21, 24], [14], self.SUPPORT)
+        assert cover.to_string() == "s1' + s3'"
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_disjoint_problems_always_solve(self, data):
+        width = data.draw(st.integers(1, 10))
+        vectors = st.integers(0, (1 << width) - 1)
+        on = data.draw(st.lists(vectors, max_size=24, unique=True))
+        off = [v for v in data.draw(st.lists(vectors, max_size=24,
+                                             unique=True))
+               if v not in on]
+        support = [f"s{i}" for i in range(width)]
+        cover = minimize(on, off, support,
+                         passes=data.draw(st.integers(1, 3)))
+
+        def value(vector):
+            return cover.evaluate({name: vector >> i & 1
+                                   for i, name in enumerate(support)})
+
+        assert all(value(v) for v in on)
+        assert not any(value(v) for v in off)
 
 
 class TestExpandCube:

@@ -2,7 +2,8 @@
 
 The invariants here are the contracts the synthesis pipeline relies on:
 minimization correctness against ON/OFF sets, complement involution,
-division reconstruction, BDD-vs-SOP semantic agreement, cube algebra
+Shannon cofactors, containment as implication, division
+reconstruction, cover equivalence against truth tables, cube algebra
 laws.
 """
 
@@ -10,7 +11,6 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean.bdd import Bdd
 from repro.boolean.cube import Cube
 from repro.boolean.divisors import algebraic_division, kernels
 from repro.boolean.minimize import minimize
@@ -88,6 +88,21 @@ class TestCoverProperties:
             assert product.evaluate(v) == (left.evaluate(v)
                                            and right.evaluate(v))
 
+    @given(cover_strategy, st.sampled_from(SIGNALS))
+    @settings(max_examples=40, deadline=None)
+    def test_cofactor_is_shannon_restriction(self, cover, name):
+        halves = {value: cover.cofactor(name, value) for value in (0, 1)}
+        for v in all_vectors():
+            assert halves[v[name]].evaluate(v) == cover.evaluate(v)
+        assert name not in halves[0].support + halves[1].support
+
+    @given(cover_strategy, cover_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_covers_agrees_with_implication(self, outer, inner):
+        implied = all(outer.evaluate(v) for v in all_vectors()
+                      if inner.evaluate(v))
+        assert outer.covers(inner) == implied
+
     @given(cover_strategy)
     @settings(max_examples=40, deadline=None)
     def test_tautology_agrees_with_enumeration(self, cover):
@@ -115,21 +130,13 @@ class TestDivisionProperties:
             assert kernel.num_cubes() >= 2
 
 
-class TestBddAgreement:
-    @given(cover_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_bdd_matches_sop_semantics(self, cover):
-        manager = Bdd(SIGNALS)
-        node = manager.sop(cover)
-        for v in all_vectors():
-            assert manager.evaluate(node, v) == cover.evaluate(v)
-
+class TestSopEquivalence:
     @given(cover_strategy, cover_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_bdd_equivalence_matches_cover_equivalence(self, left, right):
-        manager = Bdd(SIGNALS)
-        assert (manager.sop(left) == manager.sop(right)) == \
-            left.equivalent(right)
+    def test_cover_equivalence_matches_truth_tables(self, left, right):
+        same_table = all(left.evaluate(v) == right.evaluate(v)
+                         for v in all_vectors())
+        assert left.equivalent(right) == same_table
 
 
 class TestCubeProperties:

@@ -70,6 +70,29 @@ class TestSemantics:
         assert c.cofactor("a", 1).equivalent(cover("b"))
         assert c.cofactor("a", 0).equivalent(cover("c"))
 
+    def test_cofactor_can_vanish(self):
+        assert cover("a b").cofactor("a", 0).is_zero()
+        assert cover("a b").cofactor("a", 1) == cover("b")
+
+    def test_cube_cofactor(self):
+        c = cover("a b c + a' d + b d")
+        assert c.cube_cofactor(Cube.from_string("a b")).equivalent(
+            cover("c + d"))
+        assert c.cube_cofactor(Cube.from_string("a' b'")).equivalent(
+            cover("d"))
+
+    def test_contradiction_is_zero(self):
+        assert cover("a").times(cover("a'")).is_zero()
+        assert cover("a b' + c").times(cover("a' c' + b c'")).is_zero()
+
+    def test_consensus_term_is_redundant(self):
+        assert cover("a b + a' c + b c").equivalent(cover("a b + a' c"))
+        assert not cover("a b + a' c").equivalent(cover("a b + c"))
+
+    def test_complement_of_xor_is_xnor(self):
+        assert cover("a b' + a' b").complement().equivalent(
+            cover("a b + a' b'"))
+
     def test_complement_single_cube(self):
         comp = cover("a b").complement()
         assert comp.equivalent(cover("a' + b'"))
@@ -82,6 +105,21 @@ class TestSemantics:
                 for cc in (0, 1):
                     v = {"a": a, "b": b, "c": cc}
                     assert c.evaluate(v) != comp.evaluate(v)
+
+    @pytest.mark.parametrize("text, expected, literals", [
+        ("a b + c", "a' c' + b' c'", 4),
+        ("a b + c d", "a' c' + a' d' + b' c' + b' d'", 8),
+        ("a b + c d + e", "a' c' e' + a' d' e' + b' c' e' + b' d' e'",
+         12),
+    ])
+    def test_complement_drops_the_split_literal(self, text, expected,
+                                                literals):
+        """A cube of one Shannon half that lies inside a cube of the
+        other half is true on both sides of the split variable, so it
+        keeps no literal of it."""
+        comp = cover(text).complement()
+        assert comp.to_string() == expected
+        assert comp.literal_count() == literals
 
     def test_complement_constants(self):
         assert cover("0").complement().is_one()

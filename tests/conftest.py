@@ -9,12 +9,26 @@ fresh random examples instead.
 
 import os
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", deadline=None, derandomize=True,
                           print_blob=True)
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+@pytest.fixture
+def traffic():
+    """The cache and store traffic the test's own thread counts from
+    here on, as the 18 ``RunRecord.stats`` counters: call it for the
+    counts so far.  Traffic counted on other threads (daemon handlers,
+    job workers) never shows; read a fresh registry for that."""
+    from repro.obs.metrics import close_journal, open_journal
+    from repro.pipeline.store import traffic_stats
+    journal = open_journal()
+    yield lambda: traffic_stats(journal)
+    close_journal()
 
 
 def chained_sequencer_stg(stages: int = 2):

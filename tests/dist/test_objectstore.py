@@ -76,15 +76,16 @@ class TestSpecParsing:
 
 
 class TestRoundTrip:
-    def test_miss_then_put_then_hit(self, cache):
+    def test_miss_then_put_then_hit(self, cache, traffic):
         assert cache.get(KEY) is MISS
-        assert cache.stats.misses == 1
+        assert traffic()["remote_misses"] == 1
         assert cache.put(KEY, VALUE)
         assert cache.get(KEY) == VALUE
-        assert cache.stats.hits == 1
-        assert cache.stats.writes == 1
-        assert cache.stats.bytes_written > 0
-        assert cache.stats.bytes_read == cache.stats.bytes_written
+        counts = traffic()
+        assert counts["remote_hits"] == 1
+        assert counts["remote_writes"] == 1
+        assert counts["remote_bytes_written"] > 0
+        assert counts["remote_bytes_read"] == counts["remote_bytes_written"]
 
     def test_objects_are_codec_stamped_envelopes(self, fake, cache):
         cache.put(KEY, VALUE)
@@ -101,31 +102,33 @@ class TestRoundTrip:
         version = ARTIFACT_FORMATS[kind_of(KEY)]
         assert wire == encode_entry(KEY, VALUE, version, codec="zlib")
 
-    def test_stale_format_is_a_miss(self, cache, monkeypatch):
+    def test_stale_format_is_a_miss(self, cache, monkeypatch, traffic):
         cache.put(KEY, VALUE)
         monkeypatch.setitem(ARTIFACT_FORMATS, "sg",
                             ARTIFACT_FORMATS["sg"] + 1)
         assert cache.get(KEY) is MISS
-        assert cache.stats.stale == 1
+        assert traffic()["remote_stale"] == 1
 
-    def test_unknown_kind_never_touches_the_wire(self, cache):
+    def test_unknown_kind_never_touches_the_wire(self, cache, traffic):
         assert cache.get(("nope", "a" * 64)) is MISS
         assert not cache.put(("nope", "a" * 64), 1)
-        assert cache.stats.as_dict()["remote_misses"] == 0
+        assert traffic()["remote_misses"] == 0
+        assert traffic()["remote_write_skips"] == 0
 
 
 class TestFailureModel:
-    def test_dead_endpoint_degrades_to_miss_with_cooldown(self):
+    def test_dead_endpoint_degrades_to_miss_with_cooldown(self,
+                                                          traffic):
         cache = ObjectStoreArtifactCache(DEAD_SPEC, timeout=0.5,
                                          cooldown=60.0)
         assert cache.get(KEY) is MISS
-        assert cache.stats.errors == 1
+        assert traffic()["remote_errors"] == 1
         # inside the cooldown window: no second connection attempt
         assert cache.get(KEY) is MISS
-        assert cache.stats.errors == 1
-        assert cache.stats.misses == 1
+        assert traffic()["remote_errors"] == 1
+        assert traffic()["remote_misses"] == 1
         assert not cache.put(KEY, VALUE)
-        assert cache.stats.write_skips == 1
+        assert traffic()["remote_write_skips"] == 1
 
     def test_maintenance_on_dead_endpoint_is_a_noop(self):
         cache = ObjectStoreArtifactCache(DEAD_SPEC, timeout=0.5)
@@ -140,14 +143,17 @@ class TestFailureModel:
 
 
 class TestTieredComposition:
-    def test_backfill_writes_the_wire_bytes(self, tmp_path, spec):
+    def test_backfill_writes_the_wire_bytes(self, tmp_path, spec,
+                                            traffic):
         remote = ObjectStoreArtifactCache(spec)
         remote.put(KEY, VALUE)
         local = DiskArtifactCache(str(tmp_path / "local"))
         tiered = TieredStore(local, ObjectStoreArtifactCache(spec))
         assert tiered.get(KEY) == VALUE
         # the envelope was backfilled verbatim, then re-read locally
-        assert local.stats.bytes_written > 0
+        counts = traffic()
+        assert counts["disk_bytes_written"] == counts["remote_bytes_read"]
+        assert counts["disk_bytes_written"] > 0
         assert local.get(KEY) == VALUE
 
 
@@ -320,42 +326,45 @@ class TestBoto3Transport:
         return ObjectStoreArtifactCache(f"{BUCKET}/{PREFIX}",
                                         transport=transport)
 
-    def test_round_trip(self, cache):
+    def test_round_trip(self, cache, traffic):
         assert cache.get(KEY) is MISS
-        assert cache.stats.misses == 1
+        assert traffic()["remote_misses"] == 1
         assert cache.put(KEY, VALUE)
         assert cache.get(KEY) == VALUE
-        assert cache.stats.hits == 1
-        assert cache.stats.errors == 0
-        assert cache.stats.bytes_read == cache.stats.bytes_written > 0
+        counts = traffic()
+        assert counts["remote_hits"] == 1
+        assert counts["remote_errors"] == 0
+        assert (counts["remote_bytes_read"]
+                == counts["remote_bytes_written"] > 0)
 
-    def test_stale_format_is_a_miss(self, cache, monkeypatch):
+    def test_stale_format_is_a_miss(self, cache, monkeypatch, traffic):
         cache.put(KEY, VALUE)
         monkeypatch.setitem(ARTIFACT_FORMATS, "sg",
                             ARTIFACT_FORMATS["sg"] + 1)
         assert cache.get(KEY) is MISS
-        assert cache.stats.stale == 1
+        assert traffic()["remote_stale"] == 1
 
-    def test_report(self, cache):
+    def test_report(self, cache, traffic):
         cache.put(KEY, VALUE)
         report = cache.report()
         assert report.entries == 1
-        assert report.bytes == cache.stats.bytes_written
+        assert report.bytes == traffic()["remote_bytes_written"]
         assert report.by_kind["sg"][0] == 1
         assert report.root == f"s3://{BUCKET}/{PREFIX}"
 
-    def test_gc_size_budget(self, cache):
+    def test_gc_size_budget(self, cache, traffic):
         cache.put(KEY, VALUE)
-        assert cache.gc(max_bytes=0) == (1, cache.stats.bytes_written)
+        assert cache.gc(max_bytes=0) == (
+            1, traffic()["remote_bytes_written"])
         assert cache.get(KEY) is MISS
-        assert cache.stats.errors == 0
+        assert traffic()["remote_errors"] == 0
 
-    def test_clear_spares_neighbour_objects(self, fake, cache):
+    def test_clear_spares_neighbour_objects(self, fake, cache, traffic):
         cache.put(KEY, VALUE)
         seed(fake, f"{PREFIX}/README", b"neighbour file")
         removed, freed = cache.clear()
         assert removed == 1
-        assert freed == cache.stats.bytes_written
+        assert freed == traffic()["remote_bytes_written"]
         assert fake.lookup(BUCKET, f"{PREFIX}/README")
         assert cache.get(KEY) is MISS
 

@@ -2,6 +2,7 @@
 tiered composite: round-trips over real sockets, the degrade-to-miss
 failure model, and warm-started pipelines through a live server."""
 
+import json
 import threading
 import urllib.error
 import urllib.request
@@ -10,7 +11,9 @@ import pytest
 
 from repro.dist.remote import RemoteArtifactCache, TieredStore
 from repro.dist.server import ArtifactServer
-from repro.pipeline import DiskArtifactCache, Pipeline, PipelineConfig
+from repro.obs.metrics import use_registry
+from repro.pipeline import (ArtifactCache, DiskArtifactCache, Pipeline,
+                            PipelineConfig)
 from repro.pipeline.store import (ARTIFACT_FORMATS, MISS, digest_of,
                                   encode_entry, kind_of)
 
@@ -35,15 +38,15 @@ def remote(server):
 
 
 class TestRemoteRoundTrip:
-    def test_round_trip_against_live_server(self, remote):
+    def test_round_trip_against_live_server(self, remote, traffic):
         assert remote.get(KEY) is MISS
-        assert remote.stats.misses == 1
+        assert traffic()["remote_misses"] == 1
         assert remote.put(KEY, {"value": 42})
-        assert remote.stats.writes == 1
-        assert remote.stats.bytes_written > 0
+        assert traffic()["remote_writes"] == 1
+        assert traffic()["remote_bytes_written"] > 0
         assert remote.get(KEY) == {"value": 42}
-        assert remote.stats.hits == 1
-        assert remote.stats.bytes_read > 0
+        assert traffic()["remote_hits"] == 1
+        assert traffic()["remote_bytes_read"] > 0
 
     def test_entries_visible_across_clients(self, server, remote):
         remote.put(KEY, "artifact")
@@ -56,24 +59,24 @@ class TestRemoteRoundTrip:
         assert remote.get(KEY) == "a"
         assert remote.get(OTHER) == "b"
 
-    def test_unknown_kind_never_travels(self, remote):
+    def test_unknown_kind_never_travels(self, remote, traffic):
         assert not remote.put(("stg", "a" * 64), "raw")
         assert remote.get(("stg", "a" * 64)) is MISS
-        assert remote.stats.writes == 0
+        assert traffic()["remote_writes"] == 0
 
-    def test_unpicklable_value_is_skipped(self, remote):
+    def test_unpicklable_value_is_skipped(self, remote, traffic):
         assert not remote.put(KEY, threading.Lock())
-        assert remote.stats.write_skips == 1
+        assert traffic()["remote_write_skips"] == 1
 
     def test_format_stamp_checked_client_side(self, remote,
-                                              monkeypatch):
+                                              monkeypatch, traffic):
         """A downloaded entry with yesterday's schema is a miss — the
         server does not know (or care) what version clients speak."""
         remote.put(KEY, "artifact")
         monkeypatch.setitem(ARTIFACT_FORMATS, "sg",
                             ARTIFACT_FORMATS["sg"] + 1)
         assert remote.get(KEY) is MISS
-        assert remote.stats.stale == 1
+        assert traffic()["remote_stale"] == 1
 
     def test_report_reflects_server_inventory(self, remote):
         remote.put(KEY, "a")
@@ -94,24 +97,25 @@ class TestRemoteRoundTrip:
 class TestDeadServer:
     """A dead or dying server costs misses, never a failed run."""
 
-    def test_get_degrades_to_miss(self):
+    def test_get_degrades_to_miss(self, traffic):
         dead = RemoteArtifactCache(DEAD_URL, cooldown=0)
         assert dead.get(KEY) is MISS
-        assert dead.stats.errors == 1
+        assert traffic()["remote_errors"] == 1
 
-    def test_put_degrades_to_skip(self):
+    def test_put_degrades_to_skip(self, traffic):
         dead = RemoteArtifactCache(DEAD_URL, cooldown=0)
         assert not dead.put(KEY, "value")
-        assert dead.stats.write_skips == 1
+        assert traffic()["remote_write_skips"] == 1
 
-    def test_cooldown_stops_hammering(self):
+    def test_cooldown_stops_hammering(self, traffic):
         dead = RemoteArtifactCache(DEAD_URL, cooldown=3600)
         assert dead.get(KEY) is MISS           # one real attempt
         assert dead.get(KEY) is MISS           # skipped: cooldown
         assert not dead.put(KEY, "v")          # skipped: cooldown
-        assert dead.stats.errors == 1          # only the first call
-        assert dead.stats.misses == 1
-        assert dead.stats.write_skips == 1
+        counts = traffic()
+        assert counts["remote_errors"] == 1    # only the first call
+        assert counts["remote_misses"] == 1
+        assert counts["remote_write_skips"] == 1
 
     @staticmethod
     def _raising_http(client, code):
@@ -126,48 +130,48 @@ class TestDeadServer:
         client.backend._request = boom
         client.backend._open = boom
 
-    def test_5xx_opens_the_cooldown(self):
+    def test_5xx_opens_the_cooldown(self, traffic):
         """A broken backend behind a live proxy must back off exactly
         like a dead socket — not one failed request per artifact."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
         self._raising_http(client, 503)
         assert client.get(KEY) is MISS
-        assert client.stats.errors == 1
+        assert traffic()["remote_errors"] == 1
         assert client.get(KEY) is MISS         # cooldown: no request
-        assert client.stats.errors == 1
-        assert client.stats.misses == 1
+        assert traffic()["remote_errors"] == 1
+        assert traffic()["remote_misses"] == 1
 
-    def test_5xx_on_put_counts_as_error(self):
+    def test_5xx_on_put_counts_as_error(self, traffic):
         """A 507 (full store) is operator-visible in remote_errors,
         unlike a benign refused upload."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
         self._raising_http(client, 507)
         assert not client.put(KEY, "value")
-        assert client.stats.errors == 1
-        assert client.stats.write_skips == 1
+        assert traffic()["remote_errors"] == 1
+        assert traffic()["remote_write_skips"] == 1
         assert not client._available()         # backing off
 
-    def test_refused_put_is_a_skip_not_an_error(self):
+    def test_refused_put_is_a_skip_not_an_error(self, traffic):
         """A 413 (entry over the daemon's size cap) refuses one upload
         from a live daemon: a skip, with no error and no back-off."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
         self._raising_http(client, 413)
         assert not client.put(KEY, "value")
-        assert client.stats.write_skips == 1
-        assert client.stats.errors == 0
+        assert traffic()["remote_write_skips"] == 1
+        assert traffic()["remote_errors"] == 0
         assert client._available()
 
-    def test_refused_get_opens_no_cooldown(self):
+    def test_refused_get_opens_no_cooldown(self, traffic):
         """A 403 on a download is an error, but the daemon is alive:
         the next read reaches the backend again."""
         client = RemoteArtifactCache(DEAD_URL, cooldown=3600)
         self._raising_http(client, 403)
         assert client.get(KEY) is MISS
-        assert client.stats.errors == 1
+        assert traffic()["remote_errors"] == 1
         assert client._available()
         assert client.get(KEY) is MISS         # a real request again
-        assert client.stats.errors == 2
-        assert client.stats.misses == 0
+        assert traffic()["remote_errors"] == 2
+        assert traffic()["remote_misses"] == 0
 
     def test_maintenance_degrades_to_zero(self):
         dead = RemoteArtifactCache(DEAD_URL, cooldown=0)
@@ -176,20 +180,40 @@ class TestDeadServer:
         assert dead.report().entries == 0
         assert not dead.healthy()
 
-    def test_server_death_mid_run_degrades(self, tmp_path):
+    def test_server_death_mid_run_degrades(self, tmp_path, traffic):
         live = ArtifactServer(str(tmp_path / "s"),
                               port=0).start_background()
         client = RemoteArtifactCache(live.url, cooldown=0)
         client.put(KEY, "value")
         live.stop()
         assert client.get(KEY) is MISS         # dead now: miss
-        assert client.stats.errors >= 1
+        assert traffic()["remote_errors"] >= 1
 
 
 class TestServerProtocol:
     def test_healthz(self, server):
         with urllib.request.urlopen(server.url + "/healthz") as reply:
             assert reply.status == 200
+
+    def test_stats_telemetry_reads_the_registry(self, server, remote):
+        """``/stats`` ``telemetry`` is the registry's eight ``disk_*``
+        counters, which the daemon's handlers count on their own
+        threads."""
+        with use_registry():
+            remote.put(KEY, "artifact")
+            assert remote.get(KEY) == "artifact"
+            assert remote.get(OTHER) is MISS
+            with urllib.request.urlopen(server.url + "/stats") as reply:
+                telemetry = json.loads(reply.read())["telemetry"]
+        assert set(telemetry) == {
+            f"disk_{op}" for op in ("hits", "misses", "stale", "errors",
+                                    "writes", "write_skips",
+                                    "bytes_read", "bytes_written")}
+        assert telemetry["disk_writes"] == 1
+        assert telemetry["disk_hits"] == 1
+        assert telemetry["disk_misses"] == 1
+        assert (telemetry["disk_bytes_read"]
+                == telemetry["disk_bytes_written"] > 0)
 
     def test_head_artifact(self, server, remote):
         remote.put(KEY, "artifact")
@@ -345,39 +369,44 @@ class TestTieredStore:
         remote = RemoteArtifactCache(server.url)
         return TieredStore(local, remote), local, remote
 
-    def test_put_writes_through_both_layers(self, tmp_path, server):
+    def test_put_writes_through_both_layers(self, tmp_path, server,
+                                           traffic):
         tiered, local, remote = self._tiers(tmp_path, server)
         assert tiered.put(KEY, "artifact")
-        assert local.stats.writes == 1
-        assert remote.stats.writes == 1
+        assert traffic()["disk_writes"] == 1
+        assert traffic()["remote_writes"] == 1
         # both layers can answer alone
         assert DiskArtifactCache(local.root).get(KEY) == "artifact"
         assert RemoteArtifactCache(server.url).get(KEY) == "artifact"
 
-    def test_local_hit_never_touches_network(self, tmp_path, server):
+    def test_local_hit_never_touches_network(self, tmp_path, server,
+                                             traffic):
         tiered, local, remote = self._tiers(tmp_path, server)
         tiered.put(KEY, "artifact")
         assert tiered.get(KEY) == "artifact"
-        assert local.stats.hits == 1
-        assert remote.stats.hits == 0
+        assert traffic()["disk_hits"] == 1
+        assert traffic()["remote_hits"] == 0
 
-    def test_remote_hit_backfills_local(self, tmp_path, server):
+    def test_remote_hit_backfills_local(self, tmp_path, server,
+                                        traffic):
         RemoteArtifactCache(server.url).put(KEY, "artifact")
         tiered, local, remote = self._tiers(tmp_path, server)
         assert tiered.get(KEY) == "artifact"   # came from the server
-        assert remote.stats.hits == 1
+        assert traffic()["remote_hits"] == 1
         assert tiered.get(KEY) == "artifact"   # now local
-        assert local.stats.hits == 1
-        assert remote.stats.hits == 1          # unchanged
+        assert traffic()["disk_hits"] == 1
+        assert traffic()["remote_hits"] == 1   # unchanged
 
-    def test_backfill_reuses_the_wire_bytes(self, tmp_path, server):
+    def test_backfill_reuses_the_wire_bytes(self, tmp_path, server,
+                                            traffic):
         """The write-back stores the downloaded envelope as-is — no
         second pickling of the payload."""
         RemoteArtifactCache(server.url).put(KEY, "artifact" * 50)
         tiered, local, remote = self._tiers(tmp_path, server)
         assert tiered.get(KEY) == "artifact" * 50
-        assert local.stats.bytes_written == remote.stats.bytes_read
-        assert local.stats.write_skips == 0
+        counts = traffic()
+        assert counts["disk_bytes_written"] == counts["remote_bytes_read"]
+        assert counts["disk_write_skips"] == 0
 
     def test_put_survives_dead_remote(self, tmp_path):
         local = DiskArtifactCache(str(tmp_path / "local"))
@@ -387,28 +416,44 @@ class TestTieredStore:
         assert tiered.get(KEY) == "artifact"
 
     def test_telemetry_merges_both_layers(self, tmp_path, server):
-        tiered, _, _ = self._tiers(tmp_path, server)
-        tiered.put(KEY, "artifact")
-        counters = tiered.telemetry()
-        assert counters["disk_writes"] == 1
-        assert counters["remote_writes"] == 1
+        """A run over the tiered store reports each layer's traffic
+        under its own keys: the cold run writes through both, a fresh
+        worker's warm run reads the server and back-fills its disk."""
+        config = PipelineConfig(libraries=(2,), with_siegel=False,
+                                keep_artifacts=False)
 
-    def test_put_encodes_once_for_both_layers(self, tmp_path, server):
+        def tiered_run(local: str):
+            store = TieredStore(DiskArtifactCache(str(tmp_path / local)),
+                                RemoteArtifactCache(server.url))
+            return Pipeline(config,
+                            cache=ArtifactCache(disk=store)).run("half")
+
+        cold = tiered_run("a").stats
+        assert cold["disk_writes"] == cold["remote_writes"] > 0
+        assert cold["disk_bytes_written"] == cold["remote_bytes_written"]
+        warm = tiered_run("b").stats
+        assert warm["cache_misses"] == 0
+        assert warm["remote_hits"] == warm["disk_writes"] > 0
+        assert warm["disk_bytes_written"] == warm["remote_bytes_read"]
+
+    def test_put_encodes_once_for_both_layers(self, tmp_path, server,
+                                              traffic):
         """One pickling feeds both layers: the uploaded bytes are the
         local entry's bytes."""
         tiered, local, remote = self._tiers(tmp_path, server)
         assert tiered.put(KEY, "artifact" * 50)
-        assert (local.stats.bytes_written
-                == remote.stats.bytes_written)
+        assert (traffic()["disk_bytes_written"]
+                == traffic()["remote_bytes_written"])
 
     def test_unpicklable_value_skips_both_layers(self, tmp_path,
-                                                 server):
+                                                 server, traffic):
         tiered, local, remote = self._tiers(tmp_path, server)
         assert not tiered.put(KEY, threading.Lock())
-        assert local.stats.write_skips == 1
-        assert remote.stats.write_skips == 1
-        assert local.stats.writes == 0
-        assert remote.stats.writes == 0
+        counts = traffic()
+        assert counts["disk_write_skips"] == 1
+        assert counts["remote_write_skips"] == 1
+        assert counts["disk_writes"] == 0
+        assert counts["remote_writes"] == 0
 
 
 def test_serve_bind_failure_is_a_clean_cli_error(tmp_path, server,

@@ -14,6 +14,8 @@ from repro.dist.envelope import (ARTIFACT_FORMATS, codec_of,
                                  read_header)
 from repro.dist.remote import RemoteArtifactCache
 from repro.dist.server import ArtifactServer
+from repro.obs.metrics import use_registry
+from repro.pipeline.store import traffic_stats
 
 KEY = ("sg", "d" * 64)
 #: compresses, but stays far larger than the tiny chunk size below
@@ -40,7 +42,7 @@ def entry_url(server, key):
 
 class TestRangedDownloads:
     def test_round_trip_spanning_many_chunks(self, server,
-                                             tiny_chunks):
+                                             tiny_chunks, traffic):
         assert tiny_chunks.put(KEY, BIG_VALUE)
         envelope_bytes = server.store.get_raw(kind_of(KEY),
                                               digest_of(KEY))
@@ -48,7 +50,7 @@ class TestRangedDownloads:
         fresh = RemoteArtifactCache(server.url, chunk_bytes=512)
         assert fresh.get(KEY) == BIG_VALUE
         # the client accounted the whole reassembled envelope
-        assert fresh.stats.bytes_read == len(envelope_bytes)
+        assert traffic()["remote_bytes_read"] == len(envelope_bytes)
 
     def test_206_carries_content_range(self, server, tiny_chunks):
         tiny_chunks.put(KEY, BIG_VALUE)
@@ -130,7 +132,7 @@ class _WholeBody200Handler(BaseHTTPRequestHandler):
 
 
 class TestOldServerInterop:
-    def test_client_accepts_whole_body_200(self):
+    def test_client_accepts_whole_body_200(self, traffic):
         """A ranged client against a pre-range server still works:
         the 200 whole-body reply is taken as-is."""
         data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
@@ -145,7 +147,7 @@ class TestOldServerInterop:
             client = RemoteArtifactCache(f"http://{host}:{port}",
                                          chunk_bytes=512)
             assert client.get(KEY) == BIG_VALUE
-            assert client.stats.hits == 1
+            assert traffic()["remote_hits"] == 1
         finally:
             httpd.shutdown()
             httpd.server_close()
@@ -232,17 +234,21 @@ class TestStreamedPuts:
 
         workers = [threading.Thread(target=upload)
                    for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
+        # client and daemon count on their own threads: read the
+        # totals of a fresh registry
+        with use_registry():
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            counts = traffic_stats()
         assert results == [True] * threads
-        assert client.stats.writes == threads
-        assert client.stats.bytes_written == threads * len(data)
-        assert client.stats.errors == 0
-        assert server.store.stats.writes == threads
-        assert server.store.stats.bytes_written == threads * len(data)
-        assert server.store.stats.write_skips == 0
+        assert counts["remote_writes"] == threads
+        assert counts["remote_bytes_written"] == threads * len(data)
+        assert counts["remote_errors"] == 0
+        assert counts["disk_writes"] == threads
+        assert counts["disk_bytes_written"] == threads * len(data)
+        assert counts["disk_write_skips"] == 0
         assert server.store.get_raw(kind, digest) == data
         # no stray temp files survived the race
         root = server.store.root

@@ -3,7 +3,15 @@ accounting, and recovery when the in-flight computation fails."""
 
 import threading
 
+from repro.obs.metrics import use_registry
 from repro.pipeline.cache import ArtifactCache
+from repro.pipeline.store import traffic_stats
+
+
+def memory_counts():
+    """``(hits, misses)`` of the current registry."""
+    counts = traffic_stats()
+    return counts["cache_hits"], counts["cache_misses"]
 
 
 class TestRaceAccounting:
@@ -25,18 +33,19 @@ class TestRaceAccounting:
             results.append(cache.get_or_compute("key", compute))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        threads[0].start()
-        assert started.wait(timeout=5)
-        for thread in threads[1:]:
-            thread.start()
-        release.set()
-        for thread in threads:
-            thread.join(timeout=5)
+        with use_registry():
+            threads[0].start()
+            assert started.wait(timeout=5)
+            for thread in threads[1:]:
+                thread.start()
+            release.set()
+            for thread in threads:
+                thread.join(timeout=5)
+            counts = memory_counts()
 
         assert results == ["artifact"] * 8
         assert len(computes) == 1            # the race never recomputes
-        entries, hits, misses = cache.stats()
-        assert (entries, hits, misses) == (1, 7, 1)
+        assert (len(cache), *counts) == (1, 7, 1)
 
     def test_failed_compute_lets_waiters_retry(self):
         cache = ArtifactCache()
@@ -65,27 +74,28 @@ class TestRaceAccounting:
             results.append(cache.get_or_compute("key", flaky))
 
         thread_a = threading.Thread(target=first)
-        thread_a.start()
-        assert first_started.wait(timeout=5)
         thread_b = threading.Thread(target=second)
-        thread_b.start()
-        fail_now.set()
-        thread_a.join(timeout=5)
-        thread_b.join(timeout=5)
+        with use_registry():
+            thread_a.start()
+            assert first_started.wait(timeout=5)
+            thread_b.start()
+            fail_now.set()
+            thread_a.join(timeout=5)
+            thread_b.join(timeout=5)
+            counts = memory_counts()
 
         assert len(errors) == 1              # the owner saw the failure
         assert results == [42]               # the waiter retried and won
         assert len(attempts) == 2
-        entries, hits, misses = cache.stats()
-        assert (entries, hits, misses) == (1, 0, 1)
+        assert (len(cache), *counts) == (1, 0, 1)
 
-    def test_sequential_hit_miss_counts(self):
+    def test_sequential_hit_miss_counts(self, traffic):
         cache = ArtifactCache()
         assert cache.get_or_compute("k", lambda: 1) == 1
         assert cache.get_or_compute("k", lambda: 2) == 1
         assert cache.get_or_compute("j", lambda: 3) == 3
-        entries, hits, misses = cache.stats()
-        assert (entries, hits, misses) == (2, 1, 2)
+        counts = traffic()
+        assert (counts["cache_hits"], counts["cache_misses"]) == (1, 2)
         assert "k" in cache and len(cache) == 2
         cache.clear()
-        assert cache.stats() == (0, 0, 0)
+        assert len(cache) == 0 and "k" not in cache

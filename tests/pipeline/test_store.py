@@ -7,25 +7,27 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import use_registry
 from repro.pipeline import (ArtifactCache, BatchRunner, DiskArtifactCache,
                             Pipeline, PipelineConfig)
 from repro.pipeline.store import (ARTIFACT_FORMATS, MISS, STORE_LAYOUT,
-                                  over_budget)
+                                  over_budget, traffic_stats)
 
 
 KEY = ("sg", "f" * 64)
 
 
 class TestStoreBasics:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, traffic):
         store = DiskArtifactCache(str(tmp_path))
         assert store.get(KEY) is MISS
         assert store.put(KEY, {"value": 42})
         assert store.get(KEY) == {"value": 42}
-        assert store.stats.hits == 1
-        assert store.stats.misses == 1
-        assert store.stats.writes == 1
-        assert store.stats.bytes_written > 0
+        counts = traffic()
+        assert counts["disk_hits"] == 1
+        assert counts["disk_misses"] == 1
+        assert counts["disk_writes"] == 1
+        assert counts["disk_bytes_written"] > 0
 
     def test_persists_across_instances(self, tmp_path):
         DiskArtifactCache(str(tmp_path)).put(KEY, "artifact")
@@ -46,10 +48,11 @@ class TestStoreBasics:
         assert store.get(("stg", "a" * 64)) is MISS
         assert store.report().entries == 0
 
-    def test_unpicklable_value_is_skipped_not_raised(self, tmp_path):
+    def test_unpicklable_value_is_skipped_not_raised(self, tmp_path,
+                                                     traffic):
         store = DiskArtifactCache(str(tmp_path))
         assert not store.put(KEY, threading.Lock())
-        assert store.stats.write_skips == 1
+        assert traffic()["disk_write_skips"] == 1
         assert store.get(KEY) is MISS
 
     def test_overwrite_is_atomic_latest_wins(self, tmp_path):
@@ -67,13 +70,14 @@ class TestStoreResilience:
         ((_, path),) = store._entries()
         return path
 
-    def test_corrupt_entry_is_a_miss_and_reaped(self, tmp_path):
+    def test_corrupt_entry_is_a_miss_and_reaped(self, tmp_path,
+                                                traffic):
         store = DiskArtifactCache(str(tmp_path))
         store.put(KEY, "artifact")
         with open(self._entry_path(store), "wb") as handle:
             handle.write(b"not a pickle at all")
         assert store.get(KEY) is MISS
-        assert store.stats.errors == 1
+        assert traffic()["disk_errors"] == 1
         assert store.report().entries == 0   # unlinked best-effort
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
@@ -86,7 +90,8 @@ class TestStoreResilience:
             handle.write(data[: len(data) // 2])
         assert store.get(KEY) is MISS
 
-    def test_stale_format_is_ignored_then_overwritten(self, tmp_path):
+    def test_stale_format_is_ignored_then_overwritten(self, tmp_path,
+                                                      traffic):
         store = DiskArtifactCache(str(tmp_path))
         store.put(KEY, "artifact")
         path = self._entry_path(store)
@@ -95,7 +100,7 @@ class TestStoreResilience:
                          "key": repr(KEY), "payload": "artifact"},
                         handle)
         assert store.get(KEY) is MISS
-        assert store.stats.stale == 1
+        assert traffic()["disk_stale"] == 1
         store.put(KEY, "recomputed")
         assert store.get(KEY) == "recomputed"
 
@@ -177,7 +182,7 @@ class TestStoreMaintenance:
         assert newer.exists()
         assert not older.exists()
 
-    def test_gc_reads_headers_not_payloads(self, tmp_path):
+    def test_gc_reads_headers_not_payloads(self, tmp_path, traffic):
         """gc must never materialize payloads (mapping results carry
         whole state graphs)."""
         store = DiskArtifactCache(str(tmp_path))
@@ -194,7 +199,7 @@ class TestStoreMaintenance:
         removed, _ = store.gc()
         assert removed == 0                  # header is valid: kept
         assert store.get(KEY) is MISS        # ...but get() catches it
-        assert store.stats.errors == 1
+        assert traffic()["disk_errors"] == 1
         store = DiskArtifactCache(str(tmp_path))
         store.put(KEY, "old")
         ((_, path),) = store._entries()
@@ -204,7 +209,7 @@ class TestStoreMaintenance:
 
 
 class TestLayeredCache:
-    def test_memory_then_disk_then_compute(self, tmp_path):
+    def test_memory_then_disk_then_compute(self, tmp_path, traffic):
         disk = DiskArtifactCache(str(tmp_path))
         cache = ArtifactCache(disk=disk)
         computes = []
@@ -218,31 +223,29 @@ class TestLayeredCache:
         fresh = ArtifactCache(disk=DiskArtifactCache(str(tmp_path)))
         assert fresh.get_or_compute(KEY, compute) == "value"   # disk
         assert len(computes) == 1
-        assert fresh.misses == 0
-        assert fresh.disk.stats.hits == 1
+        counts = traffic()
+        assert counts["cache_misses"] == 1     # only the first compute
+        assert counts["cache_hits"] == 1
+        assert counts["disk_misses"] == 1
+        assert counts["disk_writes"] == 1
+        assert counts["disk_hits"] == 1        # the fresh cache's fill
 
-    def test_telemetry_without_disk_has_zero_counters(self, tmp_path):
-        cache = ArtifactCache()
-        telemetry = cache.telemetry()
-        assert telemetry["disk_hits"] == 0
-        assert telemetry["cache_misses"] == 0
-        # every backend reports over exactly the zero-filled key set
-        # (nothing here touches the network: the addresses are dead)
-        from repro.dist.objectstore import ObjectStoreArtifactCache
-        from repro.dist.remote import RemoteArtifactCache, TieredStore
-        from repro.pipeline.store import empty_telemetry
-        disk = DiskArtifactCache(str(tmp_path))
-        remote = RemoteArtifactCache("http://127.0.0.1:1")
-        bucket = ObjectStoreArtifactCache("http://127.0.0.1:1/b/p")
-        for store in (disk, remote, bucket, TieredStore(disk, remote),
-                      TieredStore(disk, bucket)):
-            assert set(store.telemetry()) == set(empty_telemetry())
-        remote_keys = {name for name in empty_telemetry()
-                       if name.startswith("remote_")}
-        assert set(remote.stats.as_dict()) == remote_keys
-        assert set(bucket.stats.as_dict()) == remote_keys
-        assert set(cache.telemetry()) - {"cache_hits", "cache_misses"} \
-            == set(empty_telemetry())
+    def test_telemetry_without_disk_has_zero_counters(self):
+        """A memory-only run reports exactly the 18 traffic counters,
+        in order, with no store traffic."""
+        config = PipelineConfig(libraries=(2,), with_siegel=False,
+                                keep_artifacts=False)
+        stats = Pipeline(config).run("half").stats
+        traffic = {key: value for key, value in stats.items()
+                   if key.startswith(("cache_", "disk_", "remote_"))}
+        assert list(traffic) == ["cache_hits", "cache_misses"] + [
+            f"{layer}_{counter}" for layer in ("disk", "remote")
+            for counter in ("hits", "misses", "stale", "errors",
+                            "writes", "write_skips", "bytes_read",
+                            "bytes_written")]
+        assert traffic["cache_misses"] > 0
+        assert not any(value for key, value in traffic.items()
+                       if not key.startswith("cache_"))
 
 
 BATTERY = PipelineConfig(libraries=(2,), with_siegel=True,
@@ -421,8 +424,19 @@ class TestStatsThreadSafety:
         store = DiskArtifactCache(str(tmp_path))
         present = ("sg", "c" * 64)
         absent = ("sg", "d" * 64)
-        store.put(present, "shared-payload")
-        entry_bytes = store.stats.bytes_written
+        with use_registry():
+            store.put(present, "shared-payload")
+            entry_bytes = traffic_stats()["disk_bytes_written"]
+            self._hammer(store, present, absent)
+            counts = traffic_stats()
+        total = self.THREADS * self.ROUNDS
+        assert counts["disk_hits"] == total
+        assert counts["disk_misses"] == total
+        assert counts["disk_writes"] == total + 1
+        assert counts["disk_bytes_read"] == total * entry_bytes
+        assert counts["disk_errors"] == 0
+
+    def _hammer(self, store, present, absent):
         barrier = threading.Barrier(self.THREADS)
         failures = []
 
@@ -445,12 +459,6 @@ class TestStatsThreadSafety:
         for thread in threads:
             thread.join()
         assert not failures
-        total = self.THREADS * self.ROUNDS
-        assert store.stats.hits == total
-        assert store.stats.misses == total
-        assert store.stats.writes == total + 1
-        assert store.stats.bytes_read == total * entry_bytes
-        assert store.stats.errors == 0
 
     def test_concurrent_puts_of_one_key_all_count(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path))
@@ -463,11 +471,13 @@ class TestStatsThreadSafety:
 
         threads = [threading.Thread(target=overwrite)
                    for _ in range(self.THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert store.stats.writes == self.THREADS * self.ROUNDS
+        with use_registry():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            writes = traffic_stats()["disk_writes"]
+        assert writes == self.THREADS * self.ROUNDS
         assert store.report().entries == 1     # idempotent on disk
 
 
@@ -564,21 +574,22 @@ class TestV1Migration:
 
     VALUE = {"states": ["0101" * 64] * 200}
 
-    def test_v1_entry_hits_and_reencodes_in_place(self, tmp_path):
+    def test_v1_entry_hits_and_reencodes_in_place(self, tmp_path,
+                                                  traffic):
         store = DiskArtifactCache(str(tmp_path))
         path, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
         assert store.get(KEY) == self.VALUE
-        assert store.stats.hits == 1
+        assert traffic()["disk_hits"] == 1
         # the hit migrated the entry: smaller, codec-stamped
         from repro.pipeline.store import read_header
         with open(path, "rb") as handle:
             migrated = handle.read()
         assert len(migrated) < len(v1_bytes)
         assert read_header(migrated)[0]["codec"] == "zlib"
-        assert store.stats.writes == 1
+        assert traffic()["disk_writes"] == 1
         # second hit reads the v2 entry and does NOT rewrite again
         assert store.get(KEY) == self.VALUE
-        assert store.stats.writes == 1
+        assert traffic()["disk_writes"] == 1
 
     def test_identity_store_leaves_v1_entries_alone(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path), codec="identity")
