@@ -122,6 +122,22 @@ class FrozenVector:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self) -> Tuple[Tuple[str, int], ...]:
+        # ``_hash`` stays out of the pickle: string hashes are salted
+        # per process, so stored bytes would differ between runs and a
+        # restored hash would disagree with freshly built equal vectors
+        return self._items
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple) and len(state) == 2 \
+                and state[0] is None:
+            # slot-state pickles written before __getstate__ existed:
+            # ``(None, {"_items": ..., "_dict": ..., "_hash": ...})``
+            state = state[1]["_items"]
+        self._items = tuple(state)
+        self._dict = dict(self._items)
+        self._hash = hash(self._items)
+
     def __repr__(self) -> str:
         bits = "".join(str(v) for _, v in self._items)
         names = ",".join(k for k, _ in self._items)

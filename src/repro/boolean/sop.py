@@ -294,6 +294,20 @@ class SopCover:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self) -> Tuple[Cube, ...]:
+        # ``_hash`` stays out of the pickle: string hashes are salted
+        # per process (see Cube.__setstate__)
+        return self._cubes
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple) and len(state) == 2 \
+                and state[0] is None:
+            # slot-state pickles written before __getstate__ existed:
+            # ``(None, {"_cubes": ..., "_hash": ...})``
+            state = state[1]["_cubes"]
+        self._cubes = tuple(state)
+        self._hash = hash(self._cubes)
+
     def __repr__(self) -> str:
         return f"SopCover({self.to_string()!r})"
 

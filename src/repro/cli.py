@@ -221,6 +221,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
               "the claim pool; the position labels this worker's "
               "shard file)", file=sys.stderr)
         return 2
+    if args.claim and args.jobs is not None and args.jobs > 1:
+        print("error: --claim runs one claimed circuit at a time "
+              "(run more workers instead of -j above 1)",
+              file=sys.stderr)
+        return 2
     chosen = list(args.names) if args.names else benchmark_names()
     shard = None
     subset = chosen
@@ -230,9 +235,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         from repro.dist.shard import parse_shard, shard_names
         shard = parse_shard(args.shard)
         if args.claim:
-            # work stealing: pull circuits from the serve daemon's
-            # claim pool instead of the static hash partition — a fast
-            # worker drains more of the list, a slow one less
             url = _cache_url_of(args)
             if url is None:
                 print("error: --claim needs the serve daemon address "
@@ -241,9 +243,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 return 2
             from repro.dist.client import ServiceClient
             client = ServiceClient(url, api_key=_api_key_of(args))
-            claimed_order = client.claim_all(chosen)
-            subset = [name for name in chosen
-                      if name in set(claimed_order)]
+            claimed_order = []
         else:
             subset = shard_names(chosen, *shard)
         out = args.out or (f"table1.shard-{shard[0]}"
@@ -261,13 +261,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if _solve_csc_requested(args):
         mapper = MapperConfig(solve_csc=True,
                               csc_method=args.csc_method)
-    items = run_battery(subset, libraries=tuple(args.literals),
-                        with_siegel=not args.no_siegel,
-                        config=mapper,
-                        progress=True, jobs=args.jobs,
-                        cache_dir=_cache_dir_of(args),
-                        cache_url=_cache_url_of(args),
-                        cache_s3=_cache_s3_of(args))
+
+    def battery(names: List[str]) -> list:
+        return run_battery(names, libraries=tuple(args.literals),
+                           with_siegel=not args.no_siegel,
+                           config=mapper,
+                           progress=True, jobs=args.jobs,
+                           cache_dir=_cache_dir_of(args),
+                           cache_url=_cache_url_of(args),
+                           cache_s3=_cache_s3_of(args))
+
+    if claimed_order is None:
+        items = battery(subset)
+    else:
+        # work stealing: claim one circuit from the serve daemon's
+        # claim pool, run it, claim the next — a fast worker drains
+        # more of the list, a slow one less
+        items = []
+        while True:
+            name = client.claim(chosen).get("claimed")
+            if name is None:
+                break
+            claimed_order.append(str(name))
+            items.extend(battery([str(name)]))
+        subset = claimed_order
     rows = [item.record.row for item in items if item.ok]
     failures = [(item.name, item.error) for item in items
                 if not item.ok]
@@ -712,10 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "byte-identical single-machine report "
                                "(runs nothing)")
     p_report.add_argument("--claim", action="store_true",
-                          help="with --shard: pull circuits from the "
-                               "serve daemon's work-stealing pool "
-                               "(POST /claim) instead of the static "
-                               "hash partition")
+                          help="with --shard: pull circuits one at a "
+                               "time from the serve daemon's "
+                               "work-stealing pool (POST /claim) "
+                               "instead of the static hash partition")
     p_report.add_argument("--api-key", default=None, metavar="KEY",
                           help="X-SI-Key for --claim against a keyed "
                                f"daemon (default: ${API_KEY_ENV})")

@@ -6,8 +6,8 @@ expensive intermediate is content-addressed — so distribution is a few
 small layers over it:
 
 :mod:`repro.dist.envelope`
-    The shared wire/disk format: codec-stamped compressed envelopes
-    (``encode_entry``/``decode_entry``/``transcode``), the per-kind
+    The shared wire/disk format: zlib-compressed envelopes
+    (``encode_entry``/``decode_entry``), the per-kind
     :data:`~repro.dist.envelope.ARTIFACT_FORMATS` stamps and the
     content addressing (``kind_of``/``digest_of``).  Every backend
     moves these exact bytes.
@@ -38,7 +38,7 @@ small layers over it:
     :class:`ArtifactServer`, the ``si-mapper serve`` daemon: a
     ``ThreadingHTTPServer`` exposing one disk store to the cluster
     (``GET/PUT/HEAD /artifact/<kind>/<digest>`` with ``Range``
-    support and codec negotiation, ``/stats``, ``/healthz``, remote
+    support, ``/stats``, ``/healthz``, remote
     ``gc``/``clear``) with atomic streamed writes and idempotent
     concurrent PUTs.
 
@@ -77,7 +77,6 @@ _EXPORTS = {
     "ArtifactServer": "repro.dist.server",
     "ArtifactStore": "repro.dist.base",
     "ARTIFACT_FORMATS": "repro.dist.envelope",
-    "DEFAULT_CODEC": "repro.dist.envelope",
     "FakeS3Server": "repro.dist.s3fake",
     "ObjectStoreArtifactCache": "repro.dist.objectstore",
     "RemoteArtifactCache": "repro.dist.remote",
@@ -85,7 +84,6 @@ _EXPORTS = {
     "STORE_LAYOUT": "repro.dist.envelope",
     "SharedStore": "repro.dist.remote",
     "TieredStore": "repro.dist.remote",
-    "available_codecs": "repro.dist.envelope",
     "decode_entry": "repro.dist.envelope",
     "digest_of": "repro.dist.envelope",
     "encode_entry": "repro.dist.envelope",
@@ -97,7 +95,6 @@ _EXPORTS = {
     "shard_index": "repro.dist.shard",
     "shard_names": "repro.dist.shard",
     "shard_payload": "repro.dist.shard",
-    "transcode": "repro.dist.envelope",
     "write_shard": "repro.dist.shard",
 }
 

@@ -19,7 +19,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.dist.jobs import JobParams
 from repro.errors import ServiceError
@@ -183,14 +183,3 @@ class ServiceClient:
         if status != 200:
             raise self._error_of(status, payload)
         return self._json(payload)
-
-    def claim_all(self, names: Sequence[str]) -> List[str]:
-        """Drain the claim pool: every name this worker won, in the
-        order it won them."""
-        claimed: List[str] = []
-        while True:
-            response = self.claim(names)
-            name = response.get("claimed")
-            if name is None:
-                return claimed
-            claimed.append(str(name))

@@ -14,29 +14,17 @@ Wire format (``docs/envelope.md`` is the normative spec):
   "codec": str, "raw_size": int}`` — readable with a restricted
   unpickler that cannot construct objects, so servers and maintenance
   can stamp-check entries without materializing state graphs;
-* the pickled **payload**, passed through the named *codec*
-  (``identity`` = raw pickle bytes, ``zlib`` = ``zlib.compress`` of
-  them, ``zstd`` when a zstandard implementation is importable).
+* the pickled **payload**: ``zlib.compress`` of it (codec ``zlib``),
+  or the pickle as is (``identity``) when compression does not shrink
+  it.  State graphs and mapping artifacts deflate 3-10x, so nearly
+  every entry is ``zlib``.
 
-Version compatibility is carried by the codec stamp, not a format
-bump:
-
-* **v1 envelopes** (written before the codec stamp existed) have no
-  ``codec``/``raw_size`` header keys; readers default them to
-  ``identity`` / the body length, so pre-existing stores stay warm;
-* a **v2 identity envelope** is readable by v1 decoders — the header
-  gains keys v1 ignores and the payload bytes are an unmodified
-  pickle — which is what lets a v2 server transcode for old clients
-  (:func:`transcode`) and mixed-version clusters interoperate;
-* an envelope stamped with a codec this interpreter cannot decompress
-  (e.g. ``zstd`` without the library) decodes as ``"stale"`` — a miss
-  that is *not* reaped, because a newer binary sharing the store can
-  still read it.
-
-State graphs and mapping artifacts pickle large but deflate extremely
-well (typically 3-10x), so the default codec is ``zlib``; an encoder
-falls back to ``identity`` when compression does not actually shrink
-the payload, and the stamp always records what was done.
+**v1 envelopes** (written before the codec stamp existed) have no
+``codec``/``raw_size`` header keys; readers default them to
+``identity`` / the body length, so pre-existing stores stay warm.  An
+envelope stamped with any other codec decodes as ``"stale"`` — a miss
+that is *not* reaped, because another binary sharing the store may
+still read it.
 """
 
 from __future__ import annotations
@@ -45,7 +33,7 @@ import hashlib
 import io
 import pickle
 import zlib
-from typing import (Any, Callable, Dict, Hashable, Optional, Tuple)
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 #: bump when the directory layout / envelope shape itself changes;
 #: old layout directories are ignored and reaped by ``gc``.  The codec
@@ -83,75 +71,8 @@ def _codec_ops(op: str, codec: str) -> None:
     from repro.obs.metrics import default_registry
     default_registry().counter(
         "si_envelope_ops_total",
-        "Envelope encode/decode/transcode operations by outcome.",
+        "Envelope encode/decode operations by outcome.",
         ("op", "codec")).inc(op=op, codec=codec)
-
-
-# ----------------------------------------------------------------------
-# Codecs
-# ----------------------------------------------------------------------
-
-#: name -> (compress, decompress); ``identity`` and ``zlib`` are
-#: always available, ``zstd`` only when an implementation imports.
-_CODECS: Dict[str, Tuple[Callable[[bytes], bytes],
-                         Callable[[bytes], bytes]]] = {
-    "identity": (lambda data: data, lambda data: data),
-    "zlib": (lambda data: zlib.compress(data, 6), zlib.decompress),
-}
-
-try:                                     # Python 3.14+ standard library
-    from compression import zstd as _stdlib_zstd  # type: ignore
-    _CODECS["zstd"] = (_stdlib_zstd.compress, _stdlib_zstd.decompress)
-except ImportError:                       # pragma: no cover - env gate
-    try:
-        import zstandard as _zstandard    # type: ignore
-
-        _CODECS["zstd"] = (
-            lambda data: _zstandard.ZstdCompressor().compress(data),
-            lambda data: _zstandard.ZstdDecompressor().decompress(data))
-    except ImportError:
-        pass                              # zstd entries decode "stale"
-
-#: what new entries are compressed with unless a backend overrides it
-DEFAULT_CODEC = "zlib"
-
-
-def available_codecs() -> Tuple[str, ...]:
-    """Codec names this interpreter can both encode and decode, in
-    stable preference order (what ``X-SI-Codecs`` advertises)."""
-    order = ("identity", "zlib", "zstd")
-    return tuple(name for name in order if name in _CODECS)
-
-
-def resolve_codec(name: Optional[str]) -> str:
-    """Map a requested codec to an available one.
-
-    ``None`` means the default; an importable-but-missing ``zstd``
-    falls back to ``zlib`` (the promised pure-python behaviour); an
-    unknown name is a configuration error and raises ``ValueError``.
-    """
-    if name is None:
-        name = DEFAULT_CODEC
-    if name in _CODECS:
-        return name
-    if name == "zstd":
-        return "zlib"
-    raise ValueError(f"unknown artifact codec {name!r} "
-                     f"(available: {', '.join(available_codecs())})")
-
-
-def negotiate_codecs(header: Optional[str]) -> frozenset:
-    """The codec names a peer accepts, from its ``X-SI-Codecs`` header.
-
-    A missing or empty header is an old (pre-codec) client that can
-    only read raw pickles: ``{"identity"}``.  Unknown tokens are
-    ignored — a newer peer may advertise codecs we never heard of.
-    """
-    if not header:
-        return frozenset(("identity",))
-    names = {token.strip().lower() for token in header.split(",")}
-    accepted = names & set(_CODECS) | {"identity"}
-    return frozenset(accepted)
 
 
 # ----------------------------------------------------------------------
@@ -213,62 +134,27 @@ def plausible_envelope(data: bytes) -> bool:
     return read_header(data) is not None
 
 
-def codec_of(data: bytes) -> Optional[str]:
-    """The codec stamp of envelope bytes (``"identity"`` for v1
-    envelopes), or ``None`` when there is no readable header."""
-    parsed = read_header(data)
-    if parsed is None:
-        return None
-    codec = parsed[0].get("codec", "identity")
-    return codec if isinstance(codec, str) else None
-
-
-def raw_size_of(data: bytes) -> int:
-    """The uncompressed payload size an envelope carries.
-
-    v1 envelopes (no ``raw_size`` stamp) store the payload raw, so the
-    body length *is* the raw size; unreadable bytes report their own
-    length (best effort — callers only use this for inventory ratios).
-    """
-    parsed = read_header(data)
-    if parsed is None:
-        return len(data)
-    header, offset = parsed
-    raw_size = header.get("raw_size")
-    if isinstance(raw_size, int) and raw_size >= 0:
-        return raw_size
-    return len(data) - offset
-
-
 # ----------------------------------------------------------------------
-# Encode / decode / transcode
+# Encode / decode
 # ----------------------------------------------------------------------
 
-def _pack(header: Dict[str, Any], body: bytes) -> bytes:
-    return pickle.dumps(header,
-                        protocol=pickle.HIGHEST_PROTOCOL) + body
-
-
-def encode_entry(key: Hashable, value: Any, version: int,
-                 codec: Optional[str] = None) -> bytes:
+def encode_entry(key: Hashable, value: Any, version: int) -> bytes:
     """Serialize one store entry into the shared envelope.
 
-    The payload pickle runs through ``codec`` (default
-    :data:`DEFAULT_CODEC`); when compression does not shrink the
-    payload the entry is stored ``identity`` instead — the stamp
-    records what actually happened, never what was asked for.  Raises
-    whatever :func:`pickle.dumps` raises on an unserializable value;
-    backends turn that into a ``write_skip``.
+    The payload pickle is ``zlib``-compressed; when compression does
+    not shrink it the entry is stored ``identity`` instead — the stamp
+    records what was done.  Raises whatever :func:`pickle.dumps`
+    raises on an unserializable value; backends turn that into a
+    ``write_skip``.
     """
-    codec = resolve_codec(codec)
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    body = _CODECS[codec][0](payload)
-    if codec != "identity" and len(body) >= len(payload):
+    codec, body = "zlib", zlib.compress(payload, 6)
+    if len(body) >= len(payload):
         codec, body = "identity", payload
     header = {"format": version, "key": repr(key), "codec": codec,
               "raw_size": len(payload)}
     _codec_ops("encode", codec)
-    return _pack(header, body)
+    return pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + body
 
 
 def decode_entry(data: bytes, key: Hashable,
@@ -276,11 +162,11 @@ def decode_entry(data: bytes, key: Hashable,
     """Parse envelope bytes back into a payload.
 
     Returns ``("hit", payload)``; ``("stale", None)`` for a wrong
-    format stamp, wrong key repr, or a codec this interpreter cannot
-    decompress (a *newer* binary's entry — a miss, but not garbage);
-    or ``("error", None)`` for bytes that are not a well-formed
-    envelope (torn write survivor, alien file, corrupt body).  Never
-    raises.
+    format stamp, wrong key repr, or a codec stamp other than
+    ``identity``/``zlib`` (another binary's entry — a miss, but not
+    garbage); or ``("error", None)`` for bytes that are not a
+    well-formed envelope (torn write survivor, alien file, corrupt
+    body).  Never raises.
     """
     parsed = read_header(data)
     if parsed is None:
@@ -290,55 +176,16 @@ def decode_entry(data: bytes, key: Hashable,
     codec = header.get("codec", "identity")
     if not isinstance(codec, str):
         codec = "unknown"
-    if header["format"] != expected or header["key"] != repr(key):
+    if (header["format"] != expected or header["key"] != repr(key)
+            or codec not in ("identity", "zlib")):
         _codec_ops("decode_stale", codec)
         return "stale", None
-    if codec not in _CODECS:
-        _codec_ops("decode_stale", codec)
-        return "stale", None
+    body = data[offset:]
     try:
-        payload = _CODECS[codec][1](data[offset:])
-    except Exception:
-        _codec_ops("decode_error", codec)
-        return "error", None
-    try:
-        value = pickle.loads(payload)
+        value = pickle.loads(zlib.decompress(body) if codec == "zlib"
+                             else body)
     except Exception:
         _codec_ops("decode_error", codec)
         return "error", None
     _codec_ops("decode_hit", codec)
     return "hit", value
-
-
-def transcode(data: bytes, codec: str) -> Optional[bytes]:
-    """Re-encode envelope bytes under another codec — bytes to bytes,
-    the payload is never unpickled.
-
-    This is how a v2 server serves ``identity`` to a v1-speaking
-    client, and how a disk store lazily migrates a v1 entry to a
-    compressed v2 one on its first warm read.  Returns ``None`` when
-    the input is not a decodable envelope (including a codec stamp
-    this interpreter lacks).  The same not-smaller fallback as
-    :func:`encode_entry` applies, so transcoding to ``zlib`` can
-    legitimately yield an ``identity``-stamped envelope.
-    """
-    codec = resolve_codec(codec)
-    parsed = read_header(data)
-    if parsed is None:
-        return None
-    header, offset = parsed
-    source = header.get("codec", "identity")
-    if source not in _CODECS:
-        return None
-    try:
-        payload = _CODECS[source][1](data[offset:])
-    except Exception:
-        return None
-    body = _CODECS[codec][0](payload)
-    if codec != "identity" and len(body) >= len(payload):
-        codec, body = "identity", payload
-    new_header = dict(header)
-    new_header["codec"] = codec
-    new_header["raw_size"] = len(payload)
-    _codec_ops("transcode", codec)
-    return _pack(new_header, body)

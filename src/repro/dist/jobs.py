@@ -236,20 +236,22 @@ class Job:
 class JobService:
     """Queue + bounded worker pool executing synthesis jobs.
 
-    Workers run the full :class:`~repro.pipeline.run.Pipeline` over a
-    *shared* :class:`~repro.pipeline.cache.ArtifactCache` (typically
-    backed by the server's disk store, optionally tiered in front of
-    an upstream remote), so two jobs over the same circuit — or a job
-    over a circuit some worker already mapped — warm-start from the
-    store exactly like CLI runs do.
+    Each job runs the full :class:`~repro.pipeline.run.Pipeline` over
+    its own :class:`~repro.pipeline.cache.ArtifactCache`, layered over
+    ``store`` (typically the server's disk store, optionally tiered in
+    front of an upstream remote): two jobs over the same circuit — or
+    a job over a circuit some worker already mapped — warm-start from
+    the store exactly like CLI runs do, and a finished job's artifacts
+    leave memory with it, so a long-lived daemon's memory does not
+    grow with the jobs it has run.
     """
 
-    def __init__(self, cache=None, workers: int = 2, quota: int = 0,
+    def __init__(self, store=None, workers: int = 2, quota: int = 0,
                  retain: int = DEFAULT_RETAIN,
                  keep_trace: bool = False):
         if workers < 1:
             raise ValueError("a job service needs at least one worker")
-        self._cache = cache               # ArtifactCache or None
+        self._store = store               # ArtifactStore or None
         self.quota = quota                # 0 = unlimited
         self.retain = max(0, retain)      # resident DONE jobs; 0 = all
         self.keep_trace = keep_trace
@@ -396,17 +398,11 @@ class JobService:
     # Result retention: spill / evict / restore
     # ------------------------------------------------------------------
 
-    @property
-    def _row_store(self):
-        """The artifact store under the shared cache, if any — where
-        finished rows spill as ``jobrow`` entries."""
-        return getattr(self._cache, "disk", None)
-
     def _spill(self, job: Job) -> None:
         """Persist a finished job's row so memory eviction and daemon
         restarts cannot lose it.  Best-effort: a store-less service
         (or an unwritable store) simply keeps everything resident."""
-        store = self._row_store
+        store = self._store
         if store is None or job.result is None:
             return
         payload = {
@@ -447,7 +443,7 @@ class JobService:
     def _restore(self, job_id: str) -> Optional[Job]:
         """Rebuild an evicted (or pre-restart) job from its spilled
         row; returns ``None`` when no row exists."""
-        store = self._row_store
+        store = self._store
         if store is None:
             return None
         from repro.pipeline.store import MISS
@@ -503,7 +499,11 @@ class JobService:
                 job._started_at = time.monotonic()
             self._run(job)
 
-    def _run(self, job: Job) -> None:
+    def _row_of(self, job: Job) -> bytes:
+        """The job's canonical Table-1 row, computed in a memory layer
+        of its own over the store: the layer, and every artifact in
+        it, is released when this returns."""
+        from repro.pipeline.cache import ArtifactCache
         from repro.pipeline.run import Pipeline, PipelineConfig
 
         def observe(event: Dict[str, object]) -> None:
@@ -516,17 +516,20 @@ class JobService:
             mapper=MapperConfig(solve_csc=job.params.solve_csc,
                                 csc_method=job.params.csc_method),
             keep_artifacts=False)
-        pipeline = Pipeline(config, cache=self._cache, on_stage=observe)
+        pipeline = Pipeline(config, cache=ArtifactCache(disk=self._store),
+                            on_stage=observe)
+        return canonical_row_bytes(pipeline.run((job.name, job.g_text)).row)
+
+    def _run(self, job: Job) -> None:
         tracer = Tracer() if self.keep_trace else None
         try:
             if tracer is not None:
                 with tracer.activate():
                     with tracer.span("job", "job", id=job.id,
                                      circuit=job.name):
-                        record = pipeline.run((job.name, job.g_text))
+                        result = self._row_of(job)
             else:
-                record = pipeline.run((job.name, job.g_text))
-            result = canonical_row_bytes(record.row)
+                result = self._row_of(job)
         except Exception as error:  # si-lint: disable=exc-broad-degrade
             # the job, not the service, fails: any pipeline error (CSC
             # violation, mapping failure, store fault) becomes this

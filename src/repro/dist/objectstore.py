@@ -2,7 +2,7 @@
 
 :class:`ObjectStoreArtifactCache` is the :class:`~repro.dist.remote.
 SharedStore` client over a :class:`BucketBackend`: it files the same
-codec-stamped envelopes every other backend moves
+envelopes every other backend moves
 (:mod:`repro.dist.envelope`) as objects under
 ``bucket/prefix/<layout>/<kind>/<digest>`` — identical content
 addresses, identical bytes — so serverless shard workers can share a
@@ -393,7 +393,7 @@ class ObjectStoreArtifactCache(SharedStore):
     ``transport`` replaces the one the spec would pick."""
 
     def __init__(self, spec: str, timeout: float = 10.0,
-                 cooldown: float = 30.0, codec: Optional[str] = None,
+                 cooldown: float = 30.0,
                  transport: Optional[Any] = None):
         endpoint, bucket, prefix = parse_object_store_spec(spec)
         if transport is None and endpoint is not None:
@@ -401,4 +401,4 @@ class ObjectStoreArtifactCache(SharedStore):
         elif transport is None:
             transport = _Boto3Transport(bucket, timeout=timeout)
         super().__init__(BucketBackend(transport, bucket, prefix), spec,
-                         "s3", cooldown=cooldown, codec=codec)
+                         "s3", cooldown=cooldown)

@@ -2,7 +2,7 @@
 tiered composite.
 
 :class:`SharedStore` is the only client of the shared tier.  Entries
-travel in the exact codec-stamped envelope every other backend moves
+travel in the exact envelope every other backend moves
 (:mod:`repro.dist.envelope`), and the *client* checks the per-kind
 :data:`~repro.dist.envelope.ARTIFACT_FORMATS` stamp after download, so
 a schema bump on one worker never poisons another.  It also owns the
@@ -18,11 +18,8 @@ same bytes in an S3-compatible bucket.
 Transfers never require whole-entry buffers on the server: downloads
 go in ranged chunks (``Range``/``Content-Range``; a pre-range server
 answering ``200`` with the whole body still works) and uploads stream
-a spooled body with an explicit ``Content-Length``.  Every request
-advertises the codecs this interpreter can decompress
-(``X-SI-Codecs``), so a v2 server knows it may ship ``zlib``/``zstd``
-envelopes — and falls back to ``identity`` for clients that predate
-the stamp.
+a spooled body with an explicit ``Content-Length``.  The daemon sends
+each entry's stored bytes as they are.
 
 Failure model: the store is an accelerator.  Every network problem —
 connection refused, timeout, a 5xx, an SDK error — degrades to a cache
@@ -48,9 +45,8 @@ import urllib.parse
 import urllib.request
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
-                                 decode_entry, digest_of, encode_entry,
-                                 kind_of, resolve_codec)
+from repro.dist.envelope import (ARTIFACT_FORMATS, decode_entry,
+                                 digest_of, encode_entry, kind_of)
 from repro.pipeline.store import (MISS, DiskArtifactCache, StoreReport,
                                   count_traffic)
 
@@ -81,23 +77,21 @@ class SharedStore:
 
     Content-addressed exactly like the disk store: an entry's address
     is ``(kind, sha256(repr(key)))``, its body is the shared envelope.
-    ``address`` (a URL or spec) names the tier in ``repr``, ``tier``
-    (``remote`` or ``s3``) labels the traffic it counts, and ``codec``
-    names what uploads are compressed with.  The ``backend`` offers
-    ``get(kind, digest)`` (bytes, or ``None`` when absent) and
-    ``put(kind, digest, data)``, both raising :class:`TransportError`
-    on failure, plus ``report``/``gc``/``clear``/``healthy``, which
-    never raise.
+    ``address`` (a URL or spec) names the tier in ``repr``, and
+    ``tier`` (``remote`` or ``s3``) labels the traffic it counts.  The
+    ``backend`` offers ``get(kind, digest)`` (bytes, or ``None`` when
+    absent) and ``put(kind, digest, data)``, both raising
+    :class:`TransportError` on failure, plus ``report``/``gc``/
+    ``clear``/``healthy``, which never raise.
     """
 
     def __init__(self, backend: Any, address: str, tier: str,
-                 cooldown: float = 30.0, codec: Optional[str] = None):
+                 cooldown: float = 30.0):
         self.backend = backend
         self.address = address
         #: seconds to stop talking to the tier after a transport
         #: failure; 0 retries every request (tests use that)
         self.cooldown = cooldown
-        self.codec = resolve_codec(codec)
         self.tier = tier
         self._down_until = 0.0
 
@@ -155,7 +149,7 @@ class SharedStore:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version, codec=self.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             count_traffic(self.tier, write_skips=1)
             return False
@@ -247,15 +241,8 @@ class DaemonBackend:
         protocol violation such as a no-progress chunk), which
         :meth:`get` maps to a :class:`TransportError`.
         """
-        codec_header = {"X-SI-Codecs": ", ".join(available_codecs())}
-
-        def ranged(first: int, last: int) -> Dict[str, str]:
-            headers = dict(codec_header)
-            headers["Range"] = f"bytes={first}-{last}"
-            return headers
-
-        with self._open("GET", path, headers=ranged(
-                0, self.chunk_bytes - 1)) as response:
+        first_chunk = {"Range": f"bytes=0-{self.chunk_bytes - 1}"}
+        with self._open("GET", path, headers=first_chunk) as response:
             status = response.status
             body = response.read()
             content_range = response.headers.get("Content-Range")
@@ -271,8 +258,8 @@ class DaemonBackend:
         have = len(body)
         while have < total:
             last = min(have + self.chunk_bytes, total) - 1
-            with self._open("GET", path,
-                            headers=ranged(have, last)) as response:
+            with self._open("GET", path, headers={
+                    "Range": f"bytes={have}-{last}"}) as response:
                 status = response.status
                 chunk = response.read()
             if status != 206 or not chunk:
@@ -390,11 +377,10 @@ class RemoteArtifactCache(SharedStore):
 
     def __init__(self, base_url: str, timeout: float = 10.0,
                  cooldown: float = 30.0,
-                 chunk_bytes: int = 4 * 1024 * 1024,
-                 codec: Optional[str] = None):
+                 chunk_bytes: int = 4 * 1024 * 1024):
         backend = DaemonBackend(base_url, timeout, chunk_bytes)
         super().__init__(backend, backend.base_url, "remote",
-                         cooldown=cooldown, codec=codec)
+                         cooldown=cooldown)
 
 
 class TieredStore:
@@ -433,8 +419,7 @@ class TieredStore:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version,
-                                codec=self.local.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             count_traffic("disk", write_skips=1)
             count_traffic(self.remote.tier, write_skips=1)

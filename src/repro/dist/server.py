@@ -4,9 +4,10 @@ A :class:`ThreadingHTTPServer` daemon exposing one
 :class:`~repro.pipeline.store.DiskArtifactCache` to a cluster of
 workers over a tiny content-addressed protocol:
 
-* ``GET  /artifact/<kind>/<digest>`` — raw envelope bytes, 404 on
-  miss; single-range ``Range: bytes=a-b`` requests are honoured with
-  ``206`` + ``Content-Range`` so clients fetch big entries in chunks;
+* ``GET  /artifact/<kind>/<digest>`` — the stored envelope bytes as
+  they are, 404 on miss; single-range ``Range: bytes=a-b`` requests
+  are honoured with ``206`` + ``Content-Range`` so clients fetch big
+  entries in chunks;
 * ``HEAD /artifact/<kind>/<digest>`` — existence + size, no body;
 * ``PUT  /artifact/<kind>/<digest>`` — store an envelope atomically,
   streamed to disk chunk by chunk (no whole-entry buffer);
@@ -37,19 +38,10 @@ are derived from the submitted circuit, exactly like artifact digests.
 Every connection carries a socket timeout (``request_timeout``), so a
 stalled client cannot pin a handler thread forever.
 
-Codec negotiation: a client advertises what it can decompress via
-``X-SI-Codecs``; an entry stamped with a codec the client did not
-advertise is transcoded to ``identity`` for that response (the header
-is absent on pre-codec clients, which therefore always get raw
-pickles — mixed-version clusters interoperate).  Transcoding is
-deterministic, so ranged requests against a transcoded entry slice
-consistently across requests.
-
 The server moves opaque blobs: it never unpickles a payload (uploads
 get only a restricted header sanity check that cannot construct
-objects, and transcoding recompresses the payload *bytes* without
-unpickling them), so a malformed or hostile upload can waste one
-entry's disk space but cannot execute anything here.  *Consumers*
+objects), so a malformed or hostile upload can waste one entry's disk
+space but cannot execute anything here.  *Consumers*
 unpickle what they download — the store must only be shared within a
 trusted cluster, the same trust model as a disk store on shared NFS.
 
@@ -71,9 +63,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (Any, BinaryIO, Callable, Dict, Optional, Sequence,
                     Tuple, Union)
 
-from repro.dist.envelope import (HEADER_PROBE_BYTES, available_codecs,
-                                 negotiate_codecs, plausible_envelope,
-                                 read_header, transcode)
+from repro.dist.envelope import HEADER_PROBE_BYTES, plausible_envelope
 from repro.dist.jobs import (DEFAULT_RETAIN, DONE, FAILED, ClaimPool,
                              JobParams, JobRequestError, JobService,
                              QuotaExceeded)
@@ -336,39 +326,9 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             return
         handle, size = opened
         try:
-            self._serve_entry(handle, size)
+            self._send_range_from(handle, size)
         finally:
             handle.close()
-
-    def _serve_entry(self, handle: BinaryIO, size: int) -> None:
-        """Send one store entry, honouring codec negotiation and
-        single-range requests."""
-        accepted = negotiate_codecs(self.headers.get("X-SI-Codecs"))
-        probe = handle.read(min(size, HEADER_PROBE_BYTES))
-        codec = "identity"
-        parsed = read_header(probe)
-        if parsed is not None:
-            stamped = parsed[0].get("codec", "identity")
-            if isinstance(stamped, str):
-                codec = stamped
-        if codec in accepted:
-            handle.seek(0)
-            self._send_range_from(handle, size, codec)
-            return
-        # The client cannot decompress this entry's codec: transcode
-        # the envelope to identity for this response.  Deterministic,
-        # so a chunking client sees a consistent byte stream across
-        # its ranged requests.
-        data = probe + handle.read()
-        count_traffic("disk", bytes_read=len(data))
-        recoded = transcode(data, "identity")
-        if recoded is None:
-            # stamped with a codec this server build cannot decode —
-            # to this client the entry is unusable, i.e. absent
-            self._reply(404, b"no such artifact\n")
-            return
-        self._send_range_from(recoded, len(recoded), "identity",
-                              count_bytes=False)
 
     def _get_metrics(self) -> None:
         """``GET /metrics`` — Prometheus text exposition.
@@ -426,11 +386,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                     content_type="text/plain; version=0.0.4; "
                                  "charset=utf-8")
 
-    def _send_range_from(self, source: Union[BinaryIO, bytes],
-                         size: int, codec: str,
-                         count_bytes: bool = True) -> None:
+    def _send_range_from(self, source: BinaryIO, size: int) -> None:
+        """Stream one stored entry, whole or one requested range."""
         window = _parse_range(self.headers.get("Range"), size)
-        extra = {"Accept-Ranges": "bytes", "X-SI-Codec": codec}
+        extra = {"Accept-Ranges": "bytes"}
         if window == "unsatisfiable":
             extra["Content-Range"] = f"bytes */{size}"
             self._reply(416, b"range not satisfiable\n",
@@ -446,9 +405,6 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._reply(status, head_only=True, content_length=length,
                     content_type="application/octet-stream",
                     extra_headers=extra)
-        if isinstance(source, bytes):
-            self.wfile.write(source[first:first + length])
-            return
         source.seek(first)
         remaining = length
         sent = 0
@@ -459,8 +415,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(chunk)
             sent += len(chunk)
             remaining -= len(chunk)
-        if count_bytes:
-            count_traffic("disk", bytes_read=sent)
+        count_traffic("disk", bytes_read=sent)
 
     @_observed
     def do_HEAD(self) -> None:
@@ -763,11 +718,8 @@ class ArtifactServer(ThreadingHTTPServer):
             if upstream is not None:
                 from repro.dist.remote import TieredStore
                 job_store = TieredStore(self.store, upstream)
-            from repro.pipeline.cache import ArtifactCache
-            self.jobs = JobService(cache=ArtifactCache(disk=job_store),
-                                   workers=workers,
-                                   quota=quota,
-                                   retain=retain_jobs).start()
+            self.jobs = JobService(store=job_store, workers=workers,
+                                   quota=quota, retain=retain_jobs).start()
         self._thread: Optional[threading.Thread] = None
         super().__init__((host, port), _StoreRequestHandler)
 
@@ -792,7 +744,6 @@ class ArtifactServer(ThreadingHTTPServer):
             "bytes": inventory.bytes,
             "raw_bytes": inventory.raw_bytes,
             "ratio": round(inventory.ratio, 4),
-            "codecs": list(available_codecs()),
             "by_kind": {kind: list(counts) for kind, counts
                         in inventory.by_kind.items()},
             "telemetry": {key: value for key, value

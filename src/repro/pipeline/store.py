@@ -32,10 +32,9 @@ Safety properties:
 * **versioned** — every entry carries the :data:`ARTIFACT_FORMATS`
   stamp of its kind; after a schema bump old entries are *ignored*
   (recomputed and overwritten), never unpickled into new code;
-* **codec-stamped** — payloads are compressed (``zlib`` by default)
-  and the envelope header records the codec, so pre-compression v1
-  entries keep hitting (codec defaults to ``identity``) and are
-  lazily re-encoded compressed on their first warm read;
+* **codec-stamped** — payloads are ``zlib``-compressed and the
+  envelope header records the codec, so pre-compression v1 entries
+  keep hitting (their codec defaults to ``identity``);
 * **atomic** — writes go to a temp file in the destination directory
   and land via ``os.replace``, so concurrent readers (other worker
   processes sharing the store) see either the old complete entry or
@@ -59,8 +58,7 @@ from typing import (Any, BinaryIO, Dict, Hashable, Iterable, List,
 from repro.dist.envelope import (ARTIFACT_FORMATS,  # noqa: F401 -
                                  STORE_LAYOUT,      # re-exported API
                                  decode_entry, digest_of, encode_entry,
-                                 kind_of, raw_size_of, read_header,
-                                 resolve_codec, transcode,
+                                 kind_of, read_header,
                                  HEADER_PROBE_BYTES)
 from repro.obs.metrics import Sample, default_registry
 
@@ -278,14 +276,11 @@ class DiskArtifactCache:
     The root directory is created lazily on the first write, so
     read-only operations (``cache stats`` on a store that does not
     exist yet) see an empty inventory instead of a side effect or an
-    error.  ``codec`` names the envelope codec new writes use
-    (default ``zlib``); reads accept any stamped codec, and a v1
-    (pre-codec) entry is re-encoded compressed on its first warm hit.
+    error.
     """
 
-    def __init__(self, root: str, codec: Optional[str] = None):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self.codec = resolve_codec(codec)
 
     # ------------------------------------------------------------------
     # Key → path
@@ -310,10 +305,7 @@ class DiskArtifactCache:
         entry is a miss.  Corrupt entries are unlinked best-effort so
         they do not cost a failed unpickle on every later run.  A hit
         refreshes the entry's mtime — ``gc(max_bytes=...)`` evicts
-        least-recently-*used*, not least-recently-written.  A hit on a
-        pre-codec v1 entry re-encodes it under this store's codec in
-        place (atomic, best-effort), migrating warm stores to the
-        compressed format one entry at a time.
+        least-recently-*used*, not least-recently-written.
         """
         expected = ARTIFACT_FORMATS.get(kind_of(key))
         if expected is None:
@@ -334,25 +326,8 @@ class DiskArtifactCache:
             count_traffic("disk", stale=1)
             return MISS
         count_traffic("disk", hits=1, bytes_read=len(data))
-        self._maybe_reencode(path, data)
         self._touch(path)
         return payload
-
-    def _maybe_reencode(self, path: str, data: bytes) -> None:
-        """Lazy v1 -> v2 migration: a warm hit on an entry with no
-        codec stamp rewrites it under this store's codec (when that
-        actually shrinks it).  Best-effort and atomic — a reader that
-        loses the race sees either complete version."""
-        if self.codec == "identity":
-            return
-        parsed = read_header(data)
-        if parsed is None or "codec" in parsed[0]:
-            return
-        recoded = transcode(data, self.codec)
-        if recoded is None or len(recoded) >= len(data):
-            return
-        if self._write_atomically(path, recoded):
-            count_traffic("disk", writes=1, bytes_written=len(recoded))
 
     def put(self, key: Hashable, value: Any) -> bool:
         """Persist an artifact; ``False`` if it was skipped.
@@ -364,7 +339,7 @@ class DiskArtifactCache:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version, codec=self.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             count_traffic("disk", write_skips=1)
             return False
@@ -378,34 +353,18 @@ class DiskArtifactCache:
     # Raw entry access (the HTTP server / remote protocol)
     # ------------------------------------------------------------------
 
-    def get_raw(self, kind: str, digest: str) -> Optional[bytes]:
-        """Raw envelope bytes of entry ``(kind, digest)``, or ``None``.
-
-        The serve daemon streams these to remote workers without ever
-        unpickling them; format stamps are the *client's* business.
-        A hit refreshes the mtime, so a served store still evicts LRU.
-        """
-        path = self.raw_path(kind, digest)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            count_traffic("disk", misses=1)
-            return None
-        count_traffic("disk", hits=1, bytes_read=len(data))
-        self._touch(path)
-        return data
-
     def open_raw(self, kind: str,
                  digest: str) -> Optional[Tuple[BinaryIO, int]]:
         """Open entry ``(kind, digest)`` for streaming reads.
 
         Returns ``(handle, size)`` or ``None`` on a miss.  The serve
-        daemon uses this for ranged/chunked GETs, so a multi-MB
-        mapping artifact never needs a whole-entry buffer server-side.
-        Counts the hit; the caller adds ``bytes_read`` for what it
-        actually streamed (a ranged request reads less than ``size``)
-        and must close the handle.
+        daemon streams GETs (ranged or whole) from this handle without
+        ever unpickling them — format stamps are the *client's*
+        business — so a multi-MB mapping artifact never needs a
+        whole-entry buffer server-side.  Counts the hit and refreshes
+        the mtime, so a served store still evicts LRU; the caller adds
+        ``bytes_read`` for what it actually streamed (a ranged request
+        reads less than ``size``) and must close the handle.
         """
         path = self.raw_path(kind, digest)
         try:
@@ -574,7 +533,7 @@ class DiskArtifactCache:
         small metadata header of each entry is read, never the
         payload — a v1 entry (no codec stamp) and a v2 one are equally
         judged by their format stamps, so a mixed-era store is gc'd
-        without recompressing or crashing anything.
+        without decompressing or crashing anything.
 
         With ``max_bytes``, the surviving entries are then evicted
         least-recently-used (by mtime, which :meth:`get` refreshes)
@@ -696,5 +655,4 @@ class DiskArtifactCache:
                     pass
 
     def __repr__(self) -> str:
-        return (f"DiskArtifactCache({self.root!r}, "
-                f"codec={self.codec!r})")
+        return f"DiskArtifactCache({self.root!r})"

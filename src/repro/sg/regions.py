@@ -29,6 +29,7 @@ paper-facing state set ``ER_j``.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -58,6 +59,20 @@ class ExcitationRegion:
 
     def __contains__(self, state: State) -> bool:
         return state in self.states
+
+    def __reduce__(self):
+        # ``states`` pickles in a canonical order, not hash order, so
+        # a stored region has the same bytes in every process: each
+        # state's own pickle is canonical (markings pickle sorted)
+        ordered = sorted(self.states, key=pickle.dumps)
+        return _excitation_region, (self.event, self.index, ordered,
+                                    self.bits)
+
+
+def _excitation_region(event: Event, index: int, states: List[State],
+                       bits: int) -> ExcitationRegion:
+    """Unpickle an :class:`ExcitationRegion`."""
+    return ExcitationRegion(event, index, frozenset(states), bits)
 
 
 def excitation_regions(sg: StateGraph, event: Event) -> List[ExcitationRegion]:

@@ -13,8 +13,20 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import PetriNetError
 
-Marking = FrozenSet[str]
-"""1-safe markings are frozen sets of marked place names."""
+
+class Marking(frozenset):
+    """A 1-safe marking: the frozen set of marked place names.
+
+    Equal to, and hashing like, the plain ``frozenset`` of its places.
+    It pickles them sorted, so a stored state graph (whose state
+    identities are markings) has the same bytes in every process,
+    whatever its string-hash salt.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return Marking, (sorted(self),)
 
 
 class PetriNet:
@@ -119,7 +131,7 @@ class PetriNet:
 
     @property
     def initial_marking(self) -> Marking:
-        return frozenset(self._initial)
+        return Marking(self._initial)
 
     def set_initial_marking(self, places: Iterable[str]) -> None:
         places = set(places)
@@ -151,7 +163,7 @@ class PetriNet:
             raise PetriNetError(
                 f"firing {transition!r} violates 1-safety on places "
                 f"{sorted(collision)}")
-        return frozenset(after | produced)
+        return Marking(after | produced)
 
     # ------------------------------------------------------------------
     # Analysis helpers

@@ -15,7 +15,6 @@ from repro.synthesis.cover import (
     SignalImplementation,
     complete_cover,
     monotonous_cover,
-    resynthesize_incremental,
     synthesize_all,
     synthesize_signal,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "complete_cover",
     "synthesize_signal",
     "synthesize_all",
-    "resynthesize_incremental",
     "Netlist",
     "NetlistStats",
 ]

@@ -526,49 +526,3 @@ def resynthesize_signal(sg: StateGraph, signal: str,
     return SignalImplementation(signal, set_covers, reset_covers,
                                 complete, complement,
                                 combinational=combinational), True
-
-
-def resynthesize_incremental(
-        sg: StateGraph,
-        old_implementations: Dict[str, SignalImplementation],
-        changes,
-        precomputed: Optional[Dict[str, SignalImplementation]] = None,
-) -> Tuple[Dict[str, SignalImplementation], ResynthesisStats]:
-    """Resynthesize a state graph after a signal insertion.
-
-    ``old_implementations`` are the covers of the *pre-insertion* graph
-    and ``changes`` the :class:`~repro.mapping.insertion.
-    InsertionChanges` summary of the insertion that produced ``sg``.
-    Signals untouched by the insertion keep their minimized covers
-    (extended to the new code space); dirty signals — and the inserted
-    signal itself — run through :func:`synthesize_signal` exactly as a
-    full pass would.  ``precomputed`` may carry implementations already
-    synthesized *on this graph* (the mapper's quick-reject target).
-
-    Returns ``(implementations, stats)`` where the implementations dict
-    matches :func:`synthesize_all` on the same graph and ``stats``
-    counts reused vs resynthesized signals.
-
-    This is the batch entry point; the mapper's trial evaluation
-    (``TechnologyMapper._evaluate_candidate``) runs the same
-    :func:`resynthesize_signal` primitive one signal at a time so it
-    can abort mid-pass — changes to the reuse policy belong in
-    :func:`resynthesize_signal`, where both consumers pick them up.
-    """
-    precomputed = precomputed or {}
-    stats = ResynthesisStats()
-    implementations: Dict[str, SignalImplementation] = {}
-    for signal in sg.outputs:
-        ready = precomputed.get(signal)
-        if ready is not None:
-            implementations[signal] = ready
-            stats.resynthesized += 1
-            continue
-        impl, reused = resynthesize_signal(
-            sg, signal, old_implementations.get(signal), changes)
-        implementations[signal] = impl
-        if reused:
-            stats.reused += 1
-        else:
-            stats.resynthesized += 1
-    return implementations, stats

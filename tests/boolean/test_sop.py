@@ -1,5 +1,9 @@
 """Unit tests for :mod:`repro.boolean.sop`."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.boolean.cube import Cube
@@ -179,3 +183,25 @@ class TestPlumbing:
     def test_iteration_sorted(self):
         cubes = list(cover("b + a"))
         assert cubes == sorted(cubes)
+
+    def test_pickle_leaves_the_hash_out(self):
+        c = cover("a b' + c")
+        restored = pickle.loads(pickle.dumps(c))
+        assert restored == c and hash(restored) == hash(c)
+        assert pickle.dumps(c) == pickle.dumps(restored)
+        assert "_hash" not in str(pickle.dumps(c))
+
+    def test_unpickles_legacy_slot_state(self):
+        """Store entries written before ``__getstate__`` existed carry
+        the default slot state, with another process's hash."""
+        c = cover("a b' + c")
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = {
+            SopCover: lambda obj: (copyreg.__newobj__, (SopCover,),
+                                   (None, {"_cubes": obj._cubes,
+                                           "_hash": -12345}))}
+        pickler.dump(c)
+        restored = pickle.loads(buffer.getvalue())
+        assert restored == c
+        assert restored in {c}

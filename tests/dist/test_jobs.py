@@ -2,21 +2,25 @@
 auth and quotas, cancellation, work stealing, the maintenance-body
 and stalled-client server fixes, and remote-degrade interplay."""
 
+import gc
 import json
 import socket
 import threading
 import time
 import urllib.request
+import weakref
 
 import pytest
 
 from repro.bench_suite import benchmark
+from repro.cli import main
 from repro.dist.client import ServiceClient
 from repro.dist.jobs import (ClaimPool, JobParams, JobRequestError,
                              JobService, QuotaExceeded,
                              canonical_row_bytes, job_id_of)
 from repro.dist.remote import RemoteArtifactCache
 from repro.dist.server import ArtifactServer
+from repro.dist.shard import read_shard
 from repro.errors import ServiceError
 from repro.obs.metrics import use_registry
 from repro.pipeline import Pipeline, PipelineConfig
@@ -71,7 +75,7 @@ def queued_server(tmp_path):
     submissions stay deterministically queued (cancel/quota tests)."""
     with ArtifactServer(str(tmp_path / "served"), port=0,
                         workers=0).start_background() as live:
-        live.jobs = JobService(cache=None, workers=1, quota=0)
+        live.jobs = JobService(workers=1, quota=0)
         # deliberately NOT started: no worker thread ever dequeues
         yield live
 
@@ -146,6 +150,67 @@ class TestSubmitPollFetch:
         assert jobs["by_state"] == {"done": 1}
 
 
+class TestPerJobMemory:
+    """Each job computes in its own memory layer over the store: a
+    finished job leaves nothing resident, and reuse across jobs comes
+    from the store, as it does for CLI runs."""
+
+    def test_finished_jobs_release_their_state_graphs(self, tmp_path,
+                                                      monkeypatch):
+        from repro.pipeline import context
+        computed = []
+        real = context.state_graph_of
+
+        def recording(stg, *args, **kwargs):
+            sg = real(stg, *args, **kwargs)
+            computed.append(weakref.ref(sg))
+            return sg
+
+        monkeypatch.setattr(context, "state_graph_of", recording)
+        names = ("half", "hazard", "chu133")
+        with use_registry(), ArtifactServer(
+                str(tmp_path / "served"), port=0,
+                workers=1).start_background() as live:
+            client = ServiceClient(live.url)
+            for name in names:
+                client.submit_and_wait(write_g(benchmark(name)), PARAMS,
+                                       poll_seconds=0.02)
+            gc.collect()
+            assert len(computed) == len(names)
+            assert [ref() for ref in computed] == [None] * len(names)
+            # other parameters, same circuit: the state graph comes
+            # from the store, not from an earlier job's memory
+            client.submit_and_wait(
+                HALF_G, JobParams(libraries=(3,), with_siegel=False),
+                poll_seconds=0.02)
+            with urllib.request.urlopen(live.url + "/stats") as reply:
+                telemetry = json.loads(reply.read())["telemetry"]
+        assert len(computed) == len(names)
+        assert telemetry["disk_hits"] >= 1
+
+    def test_storeless_jobs_share_no_artifacts(self, monkeypatch):
+        """Without a store there is no cross-job reuse: each job
+        computes its circuit's state graph in its own memory layer."""
+        from repro.pipeline import context
+        calls = []
+        real = context.state_graph_of
+        monkeypatch.setattr(context, "state_graph_of",
+                            lambda stg: calls.append(stg.name) or real(stg))
+        with use_registry():
+            service = JobService(workers=1).start()
+            try:
+                for params in (PARAMS, JobParams(libraries=(3,),
+                                                 with_siegel=False)):
+                    job, _ = service.submit(HALF_G, "", params)
+                    deadline = time.monotonic() + 60
+                    while service.get(job.id).state != "done":
+                        assert time.monotonic() < deadline, job.state
+                        time.sleep(0.01)
+            finally:
+                service.stop()
+        assert calls == ["half", "half"]
+
+
 class TestDeduplication:
     def test_concurrent_submits_compute_once(self, server, client):
         ids = []
@@ -193,7 +258,7 @@ class TestAuthAndQuota:
                             workers=0,
                             api_keys=("tenant-a", "tenant-b"),
                             ).start_background() as live:
-            live.jobs = JobService(cache=None, workers=1, quota=1)
+            live.jobs = JobService(workers=1, quota=1)
             yield live
 
     def test_missing_key_is_403(self, keyed_server):
@@ -311,10 +376,42 @@ class TestClaimProtocol:
         assert sorted(union) == sorted(names)    # disjoint + complete
         assert len(set(union)) == len(names)
 
-    def test_claim_all_drains_in_order(self, server):
-        names = ["half", "hazard"]
-        assert ServiceClient(server.url).claim_all(names) == names
-        assert ServiceClient(server.url).claim_all(names) == []
+    def test_report_claims_one_circuit_at_a_time(self, server,
+                                                 tmp_path, monkeypatch):
+        """``report --claim`` claims a circuit, runs it, then claims
+        the next, so every run leaves the rest of the list in the pool
+        for other workers."""
+        import repro.report
+        real = repro.report.run_battery
+        outstanding = []
+
+        def recording(names, **kwargs):
+            pools = server.claims.stats_payload()["outstanding"]
+            outstanding.extend(pools.values())
+            return real(names, **kwargs)
+
+        monkeypatch.setattr(repro.report, "run_battery", recording)
+        out = str(tmp_path / "s.json")
+        assert main(["report", "half", "hazard", "dff", "-k", "2",
+                     "--no-siegel", "-j", "1", "--shard", "1/1",
+                     "--claim", "--cache-url", server.url,
+                     "--out", out]) == 0
+        assert outstanding == [2, 1, 0]
+        assert read_shard(out)["claimed"] == ["half", "hazard", "dff"]
+
+    def test_report_claim_needs_the_daemon_address(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.delenv("SI_MAPPER_CACHE_URL", raising=False)
+        assert main(["report", "half", "-j", "1", "--shard", "1/1",
+                     "--claim"]) == 2
+        assert "--cache-url" in capsys.readouterr().err
+
+    def test_report_claim_refuses_parallel_jobs(self, server, capsys):
+        assert main(["report", "half", "hazard", "-j", "2",
+                     "--shard", "1/2", "--claim",
+                     "--cache-url", server.url]) == 2
+        assert "--claim" in capsys.readouterr().err
+        assert server.claims.stats_payload()["claims"] == 0
 
     def test_distinct_batteries_have_distinct_pools(self, server):
         client = ServiceClient(server.url)
@@ -451,7 +548,7 @@ class TestStalledClients:
         with ArtifactServer(str(tmp_path / "served"), port=0,
                             workers=0, request_timeout=0.5,
                             ).start_background() as live:
-            live.jobs = JobService(cache=None, workers=1)
+            live.jobs = JobService(workers=1)
             yield live
 
     def _stall(self, server, preamble):
@@ -530,7 +627,7 @@ class TestJobServiceUnits:
             JobService(workers=0)
 
     def test_quota_enforced_at_submit(self):
-        service = JobService(cache=None, workers=1, quota=1)
+        service = JobService(workers=1, quota=1)
         service.submit(HALF_G, "tenant", PARAMS)
         with pytest.raises(QuotaExceeded):
             service.submit(HAZARD_G, "tenant", PARAMS)

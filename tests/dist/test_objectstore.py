@@ -9,8 +9,8 @@ import pytest
 
 from repro.dist.base import make_store
 from repro.dist.envelope import (ARTIFACT_FORMATS, STORE_LAYOUT,
-                                 codec_of, digest_of, encode_entry,
-                                 kind_of)
+                                 digest_of, encode_entry, kind_of,
+                                 read_header)
 from repro.dist.objectstore import (ObjectStoreArtifactCache,
                                     TransportError,
                                     parse_object_store_spec)
@@ -92,7 +92,7 @@ class TestRoundTrip:
         key = (f"{PREFIX}/{STORE_LAYOUT}/{kind_of(KEY)}"
                f"/{digest_of(KEY)}")
         body = fake.lookup(BUCKET, key)[0]
-        assert codec_of(body) == "zlib"
+        assert read_header(body)[0]["codec"] == "zlib"
 
     def test_same_bytes_any_backend_reads(self, fake, spec, cache):
         """Content addressing is backend-independent: an envelope
@@ -100,7 +100,7 @@ class TestRoundTrip:
         cache.put(KEY, VALUE)
         _, wire = cache.fetch(KEY)
         version = ARTIFACT_FORMATS[kind_of(KEY)]
-        assert wire == encode_entry(KEY, VALUE, version, codec="zlib")
+        assert wire == encode_entry(KEY, VALUE, version)
 
     def test_stale_format_is_a_miss(self, cache, monkeypatch, traffic):
         cache.put(KEY, VALUE)

@@ -11,7 +11,6 @@ from repro.bench_suite import benchmark
 from repro.dist.jobs import (DONE, JOBROW_SCHEMA, JobParams, JobService,
                              job_id_of)
 from repro.obs.metrics import use_registry
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.store import MISS, DiskArtifactCache
 from repro.stg.writer import write_g
 
@@ -44,8 +43,7 @@ def run_one(service, g_text=HALF_G):
 class TestSpill:
     def test_finished_row_lands_in_store(self, store):
         with use_registry():
-            service = JobService(cache=ArtifactCache(disk=store),
-                                 workers=1).start()
+            service = JobService(store=store, workers=1).start()
             try:
                 job = run_one(service)
             finally:
@@ -59,7 +57,7 @@ class TestSpill:
 
     def test_storeless_service_keeps_everything(self):
         with use_registry():
-            service = JobService(cache=None, workers=1, retain=1).start()
+            service = JobService(workers=1, retain=1).start()
             try:
                 first = run_one(service, HALF_G)
                 second = run_one(service, HAZARD_G)
@@ -73,8 +71,7 @@ class TestSpill:
 class TestEvictAndRestore:
     def test_excess_jobs_evict_and_restore_lazily(self, store):
         with use_registry() as registry:
-            service = JobService(cache=ArtifactCache(disk=store),
-                                 workers=1, retain=1).start()
+            service = JobService(store=store, workers=1, retain=1).start()
             try:
                 first = run_one(service, HALF_G)
                 run_one(service, HAZARD_G)
@@ -100,15 +97,13 @@ class TestEvictAndRestore:
         a finished job: get() serves it and submit() deduplicates
         against it instead of recomputing."""
         with use_registry():
-            service = JobService(cache=ArtifactCache(disk=store),
-                                 workers=1).start()
+            service = JobService(store=store, workers=1).start()
             try:
                 job = run_one(service)
             finally:
                 service.stop()
         with use_registry():
-            reborn = JobService(cache=ArtifactCache(disk=store),
-                                workers=1).start()
+            reborn = JobService(store=store, workers=1).start()
             try:
                 resubmitted, created = reborn.submit(HALF_G, key="")
             finally:
@@ -122,8 +117,7 @@ class TestEvictAndRestore:
         store.put(("jobrow", "deadbeef"), {"schema": "wrong/9",
                                            "id": "deadbeef"})
         with use_registry():
-            service = JobService(cache=ArtifactCache(disk=store),
-                                 workers=1)
+            service = JobService(store=store, workers=1)
             assert service.get("deadbeef") is None
 
     def test_torn_row_is_a_miss(self, store):
@@ -131,6 +125,5 @@ class TestEvictAndRestore:
         store.put(("jobrow", job_id),
                   {"schema": JOBROW_SCHEMA, "id": job_id})
         with use_registry():
-            service = JobService(cache=ArtifactCache(disk=store),
-                                 workers=1)
+            service = JobService(store=store, workers=1)
             assert service.get(job_id) is None

@@ -1,7 +1,9 @@
-"""Chunked/ranged transfer and codec negotiation over real sockets:
-ranged GETs spanning chunk boundaries, streamed PUT bodies, concurrent
-idempotent uploads, and v1-speaking clients against a v2 server."""
+"""Chunked/ranged transfer over real sockets: ranged GETs spanning
+chunk boundaries, stored bytes served as they are, streamed PUT
+bodies, concurrent idempotent uploads, and a ranged client against a
+pre-range server."""
 
+import os
 import pickle
 import threading
 import urllib.request
@@ -9,13 +11,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.dist.envelope import (ARTIFACT_FORMATS, codec_of,
-                                 digest_of, encode_entry, kind_of,
-                                 read_header)
+from repro.dist.envelope import (ARTIFACT_FORMATS, digest_of,
+                                 encode_entry, kind_of, read_header)
 from repro.dist.remote import RemoteArtifactCache
 from repro.dist.server import ArtifactServer
 from repro.obs.metrics import use_registry
-from repro.pipeline.store import traffic_stats
+from repro.pipeline.store import MISS, traffic_stats
 
 KEY = ("sg", "d" * 64)
 #: compresses, but stays far larger than the tiny chunk size below
@@ -40,12 +41,18 @@ def entry_url(server, key):
     return f"{server.url}/artifact/{kind_of(key)}/{digest_of(key)}"
 
 
+def stored(server, key):
+    """The entry's file in the served store, byte for byte."""
+    with open(server.store.raw_path(kind_of(key), digest_of(key)),
+              "rb") as handle:
+        return handle.read()
+
+
 class TestRangedDownloads:
     def test_round_trip_spanning_many_chunks(self, server,
                                              tiny_chunks, traffic):
         assert tiny_chunks.put(KEY, BIG_VALUE)
-        envelope_bytes = server.store.get_raw(kind_of(KEY),
-                                              digest_of(KEY))
+        envelope_bytes = stored(server, KEY)
         assert len(envelope_bytes) > 512 * 3   # really multi-chunk
         fresh = RemoteArtifactCache(server.url, chunk_bytes=512)
         assert fresh.get(KEY) == BIG_VALUE
@@ -54,12 +61,10 @@ class TestRangedDownloads:
 
     def test_206_carries_content_range(self, server, tiny_chunks):
         tiny_chunks.put(KEY, BIG_VALUE)
-        total = len(server.store.get_raw(kind_of(KEY),
-                                         digest_of(KEY)))
+        total = len(stored(server, KEY))
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": "bytes=10-29",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": "bytes=10-29"})
         with urllib.request.urlopen(request, timeout=5) as response:
             assert response.status == 206
             assert (response.headers["Content-Range"]
@@ -69,15 +74,14 @@ class TestRangedDownloads:
     def test_ranged_chunks_reassemble_exactly(self, server,
                                               tiny_chunks):
         tiny_chunks.put(KEY, BIG_VALUE)
-        whole = server.store.get_raw(kind_of(KEY), digest_of(KEY))
+        whole = stored(server, KEY)
         pieces = []
         offset = 0
         while offset < len(whole):
             last = min(offset + 300, len(whole)) - 1
             request = urllib.request.Request(
                 entry_url(server, KEY),
-                headers={"Range": f"bytes={offset}-{last}",
-                         "X-SI-Codecs": "identity, zlib"})
+                headers={"Range": f"bytes={offset}-{last}"})
             with urllib.request.urlopen(request,
                                         timeout=5) as response:
                 assert response.status == 206
@@ -87,12 +91,10 @@ class TestRangedDownloads:
 
     def test_unsatisfiable_range_is_416(self, server, tiny_chunks):
         tiny_chunks.put(KEY, BIG_VALUE)
-        total = len(server.store.get_raw(kind_of(KEY),
-                                         digest_of(KEY)))
+        total = len(stored(server, KEY))
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": f"bytes={total + 10}-{total + 20}",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": f"bytes={total + 10}-{total + 20}"})
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=5)
         assert caught.value.code == 416
@@ -104,11 +106,10 @@ class TestRangedDownloads:
                                             tiny_chunks):
         """RFC 7233 allows ignoring ranges it will not serve."""
         tiny_chunks.put(KEY, BIG_VALUE)
-        whole = server.store.get_raw(kind_of(KEY), digest_of(KEY))
+        whole = stored(server, KEY)
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": "bytes=0-1, 5-9",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": "bytes=0-1, 5-9"})
         with urllib.request.urlopen(request, timeout=5) as response:
             assert response.status == 200
             assert response.read() == whole
@@ -135,7 +136,7 @@ class TestOldServerInterop:
     def test_client_accepts_whole_body_200(self, traffic):
         """A ranged client against a pre-range server still works:
         the 200 whole-body reply is taken as-is."""
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         httpd = ThreadingHTTPServer(("127.0.0.1", 0),
                                     _WholeBody200Handler)
         httpd.body = data
@@ -154,68 +155,66 @@ class TestOldServerInterop:
             thread.join(timeout=5)
 
 
-class TestCodecNegotiation:
-    def test_v2_client_receives_the_compressed_envelope(self, server):
-        client = RemoteArtifactCache(server.url)
-        client.put(KEY, BIG_VALUE)
-        stored = server.store.get_raw(kind_of(KEY), digest_of(KEY))
-        assert codec_of(stored) == "zlib"
-        request = urllib.request.Request(
-            entry_url(server, KEY),
-            headers={"X-SI-Codecs": "identity, zlib"})
-        with urllib.request.urlopen(request, timeout=5) as response:
-            body = response.read()
-            assert response.headers["X-SI-Codec"] == "zlib"
-        assert body == stored
-
-    def test_v1_client_gets_identity_transcode(self, server):
-        """Regression: a client that predates the codec stamp sends no
-        X-SI-Codecs header and must receive a raw-pickle envelope it
-        can read with plain pickle.loads."""
+class TestStoredBytes:
+    @pytest.mark.parametrize("headers", [
+        {}, {"X-SI-Codecs": "identity"},
+        {"X-SI-Codecs": "identity, zlib"}],
+        ids=["no-codecs", "identity", "identity-zlib"])
+    def test_get_returns_the_stored_file(self, server, headers):
+        """GET sends the entry's file as it is, whatever codecs the
+        client names: there is no per-client re-encoding."""
         RemoteArtifactCache(server.url).put(KEY, BIG_VALUE)
-        request = urllib.request.Request(entry_url(server, KEY))
+        whole = stored(server, KEY)
+        assert read_header(whole)[0]["codec"] == "zlib"
+        request = urllib.request.Request(entry_url(server, KEY),
+                                         headers=headers)
         with urllib.request.urlopen(request, timeout=5) as response:
-            body = response.read()
-            assert response.headers["X-SI-Codec"] == "identity"
-        # decode exactly like the pre-codec client did: restricted
-        # header check, then pickle.loads of the remainder
-        header, offset = read_header(body)
-        assert header["format"] == VERSION
-        assert header["key"] == repr(KEY)
-        assert pickle.loads(body[offset:]) == BIG_VALUE
+            assert response.read() == whole
+            assert "X-SI-Codec" not in response.headers
 
-    def test_v1_client_ranged_request_slices_the_transcode(
-            self, server):
-        """Transcoding is deterministic, so an old chunking client
-        sees a consistent byte stream across its ranged requests."""
-        RemoteArtifactCache(server.url).put(KEY, BIG_VALUE)
-        whole = urllib.request.urlopen(
-            urllib.request.Request(entry_url(server, KEY)),
-            timeout=5).read()
-        pieces = []
-        offset = 0
-        while offset < len(whole):
-            last = min(offset + 1000, len(whole)) - 1
-            request = urllib.request.Request(
-                entry_url(server, KEY),
-                headers={"Range": f"bytes={offset}-{last}"})
-            with urllib.request.urlopen(request,
-                                        timeout=5) as response:
-                assert response.status == 206
-                assert (response.headers["Content-Range"]
-                        == f"bytes {offset}-{last}/{len(whole)}")
-                pieces.append(response.read())
-            offset = last + 1
-        assert b"".join(pieces) == whole
+    def plant(self, server, header, body):
+        """Write an entry file into the served store directly."""
+        path = server.store.raw_path(kind_of(KEY), digest_of(KEY))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        data = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + body
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return data
+
+    def test_v1_entry_reads_over_the_wire(self, server, tiny_chunks,
+                                          traffic):
+        """A pre-codec entry travels as written and decodes as a hit."""
+        data = self.plant(server, {"format": VERSION, "key": repr(KEY)},
+                          pickle.dumps(BIG_VALUE))
+        with urllib.request.urlopen(entry_url(server, KEY),
+                                    timeout=5) as response:
+            assert response.read() == data
+        assert tiny_chunks.get(KEY) == BIG_VALUE
+        assert traffic()["remote_hits"] == 1
+
+    def test_unknown_codec_entry_is_stale_for_the_client(
+            self, server, tiny_chunks, traffic):
+        """The server sends an entry it cannot decode as it is; the
+        client's decode finds the unknown stamp and misses without
+        calling it an error."""
+        data = self.plant(server, {"format": VERSION, "key": repr(KEY),
+                                   "codec": "quantum-lz",
+                                   "raw_size": 3}, b"???")
+        with urllib.request.urlopen(entry_url(server, KEY),
+                                    timeout=5) as response:
+            assert response.read() == data
+        assert tiny_chunks.get(KEY) is MISS
+        counts = traffic()
+        assert counts["remote_stale"] == 1
+        assert counts["remote_errors"] == 0
 
 
 class TestStreamedPuts:
     def test_uploaded_bytes_land_verbatim(self, server):
         client = RemoteArtifactCache(server.url)
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         assert client.put_raw(kind_of(KEY), digest_of(KEY), data)
-        assert server.store.get_raw(kind_of(KEY),
-                                    digest_of(KEY)) == data
+        assert stored(server, KEY) == data
 
     def test_concurrent_idempotent_puts_exact_telemetry(self, server):
         """Many threads PUT the same compressed digest: every upload
@@ -223,7 +222,7 @@ class TestStreamedPuts:
         count exactly one write per request."""
         threads = 8
         client = RemoteArtifactCache(server.url)
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         kind, digest = kind_of(KEY), digest_of(KEY)
         barrier = threading.Barrier(threads)
         results = []
@@ -249,10 +248,9 @@ class TestStreamedPuts:
         assert counts["disk_writes"] == threads
         assert counts["disk_bytes_written"] == threads * len(data)
         assert counts["disk_write_skips"] == 0
-        assert server.store.get_raw(kind, digest) == data
+        assert stored(server, KEY) == data
         # no stray temp files survived the race
         root = server.store.root
-        import os
         stray = [name for _, _, names in os.walk(root)
                  for name in names if name.startswith(".tmp-")]
         assert stray == []

@@ -71,8 +71,7 @@ def well_nested(spans):
 
 def test_raced_jobs_trace_disjointly_and_count_exactly(raced):
     with use_registry() as registry:
-        service = JobService(cache=None, workers=2,
-                             keep_trace=True).start()
+        service = JobService(workers=2, keep_trace=True).start()
         try:
             first, _ = service.submit(HALF_G, key="", params=PARAMS)
             second, _ = service.submit(HAZARD_G, key="", params=PARAMS)
@@ -118,8 +117,7 @@ def test_raced_jobs_trace_disjointly_and_count_exactly(raced):
 def run_jobs(workers):
     """Run half and hazard on a traced service; returns the two
     finished jobs."""
-    service = JobService(cache=None, workers=workers,
-                         keep_trace=True).start()
+    service = JobService(workers=workers, keep_trace=True).start()
     try:
         first, _ = service.submit(HALF_G, key="", params=PARAMS)
         second, _ = service.submit(HAZARD_G, key="", params=PARAMS)

@@ -570,33 +570,25 @@ def write_v1_entry(store, key, value):
 
 
 class TestV1Migration:
-    """Pre-refactor stores stay warm; entries migrate lazily on hit."""
+    """Pre-refactor stores stay warm, and their entries stay as
+    written."""
 
     VALUE = {"states": ["0101" * 64] * 200}
 
-    def test_v1_entry_hits_and_reencodes_in_place(self, tmp_path,
-                                                  traffic):
+    def test_v1_entry_hits(self, tmp_path, traffic):
         store = DiskArtifactCache(str(tmp_path))
-        path, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
+        write_v1_entry(store, KEY, self.VALUE)
         assert store.get(KEY) == self.VALUE
-        assert traffic()["disk_hits"] == 1
-        # the hit migrated the entry: smaller, codec-stamped
-        from repro.pipeline.store import read_header
-        with open(path, "rb") as handle:
-            migrated = handle.read()
-        assert len(migrated) < len(v1_bytes)
-        assert read_header(migrated)[0]["codec"] == "zlib"
-        assert traffic()["disk_writes"] == 1
-        # second hit reads the v2 entry and does NOT rewrite again
         assert store.get(KEY) == self.VALUE
-        assert traffic()["disk_writes"] == 1
+        assert traffic()["disk_hits"] == 2
 
-    def test_identity_store_leaves_v1_entries_alone(self, tmp_path):
-        store = DiskArtifactCache(str(tmp_path), codec="identity")
+    def test_hits_leave_v1_entries_alone(self, tmp_path, traffic):
+        store = DiskArtifactCache(str(tmp_path))
         path, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
         assert store.get(KEY) == self.VALUE
         with open(path, "rb") as handle:
             assert handle.read() == v1_bytes
+        assert traffic()["disk_writes"] == 0
 
     def test_gc_keeps_valid_v1_entries(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path))

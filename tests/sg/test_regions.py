@@ -1,12 +1,16 @@
 """Unit tests for excitation/switching/quiescent regions and triggers."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
-from repro.sg.regions import (all_excitation_regions, encoding_atoms,
-                              event_cones, excitation_regions,
-                              quiescent_region, stable_closure,
-                              switching_region, trigger_events,
-                              trigger_signals)
+from repro.sg.regions import (ExcitationRegion, all_excitation_regions,
+                              encoding_atoms, event_cones,
+                              excitation_regions, quiescent_region,
+                              stable_closure, switching_region,
+                              trigger_events, trigger_signals)
 
 
 def states_of(sg, bits):
@@ -57,6 +61,30 @@ class TestExcitationRegions:
     def test_bits_match_states(self, two_er_sg):
         for region in excitation_regions(two_er_sg, "x+"):
             assert states_of(two_er_sg, region.bits) == set(region.states)
+
+    def test_pickles_its_states_in_canonical_order(self, celement_sg):
+        """The states pickle sorted by their own (canonical) pickles,
+        not in set order, and load back into an equal region."""
+        (region,) = excitation_regions(celement_sg, "a+")
+        rebuild, (event, index, states, bits) = region.__reduce__()
+        assert states == sorted(region.states, key=pickle.dumps)
+        assert rebuild(event, index, states, bits) == region
+        restored = pickle.loads(pickle.dumps(region))
+        assert restored == region and hash(restored) == hash(region)
+        assert pickle.dumps(restored) == pickle.dumps(region)
+
+    def test_unpickles_default_dataclass_state(self, celement_sg):
+        """Store entries written before ``__reduce__`` existed carry the
+        dataclass's default pickle; they still load."""
+        (region,) = excitation_regions(celement_sg, "c+")
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = {
+            ExcitationRegion: lambda obj: (
+                copyreg.__newobj__, (ExcitationRegion,),
+                dict(vars(obj)))}
+        pickler.dump(region)
+        assert pickle.loads(buffer.getvalue()) == region
 
 
 class TestSwitchingRegion:

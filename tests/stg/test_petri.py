@@ -1,9 +1,11 @@
 """Unit tests for :mod:`repro.stg.petri`."""
 
+import pickle
+
 import pytest
 
 from repro.errors import PetriNetError
-from repro.stg.petri import PetriNet
+from repro.stg.petri import Marking, PetriNet
 
 
 @pytest.fixture
@@ -91,6 +93,18 @@ class TestFiring:
     def test_fire(self, handshake):
         after = handshake.fire("t1", frozenset({"p0"}))
         assert after == frozenset({"p1"})
+
+    def test_markings_pickle_their_places_sorted(self, handshake):
+        after = handshake.fire("t1", handshake.initial_marking)
+        assert isinstance(after, Marking)
+        marking = Marking({"q", "p", "r"})
+        assert marking == frozenset({"p", "q", "r"})
+        assert hash(marking) == hash(frozenset({"p", "q", "r"}))
+        restored = pickle.loads(pickle.dumps(marking))
+        assert isinstance(restored, Marking) and restored == marking
+        assert pickle.dumps(marking) == pickle.dumps(
+            Marking(["p", "q", "r"]))
+        assert marking.__reduce__() == (Marking, (["p", "q", "r"],))
 
     def test_fire_disabled_raises(self, handshake):
         with pytest.raises(PetriNetError):

@@ -9,8 +9,8 @@ from repro.mapping.insertion import insert_signal
 from repro.mapping.partition import compute_insertion_sets
 from repro.sg.graph import StateGraph
 from repro.synthesis.cover import (ResynthesisStats, SignalImplementation,
-                                   resynthesize_incremental,
-                                   synthesize_all, synthesize_signal)
+                                   resynthesize_signal, synthesize_all,
+                                   synthesize_signal)
 
 
 def _same_implementation(left: SignalImplementation,
@@ -42,26 +42,13 @@ class TestIncrementalMatchesFull:
                                            SopCover.from_string("a b"))
         inserted = insert_signal(celement_sg, partition, "x")
         full = synthesize_all(inserted.sg)
-        incremental, stats = resynthesize_incremental(
-            inserted.sg, old_implementations, inserted.changes)
-        assert set(incremental) == set(full)
+        reused = {}
         for signal in full:
-            assert _same_implementation(incremental[signal],
-                                        full[signal]), signal
-        assert stats.total == len(full)
-        assert stats.resynthesized >= 1      # at least the new signal
-
-    def test_precomputed_target_is_taken_verbatim(self, celement_sg):
-        old_implementations = synthesize_all(celement_sg)
-        partition = compute_insertion_sets(celement_sg,
-                                           SopCover.from_string("a b"))
-        inserted = insert_signal(celement_sg, partition, "x")
-        ready = synthesize_signal(inserted.sg, "c")
-        incremental, stats = resynthesize_incremental(
-            inserted.sg, old_implementations, inserted.changes,
-            precomputed={"c": ready})
-        assert incremental["c"] is ready
-        assert stats.resynthesized >= 1
+            incremental, reused[signal] = resynthesize_signal(
+                inserted.sg, signal, old_implementations.get(signal),
+                inserted.changes)
+            assert _same_implementation(incremental, full[signal]), signal
+        assert not reused["x"]           # the new signal has no old covers
 
 
 class TestChangeSummary:

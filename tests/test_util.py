@@ -1,5 +1,9 @@
 """Tests for the small shared helpers."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro._util import FrozenVector, pairwise, proper_subsets, unique
@@ -74,3 +78,29 @@ class TestFrozenVector:
         v = FrozenVector({"b": 0, "a": 1})
         assert v.items() == (("a", 1), ("b", 0))
         assert list(v) == ["a", "b"]
+
+    def test_pickle_leaves_the_hash_out(self):
+        v = FrozenVector({"b": 0, "a": 1})
+        restored = pickle.loads(pickle.dumps(v))
+        assert restored == v and hash(restored) == hash(v)
+        assert restored.as_dict() == {"a": 1, "b": 0}
+        assert "_hash" not in str(pickle.dumps(v))
+        empty = pickle.loads(pickle.dumps(FrozenVector({})))
+        assert empty == FrozenVector({}) and len(empty) == 0
+
+    def test_unpickles_legacy_slot_state(self):
+        """Store entries written before ``__getstate__`` existed carry
+        the default slot state, with another process's hash."""
+        v = FrozenVector({"b": 0, "a": 1})
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = {
+            FrozenVector: lambda obj: (
+                copyreg.__newobj__, (FrozenVector,),
+                (None, {"_items": obj._items, "_dict": obj._dict,
+                        "_hash": -12345}))}
+        pickler.dump(v)
+        restored = pickle.loads(buffer.getvalue())
+        assert restored == v
+        assert restored in {v}
+        assert restored["a"] == 1
