@@ -23,8 +23,7 @@ Run ``REPRO_FULL_TABLE1=1 pytest benchmarks/test_table1.py
 
 import pytest
 
-from repro.baselines.tech_decomp import tech_decomp_cost
-from repro.mapping.cost import implementation_cost
+from repro.mapping.cost import implementation_cost, non_si_cost
 
 from conftest import circuit_context, mapping_result, selected_names
 
@@ -122,7 +121,7 @@ def _cost_rows():
     rows = {}
     for name in selected_names():
         implementations = circuit_context(name).implementations()
-        non_si = tech_decomp_cost(implementations, 2)
+        non_si = non_si_cost(implementations, 2)
         ours = mapping_result(name, 2)
         si = (implementation_cost(ours.implementations)
               if ours.success else None)

@@ -480,16 +480,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _circuit_g_text(circuit: str) -> str:
-    """Resolve a submit source into ``.g`` text: a path when it looks
-    like one, a built-in benchmark name otherwise — the same rule as
-    :meth:`SynthesisContext.of`."""
-    if circuit.endswith(".g") or os.sep in circuit:
-        with open(circuit, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return write_g(benchmark(circuit))
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Synthesize on a remote serve daemon and print the Table-1 row."""
     from repro.dist.client import ServiceClient
@@ -499,7 +489,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("error: submit needs the service address (--url, "
               f"--cache-url, or ${CACHE_URL_ENV})", file=sys.stderr)
         return 2
-    g_text = _circuit_g_text(args.circuit)
+    # the circuit resolves exactly as ``si-mapper map`` resolves it
+    g_text = write_g(SynthesisContext.of(args.circuit).stg)
     params = JobParams(libraries=tuple(args.literals),
                        with_siegel=not args.no_siegel,
                        solve_csc=_solve_csc_requested(args),

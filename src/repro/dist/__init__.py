@@ -25,7 +25,7 @@ small layers over it:
     format stamps checked client-side; every transport failure
     degrades to a miss and opens a cooldown, so a dead server never
     fails a run.  :class:`RemoteArtifactCache` is that client over a
-    serve daemon (stdlib HTTP, ranged downloads, streamed uploads).
+    serve daemon (stdlib HTTP, one ``GET`` or ``PUT`` per entry).
 
 :mod:`repro.dist.objectstore`
     :class:`ObjectStoreArtifactCache`, the same client over an
@@ -37,10 +37,9 @@ small layers over it:
 :mod:`repro.dist.server`
     :class:`ArtifactServer`, the ``si-mapper serve`` daemon: a
     ``ThreadingHTTPServer`` exposing one disk store to the cluster
-    (``GET/PUT/HEAD /artifact/<kind>/<digest>`` with ``Range``
-    support, ``/stats``, ``/healthz``, remote
-    ``gc``/``clear``) with atomic streamed writes and idempotent
-    concurrent PUTs.
+    (``GET/PUT /artifact/<kind>/<digest>``, ``/stats``, ``/healthz``,
+    remote ``gc``/``clear``) with atomic streamed writes and
+    idempotent concurrent PUTs.
 
 :mod:`repro.dist.s3fake`
     :class:`FakeS3Server`, an in-process S3-compatible object store

@@ -314,21 +314,19 @@ class BucketBackend:
     def report(self) -> StoreReport:
         """Inventory of the bucket prefix; empty when unreachable.
 
-        Listings carry no envelope headers, so the raw size of each
-        entry is unknown without a download: stored stands in for raw
-        (ratio 1.0), exactly like a pre-codec server's ``/stats``.
+        Listings carry no envelope headers, so the entries' raw size
+        is unknown without a download: the report says so (a negative
+        raw size) rather than print a ratio it never measured.
         """
         root = f"s3://{self.bucket}/{self.prefix}".rstrip("/")
-        report = StoreReport(root=root)
+        report = StoreReport(root=root, raw_bytes=-1)
         for _, size, _, layout, kind in self._list_owned():
             if layout != STORE_LAYOUT:
                 continue
             report.entries += 1
             report.bytes += size
-            report.raw_bytes += size
-            count, stored, raw = report.by_kind.get(kind, (0, 0, 0))
-            report.by_kind[kind] = (count + 1, stored + size,
-                                    raw + size)
+            count, stored, _ = report.by_kind.get(kind, (0, 0, -1))
+            report.by_kind[kind] = (count + 1, stored + size, -1)
         return report
 
     def gc(self, max_age_seconds: Optional[float] = None,

@@ -15,11 +15,10 @@ the serve daemon's tiny content-addressed protocol (``GET/PUT
 dependencies; :class:`~repro.dist.objectstore.BucketBackend` files the
 same bytes in an S3-compatible bucket.
 
-Transfers never require whole-entry buffers on the server: downloads
-go in ranged chunks (``Range``/``Content-Range``; a pre-range server
-answering ``200`` with the whole body still works) and uploads stream
-a spooled body with an explicit ``Content-Length``.  The daemon sends
-each entry's stored bytes as they are.
+Each entry moves in one request: a plain ``GET`` returns its stored
+bytes whole, a ``PUT`` sends them whole.  The daemon streams uploads
+and downloads through its disk store in pieces, so it never holds a
+whole entry.
 
 Failure model: the store is an accelerator.  Every network problem —
 connection refused, timeout, a 5xx, an SDK error — degrades to a cache
@@ -36,14 +35,12 @@ its own disk instead of the network), writes go to both.
 from __future__ import annotations
 
 import http.client
-import io
 import json
-import re
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from repro.dist.envelope import (ARTIFACT_FORMATS, decode_entry,
                                  digest_of, encode_entry, kind_of)
@@ -67,9 +64,6 @@ class Refused(TransportError):
 #: status decides)
 _NETWORK_ERRORS = (urllib.error.URLError, http.client.HTTPException,
                    ConnectionError, OSError, TimeoutError)
-
-#: ``Content-Range: bytes <first>-<last>/<total>`` of a 206 reply
-_CONTENT_RANGE = re.compile(r"bytes\s+(\d+)-(\d+)/(\d+)")
 
 
 class SharedStore:
@@ -200,75 +194,24 @@ class SharedStore:
 
 
 class DaemonBackend:
-    """The wire of a ``si-mapper serve`` daemon.  ``chunk_bytes``
-    bounds how much of an entry is requested per ranged GET."""
+    """The wire of a ``si-mapper serve`` daemon."""
 
-    def __init__(self, base_url: str, timeout: float, chunk_bytes: int):
+    def __init__(self, base_url: str, timeout: float):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.chunk_bytes = max(1, int(chunk_bytes))
 
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-
-    def _open(self, method: str, path: str, data=None,
-              headers: Optional[Dict[str, str]] = None):
+    def _request(self, method: str, path: str,
+                 data: Optional[bytes] = None) -> bytes:
+        """One request; the reply body, read whole.  Raises the usual
+        network errors and :class:`urllib.error.HTTPError`."""
         request = urllib.request.Request(self.base_url + path,
                                          data=data, method=method)
         if data is not None:
             request.add_header("Content-Type",
                                "application/octet-stream")
-        for name, value in (headers or {}).items():
-            request.add_header(name, value)
-        return urllib.request.urlopen(request, timeout=self.timeout)
-
-    def _request(self, method: str, path: str,
-                 data: Optional[bytes] = None,
-                 headers: Optional[Dict[str, str]] = None) -> bytes:
-        with self._open(method, path, data=data,
-                        headers=headers) as response:
+        with urllib.request.urlopen(request,
+                                    timeout=self.timeout) as response:
             return response.read()
-
-    def _download(self, path: str) -> bytes:
-        """Fetch an entry in ranged chunks.
-
-        The first request asks for ``bytes=0-(chunk-1)``; a pre-range
-        server ignores that and answers ``200`` with the whole body,
-        which is accepted as-is.  A ``206`` reply's ``Content-Range``
-        total drives the remaining chunk requests.  Raises the usual
-        network errors (plus :class:`http.client.HTTPException` on a
-        protocol violation such as a no-progress chunk), which
-        :meth:`get` maps to a :class:`TransportError`.
-        """
-        first_chunk = {"Range": f"bytes=0-{self.chunk_bytes - 1}"}
-        with self._open("GET", path, headers=first_chunk) as response:
-            status = response.status
-            body = response.read()
-            content_range = response.headers.get("Content-Range")
-        if status != 206:
-            return body          # whole entry at once (pre-range server)
-        match = _CONTENT_RANGE.match(content_range or "")
-        if match is None:
-            raise http.client.HTTPException(
-                f"206 reply with unparseable Content-Range "
-                f"{content_range!r}")
-        total = int(match.group(3))
-        parts = [body]
-        have = len(body)
-        while have < total:
-            last = min(have + self.chunk_bytes, total) - 1
-            with self._open("GET", path, headers={
-                    "Range": f"bytes={have}-{last}"}) as response:
-                status = response.status
-                chunk = response.read()
-            if status != 206 or not chunk:
-                raise http.client.HTTPException(
-                    "ranged download made no progress "
-                    f"({have}/{total} bytes)")
-            parts.append(chunk)
-            have += len(chunk)
-        return b"".join(parts)
 
     @staticmethod
     def _entry_path(kind: str, digest: str) -> str:
@@ -278,7 +221,7 @@ class DaemonBackend:
     def get(self, kind: str, digest: str) -> Optional[bytes]:
         path = self._entry_path(kind, digest)
         try:
-            return self._download(path)
+            return self._request("GET", path)
         except urllib.error.HTTPError as error:
             error.close()
             if error.code == 404:
@@ -291,18 +234,12 @@ class DaemonBackend:
             raise TransportError(f"GET {path}: {error}") from error
 
     def put(self, kind: str, digest: str, data: bytes) -> None:
-        """The body goes up as a streamed file object with an explicit
-        ``Content-Length`` — never chunked transfer-encoding, which
-        the stdlib server cannot parse — so big uploads keep working
-        if a caller swaps the ``BytesIO`` for a real spool file.
-
-        A refused upload (413, 400) is a skip; a server-side failure
-        (507 full store, proxy 5xx) is also an *error*.
-        """
+        """Upload one entry.  A refused upload (413, 400) is a skip; a
+        server-side failure (507 full store, proxy 5xx) is also an
+        *error*."""
         path = self._entry_path(kind, digest)
         try:
-            self._request("PUT", path, data=io.BytesIO(data),
-                          headers={"Content-Length": str(len(data))})
+            self._request("PUT", path, data=data)
         except urllib.error.HTTPError as error:
             error.close()
             failure = TransportError if error.code >= 500 else Refused
@@ -315,35 +252,23 @@ class DaemonBackend:
     # ------------------------------------------------------------------
 
     def report(self) -> StoreReport:
-        """The server's inventory; empty when unreachable.
-
-        ``by_kind`` entries come as 2-tuples from pre-codec servers
-        (no raw-size accounting — stored stands in for raw) and as
-        3-tuples from current ones.
-        """
-        report = StoreReport(root=self.base_url)
+        """The server's inventory; empty when unreachable."""
         try:
-            data = self._request("GET", "/stats")
-            inventory = json.loads(data.decode("utf-8"))
-        except (*_NETWORK_ERRORS, ValueError):
-            return report
-        report.entries = int(inventory.get("entries", 0))
-        report.bytes = int(inventory.get("bytes", 0))
-        report.raw_bytes = int(inventory.get("raw_bytes",
-                                             report.bytes))
-        by_kind: Dict[str, Tuple[int, int, int]] = {}
-        for kind, counts in inventory.get("by_kind", {}).items():
-            counts = list(counts)
-            count, stored = int(counts[0]), int(counts[1])
-            raw = int(counts[2]) if len(counts) > 2 else stored
-            by_kind[kind] = (count, stored, raw)
-        report.by_kind = by_kind
-        return report
+            inventory = json.loads(self._request("GET", "/stats"))
+            return StoreReport(
+                root=self.base_url,
+                entries=int(inventory["entries"]),
+                bytes=int(inventory["bytes"]),
+                raw_bytes=int(inventory["raw_bytes"]),
+                by_kind={kind: (int(count), int(stored), int(raw))
+                         for kind, (count, stored, raw)
+                         in inventory["by_kind"].items()})
+        except (*_NETWORK_ERRORS, ValueError, KeyError, TypeError):
+            return StoreReport(root=self.base_url)
 
     def _maintenance(self, path: str) -> Tuple[int, int]:
         try:
-            data = self._request("POST", path, data=b"")
-            result = json.loads(data.decode("utf-8"))
+            result = json.loads(self._request("POST", path, data=b""))
             return int(result["removed"]), int(result["freed"])
         except (*_NETWORK_ERRORS, ValueError, KeyError):
             return 0, 0
@@ -376,9 +301,8 @@ class RemoteArtifactCache(SharedStore):
     """The shared-tier client of a ``si-mapper serve`` daemon."""
 
     def __init__(self, base_url: str, timeout: float = 10.0,
-                 cooldown: float = 30.0,
-                 chunk_bytes: int = 4 * 1024 * 1024):
-        backend = DaemonBackend(base_url, timeout, chunk_bytes)
+                 cooldown: float = 30.0):
+        backend = DaemonBackend(base_url, timeout)
         super().__init__(backend, backend.base_url, "remote",
                          cooldown=cooldown)
 

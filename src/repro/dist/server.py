@@ -5,16 +5,14 @@ A :class:`ThreadingHTTPServer` daemon exposing one
 workers over a tiny content-addressed protocol:
 
 * ``GET  /artifact/<kind>/<digest>`` — the stored envelope bytes as
-  they are, 404 on miss; single-range ``Range: bytes=a-b`` requests
-  are honoured with ``206`` + ``Content-Range`` so clients fetch big
-  entries in chunks;
-* ``HEAD /artifact/<kind>/<digest>`` — existence + size, no body;
+  they are, whole, in one ``200`` (a ``Range`` header is ignored);
+  404 on miss;
 * ``PUT  /artifact/<kind>/<digest>`` — store an envelope atomically,
   streamed to disk chunk by chunk (no whole-entry buffer);
 * ``GET  /stats``    — JSON inventory + request counters;
 * ``GET  /metrics``  — the process metrics registry as Prometheus
   text, request counts and latencies included;
-* ``GET  /healthz``  — liveness probe;
+* ``GET  /healthz``  — liveness probe (``HEAD`` too);
 * ``POST /gc``, ``POST /clear`` — remote store maintenance.
 
 With ``workers >= 1`` the daemon is additionally a *synthesis job
@@ -60,8 +58,8 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import (Any, BinaryIO, Callable, Dict, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, BinaryIO, Callable, Optional, Sequence,
+                    Tuple)
 
 from repro.dist.envelope import HEADER_PROBE_BYTES, plausible_envelope
 from repro.dist.jobs import (DEFAULT_RETAIN, DONE, FAILED, ClaimPool,
@@ -78,8 +76,8 @@ from repro.pipeline.store import (DiskArtifactCache, count_traffic,
 #: entry.
 MAX_ENTRY_BYTES = 512 * 1024 * 1024
 
-#: request/response bodies move in pieces of this size — bounds the
-#: per-request memory of uploads and ranged downloads alike
+#: request/response bodies move in pieces of this size, so neither an
+#: upload nor a download needs a whole-entry buffer
 IO_CHUNK_BYTES = 1 << 20
 
 #: ``/artifact/<kind>/<digest>`` — kind is a short identifier, digest
@@ -87,10 +85,6 @@ IO_CHUNK_BYTES = 1 << 20
 #: included) is a 404.
 _ARTIFACT_PATH = re.compile(
     r"^/artifact/([A-Za-z0-9_\-]{1,64})/([0-9a-f]{64})$")
-
-#: single byte range: ``bytes=a-b``, ``bytes=a-``, or ``bytes=-n``;
-#: anything else (multi-range included) is served as a full 200.
-_RANGE = re.compile(r"^bytes=(\d*)-(\d*)$")
 
 #: maintenance (``/gc``, ``/clear``) and ``/claim`` bodies are tiny
 MAX_CONTROL_BYTES = 65536
@@ -155,37 +149,6 @@ def _observed(method: Callable[["_StoreRequestHandler"], None]
     return wrapper
 
 
-def _parse_range(header: Optional[str],
-                 size: int) -> Union[None, str, Tuple[int, int]]:
-    """Interpret a ``Range`` header against an entry of ``size`` bytes.
-
-    ``None`` means "serve the whole entry as 200" (no header,
-    malformed header, multi-range — both are legal per RFC 7233);
-    ``"unsatisfiable"`` means 416; a tuple is the inclusive
-    ``(first, last)`` window of a 206.
-    """
-    if not header or size <= 0:
-        return None
-    match = _RANGE.match(header.strip())
-    if match is None:
-        return None
-    first_text, last_text = match.groups()
-    if not first_text and not last_text:
-        return None
-    if not first_text:                     # suffix: last N bytes
-        suffix = int(last_text)
-        if suffix == 0:
-            return "unsatisfiable"
-        return max(0, size - suffix), size - 1
-    first = int(first_text)
-    if first >= size:
-        return "unsatisfiable"
-    last = size - 1 if not last_text else min(int(last_text), size - 1)
-    if last < first:
-        return None
-    return first, last
-
-
 class _StoreRequestHandler(BaseHTTPRequestHandler):
     """One request against the shared store; the server is threading,
     so many of these run concurrently over one DiskArtifactCache."""
@@ -223,21 +186,19 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "text/plain; charset=utf-8",
-               head_only: bool = False,
-               content_length: Optional[int] = None,
-               extra_headers: Optional[Dict[str, str]] = None) -> None:
+               content_length: Optional[int] = None) -> None:
+        """Send the status, the headers and ``body``; a caller that
+        streams its own body passes its ``content_length`` instead."""
         self._last_status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
         self.send_header("Content-Length",
                          str(len(body) if content_length is None
                              else content_length))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        if not head_only and body:
+        if body:
             self.wfile.write(body)
 
     def _reply_json(self, status: int, payload) -> None:
@@ -298,7 +259,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         return b"".join(chunks)
 
     # ------------------------------------------------------------------
-    # GET: stats, health, ranged artifact downloads
+    # GET: stats, health, artifact downloads
     # ------------------------------------------------------------------
 
     @_observed
@@ -326,7 +287,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             return
         handle, size = opened
         try:
-            self._send_range_from(handle, size)
+            self._send_file(handle, size)
         finally:
             handle.close()
 
@@ -386,52 +347,23 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                     content_type="text/plain; version=0.0.4; "
                                  "charset=utf-8")
 
-    def _send_range_from(self, source: BinaryIO, size: int) -> None:
-        """Stream one stored entry, whole or one requested range."""
-        window = _parse_range(self.headers.get("Range"), size)
-        extra = {"Accept-Ranges": "bytes"}
-        if window == "unsatisfiable":
-            extra["Content-Range"] = f"bytes */{size}"
-            self._reply(416, b"range not satisfiable\n",
-                        extra_headers=extra)
-            return
-        if window is None:
-            status, first, last = 200, 0, size - 1
-        else:
-            first, last = window
-            status = 206
-            extra["Content-Range"] = f"bytes {first}-{last}/{size}"
-        length = last - first + 1 if size > 0 else 0
-        self._reply(status, head_only=True, content_length=length,
-                    content_type="application/octet-stream",
-                    extra_headers=extra)
-        source.seek(first)
-        remaining = length
+    def _send_file(self, source: BinaryIO, size: int) -> None:
+        """Stream one stored entry whole, as a ``200``."""
+        self._reply(200, content_length=size,
+                    content_type="application/octet-stream")
         sent = 0
-        while remaining > 0:
-            chunk = source.read(min(remaining, IO_CHUNK_BYTES))
+        while sent < size:
+            chunk = source.read(min(size - sent, IO_CHUNK_BYTES))
             if not chunk:        # entry replaced/shrunk concurrently;
                 break            # the client sees a short body
             self.wfile.write(chunk)
             sent += len(chunk)
-            remaining -= len(chunk)
         count_traffic("disk", bytes_read=sent)
 
     @_observed
     def do_HEAD(self) -> None:
         path = urllib.parse.urlsplit(self.path).path
-        if path == "/healthz":
-            self._reply(200, head_only=True)
-            return
-        address = self._artifact_address()
-        size = (self.server.store.has_raw(*address)
-                if address is not None else None)
-        if size is None:
-            self._reply(404, head_only=True)
-            return
-        self._reply(200, head_only=True, content_length=size,
-                    content_type="application/octet-stream",
-                    extra_headers={"Accept-Ranges": "bytes"})
+        self._reply(200 if path == "/healthz" else 404)
 
     # ------------------------------------------------------------------
     # Job API: status, results, cancellation
@@ -594,11 +526,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                             self.close_connection = False
                         self._reply(400, b"not an artifact envelope\n")
                         return
-                try:
-                    writer.write(chunk)
-                except OSError:
-                    writer.abort()
-                    count_traffic("disk", write_skips=1)
+                if not writer.write(chunk):
                     if self._drain_body(remaining):
                         self.close_connection = False
                     self._reply(507, b"store write failed\n")
@@ -732,10 +660,9 @@ class ArtifactServer(ThreadingHTTPServer):
         """The ``/stats`` body: inventory + raw request counters.
 
         ``by_kind`` values are ``[entries, stored_bytes, raw_bytes]``
-        triples; pre-codec clients that expect pairs read the first
-        two elements and keep working.  ``telemetry`` is the eight
-        ``disk_*`` counters of this process's metrics registry — the
-        served store's traffic, job runs included.
+        triples.  ``telemetry`` is the eight ``disk_*`` counters of
+        this process's metrics registry — the served store's traffic,
+        job runs included.
         """
         inventory = self.store.report()
         payload = {

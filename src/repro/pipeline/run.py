@@ -337,8 +337,7 @@ class Pipeline:
         feeds the auxiliary inserted-state-signals column (absent on
         runs without CSC solving, keeping legacy rows byte-identical).
         """
-        from repro.baselines.tech_decomp import tech_decomp_cost
-        from repro.mapping.cost import implementation_cost
+        from repro.mapping.cost import implementation_cost, non_si_cost
         from repro.report import Table1Row
 
         inserted: Dict[int, Optional[int]] = {}
@@ -369,7 +368,7 @@ class Pipeline:
             .histogram_row(7),
             inserted=inserted,
             siegel_2lit=siegel,
-            non_si_cost=tech_decomp_cost(implementations, smallest),
+            non_si_cost=non_si_cost(implementations, smallest),
             si_cost=si_cost,
             siegel_ran=siegel_ran,
             csc_signals=(csc_result.inserted_signals

@@ -175,7 +175,9 @@ class StoreReport:
 
     ``bytes`` is what the entries occupy *stored* (compressed);
     ``raw_bytes`` is what their payloads decompress to — the spread
-    between the two is the compression the codec stamps bought.
+    between the two is the compression the codec stamps bought.  A
+    negative raw size means *unknown* (a bucket listing carries no
+    envelope headers): no raw size or ratio is printed for it.
     ``by_kind`` maps kind -> ``(entries, stored_bytes, raw_bytes)``.
     """
 
@@ -188,33 +190,39 @@ class StoreReport:
 
     @property
     def ratio(self) -> float:
-        """Overall raw/stored compression ratio (1.0 when empty)."""
+        """Overall raw/stored compression ratio (1.0 when empty or
+        unknown)."""
         if self.bytes <= 0 or self.raw_bytes <= 0:
             return 1.0
         return self.raw_bytes / self.bytes
 
     def pretty(self) -> str:
-        lines = [f"artifact store at {self.root}",
-                 f"{self.entries} entries, {self.bytes} bytes stored, "
-                 f"{self.raw_bytes} bytes raw "
-                 f"(compression {self.ratio:.2f}x)"]
+        summary = f"{self.entries} entries, {self.bytes} bytes stored, "
+        if self.raw_bytes < 0:
+            summary += "raw size unknown"
+        else:
+            summary += (f"{self.raw_bytes} bytes raw "
+                        f"(compression {self.ratio:.2f}x)")
+        lines = [f"artifact store at {self.root}", summary]
         for kind in sorted(self.by_kind):
             count, stored, raw = self.by_kind[kind]
-            ratio = raw / stored if stored > 0 and raw > 0 else 1.0
-            lines.append(f"{kind:>16}  {count:6d} entries  "
-                         f"{stored:12d} stored  {raw:12d} raw  "
-                         f"{ratio:6.2f}x")
+            line = f"{kind:>16}  {count:6d} entries  {stored:12d} stored"
+            if raw >= 0:
+                ratio = raw / stored if stored > 0 and raw > 0 else 1.0
+                line += f"  {raw:12d} raw  {ratio:6.2f}x"
+            lines.append(line)
         return "\n".join(lines)
 
 
 class _AtomicWriter:
     """Stream one entry to a temp file, landing it via ``os.replace``.
 
-    The streaming analogue of the old whole-buffer write path: the
-    serve daemon feeds request-body chunks straight in, so an upload
-    never needs a whole-entry buffer server-side.  Abort (explicitly
-    or by leaving the ``with`` block uncommitted) unlinks the temp
-    file; only :meth:`commit` makes the entry visible.
+    The store's one write path: :meth:`DiskArtifactCache.put_raw`
+    writes a whole envelope through it, and the serve daemon feeds
+    request-body chunks straight in, so an upload never needs a
+    whole-entry buffer server-side.  Abort (explicitly or by leaving
+    the ``with`` block uncommitted) unlinks the temp file; only
+    :meth:`commit` makes the entry visible.
     """
 
     def __init__(self, path: str):
@@ -229,10 +237,17 @@ class _AtomicWriter:
         self._written = 0
         self._done = False
 
-    def write(self, chunk: bytes) -> None:
-        """Append bytes; raises ``OSError`` on filesystem failure."""
-        self._stream.write(chunk)
+    def write(self, chunk: bytes) -> bool:
+        """Append bytes; ``False`` (and abort, a counted skip) on a
+        filesystem failure."""
+        try:
+            self._stream.write(chunk)
+        except OSError:
+            self.abort()
+            count_traffic("disk", write_skips=1)
+            return False
         self._written += len(chunk)
+        return True
 
     def commit(self) -> bool:
         """Land the entry atomically; ``False`` (and abort) on
@@ -343,11 +358,7 @@ class DiskArtifactCache:
         except Exception:
             count_traffic("disk", write_skips=1)
             return False
-        if not self._write_atomically(self._path(key), data):
-            count_traffic("disk", write_skips=1)
-            return False
-        count_traffic("disk", writes=1, bytes_written=len(data))
-        return True
+        return self.put_raw(kind_of(key), digest_of(key), data)
 
     # ------------------------------------------------------------------
     # Raw entry access (the HTTP server / remote protocol)
@@ -358,13 +369,12 @@ class DiskArtifactCache:
         """Open entry ``(kind, digest)`` for streaming reads.
 
         Returns ``(handle, size)`` or ``None`` on a miss.  The serve
-        daemon streams GETs (ranged or whole) from this handle without
-        ever unpickling them — format stamps are the *client's*
-        business — so a multi-MB mapping artifact never needs a
-        whole-entry buffer server-side.  Counts the hit and refreshes
-        the mtime, so a served store still evicts LRU; the caller adds
-        ``bytes_read`` for what it actually streamed (a ranged request
-        reads less than ``size``) and must close the handle.
+        daemon streams a GET from this handle without ever unpickling
+        it — format stamps are the *client's* business — so a multi-MB
+        mapping artifact never needs a whole-entry buffer server-side.
+        Counts the hit and refreshes the mtime, so a served store
+        still evicts LRU; the caller adds ``bytes_read`` for what it
+        streamed and must close the handle.
         """
         path = self.raw_path(kind, digest)
         try:
@@ -380,55 +390,28 @@ class DiskArtifactCache:
     def put_raw(self, kind: str, digest: str, data: bytes) -> bool:
         """Store raw envelope bytes under ``(kind, digest)``.
 
-        Atomic like :meth:`put`; concurrent PUTs of the same entry are
-        idempotent (both succeed, readers always see a complete
-        entry).  The caller is responsible for validating ``kind`` and
-        ``digest`` — the serve daemon does.
+        Atomic (through :meth:`raw_writer`); concurrent writes of the
+        same entry are idempotent (both succeed, readers always see a
+        complete entry).  The caller is responsible for validating
+        ``kind`` and ``digest`` — the serve daemon does.
         """
-        if not self._write_atomically(self.raw_path(kind, digest), data):
-            count_traffic("disk", write_skips=1)
+        writer = self.raw_writer(kind, digest)
+        if writer is None:
             return False
-        count_traffic("disk", writes=1, bytes_written=len(data))
-        return True
+        with writer:
+            return writer.write(data) and writer.commit()
 
     def raw_writer(self, kind: str,
                    digest: str) -> Optional[_AtomicWriter]:
         """A streaming writer for entry ``(kind, digest)``, or ``None``
-        when the temp file cannot be created.
-
-        The serve daemon feeds request-body chunks in and commits at
-        the end; the same temp-file + ``os.replace`` discipline as
-        :meth:`put_raw`, without the whole-entry buffer.
-        """
+        (a counted skip) when the temp file cannot be created.  The
+        serve daemon feeds request-body chunks in and commits at the
+        end."""
         try:
             return _AtomicWriter(self.raw_path(kind, digest))
         except OSError:
             count_traffic("disk", write_skips=1)
             return None
-
-    def has_raw(self, kind: str, digest: str) -> Optional[int]:
-        """Entry size in bytes if present, else ``None`` (HTTP HEAD)."""
-        try:
-            return os.path.getsize(self.raw_path(kind, digest))
-        except OSError:
-            return None
-
-    def _write_atomically(self, path: str, data: bytes) -> bool:
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            handle, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".pkl")
-            try:
-                with os.fdopen(handle, "wb") as stream:
-                    stream.write(data)
-                os.replace(temp_path, path)
-            except BaseException:
-                self._unlink_quietly(temp_path)
-                raise
-        except OSError:
-            return False
-        return True
 
     @staticmethod
     def _touch(path: str) -> None:

@@ -16,6 +16,7 @@ from repro.dist.objectstore import (ObjectStoreArtifactCache,
                                     parse_object_store_spec)
 from repro.dist.remote import RemoteArtifactCache, TieredStore
 from repro.dist.s3fake import FakeS3Server
+from repro.dist.server import ArtifactServer
 from repro.errors import StoreConfigError
 from repro.pipeline import DiskArtifactCache, Pipeline, PipelineConfig
 from repro.pipeline.store import MISS
@@ -243,8 +244,29 @@ class TestMaintenance:
         assert set(report.by_kind) == {"sg", "map"}
         assert report.by_kind["sg"][0] == 1
         assert report.root == f"s3://{BUCKET}/{PREFIX}"
-        # listings carry no headers: stored stands in for raw
-        assert report.raw_bytes == report.bytes
+        # listings carry no headers: the raw size is unknown
+        assert report.raw_bytes < 0
+        assert all(raw < 0 for _, _, raw in report.by_kind.values())
+
+    def test_report_prints_no_unmeasured_ratio(self, cache, tmp_path):
+        """A compressible entry: the disk store and the daemon read
+        its header and print the ratio, the bucket says the raw size
+        is unknown instead of printing 1.00x."""
+        cache.put(KEY, VALUE)
+        pretty = cache.report().pretty()
+        assert "raw size unknown" in pretty
+        assert "1.00x" not in pretty
+        disk = DiskArtifactCache(str(tmp_path / "disk"))
+        disk.put(KEY, VALUE)
+        with ArtifactServer(str(tmp_path / "served"),
+                            port=0).start_background() as server:
+            remote = RemoteArtifactCache(server.url)
+            remote.put(KEY, VALUE)
+            for report in (disk.report(), remote.report()):
+                assert report.raw_bytes > report.bytes
+                assert "raw size unknown" not in report.pretty()
+                assert f"(compression {report.ratio:.2f}x)" in (
+                    report.pretty())
 
 
 class TestListingPagination:

@@ -215,15 +215,6 @@ class TestServerProtocol:
         assert (telemetry["disk_bytes_read"]
                 == telemetry["disk_bytes_written"] > 0)
 
-    def test_head_artifact(self, server, remote):
-        remote.put(KEY, "artifact")
-        request = urllib.request.Request(
-            f"{server.url}/artifact/sg/{digest_of(KEY)}",
-            method="HEAD")
-        with urllib.request.urlopen(request) as reply:
-            assert reply.status == 200
-            assert int(reply.headers["Content-Length"]) > 0
-
     def test_head_missing_artifact_404(self, server):
         request = urllib.request.Request(
             f"{server.url}/artifact/sg/{'0' * 64}", method="HEAD")

@@ -1,7 +1,6 @@
-"""Chunked/ranged transfer over real sockets: ranged GETs spanning
-chunk boundaries, stored bytes served as they are, streamed PUT
-bodies, concurrent idempotent uploads, and a ranged client against a
-pre-range server."""
+"""Whole-entry transfer over real sockets: one plain GET per entry,
+streamed through the daemon in many chunks, stored bytes served as
+they are, streamed PUT bodies and concurrent idempotent uploads."""
 
 import os
 import pickle
@@ -11,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import repro.dist.server
 from repro.dist.envelope import (ARTIFACT_FORMATS, digest_of,
                                  encode_entry, kind_of, read_header)
 from repro.dist.remote import RemoteArtifactCache
@@ -19,7 +19,9 @@ from repro.obs.metrics import use_registry
 from repro.pipeline.store import MISS, traffic_stats
 
 KEY = ("sg", "d" * 64)
-#: compresses, but stays far larger than the tiny chunk size below
+#: the daemon's I/O piece size in the many-chunks round trip
+TINY_CHUNK = 512
+#: compresses, but stays far larger than the tiny chunk size
 BIG_VALUE = {"trace": [f"state-{i:06d}" for i in range(5000)]}
 VERSION = ARTIFACT_FORMATS["sg"]
 
@@ -32,9 +34,8 @@ def server(tmp_path):
 
 
 @pytest.fixture
-def tiny_chunks(server):
-    """A client forced into many ranged requests per entry."""
-    return RemoteArtifactCache(server.url, chunk_bytes=512)
+def client(server):
+    return RemoteArtifactCache(server.url)
 
 
 def entry_url(server, key):
@@ -48,79 +49,15 @@ def stored(server, key):
         return handle.read()
 
 
-class TestRangedDownloads:
-    def test_round_trip_spanning_many_chunks(self, server,
-                                             tiny_chunks, traffic):
-        assert tiny_chunks.put(KEY, BIG_VALUE)
-        envelope_bytes = stored(server, KEY)
-        assert len(envelope_bytes) > 512 * 3   # really multi-chunk
-        fresh = RemoteArtifactCache(server.url, chunk_bytes=512)
-        assert fresh.get(KEY) == BIG_VALUE
-        # the client accounted the whole reassembled envelope
-        assert traffic()["remote_bytes_read"] == len(envelope_bytes)
-
-    def test_206_carries_content_range(self, server, tiny_chunks):
-        tiny_chunks.put(KEY, BIG_VALUE)
-        total = len(stored(server, KEY))
-        request = urllib.request.Request(
-            entry_url(server, KEY),
-            headers={"Range": "bytes=10-29"})
-        with urllib.request.urlopen(request, timeout=5) as response:
-            assert response.status == 206
-            assert (response.headers["Content-Range"]
-                    == f"bytes 10-29/{total}")
-            assert len(response.read()) == 20
-
-    def test_ranged_chunks_reassemble_exactly(self, server,
-                                              tiny_chunks):
-        tiny_chunks.put(KEY, BIG_VALUE)
-        whole = stored(server, KEY)
-        pieces = []
-        offset = 0
-        while offset < len(whole):
-            last = min(offset + 300, len(whole)) - 1
-            request = urllib.request.Request(
-                entry_url(server, KEY),
-                headers={"Range": f"bytes={offset}-{last}"})
-            with urllib.request.urlopen(request,
-                                        timeout=5) as response:
-                assert response.status == 206
-                pieces.append(response.read())
-            offset = last + 1
-        assert b"".join(pieces) == whole
-
-    def test_unsatisfiable_range_is_416(self, server, tiny_chunks):
-        tiny_chunks.put(KEY, BIG_VALUE)
-        total = len(stored(server, KEY))
-        request = urllib.request.Request(
-            entry_url(server, KEY),
-            headers={"Range": f"bytes={total + 10}-{total + 20}"})
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(request, timeout=5)
-        assert caught.value.code == 416
-        assert (caught.value.headers["Content-Range"]
-                == f"bytes */{total}")
-        caught.value.close()
-
-    def test_multi_range_served_as_full_200(self, server,
-                                            tiny_chunks):
-        """RFC 7233 allows ignoring ranges it will not serve."""
-        tiny_chunks.put(KEY, BIG_VALUE)
-        whole = stored(server, KEY)
-        request = urllib.request.Request(
-            entry_url(server, KEY),
-            headers={"Range": "bytes=0-1, 5-9"})
-        with urllib.request.urlopen(request, timeout=5) as response:
-            assert response.status == 200
-            assert response.read() == whole
-
-
-class _WholeBody200Handler(BaseHTTPRequestHandler):
-    """A pre-range server: ignores Range, always replies 200 + body."""
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """A plain server: records each request's method and ``Range``
+    header, and answers every GET with ``200`` and the whole body."""
 
     protocol_version = "HTTP/1.1"
 
     def do_GET(self):
+        self.server.requests.append((self.command,
+                                     self.headers.get("Range")))
         body = self.server.body
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
@@ -132,27 +69,78 @@ class _WholeBody200Handler(BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def recording_server():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _RecordingHandler)
+    httpd.body = encode_entry(KEY, BIG_VALUE, VERSION)
+    httpd.requests = []
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+class TestWholeEntryDownloads:
+    def test_round_trip_spanning_many_chunks(self, server, client,
+                                             traffic, monkeypatch):
+        """The daemon streams an upload and a download in many small
+        pieces; the entry round-trips exactly."""
+        monkeypatch.setattr(repro.dist.server, "IO_CHUNK_BYTES",
+                            TINY_CHUNK)
+        assert client.put(KEY, BIG_VALUE)
+        envelope_bytes = stored(server, KEY)
+        assert len(envelope_bytes) > TINY_CHUNK * 3  # really multi-chunk
+        fresh = RemoteArtifactCache(server.url)
+        assert fresh.get(KEY) == BIG_VALUE
+        # the client accounted the whole envelope
+        assert traffic()["remote_bytes_read"] == len(envelope_bytes)
+
+    def test_single_range_gets_the_whole_entry(self, server, client):
+        """A ``Range`` header is ignored: an older client's ranged
+        first request gets the whole entry as a 200."""
+        client.put(KEY, BIG_VALUE)
+        whole = stored(server, KEY)
+        assert len(whole) > 512
+        request = urllib.request.Request(
+            entry_url(server, KEY), headers={"Range": "bytes=0-511"})
+        with urllib.request.urlopen(request, timeout=5) as response:
+            assert response.status == 200
+            assert "Content-Range" not in response.headers
+            assert response.read() == whole
+
+    def test_multi_range_served_as_full_200(self, server, client):
+        """RFC 7233 allows ignoring ranges it will not serve."""
+        client.put(KEY, BIG_VALUE)
+        whole = stored(server, KEY)
+        request = urllib.request.Request(
+            entry_url(server, KEY),
+            headers={"Range": "bytes=0-1, 5-9"})
+        with urllib.request.urlopen(request, timeout=5) as response:
+            assert response.status == 200
+            assert response.read() == whole
+
+    def test_one_plain_get_per_entry(self, recording_server):
+        """A multi-KB entry costs exactly one GET, with no ``Range``."""
+        assert len(recording_server.body) > 4096
+        host, port = recording_server.server_address[:2]
+        client = RemoteArtifactCache(f"http://{host}:{port}")
+        assert client.get(KEY) == BIG_VALUE
+        assert recording_server.requests == [("GET", None)]
+
+
 class TestOldServerInterop:
-    def test_client_accepts_whole_body_200(self, traffic):
-        """A ranged client against a pre-range server still works:
-        the 200 whole-body reply is taken as-is."""
-        data = encode_entry(KEY, BIG_VALUE, VERSION)
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0),
-                                    _WholeBody200Handler)
-        httpd.body = data
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            host, port = httpd.server_address[:2]
-            client = RemoteArtifactCache(f"http://{host}:{port}",
-                                         chunk_bytes=512)
-            assert client.get(KEY) == BIG_VALUE
-            assert traffic()["remote_hits"] == 1
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+    def test_client_accepts_whole_body_200(self, recording_server,
+                                           traffic):
+        """A server that knows nothing of ranges works: its 200
+        whole-body reply is taken as it is."""
+        host, port = recording_server.server_address[:2]
+        client = RemoteArtifactCache(f"http://{host}:{port}")
+        assert client.get(KEY) == BIG_VALUE
+        assert traffic()["remote_hits"] == 1
 
 
 class TestStoredBytes:
@@ -181,7 +169,7 @@ class TestStoredBytes:
             handle.write(data)
         return data
 
-    def test_v1_entry_reads_over_the_wire(self, server, tiny_chunks,
+    def test_v1_entry_reads_over_the_wire(self, server, client,
                                           traffic):
         """A pre-codec entry travels as written and decodes as a hit."""
         data = self.plant(server, {"format": VERSION, "key": repr(KEY)},
@@ -189,11 +177,11 @@ class TestStoredBytes:
         with urllib.request.urlopen(entry_url(server, KEY),
                                     timeout=5) as response:
             assert response.read() == data
-        assert tiny_chunks.get(KEY) == BIG_VALUE
+        assert client.get(KEY) == BIG_VALUE
         assert traffic()["remote_hits"] == 1
 
     def test_unknown_codec_entry_is_stale_for_the_client(
-            self, server, tiny_chunks, traffic):
+            self, server, client, traffic):
         """The server sends an entry it cannot decode as it is; the
         client's decode finds the unknown stamp and misses without
         calling it an error."""
@@ -203,7 +191,7 @@ class TestStoredBytes:
         with urllib.request.urlopen(entry_url(server, KEY),
                                     timeout=5) as response:
             assert response.read() == data
-        assert tiny_chunks.get(KEY) is MISS
+        assert client.get(KEY) is MISS
         counts = traffic()
         assert counts["remote_stale"] == 1
         assert counts["remote_errors"] == 0

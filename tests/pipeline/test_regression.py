@@ -12,9 +12,8 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.baselines.local_ack import map_local_ack
-from repro.baselines.tech_decomp import tech_decomp_cost
 from repro.bench_suite import benchmark
-from repro.mapping.cost import implementation_cost
+from repro.mapping.cost import implementation_cost, non_si_cost
 from repro.mapping.decompose import map_circuit
 from repro.pipeline import Pipeline, PipelineConfig, STAGES
 from repro.report import Table1Row, table1, table1_row
@@ -53,7 +52,7 @@ def _legacy_table1_row(name, libraries=(2, 3, 4), config=None,
         histogram=stats.histogram_row(7),
         inserted=inserted,
         siegel_2lit=siegel,
-        non_si_cost=tech_decomp_cost(implementations, 2),
+        non_si_cost=non_si_cost(implementations, 2),
         si_cost=si_cost,
     )
 

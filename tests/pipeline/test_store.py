@@ -1,8 +1,10 @@
 """DiskArtifactCache: persistence, versioning, corruption tolerance,
 warm-started pipelines and batch workers."""
 
+import errno
 import os
 import pickle
+import tempfile
 import threading
 
 import pytest
@@ -54,6 +56,39 @@ class TestStoreBasics:
         assert not store.put(KEY, threading.Lock())
         assert traffic()["disk_write_skips"] == 1
         assert store.get(KEY) is MISS
+
+    @pytest.mark.parametrize("failure", ["no-directory", "write",
+                                         "rename"])
+    def test_failed_write_is_a_counted_skip(self, tmp_path, traffic,
+                                            monkeypatch, failure):
+        """Each step of the one atomic write path can fail: the put is
+        skipped, counted once, and leaves no temp file behind."""
+        root = tmp_path / "store"
+        if failure == "no-directory":
+            root.write_text("a file where the store directory goes")
+        elif failure == "write":
+            real_mkstemp = tempfile.mkstemp
+
+            def read_only_temp(**kwargs):
+                handle, path = real_mkstemp(**kwargs)
+                os.close(handle)
+                return os.open(path, os.O_RDONLY), path
+            monkeypatch.setattr(tempfile, "mkstemp", read_only_temp)
+        else:
+            def refuse(source, target):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            monkeypatch.setattr(os, "replace", refuse)
+        store = DiskArtifactCache(str(root))
+        # incompressible and past the write buffer: the write itself
+        # reaches the file
+        assert not store.put(KEY, os.urandom(1 << 16))
+        monkeypatch.undo()
+        counts = traffic()
+        assert counts["disk_write_skips"] == 1
+        assert counts["disk_writes"] == 0
+        assert counts["disk_bytes_written"] == 0
+        assert [name for _, _, names in os.walk(tmp_path)
+                for name in names if name.startswith(".tmp-")] == []
 
     def test_overwrite_is_atomic_latest_wins(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path))

@@ -217,6 +217,29 @@ b+/2 a+
         err = capsys.readouterr().err
         assert "--cache-url" in err and "--cache-s3" in err
 
+    def test_submit_resolves_a_bare_named_file(self, tmp_path,
+                                               capsysbinary,
+                                               monkeypatch):
+        """`submit` resolves its circuit like `map`: a bare-named file
+        that is no benchmark is read as a file, and the daemon's row
+        is the local run's canonical row."""
+        from repro.bench_suite import benchmark
+        from repro.dist.jobs import canonical_row_bytes
+        from repro.dist.server import ArtifactServer
+        from repro.pipeline import Pipeline, PipelineConfig
+        from repro.stg.writer import write_g
+        (tmp_path / "halfcopy").write_text(write_g(benchmark("half")))
+        monkeypatch.chdir(tmp_path)
+        with ArtifactServer(str(tmp_path / "served"), port=0,
+                            workers=1).start_background() as server:
+            assert main(["submit", "halfcopy", "--url", server.url,
+                         "-k", "2", "--no-siegel"]) == 0
+        record = Pipeline(PipelineConfig(
+            libraries=(2,), with_siegel=False,
+            keep_artifacts=False)).run("halfcopy")
+        assert (capsysbinary.readouterr().out
+                == canonical_row_bytes(record.row))
+
     @staticmethod
     def _badseq_file(tmp_path):
         from repro.stg.writer import write_g
