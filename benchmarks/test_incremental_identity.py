@@ -20,7 +20,7 @@ from conftest import selected_names
 
 def _run(name, incremental):
     config = PipelineConfig(
-        libraries=(2, 3), with_siegel=True,
+        libraries=(2, 3, 4), with_siegel=True,
         mapper=MapperConfig(incremental_resynthesis=incremental),
         keep_artifacts=True)
     return Pipeline(config, cache=ArtifactCache()).run(name)

@@ -60,7 +60,8 @@ variable, and a non-constant one needs at least one literal.  So when
 the cover has at least one literal and at most ``max(1, |E|)`` of
 them (one literal per support variable, each essential, or a single
 literal), no complement can be cheaper, and the De Morgan complement
-of the cover stands in for the minimization.
+of the cover stands in for the minimization.  The mapper's trial
+evaluation rejects candidates on the same bound (:func:`literal_bound`).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro._util import popcount
 from repro.boolean.cube import Cube
@@ -360,7 +361,8 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
     ----------
     on, off:
         Complete assignments over ``support`` (or supersets; extra
-        signals are projected away).
+        signals are projected away), or ints packed in ``support`` bit
+        order.  A set is taken to hold packed ints.
     support:
         Signal names the cover may mention.
     passes:
@@ -455,11 +457,13 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
 
 
 def _vector_set(vectors: Iterable[Vector],
-                support: Tuple[str, ...]) -> Set[int]:
-    """The distinct vectors, packed in ``support`` bit order.  Callers on
-    the packed path (repro.sg.encoding.next_state_ints,
-    synthesis/cover.py) pass ints already in that order; mapping inputs
-    are packed here."""
+                support: Tuple[str, ...]) -> AbstractSet[int]:
+    """The distinct vectors, packed in ``support`` bit order.  A set is
+    taken to hold packed ints already and comes back as it is: the
+    covering problems of synthesis/cover.py are posed as sets.  Other
+    iterables may mix packed ints and mappings."""
+    if isinstance(vectors, (set, frozenset)):
+        return vectors
     return {v if isinstance(v, int) else _vector_int(v, support)
             for v in vectors}
 
@@ -501,37 +505,49 @@ def cheaper_polarity(cover: SopCover, complement: SopCover) -> SopCover:
     return cover
 
 
-def _complement_cannot_win(on: Sequence[Vector], off: Sequence[Vector],
+def essential_variables(on: AbstractSet[int], off: AbstractSet[int],
+                        candidates: int) -> int:
+    """The variables among ``candidates`` (a bit mask over the support)
+    in which some vector of ``on`` and some vector of ``off`` differ
+    alone, as a bit mask: one lookup in the larger set per vector of
+    the smaller and candidate bit, until a witness turns up."""
+    smaller, larger = (on, off) if len(on) <= len(off) else (off, on)
+    found = 0
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        if not larger.isdisjoint(map(bit.__xor__, smaller)):
+            found |= bit
+    return found
+
+
+def literal_bound(on: AbstractSet[int], off: AbstractSet[int],
+                  variables: int) -> int:
+    """A lower bound on the literal count of every cover of (``on``,
+    ``off``), in either polarity: ``max(1, |E|)``, E the essential
+    variables among ``variables`` (every cover must tell an ON and an
+    OFF vector that differ alone apart), or 0 when a side is empty and
+    a constant covers it.  More OFF vectors never lower it."""
+    if not on or not off:
+        return 0
+    return max(1, popcount(essential_variables(on, off, variables)))
+
+
+def _complement_cannot_win(on: AbstractSet[int], off: AbstractSet[int],
                            support: Tuple[str, ...],
                            cover: SopCover) -> bool:
-    """The essential-variable bound: ``cover`` has at least one and at
-    most ``max(1, |E|)`` literals, E being the variables in which some
-    ON and some OFF vector differ alone.
-
-    Every cover of either polarity has a literal of each variable in E
-    (it must tell those two vectors apart), and a non-constant one has
-    at least one literal; so no cover of the complemented problem has
-    fewer literals than ``cover``.  E lies in ``cover``'s support, so
-    the bound holds exactly when ``cover`` has one literal, or one
-    literal per support variable with each of them essential."""
+    """The essential-variable bound: ``cover`` has at least one literal
+    and at most :func:`literal_bound`, so no cover of the complemented
+    problem has fewer.  E lies in ``cover``'s support, so that holds
+    exactly when ``cover`` has one literal, or one literal per support
+    variable with each of them essential."""
     literals = cover.literal_count()
     names = cover.support
-    if not literals or len(names) != literals:
+    if not literals or len(names) != literals or not on.isdisjoint(off):
         return False
-    on_set = _vector_set(on, support)
-    off_set = _vector_set(off, support)
-    if not on_set or not off_set or not on_set.isdisjoint(off_set):
-        return False
-    if literals == 1:
-        return True
-    smaller, larger = sorted((on_set, off_set), key=len)
-    scan = sorted(smaller)
     position = _position_map(support)
-    for name in names:
-        bit = 1 << position[name]
-        if larger.isdisjoint(v ^ bit for v in scan):
-            return False
-    return True
+    return literals <= literal_bound(
+        on, off, sum(1 << position[name] for name in names))
 
 
 def minimize_complement(on: Sequence[Vector], off: Sequence[Vector],
@@ -547,12 +563,14 @@ def minimize_complement(on: Sequence[Vector], off: Sequence[Vector],
     :func:`cheaper_polarity` never prefers to ``cover`` either.
     Constant covers always go to :func:`minimize`."""
     support = tuple(support)
-    if _complement_cannot_win(on, off, support, cover):
+    on_set = _vector_set(on, support)
+    off_set = _vector_set(off, support)
+    if _complement_cannot_win(on_set, off_set, support, cover):
         memo = current_memo()
         if memo is not None:
             memo.skipped += 1
         return cover.complement()
-    return minimize(off, on, support)
+    return minimize(off_set, on_set, support)
 
 
 def literal_complexity(on: Iterable[Vector], off: Iterable[Vector],

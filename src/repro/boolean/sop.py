@@ -177,10 +177,15 @@ class SopCover:
         if self.is_one():
             return SopCover.zero()
         if len(self._cubes) == 1:
-            # De Morgan on a single product term.
-            cube = self._cubes[0]
-            return SopCover(Cube({name: 1 - value})
-                            for name, value in cube)
+            # De Morgan on a single product term: one single-literal
+            # cube per literal, on distinct variables (so none contains
+            # another) and in name order, which is the sorted order
+            # __init__ would give them.
+            cover = SopCover.__new__(SopCover)
+            cover._cubes = tuple(Cube({name: 1 - value})
+                                 for name, value in self._cubes[0])
+            cover._hash = hash(cover._cubes)
+            return cover
         name = self._branch_signal()
         neg = self.cofactor(name, 0).complement()
         pos = self.cofactor(name, 1).complement()

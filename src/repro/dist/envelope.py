@@ -108,6 +108,11 @@ class _NoGlobalsUnpickler(pickle.Unpickler):
 #: (a dict of four short scalars plus one key repr)
 HEADER_PROBE_BYTES = 64 * 1024
 
+#: a first, short probe that holds the header of every entry the flow
+#: writes (the longest measured is 221 bytes); readers that scan many
+#: entries read :data:`HEADER_PROBE_BYTES` only when it does not parse
+HEADER_FIRST_PROBE_BYTES = 512
+
 
 def read_header(data: bytes) -> Optional[Tuple[Dict[str, Any], int]]:
     """Parse the envelope header from leading bytes.

@@ -23,6 +23,18 @@ integer, so the loop ends.  When no divisor (for any oversized cover,
 not only the most complex one — the paper's "other events can also be
 selected" tuning) reduces the potential, the circuit is reported not
 implementable in the given library.
+
+**Bound-first trial evaluation.**  The paper only *estimates* the
+progress a trial makes on the covers it does not target (Property
+3.2).  The mapper decides on the exact potential of the trial graph,
+but proves most rejections before minimizing anything: every cover has
+a literal of each variable in which an ON and an OFF vector of its
+problem differ alone (:func:`~repro.boolean.minimize.literal_bound`),
+so set lookups bound each output's oversize mass from below.  The
+decisions stay those of the legacy full pass: the monotonicity repair
+only adds OFF vectors, so the essential variables only grow; a
+:class:`~repro.errors.CoverError` rejects a trial anyway; and the
+rejection test is monotone in the potential.
 """
 
 from __future__ import annotations
@@ -32,7 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._util import popcount
 from repro.boolean.divisors import algebraic_division, generate_divisors
-from repro.boolean.minimize import cheaper_polarity
+from repro.boolean.minimize import (cheaper_polarity, essential_variables,
+                                    literal_bound)
 from repro.boolean.sop import SopCover
 from repro.errors import (CoverError, CscViolation, InsertionError,
                           MappingError)
@@ -48,7 +61,7 @@ from repro.sg.properties import assert_implementable
 from repro.sg.regions import ExcitationRegion
 from repro.stg.stg import Stg
 from repro.synthesis.cover import (ResynthesisStats,
-                                   SignalImplementation,
+                                   SignalImplementation, SignalProblems,
                                    resynthesize_signal,
                                    synthesize_all, synthesize_signal)
 from repro.synthesis.library import GateLibrary
@@ -346,27 +359,18 @@ class TechnologyMapper:
                         new_sg = inserted.sg
                         if len(new_sg) > self.config.max_states:
                             continue
-                        # Quick reject: the target signal itself must
-                        # make progress before paying for a full
-                        # resynthesis ("evaluate progress for
-                        # decomposition of c(a*)").
-                        target_impl = synthesize_signal(new_sg,
-                                                        unit.signal)
-                        if not self._target_improved(unit, target_impl):
-                            continue
                         with trace_span("map.resynthesize", "map",
                                         target=unit.label):
                             evaluated = self._evaluate_candidate(
                                 new_sg, implementations,
-                                inserted.changes,
-                                unit, target_impl, potential,
+                                inserted.changes, unit, potential,
                                 best_neutral[4]
                                 if best_neutral is not None
                                 else None)
                     except (InsertionError, CoverError, CscViolation):
                         continue
                     if evaluated is None:
-                        continue  # rejection proven mid-resynthesis
+                        continue  # rejection proven before the end
                     new_implementations, resynth = evaluated
                     if not self._acknowledgment_ok(new_implementations,
                                                    unit, signal_name):
@@ -405,37 +409,33 @@ class TechnologyMapper:
                                         resynth)
                     continue
                 self._neutral_streak = 0
-                self._used_functions[function] = signal_name
-                record = DecompositionStep(
-                    signal=signal_name,
-                    target=unit.label,
-                    divisor=function.to_string(),
-                    before_complexity=unit.complexity,
-                    potential_before=potential,
-                    potential_after=new_potential,
-                    states_before=len(sg),
-                    states_after=len(new_sg),
-                    resynthesized=resynth.resynthesized,
-                    reused=resynth.reused)
-                return new_sg, new_implementations, record
+                return self._take(sg, signal_name, potential,
+                                  (new_sg, new_implementations, function,
+                                   unit, new_potential, resynth))
         if best_neutral is not None:
-            (new_sg, new_implementations, function, unit,
-             new_potential, resynth) = best_neutral
-            self._used_functions[function] = signal_name
-            self._neutral_streak += 1 + (new_potential - potential)
-            record = DecompositionStep(
-                signal=signal_name,
-                target=unit.label,
-                divisor=function.to_string(),
-                before_complexity=unit.complexity,
-                potential_before=potential,
-                potential_after=new_potential,
-                states_before=len(sg),
-                states_after=len(new_sg),
-                resynthesized=resynth.resynthesized,
-                reused=resynth.reused)
-            return new_sg, new_implementations, record
+            self._neutral_streak += 1 + (best_neutral[4] - potential)
+            return self._take(sg, signal_name, potential, best_neutral)
         return None
+
+    def _take(self, sg: StateGraph, signal_name: str, potential: int,
+              candidate: Tuple) -> Tuple[StateGraph,
+                                         Dict[str, SignalImplementation],
+                                         DecompositionStep]:
+        """Commit to one candidate and record the step."""
+        (new_sg, new_implementations, function, unit,
+         new_potential, resynth) = candidate
+        self._used_functions[function] = signal_name
+        return new_sg, new_implementations, DecompositionStep(
+            signal=signal_name,
+            target=unit.label,
+            divisor=function.to_string(),
+            before_complexity=unit.complexity,
+            potential_before=potential,
+            potential_after=new_potential,
+            states_before=len(sg),
+            states_after=len(new_sg),
+            resynthesized=resynth.resynthesized,
+            reused=resynth.reused)
 
     # ------------------------------------------------------------------
     # Incremental candidate evaluation
@@ -444,65 +444,120 @@ class TechnologyMapper:
     def _evaluate_candidate(self, new_sg: StateGraph,
                             old_implementations: Dict[str, SignalImplementation],
                             changes, unit: _Unit,
-                            target_impl: SignalImplementation,
                             potential: int, bn_potential: Optional[int]
                             ) -> Optional[Tuple[Dict[str, SignalImplementation],
                                                 ResynthesisStats]]:
-        """Resynthesize a candidate insertion, stopping early when its
-        rejection is already certain.
+        """Resynthesize a candidate insertion, stopping as soon as its
+        rejection is certain.
 
-        The legacy path (``incremental_resynthesis=False``) runs
+        Both paths first make the quick reject: the target signal
+        itself must make progress (:meth:`_target_improved`).  The
+        legacy path (``incremental_resynthesis=False``) then runs
         :func:`synthesize_all` unconditionally.  The incremental path
-        reaches the same accept/reject decisions with less work:
+        reaches the same decisions bound first:
 
-        * signals untouched by the insertion carry their covers over to
-          the new code space instead of re-minimizing
-          (:func:`resynthesize_signal`);
-        * the oversize potential is a sum of non-negative per-signal
-          masses, so once the partial sum over the synthesized signals
-          exceeds every bound an acceptable (``< potential``) or
-          neutral-step candidate could still meet, the remaining
-          synthesis cannot change the verdict and is skipped.
+        * output by output, it poses the covering problems
+          (:class:`SignalProblems`) and bounds the oversize mass
+          (:meth:`_mass_bound`); in local-acknowledgment mode it
+          refuses the trial at the first output whose covers must
+          mention the new signal (:meth:`_acknowledgment_refused`);
+        * the exact masses synthesized so far plus the bounds of the
+          rest bound the potential from below, and synthesis stops
+          once :meth:`_rejection_proven` holds on that bound;
+        * the target is synthesized first; signals untouched by the
+          insertion carry their covers over (:func:`resynthesize_signal`)
+          and the others solve the problems already posed.
 
         Returns ``None`` when the candidate is rejected early, else
         ``(implementations, stats)`` with the implementations dict
         identical to a full :func:`synthesize_all` pass.
         """
         if not self.config.incremental_resynthesis:
+            if not self._target_improved(
+                    unit, synthesize_signal(new_sg, unit.signal)):
+                return None
             implementations = synthesize_all(new_sg)
             stats = ResynthesisStats(resynthesized=len(implementations))
             self._trial_stats.add(stats)
             return implementations, stats
 
         k = self.library.max_literals
-        stats = ResynthesisStats(resynthesized=1)   # the quick-reject target
-        computed = {unit.signal: target_impl}
-        partial = self._oversize_mass(target_impl, k)
+        order = self._evaluation_order(new_sg, unit, changes.signal)
+        stats = ResynthesisStats(skipped=len(order))
+        problems: Dict[str, SignalProblems] = {}
+        bounds: Dict[str, int] = {}
+        computed: Dict[str, SignalImplementation] = {}
         try:
-            for signal in self._evaluation_order(new_sg, unit,
-                                                 changes.signal):
-                if self._rejection_proven(partial, potential,
-                                          bn_potential):
-                    stats.skipped = len(new_sg.outputs) - len(computed)
+            pending = 0
+            for signal in order:
+                problems[signal] = posed = SignalProblems(new_sg, signal)
+                bounds[signal] = self._mass_bound(posed, k)
+                pending += bounds[signal]
+                if (self._acknowledgment_refused(posed, unit,
+                                                 changes.signal)
+                        or self._rejection_proven(pending, potential,
+                                                  bn_potential)):
                     return None
+            partial = 0
+            for signal in order:
                 impl, reused = resynthesize_signal(
-                    new_sg, signal, old_implementations.get(signal),
-                    changes)
+                    new_sg, signal,
+                    None if signal == unit.signal
+                    else old_implementations.get(signal),
+                    changes, problems[signal])
                 computed[signal] = impl
+                stats.skipped -= 1
                 if reused:
                     stats.reused += 1
                 else:
                     stats.resynthesized += 1
                 partial += self._oversize_mass(impl, k)
+                pending -= bounds[signal]
+                if ((signal == unit.signal
+                     and not self._target_improved(unit, impl))
+                        or self._rejection_proven(partial + pending,
+                                                  potential, bn_potential)):
+                    return None
         finally:
             self._trial_stats.add(stats)
         return {s: computed[s] for s in new_sg.outputs}, stats
 
+    @staticmethod
+    def _mass_bound(problems: SignalProblems, k: int) -> int:
+        """A lower bound on one signal's oversize mass, from its posed
+        problems alone: ``max(0, literal_bound - k)`` summed over its
+        region groups, or the complete cover's own term when that is
+        smaller and the signal may become combinational."""
+        every = (1 << len(problems.sg.signals)) - 1
+        regions = sum(max(0, literal_bound(problem.on, problem.off,
+                                           every) - k)
+                      for problem in problems.all_groups())
+        if not regions:
+            return 0
+        on, off = problems.complete()
+        if not on.isdisjoint(off):
+            return regions          # no complete cover: sequential
+        complete = literal_bound(on, off, (1 << len(problems.support)) - 1)
+        return min(regions, max(0, complete - k))
+
+    def _acknowledgment_refused(self, problems: SignalProblems,
+                                unit: _Unit, new_signal: str) -> bool:
+        """Local acknowledgment only: is the inserted signal essential
+        in a region-cover problem of an output other than the target
+        and itself?  Every cover of that problem mentions it."""
+        if (self.config.global_acknowledgment
+                or problems.signal in (unit.signal, new_signal)):
+            return False
+        bit = 1 << problems.sg.encoding().bit[new_signal]
+        return any(essential_variables(problem.on, problem.off, bit)
+                   for problem in problems.all_groups())
+
     def _evaluation_order(self, new_sg: StateGraph, unit: _Unit,
                           new_signal: str) -> List[str]:
-        """Synthesis order for a candidate's remaining signals.
+        """Synthesis order for a candidate's outputs.
 
-        Any order yields the same decisions (the potential is a sum);
+        The target comes first, for the quick reject.  Any order of the
+        rest yields the same decisions (the potential is a sum);
         front-loading the signals most likely to carry oversize mass —
         the inserted signal, then the previously heaviest signals —
         makes the early abort trigger soonest.
@@ -513,7 +568,7 @@ class TechnologyMapper:
         rest = [s for s in new_sg.outputs
                 if s not in (unit.signal, new_signal)]
         rest.sort(key=lambda s: (-mass.get(s, 0), s))
-        return [new_signal] + rest
+        return [unit.signal, new_signal] + rest
 
     def _rejection_proven(self, partial: int, potential: int,
                           bn_potential: Optional[int]) -> bool:
@@ -632,18 +687,13 @@ class TechnologyMapper:
         """
         k = self.library.max_literals
         before = self._event_mass.get((unit.signal, unit.key[0]), 0)
-        if target_impl.is_combinational:
-            after = max(0, (target_impl.complete_complexity or 0) - k)
+        if target_impl.is_combinational or unit.region is None:
+            # a combinational result, or a complete-cover target
+            # resynthesized as sequential: judge the whole signal
+            after = self._oversize_mass(target_impl, k)
         else:
-            if unit.region is None:
-                # Complete-cover target resynthesized as sequential:
-                # judge the whole signal.
-                after = sum(max(0, rc.complexity - k)
-                            for rc in target_impl.region_covers)
-            else:
-                after = sum(max(0, rc.complexity - k)
-                            for rc in target_impl.cover_of_event(
-                                unit.key[0]))
+            after = sum(max(0, rc.complexity - k)
+                        for rc in target_impl.cover_of_event(unit.key[0]))
         return after < before
 
     @staticmethod

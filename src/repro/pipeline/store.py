@@ -59,6 +59,7 @@ from repro.dist.envelope import (ARTIFACT_FORMATS,  # noqa: F401 -
                                  STORE_LAYOUT,      # re-exported API
                                  decode_entry, digest_of, encode_entry,
                                  kind_of, read_header,
+                                 HEADER_FIRST_PROBE_BYTES,
                                  HEADER_PROBE_BYTES)
 from repro.obs.metrics import Sample, default_registry
 
@@ -463,14 +464,21 @@ class DiskArtifactCache:
     def _read_entry_header(self, path: str) -> Optional[Tuple[dict,
                                                               int]]:
         """The envelope header of one entry file (plus its offset), or
-        ``None`` — only :data:`HEADER_PROBE_BYTES` leading bytes are
-        read, never a payload."""
+        ``None``.  Reads :data:`HEADER_FIRST_PROBE_BYTES` leading bytes,
+        and up to :data:`HEADER_PROBE_BYTES` only when they hold no
+        header — never a payload.  The buffer is no larger than the
+        first probe, so the file system is asked for no more."""
         try:
-            with open(path, "rb") as handle:
-                probe = handle.read(HEADER_PROBE_BYTES)
+            with open(path, "rb",
+                      buffering=HEADER_FIRST_PROBE_BYTES) as handle:
+                probe = handle.read(HEADER_FIRST_PROBE_BYTES)
+                parsed = read_header(probe)
+                if parsed is None:
+                    probe += handle.read(HEADER_PROBE_BYTES - len(probe))
+                    parsed = read_header(probe)
         except OSError:
             return None
-        return read_header(probe)
+        return parsed
 
     def report(self) -> StoreReport:
         """Inventory of the store: entries, stored vs raw bytes, per

@@ -40,7 +40,7 @@ insertion's old→new index map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.boolean.minimize import (cheaper_polarity, minimize,
                                     minimize_complement)
@@ -146,37 +146,56 @@ def _group_regions(sg: StateGraph,
     return ordered
 
 
-def _synthesize_group(sg: StateGraph, group: Sequence[ExcitationRegion],
-                      others: Sequence[ExcitationRegion],
-                      support: Optional[Sequence[str]] = None) -> RegionCover:
-    support = list(support) if support is not None else list(sg.signals)
+@dataclass
+class CoverProblem:
+    """One generalized-cover group's covering problem: ON = its ER
+    codes, OFF = every code outside ER ∪ QR.  :func:`_solve_group`
+    repairs monotonicity on a copy of ``off``, only adding codes."""
+
+    regions: Tuple[ExcitationRegion, ...]
+    quiescent: int
+    zone: int
+    on: Set[int]
+    off: Set[int]
+    support: Tuple[str, ...]
+
+
+def _pose_group(sg: StateGraph, group: Sequence[ExcitationRegion],
+                others: Sequence[ExcitationRegion],
+                support: Optional[Sequence[str]] = None) -> CoverProblem:
     enc = sg.encoding()
     quiescent_bits = quiescent_region(sg, group, others)
     er_bits = zone = 0
     for region in group:
         er_bits |= region.bits
         zone |= region.bits | stable_closure(sg, region)
-    inside = er_bits | quiescent_bits
-    # ON / OFF as packed full-signal codes; minimize() projects onto
-    # ``support`` itself only when the caller restricted it.
-    on_ints = sorted(enc.codes_of(er_bits))
-    off_ints = set(enc.codes_of(enc.full_mask & ~inside))
-    if tuple(support) != enc.signals:
-        on_ints = sorted({enc.project(c, support) for c in on_ints})
-        off_ints = {enc.project(c, support) for c in off_ints}
+    # ON / OFF as packed full-signal codes, re-packed onto ``support``
+    # only when the caller restricted it.
+    on = enc.codes_of(er_bits)
+    off = enc.codes_of(enc.full_mask & ~(er_bits | quiescent_bits))
+    support = enc.signals if support is None else tuple(support)
+    if support != enc.signals:
+        on = {enc.project(c, support) for c in on}
+        off = {enc.project(c, support) for c in off}
+    return CoverProblem(tuple(group), quiescent_bits, zone, on, off,
+                        support)
 
+
+def _solve_group(sg: StateGraph, problem: CoverProblem) -> RegionCover:
+    enc = sg.encoding()
+    support = problem.support
+    off = set(problem.off)
     for _ in range(len(sg) + 1):
-        off_sorted = sorted(off_ints)
-        cover = minimize(on_ints, off_sorted, support)
-        violation = _monotonicity_violation(sg, cover, quiescent_bits)
+        cover = minimize(problem.on, off, support)
+        violation = _monotonicity_violation(sg, cover, problem.quiescent)
         if violation is None:
-            complement = minimize_complement(on_ints, off_sorted, support,
+            complement = minimize_complement(problem.on, off, support,
                                              cover)
-            return RegionCover(tuple(group), cover, complement,
-                               quiescent_bits, zone)
-        off_ints.add(violation if tuple(support) == enc.signals
-                     else enc.project(violation, support))
-    event = group[0].event
+            return RegionCover(problem.regions, cover, complement,
+                               problem.quiescent, problem.zone)
+        off.add(violation if support == enc.signals
+                else enc.project(violation, support))
+    event = problem.regions[0].event
     raise CoverError(
         f"monotonicity repair for {event} did not converge")
 
@@ -194,21 +213,25 @@ def monotonous_cover(sg: StateGraph, region: ExcitationRegion,
     """
     others = [r for r in siblings
               if (r.event, r.index) != (region.event, region.index)]
-    return _synthesize_group(sg, [region], others, support)
+    return _solve_group(sg, _pose_group(sg, [region], others, support))
+
+
+def _pose_event(sg: StateGraph, event: str,
+                support: Optional[Sequence[str]] = None
+                ) -> List[CoverProblem]:
+    """The covering problems of an event, one per region group."""
+    groups = _group_regions(sg, excitation_regions(sg, event))
+    return [_pose_group(sg, group,
+                        [r for g in groups if g is not group for r in g],
+                        support)
+            for group in groups]
 
 
 def synthesize_event_covers(sg: StateGraph, event: str,
                             support: Optional[Sequence[str]] = None) -> List[RegionCover]:
     """All monotonous covers of an event, merging regions as needed."""
-    regions = excitation_regions(sg, event)
-    if not regions:
-        return []
-    covers = []
-    groups = _group_regions(sg, regions)
-    for group in groups:
-        others = [r for g in groups if g is not group for r in g]
-        covers.append(_synthesize_group(sg, group, others, support))
-    return covers
+    return [_solve_group(sg, problem)
+            for problem in _pose_event(sg, event, support)]
 
 
 def _monotonicity_violation(sg: StateGraph, cover: SopCover,
@@ -243,6 +266,11 @@ def complete_cover(sg: StateGraph, signal: str) -> Optional[Tuple[SopCover, SopC
     """
     support = [s for s in sg.signals if s != signal]
     on, off = next_state_ints(sg, signal, support)
+    return _solve_complete(on, off, support)
+
+
+def _solve_complete(on, off, support: Sequence[str]
+                    ) -> Optional[Tuple[SopCover, SopCover]]:
     try:
         cover = minimize(on, off, support)
         complement = minimize_complement(on, off, support, cover)
@@ -341,20 +369,71 @@ def _choose_combinational(complete: Optional[SopCover],
             and complete_cost <= sequential_total)
 
 
-def synthesize_signal(sg: StateGraph, signal: str) -> SignalImplementation:
-    """Monotonous covers (and complete cover, if any) of one signal."""
+class SignalProblems:
+    """The covering problems of one output signal, each posed once, on
+    first use: synthesis asks for them in the order it always did (the
+    complete cover's raises :class:`~repro.errors.CscViolation` where
+    :func:`complete_cover` would), the mapper's bound for all at once.
+    """
+
+    def __init__(self, sg: StateGraph, signal: str):
+        self.sg = sg
+        self.signal = signal
+        self.support = tuple(s for s in sg.signals if s != signal)
+        self._groups: Dict[str, List[CoverProblem]] = {}
+        self._complete: Optional[Tuple[Set[int], Set[int]]] = None
+
+    def groups(self, event: str) -> List[CoverProblem]:
+        """One event's problems, one per region group."""
+        if event not in self._groups:
+            self._groups[event] = _pose_event(self.sg, event)
+        return self._groups[event]
+
+    def all_groups(self) -> List[CoverProblem]:
+        """Both events' problems."""
+        return (self.groups(self.signal + "+")
+                + self.groups(self.signal + "-"))
+
+    def complete(self) -> Tuple[Set[int], Set[int]]:
+        """ON / OFF codes of the next-state function over ``support``."""
+        if self._complete is None:
+            on, off = next_state_ints(self.sg, self.signal, self.support)
+            self._complete = set(on), set(off)
+        return self._complete
+
+    def covers(self, event: str) -> List[RegionCover]:
+        """The monotonous covers of one event, solved."""
+        return [_solve_group(self.sg, problem)
+                for problem in self.groups(event)]
+
+    def implementation(self, set_covers: List[RegionCover],
+                       reset_covers: List[RegionCover]
+                       ) -> SignalImplementation:
+        """The signal's implementation over the given region covers."""
+        on, off = self.complete()
+        pair = _solve_complete(on, off, self.support)
+        complete, complement = pair if pair is not None else (None, None)
+        combinational = _choose_combinational(complete, complement,
+                                              set_covers + reset_covers)
+        return SignalImplementation(self.signal, set_covers, reset_covers,
+                                    complete, complement,
+                                    combinational=combinational)
+
+
+def synthesize_signal(sg: StateGraph, signal: str,
+                      problems: Optional[SignalProblems] = None
+                      ) -> SignalImplementation:
+    """Monotonous covers (and complete cover, if any) of one signal.
+
+    ``problems`` may carry the signal's covering problems, already
+    posed on ``sg``."""
     if signal in sg.inputs:
         raise CoverError(f"signal {signal!r} is an input; inputs are "
                          "driven by the environment")
-    set_covers = synthesize_event_covers(sg, signal + "+")
-    reset_covers = synthesize_event_covers(sg, signal + "-")
-    pair = complete_cover(sg, signal)
-    complete, complement = pair if pair is not None else (None, None)
-    combinational = _choose_combinational(complete, complement,
-                                          set_covers + reset_covers)
-    return SignalImplementation(signal, set_covers, reset_covers,
-                                complete, complement,
-                                combinational=combinational)
+    if problems is None:
+        problems = SignalProblems(sg, signal)
+    return problems.implementation(problems.covers(signal + "+"),
+                                   problems.covers(signal + "-"))
 
 
 def synthesize_all(sg: StateGraph) -> Dict[str, SignalImplementation]:
@@ -380,6 +459,10 @@ def synthesize_all(sg: StateGraph) -> Dict[str, SignalImplementation]:
 # zone spans both levels of the new signal (which could re-partition the
 # generalized-cover groups) — is resynthesized from scratch, exactly as
 # the legacy full pass would.
+#
+# The mapper poses every output's problems (SignalProblems) first, to
+# bound the trial's potential; most trials are rejected on that bound
+# alone, and resynthesize_signal solves the problems already posed.
 
 
 @dataclass
@@ -387,8 +470,8 @@ class ResynthesisStats:
     """Telemetry of one incremental resynthesis pass.
 
     ``skipped`` counts signals whose synthesis never ran because the
-    consumer proved the surrounding candidate's rejection first (the
-    mapper's early-abort trial evaluation).
+    surrounding candidate was rejected first (the mapper's bound-first
+    trial evaluation).
     """
 
     resynthesized: int = 0
@@ -403,10 +486,6 @@ class ResynthesisStats:
         self.resynthesized += other.resynthesized
         self.reused += other.reused
         self.skipped += other.skipped
-
-    def __repr__(self) -> str:
-        return (f"ResynthesisStats(resynthesized={self.resynthesized}, "
-                f"reused={self.reused}, skipped={self.skipped})")
 
 
 def _cover_reusable(rc: RegionCover, changes) -> bool:
@@ -444,21 +523,20 @@ def _carry(bits: int, copies: Sequence[int]) -> int:
     return out
 
 
-def _extend_event_covers(sg: StateGraph, event: str,
+def _extend_event_covers(new_regions: Sequence[ExcitationRegion],
                          old_covers: Sequence[RegionCover],
                          changes) -> Optional[List[RegionCover]]:
     """Carry one event's covers into the new code space.
 
-    The excitation regions are recomputed on the new graph (their
-    indices follow the new BFS numbering) and matched to the old ones
-    by bitset: every reusable zone sits at one level of the new signal,
-    so an old region's bits map through that level's old→new index
-    map onto its counterpart's.  The expensive minimized covers are
-    reused as-is.  Returns ``None`` when the new region structure does
-    not correspond one-to-one to the old — the caller then falls back
-    to full resynthesis of the signal.
+    ``new_regions`` are the event's excitation regions on the new graph
+    (their indices follow the new BFS numbering); they are matched to
+    the old ones by bitset: every reusable zone sits at one level of
+    the new signal, so an old region's bits map through that level's
+    old→new index map onto its counterpart's.  The expensive minimized
+    covers are reused as-is.  Returns ``None`` when the new region
+    structure does not correspond one-to-one to the old — the caller
+    then falls back to full resynthesis of the event.
     """
-    new_regions = excitation_regions(sg, event)
     if len(new_regions) != sum(len(rc.regions) for rc in old_covers):
         return None
     by_bits = {region.bits: region for region in new_regions}
@@ -481,7 +559,7 @@ def _extend_event_covers(sg: StateGraph, event: str,
     return extended
 
 
-def _reuse_event_covers(sg: StateGraph, event: str,
+def _reuse_event_covers(problems: SignalProblems, event: str,
                         old_covers: Sequence[RegionCover],
                         changes) -> Optional[List[RegionCover]]:
     """The extended covers of one event, or None when any of its
@@ -490,12 +568,17 @@ def _reuse_event_covers(sg: StateGraph, event: str,
         return None
     if not all(_cover_reusable(rc, changes) for rc in old_covers):
         return None
-    return _extend_event_covers(sg, event, old_covers, changes)
+    return _extend_event_covers(
+        [region for problem in problems.groups(event)
+         for region in problem.regions],
+        old_covers, changes)
 
 
 def resynthesize_signal(sg: StateGraph, signal: str,
                         old: Optional[SignalImplementation],
-                        changes) -> Tuple[SignalImplementation, bool]:
+                        changes,
+                        problems: Optional[SignalProblems] = None
+                        ) -> Tuple[SignalImplementation, bool]:
     """One signal of the post-insertion graph: reuse what the insertion
     left intact, resynthesize the rest.
 
@@ -503,26 +586,21 @@ def resynthesize_signal(sg: StateGraph, signal: str,
     per-region, so a split inside the reset phase does not invalidate
     the set covers).  The complete cover ranges over every state of the
     graph — an insertion always reshapes its ON/OFF sets — so it is
-    recomputed whenever anything is reused.  Returns
-    ``(implementation, reused)`` with ``reused`` True when at least one
-    event family was carried over instead of re-minimized.
+    always recomputed.  ``problems`` may carry the signal's covering
+    problems, already posed on ``sg``.  Returns ``(implementation,
+    reused)`` with ``reused`` True when at least one event family was
+    carried over instead of re-minimized.
     """
-    if old is None:
-        return synthesize_signal(sg, signal), False
-    set_ext = _reuse_event_covers(sg, signal + "+", old.set_covers,
-                                  changes)
-    reset_ext = _reuse_event_covers(sg, signal + "-", old.reset_covers,
-                                    changes)
-    if set_ext is None and reset_ext is None:
-        return synthesize_signal(sg, signal), False
-    set_covers = (set_ext if set_ext is not None
-                  else synthesize_event_covers(sg, signal + "+"))
-    reset_covers = (reset_ext if reset_ext is not None
-                    else synthesize_event_covers(sg, signal + "-"))
-    pair = complete_cover(sg, signal)
-    complete, complement = pair if pair is not None else (None, None)
-    combinational = _choose_combinational(complete, complement,
-                                          set_covers + reset_covers)
-    return SignalImplementation(signal, set_covers, reset_covers,
-                                complete, complement,
-                                combinational=combinational), True
+    if problems is None:
+        problems = SignalProblems(sg, signal)
+    reused = False
+    covers = []
+    for event, old_covers in (
+            (signal + "+", old.set_covers if old is not None else ()),
+            (signal + "-", old.reset_covers if old is not None else ())):
+        carried = _reuse_event_covers(problems, event, old_covers,
+                                      changes)
+        reused = reused or carried is not None
+        covers.append(carried if carried is not None
+                      else problems.covers(event))
+    return problems.implementation(*covers), reused

@@ -15,6 +15,10 @@ reference:
 (c) the cheaper-polarity verdict and the minimum literal count equal
     the reference's, ties included;
 (d) the minimizer is skipped exactly when the bound says so.
+
+:func:`literal_bound` states the lemma as a number, for the mapper's
+bound-first trial evaluation: it never exceeds the literal count of
+either polarity's cover, and more OFF vectors never lower it.
 """
 
 import importlib
@@ -23,7 +27,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean.minimize import (cheaper_polarity, minimize,
+from repro.boolean.minimize import (cheaper_polarity, essential_variables,
+                                    literal_bound, minimize,
                                     minimize_complement, minimize_memo)
 from repro.boolean.sop import SopCover
 
@@ -156,6 +161,40 @@ class TestBound:
             assert result == cover.complement()
         else:
             assert result == minimize(off, on, support)
+
+
+class TestLiteralBound:
+    @given(problems)
+    @settings(max_examples=300)
+    def test_essential_variables_match_every_pair(self, problem):
+        on, off, support = problem
+        found = essential_variables(set(on), set(off),
+                                    (1 << len(support)) - 1)
+        assert [name for i, name in enumerate(support)
+                if found >> i & 1] == essential(on, off, support)
+
+    @given(problems)
+    @settings(max_examples=300)
+    def test_never_exceeds_either_polarity(self, problem):
+        """Empty sides included: a constant cover needs no literal."""
+        on, off, support = problem
+        bound = literal_bound(set(on), set(off), (1 << len(support)) - 1)
+        assert bound <= minimize(on, off, support).literal_count()
+        assert bound <= minimize(off, on, support).literal_count()
+        expected = (max(1, len(essential(on, off, support)))
+                    if on and off else 0)
+        assert bound == expected
+
+    @given(problems, st.lists(st.integers(0, (1 << len(NAMES)) - 1),
+                              min_size=1, max_size=24))
+    @settings(max_examples=300)
+    def test_more_off_vectors_never_lower_it(self, problem, extra):
+        """What the monotonicity repair does to a region's problem."""
+        on, off, support = problem
+        every = (1 << len(support)) - 1
+        more = (set(off) | {v & every for v in extra}) - set(on)
+        assert (literal_bound(set(on), more, every)
+                >= literal_bound(set(on), set(off), every))
 
 
 class TestConstantCovers:

@@ -5,6 +5,7 @@ import io
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
@@ -132,6 +133,41 @@ class TestSemantics:
     def test_double_complement_equivalent(self):
         c = cover("a b' + a' c + b c'")
         assert c.complement().complement().equivalent(c)
+
+
+#: names whose string order differs from their length or numeric order
+NAMES = ["a", "b", "B", "s1", "s10", "s2", "x_0", "x0"]
+
+
+class TestSingleCubeComplement:
+    """A one-cube cover's De Morgan complement skips the general
+    constructor's containment pass; it must come out exactly as that
+    constructor would build it."""
+
+    @staticmethod
+    def assert_canonical(got: SopCover, cube: Cube) -> None:
+        expected = SopCover(Cube({name: 1 - value})
+                            for name, value in cube)
+        assert got._cubes == expected._cubes
+        assert hash(got) == hash(expected)
+        assert got == expected
+        assert got.to_string() == expected.to_string()
+
+    @given(st.dictionaries(st.sampled_from(NAMES), st.integers(0, 1),
+                           max_size=len(NAMES)))
+    @settings(max_examples=200)
+    def test_matches_the_general_constructor(self, literals):
+        cube = Cube(literals)
+        self.assert_canonical(SopCover([cube]).complement(), cube)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1", "0"), ("a", "a'"), ("s10'", "s10"),
+        ("s2 s10' a", "a' + s10 + s2'")])
+    def test_empty_and_one_literal_cubes(self, text, expected):
+        cube = Cube.from_string(text) if text != "1" else Cube.one()
+        got = SopCover([cube]).complement()
+        assert got.to_string() == expected
+        self.assert_canonical(got, cube)
 
 
 class TestAlgebra:

@@ -34,15 +34,20 @@ class TestIdenticalToFullResynthesis:
         assert (incremental.initial_netlist.pretty()
                 == full.initial_netlist.pretty())
 
-    def test_local_mode_identical(self):
+    @pytest.mark.parametrize("name", ["hazard", "seq_mix", "trimos-send"])
+    def test_local_mode_identical(self, name):
+        """Local acknowledgment: the early refusal of trials whose
+        inserted signal is essential elsewhere changes no decision."""
         full = map_circuit(
-            benchmark("hazard"), GateLibrary(2),
+            benchmark(name), GateLibrary(2),
             MapperConfig(incremental_resynthesis=False).local_ack())
         incremental = map_circuit(
-            benchmark("hazard"), GateLibrary(2),
+            benchmark(name), GateLibrary(2),
             MapperConfig(incremental_resynthesis=True).local_ack())
         assert ([s.decision() for s in incremental.steps]
                 == [s.decision() for s in full.steps])
+        assert incremental.success == full.success
+        assert incremental.message == full.message
         assert incremental.netlist.pretty() == full.netlist.pretty()
 
 

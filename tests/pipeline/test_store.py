@@ -6,9 +6,13 @@ import os
 import pickle
 import tempfile
 import threading
+from unittest import mock
 
 import pytest
 
+import repro.pipeline.store as store_module
+from repro.dist.envelope import (HEADER_FIRST_PROBE_BYTES,
+                                 HEADER_PROBE_BYTES, read_header)
 from repro.obs.metrics import use_registry
 from repro.pipeline import (ArtifactCache, BatchRunner, DiskArtifactCache,
                             Pipeline, PipelineConfig)
@@ -241,6 +245,101 @@ class TestStoreMaintenance:
         os.utime(path, (0, 0))               # epoch-old
         removed, _ = store.gc(max_age_seconds=3600)
         assert removed == 1
+
+
+class TestHeaderProbes:
+    """``report`` and ``gc`` read each entry's header through a short
+    first probe, and the full probe only for a header that runs past
+    it."""
+
+    #: a key whose repr alone outgrows the first probe
+    LONG_KEY = ("map", "b" * 64, 2, "global",
+                tuple(f"option-{i}" for i in range(60)))
+
+    def fill(self, root):
+        store = DiskArtifactCache(str(root))
+        for i in range(6):
+            # incompressible payloads, far longer than any probe
+            store.put(("sg", f"{i:064x}"), os.urandom(20_000))
+        store.put(("map", "a" * 64, 2, "global", ()), "small")
+        store.put(self.LONG_KEY, os.urandom(5_000))
+        stale = root / STORE_LAYOUT / "map" / "00" / ("0" * 64 + ".pkl")
+        stale.parent.mkdir(parents=True, exist_ok=True)
+        with open(stale, "wb") as handle:
+            pickle.dump({"format": -1, "key": "k"}, handle)
+            handle.write(os.urandom(4_000))
+        return store
+
+    @staticmethod
+    def counting_reads(fetched):
+        """``open`` for the store module, recording per file how many
+        bytes were fetched from the file system (the offset of the raw
+        file under any buffer)."""
+        real_open = open
+
+        def counted_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            read = handle.read
+            raw = getattr(handle, "raw", handle)
+
+            def counted_read(*size):
+                data = read(*size)
+                fetched[os.path.basename(path)] = raw.tell()
+                return data
+            handle.read = counted_read
+            return handle
+        return mock.patch.object(store_module, "open", counted_open,
+                                 create=True)
+
+    @staticmethod
+    def single_probe():
+        """The store reading one full probe per header, as it once did."""
+        return mock.patch.object(store_module, "HEADER_FIRST_PROBE_BYTES",
+                                 HEADER_PROBE_BYTES)
+
+    def test_report_reads_the_short_probe_only(self, tmp_path):
+        store = self.fill(tmp_path)
+        fetched = {}
+        with self.counting_reads(fetched):
+            report = store.report()
+        sizes = {os.path.basename(path): os.path.getsize(path)
+                 for _, path in store._entries()}
+        long_name = os.path.basename(store._path(self.LONG_KEY))
+        expected = {name: min(size, HEADER_FIRST_PROBE_BYTES)
+                    for name, size in sizes.items()}
+        expected[long_name] = min(sizes[long_name], HEADER_PROBE_BYTES)
+        assert fetched == expected
+        assert sum(fetched.values()) < sum(sizes.values()) / 10
+        with self.single_probe():
+            assert report == store.report()
+
+    def test_a_header_past_the_first_probe_still_parses(self, tmp_path):
+        store = self.fill(tmp_path)
+        path = store._path(self.LONG_KEY)
+        with open(path, "rb") as handle:
+            parsed = read_header(handle.read())
+        assert parsed is not None
+        assert parsed[1] > HEADER_FIRST_PROBE_BYTES
+        assert store._read_entry_header(path) == parsed
+        assert store.report().by_kind["map"][0] == 3
+
+    def test_gc_results_unchanged(self, tmp_path):
+        probed = self.fill(tmp_path / "probed")
+        single = self.fill(tmp_path / "single")
+        before = probed.report()
+        outcome = probed.gc()
+        with self.single_probe():
+            assert outcome == single.gc()
+        assert outcome[0] == 1                   # the stale entry only
+        assert probed.get(self.LONG_KEY) is not MISS
+        after = probed.report()
+        assert after.entries == before.entries - 1
+        with self.single_probe():
+            reference = single.report()
+        assert ((after.entries, after.bytes, after.raw_bytes,
+                 after.by_kind)
+                == (reference.entries, reference.bytes,
+                    reference.raw_bytes, reference.by_kind))
 
 
 class TestLayeredCache:
