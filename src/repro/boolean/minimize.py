@@ -475,25 +475,6 @@ def _verify(cubes: Sequence[IntCube], on: Columns, off: Columns) -> None:
         raise CoverError("minimized cover hits an OFF vector")
 
 
-def expand_cube(cube: Cube, off: Sequence[Vector],
-                prefer: Optional[Sequence[Vector]] = None) -> Cube:
-    """Expand one cube into a prime-like implicant against ``off``.
-
-    Public wrapper around the integer EXPAND primitive (used directly
-    by tests and by callers that want a single-cube expansion).
-    """
-    support = sorted(set(cube.support)
-                     | {n for v in off for n in v.keys()}
-                     | {n for v in (prefer or []) for n in v.keys()})
-    width = len(support)
-    off_columns = _transpose([_vector_int(v, support) for v in off], width)
-    prefer_columns = _transpose([_vector_int(v, support)
-                                 for v in (prefer or [])], width)
-    expanded = _expand(_cube_int(cube, support), off_columns,
-                       prefer_columns)
-    return _cube_back(expanded, support)
-
-
 def cheaper_polarity(cover: SopCover, complement: SopCover) -> SopCover:
     """The polarity a gate is built in: ``complement`` when it has
     strictly fewer literals than ``cover``, else ``cover``.
@@ -572,22 +553,3 @@ def minimize_complement(on: Sequence[Vector], off: Sequence[Vector],
         return cover.complement()
     return minimize(off_set, on_set, support)
 
-
-def literal_complexity(on: Iterable[Vector], off: Iterable[Vector],
-                       support: Sequence[str]) -> Tuple[int, SopCover, SopCover]:
-    """The paper's gate-complexity measure.
-
-    "We have measured the complexity of each gate as the number of
-    literals required to implement it as a sum-of-product gate, either
-    complemented or not" (§4) — i.e. ``min(lit(f), lit(f'))`` where both
-    polarities are minimized against the same don't-care set.
-
-    Returns ``(complexity, cover, complement_cover)``; the complement
-    comes from :func:`minimize_complement`.
-    """
-    on_list = list(on)
-    off_list = list(off)
-    cover = minimize(on_list, off_list, support)
-    complement = minimize_complement(on_list, off_list, support, cover)
-    return (cheaper_polarity(cover, complement).literal_count(),
-            cover, complement)

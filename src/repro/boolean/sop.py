@@ -235,15 +235,6 @@ class SopCover:
         """Disjunction (cube union with containment dedup)."""
         return SopCover(self._cubes + other._cubes)
 
-    def times_cube(self, cube: Cube) -> "SopCover":
-        """Multiply every product term by ``cube``."""
-        cubes = []
-        for mine in self._cubes:
-            product = mine.intersect(cube)
-            if product is not None:
-                cubes.append(product)
-        return SopCover(cubes)
-
     def times(self, other: "SopCover") -> "SopCover":
         """Cover product (cartesian cube intersection)."""
         cubes = []

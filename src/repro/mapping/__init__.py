@@ -3,7 +3,7 @@
 * :mod:`~repro.mapping.partition` — I-partitions: growing insertion
   sets ``ER(x+)`` / ``ER(x-)`` for a candidate function ``f`` (§3.2);
 * :mod:`~repro.mapping.insertion` — state-splitting event insertion
-  (§2.3, Figure 3);
+  (§2.3, Figure 3), planned on bitsets before it is built;
 * :mod:`~repro.mapping.progress` — Property 3.1 (safe substitution in
   the target cover) and Property 3.2 (bounded impact on other covers);
 * :mod:`~repro.mapping.cost` — the literal complexity measure and
@@ -14,8 +14,9 @@
 from repro.mapping.csc import CscResult, csc_conflicts, solve_csc
 from repro.mapping.partition import (IPartition, compute_insertion_sets,
                                      compute_insertion_sets_from_states)
-from repro.mapping.insertion import (InsertionChanges, InsertionResult,
-                                     insert_signal)
+from repro.mapping.insertion import (InsertionChanges, InsertionPlan,
+                                     InsertionResult, insert_signal,
+                                     plan_insertion, verify_insertion)
 from repro.mapping.progress import (check_property_31, check_property_32,
                                     estimate_global_impact)
 from repro.mapping.cost import (cover_complexity, implementation_cost,
@@ -32,7 +33,10 @@ __all__ = [
     "csc_conflicts",
     "CscResult",
     "insert_signal",
+    "plan_insertion",
+    "verify_insertion",
     "InsertionChanges",
+    "InsertionPlan",
     "InsertionResult",
     "check_property_31",
     "check_property_32",

@@ -18,20 +18,30 @@ families are available, selected by :attr:`CscConfig.method`:
   region algebra of :mod:`repro.sg.regions`: the atomic *cones*
   ``SR_j(e) ∪ QR_j(e)`` of every event, closed under pairwise
   intersection and difference.  Each surviving candidate is grown into
-  an I-partition, trial-inserted, and priced with the mapper's own
-  cost model (:func:`repro.mapping.cost.signal_logic_cost` of the new
-  signal's resynthesized logic); the solver picks the candidate with
-  the best (conflicts remaining, estimated logic cost) pair.
+  an I-partition and priced with the mapper's own cost model
+  (:func:`repro.mapping.cost.signal_logic_cost` of the new signal's
+  resynthesized logic); the solver picks the candidate with the best
+  (conflicts remaining, estimated logic cost) pair.
 * ``"blocks"`` (the original heuristic, kept as a reproducible
   fallback) — for every ordered pair of events ``(u, v)``, the block
   "after ``u`` until ``v``": the forward closure of ``u``'s switching
   regions, cut at states where ``v`` is enabled.  The first candidate
   that reduces the conflict count wins.
 
+Trials are decided by their plans
+(:func:`~repro.mapping.insertion.plan_insertion`): the crossing test
+stands in for the SI property suite, and the conflicts a candidate
+leaves are counted without building its graph.  The solver plans every
+ranked block and builds only the candidates that can still win: under
+``"blocks"`` the first whose count drops, under ``"regions"`` those at
+the step's fewest remaining conflicts, priced in rank order (the count
+dominates the score).  The whole suite runs once, on the chosen
+block's graph (:func:`~repro.mapping.insertion.verify_insertion`).
+
 Both families run on the graph's packed
 :class:`~repro.sg.encoding.Encoding`: candidate blocks are state
 bitsets, ranked by the conflict pairs they split, and the blocks
-trial-inserted go to the I-partition growth as they are.  The solver
+tried go to the I-partition growth as they are.  The solver
 builds and ranks only what its trial loop reads: the first ``limit``
 (:attr:`CscConfig.max_candidates`) places of the ranking.
 
@@ -64,7 +74,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util import popcount
 from repro.errors import CoverError, CscViolation, InsertionError
-from repro.mapping.insertion import insert_signal
+from repro.mapping.insertion import (InsertionPlan, insert_signal,
+                                     plan_insertion, verify_insertion)
 from repro.mapping.partition import compute_insertion_sets_from_states
 from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
@@ -81,8 +92,8 @@ class CscConfig:
     ``method`` selects the candidate-block family (``"regions"`` is the
     reference-[6] algebra, ``"blocks"`` the original after-u-until-v
     heuristic); ``max_signals`` bounds the number of inserted encoding
-    signals (0 or more); ``max_candidates`` bounds the trial insertions
-    evaluated per signal (at least 1); ``signal_prefix`` names the
+    signals (0 or more); ``max_candidates`` bounds the candidate blocks
+    tried per signal (at least 1); ``signal_prefix`` names the
     inserted signals.
     """
 
@@ -114,21 +125,15 @@ def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
 
 def _conflict_pairs(sg: StateGraph) -> List[Tuple[int, int]]:
     """The CSC conflicts as state index pairs: states grouped by packed
-    code (in first-occurrence order), then compared by their masks of
-    enabled output events."""
+    code (:meth:`~repro.sg.encoding.Encoding.code_groups`), then
+    compared by their masks of enabled output events."""
     enc = sg.encoding()
-    by_code: Dict[int, List[int]] = {}
-    for i, code in enumerate(enc.codes):
-        by_code.setdefault(code, []).append(i)
-    enabled = [0] * len(enc.codes)
-    for k, event in enumerate(signal + direction for signal in sg.outputs
-                              for direction in "+-"):
-        for i in enc.iter_bits(enc.event_bits(event)):
-            enabled[i] |= 1 << k
+    _, masks = enc.event_masks()
+    outputs = enc.signal_events_mask(set(sg.outputs))
     return [(left, right)
-            for group in by_code.values()
+            for group in enc.code_groups()
             for n, left in enumerate(group) for right in group[n + 1:]
-            if enabled[left] != enabled[right]]
+            if (masks[left] ^ masks[right]) & outputs]
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +310,8 @@ class CscStep:
     ``cost`` is the estimated logic cost of the inserted signal
     (:func:`repro.mapping.cost.signal_logic_cost` on the candidate
     graph; ``None`` under the legacy method, which does not price
-    candidates), ``candidates_evaluated`` counts the trial insertions
-    paid for before this signal was chosen.
+    candidates), ``candidates_evaluated`` counts the candidate blocks
+    tried (grown and planned) before this signal was chosen.
     """
 
     signal: str
@@ -331,7 +336,7 @@ class CscResult:
 
     @property
     def candidates_evaluated(self) -> int:
-        """Trial insertions paid for across the whole solve."""
+        """Candidate blocks tried across the whole solve."""
         return sum(step.candidates_evaluated for step in self.steps)
 
     @property
@@ -416,16 +421,22 @@ def _fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
     return name
 
 
-def _try_insertion(sg: StateGraph, block: int,
-                   name: str) -> Optional[StateGraph]:
-    """Grow the block into an I-partition and trial-insert ``name``;
-    ``None`` when the block admits no legal SIP-preserving insertion."""
+def _planned(sg: StateGraph, block: int,
+             name: str) -> Optional[InsertionPlan]:
+    """Grow the block into an I-partition and plan the insertion of
+    ``name`` (:func:`plan_insertion`); ``None`` when the block admits
+    no legal SIP-preserving insertion."""
     try:
         partition = compute_insertion_sets_from_states(sg, block)
-        return insert_signal(sg, partition, name,
-                             require_csc=False).sg
+        return plan_insertion(sg, partition, name, require_csc=False)
     except InsertionError:
         return None
+
+
+def _built(sg: StateGraph, plan: InsertionPlan) -> StateGraph:
+    """The graph of a planned trial."""
+    return insert_signal(sg, plan.partition, plan.name,
+                         require_csc=False, plan=plan).sg
 
 
 def _insert_first_improving_block(
@@ -436,15 +447,15 @@ def _insert_first_improving_block(
     evaluated = 0
     for _, label, block in _ranked_blocks(sg, conflicts, "blocks",
                                           config.max_candidates):
-        candidate_sg = _try_insertion(sg, block, name)
+        plan = _planned(sg, block, name)
         evaluated += 1
-        if candidate_sg is None:
+        if plan is None or plan.conflicts >= len(conflicts):
             continue
-        remaining = len(_conflict_pairs(candidate_sg))
-        if remaining < len(conflicts):
-            record = CscStep(name, label, len(conflicts), remaining,
-                             candidates_evaluated=evaluated)
-            return candidate_sg, record
+        candidate_sg = _built(sg, plan)
+        verify_insertion(candidate_sg, name, require_csc=False)
+        record = CscStep(name, label, len(conflicts), plan.conflicts,
+                         candidates_evaluated=evaluated)
+        return candidate_sg, record
     return None
 
 
@@ -479,32 +490,34 @@ def _insert_best_region_block(
         sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
         name: str, config: CscConfig
         ) -> Optional[Tuple[StateGraph, CscStep]]:
-    """The regions strategy: evaluate the top candidates of the region
+    """The regions strategy: plan the top candidates of the region
     algebra and keep the one with the best (conflicts remaining,
-    estimated logic cost) pair."""
-    best: Optional[Tuple[Tuple, StateGraph, CscStep]] = None
-    evaluated = 0
-    for _, label, block in _ranked_blocks(sg, conflicts, "regions",
-                                          config.max_candidates):
-        candidate_sg = _try_insertion(sg, block, name)
-        evaluated += 1
-        if candidate_sg is None:
-            continue
-        remaining = len(_conflict_pairs(candidate_sg))
-        if remaining >= len(conflicts):
-            continue
-        if best is not None and remaining > best[0][0]:
-            # conflicts-remaining dominates the score: this candidate
-            # cannot beat the incumbent, skip the (expensive) pricing
-            continue
-        cost = _candidate_cost(candidate_sg, name)
-        score = (remaining, cost, len(candidate_sg), label)
-        if best is None or score < best[0]:
-            record = CscStep(name, label, len(conflicts), remaining,
-                             cost=cost)
-            best = (score, candidate_sg, record)
-    if best is None:
+    estimated logic cost, states, label) score.
+
+    Conflicts remaining dominate the score, so only the candidates at
+    the fewest remaining conflicts are built and priced, in rank
+    order."""
+    ranked = _ranked_blocks(sg, conflicts, "regions",
+                            config.max_candidates)
+    plans = []
+    for _, label, block in ranked:
+        plan = _planned(sg, block, name)
+        if plan is not None and plan.conflicts < len(conflicts):
+            plans.append((label, plan))
+    if not plans:
         return None
-    _, candidate_sg, record = best
-    record.candidates_evaluated = evaluated
-    return candidate_sg, record
+    remaining = min(plan.conflicts for _, plan in plans)
+
+    def priced(label: str, plan: InsertionPlan) -> Tuple[Tuple, StateGraph]:
+        candidate_sg = _built(sg, plan)
+        return (remaining, _candidate_cost(candidate_sg, name),
+                len(candidate_sg), label), candidate_sg
+
+    # min() keeps the first of equal scores and only the best graph
+    (_, cost, _, label), candidate_sg = min(
+        (priced(label, plan) for label, plan in plans
+         if plan.conflicts == remaining), key=itemgetter(0))
+    verify_insertion(candidate_sg, name, require_csc=False)
+    return candidate_sg, CscStep(name, label, len(conflicts), remaining,
+                                 cost=cost,
+                                 candidates_evaluated=len(ranked))

@@ -50,7 +50,7 @@ from repro.boolean.sop import SopCover
 from repro.errors import (CoverError, CscViolation, InsertionError,
                           MappingError)
 from repro.mapping.cost import implementation_cost
-from repro.mapping.insertion import insert_signal
+from repro.mapping.insertion import insert_signal, verify_insertion
 from repro.mapping.partition import IPartition, compute_insertion_sets
 from repro.obs.metrics import default_registry
 from repro.obs.trace import trace_span
@@ -354,11 +354,10 @@ class TechnologyMapper:
                                 target=unit.label,
                                 step=step_index, trial=trials) as sp:
                     try:
-                        inserted = insert_signal(sg, partition,
-                                                 signal_name)
+                        inserted = insert_signal(
+                            sg, partition, signal_name,
+                            max_states=self.config.max_states)
                         new_sg = inserted.sg
-                        if len(new_sg) > self.config.max_states:
-                            continue
                         with trace_span("map.resynthesize", "map",
                                         target=unit.label):
                             evaluated = self._evaluate_candidate(
@@ -421,9 +420,11 @@ class TechnologyMapper:
               candidate: Tuple) -> Tuple[StateGraph,
                                          Dict[str, SignalImplementation],
                                          DecompositionStep]:
-        """Commit to one candidate and record the step."""
+        """Commit to one candidate, after the whole SI property suite
+        (:func:`verify_insertion`), and record the step."""
         (new_sg, new_implementations, function, unit,
          new_potential, resynth) = candidate
+        verify_insertion(new_sg, signal_name)
         self._used_functions[function] = signal_name
         return new_sg, new_implementations, DecompositionStep(
             signal=signal_name,

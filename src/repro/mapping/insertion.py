@@ -1,7 +1,7 @@
 """Event insertion by state splitting (§2.3, Figure 3).
 
-Given a validated :class:`~repro.mapping.partition.IPartition`, a new
-signal ``x`` is inserted into the state graph:
+Given an :class:`~repro.mapping.partition.IPartition`, a new signal
+``x`` is inserted into the state graph:
 
 * every state of ``ER(x+)`` splits into a pre-fire copy (``x = 0``) and
   a post-fire copy (``x = 1``) connected by an ``x+`` arc;
@@ -13,28 +13,43 @@ signal ``x`` is inserted into the state graph:
   the other level fire only after ``x`` (they are *delayed*, i.e. they
   acknowledge the new signal).
 
-The split runs on the graph's packed arrays.  One frontier sweep over
-per-level bitsets of the original states finds the reachable copies
-*before* anything is built — replicated arcs stay on their level,
+An insertion is decided before it is built.  :func:`plan_insertion`
+finds the reachable copies with one frontier sweep over per-level
+bitsets of the original states (replicated arcs stay on their level,
 ``x+`` lifts ``S+`` copies to level 1, ``x-`` drops ``S-`` copies to
-level 0 — so no unreachable copy is ever created or pruned.  The new
-graph is then built directly in the int-indexed layout: each copy's
-code is the original code with the new signal's bit inserted.
+level 0), checks the trial on those bitsets, and counts the states and
+the CSC conflict pairs of the graph it would build.  Only copies of
+states that already share a code
+(:meth:`~repro.sg.encoding.Encoding.code_groups`) on one level can
+conflict; a copy enables those of its state's events whose targets have
+a copy on its level, plus ``x+`` on ``S+`` at level 0 and ``x-`` on
+``S-`` at level 1.
 
-The result is re-verified from scratch (consistency, determinism,
-commutativity, output persistency including the new signal, CSC, and
-input preservation); any violation raises :class:`InsertionError`, which
-the mapper treats as "reject this divisor".  Soundness therefore never
-depends on the growth heuristics in :mod:`repro.mapping.partition`.
+The plan's one speed-independence check is the *crossing test*.
+Consistency, determinism and commutativity hold by construction: each
+copy's code is its state's code with ``x`` set by level, ``x`` arcs
+flip only ``x``, and replicated arcs stay on their level.  The one
+violation a grown partition leaves is an arc from ``ER(x+)`` into
+``ER(x-)`` at level 0, or back at level 1: it disables ``x``'s own
+excitation.  The plan rejects the copies
+``reach[0] & S+ & pred(S-) | reach[1] & S- & pred(S+)``.
+
+:func:`insert_signal` builds the planned graph directly in the
+int-indexed layout.  The whole SI property suite runs once, on each
+graph a step commits to (:func:`verify_insertion`).  A violation there
+is a fault of the plan, not a bad candidate, so it raises
+:class:`~repro.errors.SpeedIndependenceError`, which no trial loop
+catches.  Soundness therefore never depends on the growth heuristics
+in :mod:`repro.mapping.partition`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro._util import popcount
-from repro.errors import InsertionError
+from repro.errors import InsertionError, SpeedIndependenceError
 from repro.mapping.partition import IPartition
 from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
@@ -78,29 +93,50 @@ class InsertionResult:
     changes: InsertionChanges
 
 
-def insert_signal(sg: StateGraph, partition: IPartition, name: str,
-                  require_csc: bool = True) -> InsertionResult:
-    """Insert a new (internal output) signal according to the partition.
+@dataclass
+class InsertionPlan:
+    """A trial insertion of signal ``name`` along ``partition``,
+    decided on bitsets before anything is built.
 
-    State identities in the result graph are ``(old_state, level)``
-    tuples, ordered by original state with ``(s, 0)`` before
-    ``(s, 1)``; the returned :class:`InsertionResult` pairs the graph
-    with the :class:`InsertionChanges` summary that incremental
-    resynthesis consumes.
+    ``levels[l]`` holds the original states with a copy at level ``l``
+    of the new signal, and ``reach[l]`` those whose level-``l`` copy is
+    reachable from ``start = (index, level)``, the initial state's copy.
+    ``conflicts`` counts the CSC conflict pairs of the graph the plan
+    builds, and :attr:`copies` its states.
+    """
 
-    The insertion is verified, in order:
+    partition: IPartition
+    name: str
+    levels: Tuple[int, int]
+    reach: Tuple[int, int]
+    start: Tuple[int, int]
+    conflicts: int
 
-    1. every original state keeps at least one reachable copy (no
+    @property
+    def copies(self) -> int:
+        return popcount(self.reach[0]) + popcount(self.reach[1])
+
+
+def plan_insertion(sg: StateGraph, partition: IPartition, name: str,
+                   require_csc: bool = True) -> InsertionPlan:
+    """Decide the insertion of ``name`` along ``partition`` without
+    building it; raise :class:`InsertionError` to reject it.
+
+    The checks, in order:
+
+    1. the name is fresh and every state lies in a block;
+    2. every original state keeps at least one reachable copy (no
        behaviour was amputated);
-    2. input events are never delayed: every input event enabled at an
+    3. input events are never delayed: every input event enabled at an
        original state is enabled at *every* reachable copy of it;
-    3. the new SG passes the whole SI property suite (consistency,
-       determinism, commutativity, output persistency — including the
-       inserted signal — and CSC unless ``require_csc`` is false);
-    4. the inserted signal actually switches (it would otherwise be
+    4. the crossing test (see the module docstring);
+    5. the new graph has no CSC conflict, unless ``require_csc`` is
+       false;
+    6. the inserted signal actually switches (it would otherwise be
        useless as a decomposition signal).
 
-    Checks 1 and 2 run on the level bitsets, before the graph is built.
+    Only a rejection by check 5 builds the graph, to name its
+    conflicts.
     """
     if name in sg.signals:
         raise InsertionError(f"signal name {name!r} already in use")
@@ -119,30 +155,65 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
     start = (initial, partition.initial_value(initial))
     reach = _reachable_copies(enc, levels, lift, drop, start)
     _check_copies(sg, enc, levels, reach, name)
-    new_sg, copies = _split_graph(sg, enc, levels, reach, lift, drop,
-                                  start, name)
-
-    # CSC is computed only when required, or to end a rejection's message
-    report = check_speed_independence(new_sg, csc=False)
-    ok = report.speed_independent and not report.consistency
-    if require_csc or not ok:
-        report.csc = csc_violations(new_sg)
-        ok = ok and not (require_csc and report.csc)
-    if not ok:
+    _check_crossing(enc, lift, drop, reach, name)
+    plan = InsertionPlan(partition, name, levels, reach, start,
+                         _conflict_count(sg, enc, levels, reach, lift,
+                                         drop))
+    if require_csc and plan.conflicts:
+        new_sg, _ = _split_graph(sg, enc, plan)
         raise InsertionError(
             f"insertion of {name!r} breaks the specification: "
-            + "; ".join(report.all_violations()[:3]))
+            + "; ".join(csc_violations(new_sg)[:3]))
     if not (lift & reach[0] or drop & reach[1]):
         raise InsertionError(f"inserted signal {name!r} never fires")
+    return plan
 
+
+def insert_signal(sg: StateGraph, partition: IPartition, name: str,
+                  require_csc: bool = True,
+                  max_states: Optional[int] = None,
+                  plan: Optional[InsertionPlan] = None) -> InsertionResult:
+    """Insert a new (internal output) signal according to the partition.
+
+    The insertion is decided by :func:`plan_insertion` (``plan``, when
+    given, is its verdict on the same arguments) and rejected when the
+    graph would have more than ``max_states`` states; only then is the
+    graph built.  State identities in the result graph are
+    ``(old_state, level)`` tuples, ordered by original state with
+    ``(s, 0)`` before ``(s, 1)``; the returned :class:`InsertionResult`
+    pairs the graph with the :class:`InsertionChanges` summary that
+    incremental resynthesis consumes.
+    """
+    if plan is None:
+        plan = plan_insertion(sg, partition, name, require_csc)
+    if max_states is not None and plan.copies > max_states:
+        raise InsertionError(
+            f"insertion of {name!r} would reach {plan.copies} states, "
+            f"more than {max_states}")
+    new_sg, copies = _split_graph(sg, sg.encoding(), plan)
+    reach = plan.reach
     both = reach[0] & reach[1]
     changes = InsertionChanges(
         name, both, (reach[0] & ~both, reach[1] & ~both), copies)
     return InsertionResult(new_sg, changes)
 
 
+def verify_insertion(sg: StateGraph, name: str,
+                     require_csc: bool = True) -> None:
+    """The commit check: the whole SI property suite (CSC unless
+    ``require_csc`` is false) on a graph a step commits to, after the
+    insertion of ``name``.  A violation means a plan accepted what the
+    suite rejects, so it raises :class:`SpeedIndependenceError`."""
+    report = check_speed_independence(sg, csc=require_csc)
+    violations = report.all_violations()
+    if violations:
+        raise SpeedIndependenceError(
+            f"committed insertion of {name!r} breaks the specification: "
+            + "; ".join(violations[:3]))
+
+
 def _reachable_copies(enc: Encoding, levels: Tuple[int, int], lift: int,
-                      drop: int, start: Tuple[int, int]) -> List[int]:
+                      drop: int, start: Tuple[int, int]) -> Tuple[int, int]:
     """Per-level bitsets of the original states whose copy at that level
     is reachable from the copy ``start = (index, level)``: one frontier
     sweep in which replicated arcs stay on their level, ``x+`` lifts
@@ -162,12 +233,12 @@ def _reachable_copies(enc: Encoding, levels: Tuple[int, int], lift: int,
                     & ~reach[0],
                     ((image[1] & levels[1]) | (frontier[0] & lift))
                     & ~reach[1]]
-    return reach
+    return reach[0], reach[1]
 
 
 def _check_copies(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
-                  reach: List[int], name: str) -> None:
-    """Checks 1 and 2 of :func:`insert_signal` on the level bitsets."""
+                  reach: Tuple[int, int], name: str) -> None:
+    """Checks 2 and 3 of :func:`plan_insertion`."""
     states = enc.states
     missing = enc.full_mask & ~(reach[0] | reach[1])
     if missing:
@@ -200,15 +271,75 @@ def _check_copies(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
                     f"state {states[i]!r} (level {at})")
 
 
-def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
-                 reach: List[int], lift: int, drop: int,
-                 start: Tuple[int, int], name: str
+def _check_crossing(enc: Encoding, lift: int, drop: int,
+                    reach: Tuple[int, int], name: str) -> None:
+    """Check 4 of :func:`plan_insertion`: no reachable copy excited
+    for ``x`` has an arc into the other excitation region on its level.
+    The rejection names the first such copy and arc, in the words the
+    output persistency check would use."""
+    for level, here, there in ((0, lift, drop), (1, drop, lift)):
+        crossing = reach[level] & here & enc.predecessor_image(there)
+        if crossing:
+            i = (crossing & -crossing).bit_length() - 1
+            event = next(event for event, j in enc.arcs[i]
+                         if (there >> j) & 1)
+            sign, other = "+-" if level == 0 else "-+"
+            raise InsertionError(
+                f"insertion of {name!r} breaks the specification: "
+                f"output event {name}{sign} enabled at "
+                f"{(enc.states[i], level)!r} is disabled by {event}, "
+                f"which crosses from ER({name}{sign}) into "
+                f"ER({name}{other})")
+
+
+def _conflict_count(sg: StateGraph, enc: Encoding,
+                    levels: Tuple[int, int], reach: Tuple[int, int],
+                    lift: int, drop: int) -> int:
+    """The CSC conflict pairs of the graph :func:`_split_graph` builds:
+    per code group and level, the pairs of reachable copies whose
+    enabled output events differ (see the module docstring)."""
+    groups = enc.code_groups()
+    if not groups:
+        return 0
+    bit, masks = enc.event_masks()
+    outputs = enc.signal_events_mask(set(sg.outputs))
+    fires = 1 << len(bit)  # x's own event; the levels never share a code
+    succ, arcs = enc.succ_bits, enc.arcs
+    count = 0
+    for level, excited in ((0, lift), (1, drop)):
+        here, kept = reach[level], levels[level]
+        delaying = enc.full_mask & ~kept
+        for group in groups:
+            sizes: Dict[int, int] = {}
+            for i in group:
+                if not (here >> i) & 1:
+                    continue
+                if succ[i] & delaying:
+                    mask = 0
+                    for event, j in arcs[i]:
+                        if (kept >> j) & 1:
+                            mask |= bit[event]
+                    mask &= outputs
+                else:
+                    mask = masks[i] & outputs
+                if (excited >> i) & 1:
+                    mask |= fires
+                sizes[mask] = sizes.get(mask, 0) + 1
+            total = sum(sizes.values())
+            count += total * (total - 1) // 2
+            for size in sizes.values():
+                count -= size * (size - 1) // 2
+    return count
+
+
+def _split_graph(sg: StateGraph, enc: Encoding, plan: InsertionPlan
                  ) -> Tuple[StateGraph, Tuple[List[int], List[int]]]:
-    """Build the split graph from the reachable copies: ``(s, 0)``
+    """Build the planned graph from the reachable copies: ``(s, 0)``
     before ``(s, 1)``, each copy's arcs as its ``x`` arc (if any) then
     the replicated arcs in original order, and every predecessor list
     as its ``x`` arc then the replicated arcs in source order.  Returns
     the graph and the new index of every copy, per level."""
+    name, levels, reach = plan.name, plan.levels, plan.reach
     outputs = list(sg.outputs) + [name]
     at = sorted(sg.signals + (name,)).index(name)
     low, xbit = (1 << at) - 1, 1 << at
@@ -228,7 +359,8 @@ def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
     succ: List[Tuple[Tuple[str, int], ...]] = []
     pred: List[List[Tuple[str, int]]] = [[] for _ in ids]
     for i, arcs in enumerate(enc.arcs):
-        for level, switch, event in ((0, lift, plus), (1, drop, minus)):
+        for level, switch, event in ((0, plan.partition.er_plus, plus),
+                                     (1, plan.partition.er_minus, minus)):
             k = copy[level][i]
             if k < 0:
                 continue
@@ -244,6 +376,7 @@ def _split_graph(sg: StateGraph, enc: Encoding, levels: Tuple[int, int],
         for label, j in arcs:
             if label != plus and label != minus:
                 pred[j].append((label, k))
+    start = plan.start
     return StateGraph.from_arrays(
         sg.name, sg.inputs, outputs, ids, codes, succ,
         [tuple(arcs) for arcs in pred], copy[start[1]][start[0]]), copy

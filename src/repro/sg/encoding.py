@@ -26,7 +26,8 @@ An encoding is built by copying the graph's own int-indexed arrays
 the bitsets from them in one pass over the arcs.  Instances are cached
 on the graph (:meth:`repro.sg.graph.StateGraph.encoding`) and
 invalidated by any mutation, so derived caches (stable closures, value
-half-spaces, image tables, diamonds) may live here safely.
+half-spaces, image tables, diamonds, code groups) may live here
+safely.
 
 Synthesis reads next-state functions through :func:`next_state_ints`:
 ON/OFF sets of packed codes, straight from the code array and the
@@ -36,7 +37,8 @@ excitation bitsets.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro._util import FrozenVector
 from repro.boolean.minimize import _cube_int
@@ -63,8 +65,8 @@ class Encoding:
     __slots__ = ("signals", "bit", "states", "index", "codes", "arcs",
                  "full_mask", "succ_bits", "pred_bits", "_event_bits",
                  "_event_arcs", "_excited_bits", "_value_bits",
-                 "_closure_cache", "_event_masks", "_image_tables",
-                 "_diamonds", "_diamond_table")
+                 "_closure_cache", "_event_masks", "_code_groups",
+                 "_image_tables", "_diamonds", "_diamond_table")
 
     def __init__(self, sg: StateGraph):
         signals = sg.signals
@@ -105,6 +107,7 @@ class Encoding:
         self._value_bits: Dict[str, int] = {}
         self._closure_cache: Dict[Tuple[Event, int], int] = {}
         self._event_masks: Optional[Tuple[Dict[Event, int], List[int]]] = None
+        self._code_groups: Optional[List[List[int]]] = None
         #: per-byte image tables, successor then predecessor (lazy)
         self._image_tables: List[Optional[List[List[int]]]] = [None, None]
         self._diamonds: Optional[List[IndexDiamond]] = None
@@ -252,6 +255,24 @@ class Encoding:
                 masks.append(mask)
             self._event_masks = (bit, masks)
         return self._event_masks
+
+    def signal_events_mask(self, signals: AbstractSet[str]) -> int:
+        """The :meth:`event_masks` bits of the events of ``signals``."""
+        bit, _ = self.event_masks()
+        return sum(mask for event, mask in bit.items()
+                   if event[:-1] in signals)
+
+    def code_groups(self) -> List[List[int]]:
+        """The states that share their packed code with another state
+        (cached): one ascending index list per shared code, in order of
+        the code's first state.  Only such states can break CSC."""
+        if self._code_groups is None:
+            by_code: Dict[int, List[int]] = {}
+            for i, code in enumerate(self.codes):
+                by_code.setdefault(code, []).append(i)
+            self._code_groups = [group for group in by_code.values()
+                                 if len(group) > 1]
+        return self._code_groups
 
     def diamonds(self) -> List[IndexDiamond]:
         """Every complete commutativity diamond (cached): both firing

@@ -369,25 +369,6 @@ class StateGraph:
         clone._encoding_cache = self._encoding_cache
         return clone
 
-    def relabel(self) -> "StateGraph":
-        """Return a copy whose states are renamed ``s0, s1, ...`` in BFS
-        order from the initial state (stable, readable identities)."""
-        order = self._bfs()
-        new = {old: k for k, old in enumerate(order)}
-        succ: List[Arcs] = []
-        pred: List[List[Tuple[Event, int]]] = [[] for _ in order]
-        for k, old in enumerate(order):
-            arcs = tuple((event, new[j]) for event, j in self._succ[old]
-                         if j in new)
-            succ.append(arcs)
-            for event, j in arcs:
-                pred[j].append((event, k))
-        return StateGraph.from_arrays(
-            self.name, self._inputs, self._outputs,
-            [f"s{k}" for k in range(len(order))],
-            [self._codes[old] for old in order], succ,
-            [tuple(arcs) for arcs in pred], 0)
-
     def to_dot(self) -> str:
         """GraphViz rendering (debugging aid)."""
         lines = [f'digraph "{self.name}" {{']

@@ -144,29 +144,22 @@ def persistency_violations(sg: StateGraph,
 def csc_violations(sg: StateGraph) -> List[str]:
     """Complete State Coding: same code ⇒ same enabled output events.
 
-    States are grouped by packed code (first occurrence order) and
-    compared by their enabled-output event masks.
+    States are grouped by packed code (first occurrence order, see
+    :meth:`~repro.sg.encoding.Encoding.code_groups`) and compared by
+    their enabled-output event masks.
     """
     enc = sg.encoding()
     bit, masks = enc.event_masks()
-    outputs = set(sg.outputs)
-    output_mask = 0
-    for event, mask in bit.items():
-        if event[:-1] in outputs:
-            output_mask |= mask
-    by_code: Dict[int, List[int]] = {}
-    for i, code in enumerate(enc.codes):
-        by_code.setdefault(code, []).append(i)
+    output_mask = enc.signal_events_mask(set(sg.outputs))
     events = sorted(bit)
     width = len(enc.signals)
     problems: List[str] = []
-    for code, group in by_code.items():
-        if len(group) < 2:
-            continue
+    for group in enc.code_groups():
         reference = masks[group[0]] & output_mask
         for i in group[1:]:
             enabled = masks[i] & output_mask
             if enabled != reference:
+                code = enc.codes[i]
                 bits = "".join(str((code >> k) & 1) for k in range(width))
                 problems.append(
                     f"states sharing code {bits} enable different "

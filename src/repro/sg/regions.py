@@ -96,18 +96,6 @@ def excitation_regions(sg: StateGraph, event: Event) -> List[ExcitationRegion]:
             for i, component in enumerate(components)]
 
 
-def all_excitation_regions(sg: StateGraph,
-                           signals: Sequence[str] = ()) -> List[ExcitationRegion]:
-    """Excitation regions of every event of the given signals
-    (default: all output signals)."""
-    chosen = list(signals) or list(sg.outputs)
-    regions: List[ExcitationRegion] = []
-    for signal in chosen:
-        for direction in ("+", "-"):
-            regions.extend(excitation_regions(sg, signal + direction))
-    return regions
-
-
 def switching_region(sg: StateGraph, region: ExcitationRegion) -> int:
     """Bitset of the states entered immediately after the event fires
     from the region (``SR_j``)."""
@@ -242,16 +230,3 @@ def trigger_events(sg: StateGraph, region: ExcitationRegion) -> Set[Event]:
                 triggers.add(event)
     return triggers
 
-
-def trigger_signals(sg: StateGraph, signal: str) -> Set[str]:
-    """Signals that trigger any transition of ``signal``.
-
-    These are guaranteed inputs of any SI gate implementation of the
-    signal (§2.2).
-    """
-    result: Set[str] = set()
-    for direction in ("+", "-"):
-        for region in excitation_regions(sg, signal + direction):
-            result.update(event_signal(e)
-                          for e in trigger_events(sg, region))
-    return result

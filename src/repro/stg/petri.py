@@ -88,15 +88,6 @@ class PetriNet:
                 f"arc {source!r} -> {target!r} must connect a place and a "
                 "transition (both endpoints must already exist)")
 
-    def remove_transition(self, name: str) -> None:
-        if name not in self._transitions:
-            raise PetriNetError(f"unknown transition {name!r}")
-        for place in self._pre.pop(name):
-            self._place_post[place].discard(name)
-        for place in self._post.pop(name):
-            self._place_pre[place].discard(name)
-        self._transitions.remove(name)
-
     def preset(self, transition: str) -> FrozenSet[str]:
         """Input places of a transition."""
         try:
@@ -168,24 +159,6 @@ class PetriNet:
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-
-    def reachable_markings(self, limit: int = 2_000_000) -> List[Marking]:
-        """All markings reachable from the initial one (BFS order)."""
-        frontier = [self.initial_marking]
-        seen: Set[Marking] = {self.initial_marking}
-        order: List[Marking] = []
-        while frontier:
-            marking = frontier.pop(0)
-            order.append(marking)
-            for transition in self.enabled(marking):
-                successor = self.fire(transition, marking)
-                if successor not in seen:
-                    if len(seen) >= limit:
-                        raise PetriNetError(
-                            f"reachability exceeded {limit} markings")
-                    seen.add(successor)
-                    frontier.append(successor)
-        return order
 
     def is_choice_place(self, place: str) -> bool:
         """True iff the place has more than one consumer."""

@@ -279,20 +279,6 @@ def _solve_complete(on, off, support: Sequence[str]
     return cover, complement
 
 
-def complete_cover_with_self(sg: StateGraph,
-                             signal: str) -> Tuple[SopCover, SopCover]:
-    """Minimized next-state function, self-dependency allowed.
-
-    This always exists under CSC and is the atomic-complex-gate
-    implementation of the signal (a state-holding gate when the support
-    includes the signal itself).
-    """
-    support = list(sg.signals)
-    on, off = next_state_ints(sg, signal, support)
-    cover = minimize(on, off, support)
-    return cover, minimize_complement(on, off, support, cover)
-
-
 @dataclass
 class SignalImplementation:
     """The standard-C implementation pieces of one output signal.

@@ -98,15 +98,6 @@ class GateLibrary:
         implemented as one library cell?"""
         return complexity <= self.max_literals
 
-    def fits_cover(self, cover: SopCover) -> bool:
-        """Conservative check on a chosen cover polarity only.
-
-        The mapper works with the full complexity measure
-        (:func:`repro.mapping.cost.cover_complexity`); this helper is
-        for quick structural tests.
-        """
-        return cover.literal_count() <= self.max_literals
-
     def cell_for(self, cover: SopCover) -> Optional[Gate]:
         """A readable cell name for a cover, if one obviously matches."""
         literals = cover.literal_count()

@@ -271,7 +271,7 @@ class TestVectorizedKernels:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_expand_of_any_cube_matches_reference(self, data):
-        # expand_cube() may start from a cube that already hits OFF.
+        # EXPAND may be handed a cube that already hits OFF.
         width = data.draw(widths)
         full = (1 << width) - 1
         mask = data.draw(st.integers(0, full))

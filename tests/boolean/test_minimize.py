@@ -5,17 +5,27 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean.minimize import (_vector_int, expand_cube,
-                                    literal_complexity, minimize)
+from repro.boolean.minimize import (_vector_int, cheaper_polarity,
+                                    minimize, minimize_complement)
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
-from repro._util import FrozenVector
 
 
 def vectors(support, bits_list):
     return [dict(zip(support, [int(b) for b in bits]))
             for bits in bits_list]
+
+
+def literal_complexity(on, off, support):
+    """The paper's gate-complexity measure, ``min(lit(f), lit(f'))``
+    with both polarities minimized against the same don't-care set
+    (§4), as the synthesis layer composes it: ``(complexity, cover,
+    complement)``."""
+    cover = minimize(on, off, support)
+    complement = minimize_complement(on, off, support, cover)
+    return (cheaper_polarity(cover, complement).literal_count(), cover,
+            complement)
 
 
 class TestMinimize:
@@ -119,20 +129,6 @@ class TestReduceReseed:
         assert not any(value(v) for v in off)
 
 
-class TestExpandCube:
-    def test_expand_removes_redundant_literals(self):
-        off = [FrozenVector({"a": 0, "b": 0})]
-        cube = Cube.from_string("a b")
-        expanded = expand_cube(cube, off)
-        assert len(expanded) == 1
-
-    def test_expand_blocked_by_off(self):
-        off = [FrozenVector({"a": 1, "b": 0}),
-               FrozenVector({"a": 0, "b": 1})]
-        cube = Cube.from_string("a b")
-        assert expand_cube(cube, off) == cube
-
-
 class TestWideSupport:
     """Supports wider than 63 signals do not fit the int64 packing;
     the kernels must fall back to object arrays of Python ints instead
@@ -164,13 +160,6 @@ class TestWideSupport:
         off_ints = [_vector_int(v, self.SUPPORT) for v in off]
         assert minimize(on, off, self.SUPPORT) \
             == minimize(on_ints, off_ints, self.SUPPORT)
-
-    def test_expand_cube_beyond_63_signals(self):
-        off = [FrozenVector(self._vector(set()))]
-        cube = Cube({name: 1 for name in self.SUPPORT})
-        expanded = expand_cube(cube, off)
-        assert len(expanded) == 1
-        assert not expanded.evaluate(off[0])
 
 
 class TestLiteralComplexity:

@@ -174,13 +174,6 @@ class TestAlgebra:
     def test_plus(self):
         assert cover("a").plus(cover("b")) == cover("a + b")
 
-    def test_times_cube(self):
-        assert cover("a + b").times_cube(Cube.from_string("c")) == \
-            cover("a c + b c")
-
-    def test_times_cube_orthogonal_drops(self):
-        assert cover("a + a'").times_cube(Cube.from_string("a")) == cover("a")
-
     def test_times(self):
         product = cover("a + b").times(cover("c + d"))
         assert product == cover("a c + a d + b c + b d")

@@ -1,17 +1,41 @@
 """Unit tests for SG event insertion (state splitting)."""
 
+from unittest import mock
+
 import pytest
 
+import repro.mapping.insertion as insertion
+from repro._util import FrozenVector
 from repro.boolean.sop import SopCover
-from repro.errors import InsertionError
-from repro.mapping.insertion import insert_signal
-from repro.mapping.partition import compute_insertion_sets
-from repro.sg.properties import check_speed_independence
+from repro.errors import InsertionError, SpeedIndependenceError
+from repro.mapping.csc import csc_conflicts
+from repro.mapping.insertion import (insert_signal, plan_insertion,
+                                     verify_insertion)
+from repro.mapping.partition import (IPartition, compute_insertion_sets,
+                                     compute_insertion_sets_from_states)
+from repro.sg.graph import StateGraph
+from repro.sg.properties import check_speed_independence, csc_violations
+from repro.sg.reachability import state_graph_of
+from repro.sg.regions import encoding_atoms
 from repro.verify.conformance import weakly_bisimilar
 
 
 def cover(text):
     return SopCover.from_string(text)
+
+
+def crossing_case():
+    """An output-only four-phase cycle ``a+ b+ a- b-`` and a partition
+    with ``ER(x+) = {p1}`` and ``ER(x-) = {p2}``: the arc ``p1 -b+->
+    p2`` crosses from ER(x+) into ER(x-) on level 0."""
+    sg = StateGraph("cycle", [], ["a", "b"])
+    codes = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    for k, (a, b) in enumerate(codes):
+        sg.add_state(f"p{k}", FrozenVector({"a": a, "b": b}))
+    for k, event in enumerate(["a+", "b+", "a-", "b-"]):
+        sg.add_arc(f"p{k}", event, f"p{(k + 1) % 4}")
+    sg.set_initial("p0")
+    return sg, IPartition(SopCover.zero(), 0b0010, 0b0100, 0, 0b1001)
 
 
 @pytest.fixture
@@ -85,10 +109,10 @@ class TestSemantics:
                   for e, _ in new_sg.successors(s)}
         assert "c+" in events and "c-" in events
 
-    def test_accepted_trial_skips_the_csc_check(self, celement_sg,
-                                                monkeypatch):
-        """A CSC-solver trial (require_csc=False) that is accepted
-        never computes CSC violations: nothing would read them."""
+    def test_no_trial_calls_csc_violations(self, celement_sg, monkeypatch):
+        """Trials are decided by the plan's conflict count: neither a
+        CSC-solver trial (require_csc=False) nor a mapper trial computes
+        CSC violations.  Only the commit check does."""
         import repro.mapping.insertion
         import repro.sg.properties
         from repro.sg.properties import csc_violations
@@ -97,17 +121,76 @@ class TestSemantics:
         def counted(sg):
             calls.append(sg)
             return csc_violations(sg)
-        # both the name insert_signal resolves and the one the
-        # property suite resolves
+        # both the name insertion resolves and the one the property
+        # suite resolves
         monkeypatch.setattr(repro.mapping.insertion, "csc_violations",
                             counted)
         monkeypatch.setattr(repro.sg.properties, "csc_violations",
                             counted)
         partition = compute_insertion_sets(celement_sg, cover("a b"))
         insert_signal(celement_sg, partition, "x", require_csc=False)
+        new_sg = insert_signal(celement_sg, partition, "x").sg
         assert calls == []
-        insert_signal(celement_sg, partition, "x", require_csc=True)
-        assert len(calls) == 1
+        verify_insertion(new_sg, "x")
+        assert calls == [new_sg]
+
+
+class TestPlan:
+    def test_counts_before_building(self, celement_sg):
+        partition = compute_insertion_sets(celement_sg, cover("a b"))
+        plan = plan_insertion(celement_sg, partition, "x")
+        new_sg = insert_signal(celement_sg, partition, "x", plan=plan).sg
+        assert plan.copies == len(new_sg)
+        assert plan.conflicts == len(csc_conflicts(new_sg)) == 0
+
+    def test_max_states_rejects_before_building(self, celement_sg):
+        partition = compute_insertion_sets(celement_sg, cover("a b"))
+        plan = plan_insertion(celement_sg, partition, "x")
+        with mock.patch.object(insertion, "_split_graph") as build:
+            with pytest.raises(InsertionError, match="more than"):
+                insert_signal(celement_sg, partition, "x",
+                              max_states=plan.copies - 1, plan=plan)
+        assert not build.called
+
+    def test_crossing_names_state_and_arc(self):
+        sg, partition = crossing_case()
+        with pytest.raises(InsertionError) as rejection:
+            plan_insertion(sg, partition, "x", require_csc=False)
+        violation = ("output event x+ enabled at ('p1', 0) is disabled "
+                     "by b+")
+        assert str(rejection.value).endswith(
+            f"{violation}, which crosses from ER(x+) into ER(x-)")
+        # built anyway, the graph shows the suite the same violation,
+        # and the commit check raises on it
+        with mock.patch.object(insertion, "_check_crossing"):
+            new_sg = insert_signal(sg, partition, "x",
+                                   require_csc=False).sg
+        assert violation in check_speed_independence(new_sg).persistency
+        with pytest.raises(SpeedIndependenceError, match="disabled by b+"):
+            verify_insertion(new_sg, "x", require_csc=False)
+
+    def test_csc_rejection_names_the_conflicts(self):
+        from tests.conftest import chained_sequencer_stg
+        sg = state_graph_of(chained_sequencer_stg())
+        conflicted = 0
+        for _, block in encoding_atoms(sg):
+            try:
+                partition = compute_insertion_sets_from_states(sg, block)
+                plan = plan_insertion(sg, partition, "x",
+                                      require_csc=False)
+            except InsertionError:
+                continue
+            if not plan.conflicts:
+                continue
+            conflicted += 1
+            new_sg = insert_signal(sg, partition, "x", require_csc=False,
+                                   plan=plan).sg
+            with pytest.raises(InsertionError) as rejection:
+                plan_insertion(sg, partition, "x")
+            assert str(rejection.value) == (
+                "insertion of 'x' breaks the specification: "
+                + "; ".join(csc_violations(new_sg)[:3]))
+        assert conflicted
 
 
 class TestResynthesis:

@@ -1,45 +1,74 @@
 """Packed signal insertion against the object-level reference.
 
-:func:`repro.mapping.insertion.insert_signal` finds the reachable
-copies on per-level bitsets and builds the split graph straight in the
-int-indexed layout.  The reference below is the straightforward
-object-level formulation: it adds *every* copy and arc one at a time,
-prunes the copies the initial state cannot reach, and verifies the
-result with the object-level property suite.  For every input both
-must agree exactly — state order, codes, successor and predecessor
-order of every state, initial state and :class:`InsertionChanges` — or
-raise :class:`InsertionError` with the same message.
+:func:`repro.mapping.insertion.insert_signal` decides a trial on
+per-level bitsets (:func:`~repro.mapping.insertion.plan_insertion`) and
+builds the split graph straight in the int-indexed layout.  The
+reference below is the straightforward object-level formulation: it
+adds *every* copy and arc one at a time, prunes the copies the initial
+state cannot reach, and verifies the result with the object-level
+property suite.  For every grown partition both must agree exactly —
+state order, codes, successor and predecessor order of every state,
+initial state and :class:`InsertionChanges` — or both raise
+:class:`InsertionError`.  The messages agree too, except where the
+suite finds a speed-independence violation: there the plan's crossing
+test rejects instead, and its message names one crossing state and arc
+in the words of one of the suite's violations.
 
-Inputs: blocks drawn on random handshake STGs (grown into
-I-partitions by :func:`compute_insertion_sets_from_states`), graphs
-after one or two such insertions, and every candidate partition the
-mapper tries on hazard, seq_mix and trimos-send.
+The crossing test is the plan's only SI check, so it is checked as an
+oracle property: on every grown partition it rejects exactly when the
+reference suite finds an SI violation.  The plan's two counts, the
+would-be graph's CSC conflict pairs and its states, are checked against
+the built graph on every partition, arbitrary block assignments
+included.
+
+Inputs: blocks drawn on random handshake STGs (grown into I-partitions
+by :func:`compute_insertion_sets_from_states`), graphs after one or two
+such insertions, seed functions on fork/join STGs, unvalidated block
+assignments, and every candidate partition the mapper tries on hazard,
+seq_mix and trimos-send.
 """
 
+import re
+from collections import Counter
 from typing import Dict, List, Set, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.mapping.decompose as decompose
+import repro.mapping.insertion as insertion
 from repro._util import FrozenVector
 from repro.bench_suite import benchmark
 from repro.boolean.sop import SopCover
-from repro.errors import InsertionError
+from repro.errors import InsertionError, SpeedIndependenceError
+from repro.mapping.csc import _conflict_pairs
 from repro.mapping.decompose import map_circuit
-from repro.mapping.insertion import (InsertionChanges, InsertionResult,
-                                     insert_signal)
+from repro.mapping.insertion import (InsertionChanges, InsertionPlan,
+                                     InsertionResult, insert_signal,
+                                     plan_insertion, verify_insertion)
 from repro.mapping.partition import (IPartition, compute_insertion_sets,
                                      compute_insertion_sets_from_states)
 from repro.sg.graph import State, StateGraph
 from repro.sg.regions import encoding_atoms
 from repro.synthesis.library import GateLibrary
-from tests.mapping.test_properties_hypothesis import handshake_sgs
+from tests.mapping.test_properties_hypothesis import (handshake_sgs,
+                                                      seed_functions,
+                                                      small_sgs)
 from tests.sg.test_properties_hypothesis import ref_report
 
 # ----------------------------------------------------------------------
 # Object-level reference
 # ----------------------------------------------------------------------
+
+
+class SuiteRejection(InsertionError):
+    """The reference suite's rejection, with every consistency and SI
+    violation it found in ``si`` (empty when only CSC failed)."""
+
+    def __init__(self, message: str, si: List[str]):
+        super().__init__(message)
+        self.si = si
 
 
 def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
@@ -145,18 +174,13 @@ def ref_verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
                         f"input event {event} is delayed by {name!r} at "
                         f"state {state!r} (level {level})")
     report = ref_report(new_sg)
-    speed_independent = not (report["determinism"]
-                             or report["commutativity"]
-                             or report["persistency"])
-    ok = speed_independent and not report["consistency"] and (
-        not report["csc"] or not require_csc)
-    if not ok:
-        violations = [v for kind in ("consistency", "determinism",
-                                     "commutativity", "persistency", "csc")
-                      for v in report[kind]]
-        raise InsertionError(
+    si = [v for kind in ("consistency", "determinism", "commutativity",
+                         "persistency")
+          for v in report[kind]]
+    if si or (report["csc"] and require_csc):
+        raise SuiteRejection(
             f"insertion of {name!r} breaks the specification: "
-            + "; ".join(violations[:3]))
+            + "; ".join((si + report["csc"])[:3]), si)
     fires = any(event in (f"{name}+", f"{name}-")
                 for state in new_sg.states
                 for event, _ in new_sg.successors(state))
@@ -173,19 +197,27 @@ def _outcome(insert, sg, partition, name, require_csc):
     try:
         return insert(sg, partition, name, require_csc=require_csc)
     except InsertionError as error:
-        return str(error)
+        return error
 
 
-def assert_same_insertion(sg: StateGraph, partition: IPartition,
-                          name: str, require_csc: bool = True):
-    """Run both insertions; return the packed result (None when both
-    rejected the partition with the same message)."""
-    got = _outcome(insert_signal, sg, partition, name, require_csc)
-    want = _outcome(ref_insert_signal, sg, partition, name, require_csc)
-    if isinstance(want, str):
-        assert got == want
-        return None
-    assert not isinstance(got, str), got
+#: the plan's SI rejection: one crossing state and arc, named as the
+#: output persistency violation the suite reports for them
+CROSSING = re.compile(
+    r"breaks the specification: (output event \S+ enabled at .+ is "
+    r"disabled by [^\s,]+), which crosses from ER\(\S+\) into "
+    r"ER\(\S+\)$")
+
+
+def assert_names_crossing(error: InsertionError,
+                          violations: List[str]) -> None:
+    """``error`` is the plan's SI rejection, and the state and arc it
+    names are among the suite's ``violations``."""
+    crossing = CROSSING.search(str(error))
+    assert crossing, str(error)
+    assert crossing.group(1) in violations, (str(error), violations)
+
+
+def assert_same_graph(got: InsertionResult, want: InsertionResult):
     new, ref = got.sg, want.sg
     assert (new.name, new.inputs, new.outputs, new.signals) \
         == (ref.name, ref.inputs, ref.outputs, ref.signals)
@@ -199,7 +231,54 @@ def assert_same_insertion(sg: StateGraph, partition: IPartition,
     assert got.changes.split == want.changes.split
     assert got.changes.levels == want.changes.levels
     assert got.changes.copies == want.changes.copies
+
+
+def assert_same_insertion(sg: StateGraph, partition: IPartition,
+                          name: str, require_csc: bool = True):
+    """Run both insertions on a grown partition; return the packed
+    result (None when both rejected it)."""
+    got = _outcome(insert_signal, sg, partition, name, require_csc)
+    want = _outcome(ref_insert_signal, sg, partition, name, require_csc)
+    if isinstance(want, InsertionError):
+        assert isinstance(got, InsertionError), "accepted a rejection"
+        if isinstance(want, SuiteRejection) and want.si:
+            assert_names_crossing(got, want.si)
+        else:
+            assert str(got) == str(want)
+        return None
+    assert not isinstance(got, InsertionError), str(got)
+    assert_same_graph(got, want)
     return got
+
+
+def assert_crossing_oracle(sg: StateGraph, partition: IPartition,
+                           name: str) -> str:
+    """On a grown partition, the crossing test rejects exactly when the
+    reference suite finds an SI violation, and then names one of them;
+    a plan it accepts counts the built graph's conflicts and states
+    exactly.  Returns the outcome: ``"crossing"``, ``"accepted"`` or
+    ``"other"`` (rejected before or after the SI check)."""
+    try:
+        plan = plan_insertion(sg, partition, name, require_csc=False)
+    except InsertionError as error:
+        plan, rejection = None, error
+    want = _outcome(ref_insert_signal, sg, partition, name, False)
+    violations = want.si if isinstance(want, SuiteRejection) else []
+    if plan is None and CROSSING.search(str(rejection)):
+        assert_names_crossing(rejection, violations)
+        return "crossing"
+    assert not violations, violations
+    if plan is None:
+        return "other"
+    assert_counts_exact(sg, plan)
+    return "accepted"
+
+
+def assert_counts_exact(sg: StateGraph, plan: InsertionPlan) -> None:
+    built = insert_signal(sg, plan.partition, plan.name,
+                          require_csc=False, plan=plan).sg
+    assert plan.conflicts == len(_conflict_pairs(built))
+    assert plan.copies == len(built)
 
 
 @st.composite
@@ -226,6 +305,22 @@ def drawn_partitions(draw, sg):
         return None
 
 
+@st.composite
+def assigned_partitions(draw, sg):
+    """Unvalidated four-block partitions, overlapping or missing
+    blocks included."""
+    # bit 0: ER(x+), bit 1: ER(x-), bit 2: S1, bit 3: S0
+    masks = draw(st.lists(
+        st.sampled_from([1, 2, 4, 8, 1, 2, 4, 8, 3, 5]),
+        min_size=len(sg), max_size=len(sg)))
+    if draw(st.integers(0, 9)) == 0:
+        masks[draw(st.integers(0, len(sg) - 1))] = 0
+    blocks = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+              for k in range(4)]
+    return IPartition(SopCover.zero(), blocks[0], blocks[1], blocks[2],
+                      blocks[3])
+
+
 class TestDrawnBlocks:
     @given(handshake_sgs(), st.data(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -244,21 +339,30 @@ class TestDrawnBlocks:
     @given(handshake_sgs(), st.data(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_arbitrary_block_assignments(self, sg, data, require_csc):
-        """Unvalidated four-block partitions — overlapping or missing
-        blocks included — drive every rejection path: unreachable
-        originals, delayed inputs, broken SI properties, a silent
-        signal."""
-        # bit 0: ER(x+), bit 1: ER(x-), bit 2: S1, bit 3: S0
-        masks = data.draw(st.lists(
-            st.sampled_from([1, 2, 4, 8, 1, 2, 4, 8, 3, 5]),
-            min_size=len(sg), max_size=len(sg)))
-        if data.draw(st.integers(0, 9)) == 0:
-            masks[data.draw(st.integers(0, len(sg) - 1))] = 0
-        blocks = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
-                  for k in range(4)]
-        partition = IPartition(SopCover.zero(), blocks[0], blocks[1],
-                               blocks[2], blocks[3])
-        assert_same_insertion(sg, partition, "zz", require_csc)
+        """Unvalidated partitions drive every rejection path:
+        unreachable originals, delayed inputs, broken SI properties, a
+        silent signal.  They lie outside the crossing test's premise,
+        so the plan may reject more than the suite, and it may miss a
+        violation that the commit check then finds.  Whatever the
+        reference rejects, :func:`insert_signal` or the commit check
+        rejects; every graph both accept equals the reference's."""
+        partition = data.draw(assigned_partitions(sg))
+        got = _outcome(insert_signal, sg, partition, "zz", require_csc)
+        want = _outcome(ref_insert_signal, sg, partition, "zz",
+                        require_csc)
+        if (isinstance(want, InsertionError)
+                and not isinstance(want, SuiteRejection)):
+            # rejected before the suite runs, or after it passed
+            assert str(got) == str(want)
+            return
+        if isinstance(got, InsertionError):
+            return
+        try:
+            verify_insertion(got.sg, "zz", require_csc)
+        except SpeedIndependenceError:
+            return
+        assert not isinstance(want, InsertionError), str(want)
+        assert_same_graph(got, want)
 
     def test_name_collision_and_unassigned_state(self, celement_sg):
         partition = compute_insertion_sets(celement_sg,
@@ -273,6 +377,62 @@ class TestDrawnBlocks:
         with pytest.raises(InsertionError, match="never fires"):
             insert_signal(celement_sg, silent, "x")
         assert_same_insertion(celement_sg, silent, "x")
+
+
+class TestCrossingOracle:
+    """The crossing test agrees with the reference suite."""
+
+    def test_drawn_partitions(self):
+        """One and two insertions deep on handshake STGs; the family
+        is not vacuous: it yields crossing rejections and acceptances."""
+        outcomes: Counter = Counter()
+
+        @given(handshake_sgs(), st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(sg, data):
+            partition = data.draw(drawn_partitions(sg))
+            if partition is None:
+                return
+            outcomes[assert_crossing_oracle(sg, partition, "zz")] += 1
+            try:
+                first = insert_signal(sg, partition, "zz",
+                                      require_csc=False).sg
+            except InsertionError:
+                return
+            second = data.draw(drawn_partitions(first))
+            if second is not None:
+                outcomes[assert_crossing_oracle(first, second, "zy")] += 1
+        check()
+        assert outcomes["crossing"] and outcomes["accepted"], outcomes
+
+    @given(small_sgs(), seed_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_seed_function_partitions(self, sg, function):
+        try:
+            partition = compute_insertion_sets(sg, function)
+        except InsertionError:
+            return
+        assert_crossing_oracle(sg, partition, "zz")
+
+
+class TestPlannedCounts:
+    @given(handshake_sgs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_block_assignments(self, sg, data):
+        """The counts do not rest on the checks: with the copy and
+        crossing checks off, every assignment that still plans is
+        counted exactly."""
+        partition = data.draw(assigned_partitions(sg))
+        with mock.patch.object(insertion, "_check_copies",
+                               lambda *args: None), \
+                mock.patch.object(insertion, "_check_crossing",
+                                  lambda *args: None):
+            try:
+                plan = plan_insertion(sg, partition, "zz",
+                                      require_csc=False)
+            except InsertionError:
+                return
+            assert_counts_exact(sg, plan)
 
 
 class TestMapperCandidates:
@@ -292,6 +452,7 @@ class TestMapperCandidates:
         sizes: Set[int] = set()
         for sg, partition, signal in calls:
             sizes.add(len(sg.signals))
+            assert_crossing_oracle(sg, partition, signal)
             if assert_same_insertion(sg, partition, signal) is not None:
                 accepted += 1
         assert accepted

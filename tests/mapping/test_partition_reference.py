@@ -38,10 +38,9 @@ from repro.mapping.progress import (_extended_quiescent, check_property_31,
                                     check_property_32)
 from repro.sg.encoding import next_state_ints, next_value
 from repro.sg.graph import State, StateGraph
-from repro.sg.regions import (ExcitationRegion, all_excitation_regions,
-                              encoding_atoms, excitation_regions,
-                              quiescent_region, stable_closure,
-                              switching_region)
+from repro.sg.regions import (ExcitationRegion, encoding_atoms,
+                              excitation_regions, quiescent_region,
+                              stable_closure, switching_region)
 from repro.synthesis.library import GateLibrary
 from tests.mapping.test_properties_hypothesis import handshake_sgs
 
@@ -52,6 +51,12 @@ from tests.mapping.test_properties_hypothesis import handshake_sgs
 
 def states_of(sg: StateGraph, bits: int) -> Set[State]:
     return {state for i, state in enumerate(sg.states) if (bits >> i) & 1}
+
+
+def all_excitation_regions(sg: StateGraph) -> List[ExcitationRegion]:
+    """The excitation regions of every output event."""
+    return [region for signal in sg.outputs for direction in "+-"
+            for region in excitation_regions(sg, signal + direction)]
 
 
 def ref_switching_region(sg: StateGraph,

@@ -42,3 +42,21 @@ class TestNextValue:
         # state 0 implies a rises (next=1); state 2 implies a stays 0.
         with pytest.raises(CscViolation):
             next_state_ints(sg, "a", sg.signals)
+
+
+class TestCodeGroups:
+    def test_shared_codes_in_first_occurrence_order(self):
+        sg = StateGraph("groups", [], ["a", "b"])
+        for state, code in enumerate([vec(a=0, b=0), vec(a=1, b=0),
+                                      vec(a=0, b=0), vec(a=0, b=1),
+                                      vec(a=1, b=0), vec(a=0, b=0)]):
+            sg.add_state(state, code)
+        sg.add_arc(0, "a+", 1)
+        sg.set_initial(0)
+        enc = sg.encoding()
+        # state 3's code is its own: only shared codes form a group
+        assert enc.code_groups() == [[0, 2, 5], [1, 4]]
+        assert enc.code_groups() is enc.code_groups()
+        bit, _ = enc.event_masks()
+        assert enc.signal_events_mask({"a"}) == bit["a+"]
+        assert enc.signal_events_mask({"b"}) == 0

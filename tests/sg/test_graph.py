@@ -129,12 +129,6 @@ class TestAlgorithms:
         assert clone.bfs_rank() is not rank
         assert diamond_sg.bfs_rank() is rank
 
-    def test_relabel_bfs_names(self, diamond_sg):
-        renamed = diamond_sg.relabel()
-        assert renamed.initial == "s0"
-        assert len(renamed) == len(diamond_sg)
-        assert renamed.enabled("s0") == ["a+", "b+"]
-
     def test_to_dot_contains_states(self, diamond_sg):
         dot = diamond_sg.to_dot()
         assert "digraph" in dot and "a+" in dot

@@ -6,11 +6,10 @@ import pickle
 
 import pytest
 
-from repro.sg.regions import (ExcitationRegion, all_excitation_regions,
-                              encoding_atoms, event_cones,
-                              excitation_regions, quiescent_region,
-                              stable_closure, switching_region,
-                              trigger_events, trigger_signals)
+from repro.sg.regions import (ExcitationRegion, encoding_atoms,
+                              event_cones, excitation_regions,
+                              quiescent_region, stable_closure,
+                              switching_region, trigger_events)
 
 
 def states_of(sg, bits):
@@ -48,10 +47,6 @@ class TestExcitationRegions:
         second = excitation_regions(two_er_sg, "x+")
         assert [sorted(map(repr, r.states)) for r in first] == \
             [sorted(map(repr, r.states)) for r in second]
-
-    def test_all_excitation_regions_outputs_only(self, celement_sg):
-        regions = all_excitation_regions(celement_sg)
-        assert {r.event for r in regions} == {"c+", "c-"}
 
     def test_membership_protocol(self, celement_sg):
         (region,) = excitation_regions(celement_sg, "c+")
@@ -134,12 +129,6 @@ class TestTriggers:
         (region,) = excitation_regions(celement_sg, "c+")
         events = trigger_events(celement_sg, region)
         assert events == {"a+", "b+"}
-
-    def test_trigger_signals(self, celement_sg):
-        assert trigger_signals(celement_sg, "c") == {"a", "b"}
-
-    def test_trigger_signals_two_er(self, two_er_sg):
-        assert trigger_signals(two_er_sg, "x") == {"a", "b"}
 
 
 class TestEncodingAtoms:

@@ -5,10 +5,8 @@ import pytest
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
 from repro.sg.regions import excitation_regions, quiescent_region
-from repro.synthesis.cover import (complete_cover,
-                                   complete_cover_with_self,
-                                   monotonous_cover, synthesize_all,
-                                   synthesize_signal)
+from repro.synthesis.cover import (complete_cover, monotonous_cover,
+                                   synthesize_all, synthesize_signal)
 
 
 class TestMonotonousCover:
@@ -87,12 +85,6 @@ class TestCompleteCover:
     def test_celement_is_state_holding(self, celement_sg):
         # The C element's next-state function needs c itself.
         assert complete_cover(celement_sg, "c") is None
-
-    def test_with_self_support(self, celement_sg):
-        cover, complement = complete_cover_with_self(celement_sg, "c")
-        # classic majority: ab + c(a + b) — 6 literals as SOP.
-        assert cover.literal_count() == 6
-        assert complement.literal_count() == 6
 
     def test_combinational_signal(self, two_er_sg):
         # x = a + b works: x rises after a+ or b+, falls after a-/b-.

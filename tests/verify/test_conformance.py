@@ -14,6 +14,27 @@ def vec(**kwargs):
     return FrozenVector(kwargs)
 
 
+def relabel(sg: StateGraph) -> StateGraph:
+    """A copy whose states are renamed ``s0, s1, ...`` in BFS order
+    from the initial state."""
+    order = [sg.initial]
+    seen = {sg.initial}
+    for state in order:  # the list grows while it is read: a BFS
+        for _, target in sg.successors(state):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    names = {state: f"s{k}" for k, state in enumerate(order)}
+    renamed = StateGraph(sg.name, sg.inputs, sg.outputs)
+    for state in order:
+        renamed.add_state(names[state], sg.code(state))
+    for state in order:
+        for event, target in sg.successors(state):
+            renamed.add_arc(names[state], event, names[target])
+    renamed.set_initial("s0")
+    return renamed
+
+
 class TestIdentity:
     def test_graph_bisimilar_to_itself(self, celement_sg):
         assert weakly_bisimilar(celement_sg, celement_sg, set())
@@ -22,7 +43,7 @@ class TestIdentity:
         assert weakly_bisimilar(celement_sg, celement_sg.copy(), set())
 
     def test_relabel_bisimilar(self, celement_sg):
-        assert weakly_bisimilar(celement_sg, celement_sg.relabel(), set())
+        assert weakly_bisimilar(celement_sg, relabel(celement_sg), set())
 
 
 class TestInsertionConformance:
