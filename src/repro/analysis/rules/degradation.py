@@ -21,7 +21,7 @@ into a silent 0% hit rate).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register

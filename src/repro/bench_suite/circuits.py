@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.stg.builders import (marked_graph, parallelizer_stg,
-                                pipeline_stg, sequencer_stg)
+from repro.stg.builders import marked_graph, pipeline_stg, sequencer_stg
 from repro.stg.parser import parse_g
 from repro.stg.stg import Stg
 

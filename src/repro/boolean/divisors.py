@@ -18,7 +18,7 @@ module implements all four families plus classical algebraic division
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro._util import proper_subsets, unique
 from repro.boolean.cube import Cube

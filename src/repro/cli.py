@@ -137,10 +137,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print("\nstage timings:")
         print(record.timing_summary())
         resynthesized = record.stats.get("signals_resynthesized", 0)
-        reused = record.stats.get("signals_reused", 0)
         skipped = record.stats.get("signals_skipped", 0)
-        print(f"resynthesis: {resynthesized} signals from scratch, "
-              f"{reused} reused, {skipped} skipped")
+        print(f"resynthesis: {resynthesized} signals synthesized, "
+              f"{skipped} skipped")
         print(record.minimizer_summary())
         if solve_csc:
             print(record.csc_summary())

@@ -56,11 +56,14 @@ ARTIFACT_FORMATS: Dict[str, int] = {
     # telemetry), not just the solved StateGraph
     "csc": 4,
     # v2 (and map v3): ExcitationRegion carries its bitset, and
-    # RegionCover its quiescent region and zone as bitsets
-    "implementations": 2,
-    "netlist": 1,
+    # RegionCover its quiescent region and zone as bitsets; v3 (and
+    # netlist v2, map v4): RegionCover drops its zone, and
+    # DecompositionStep and MappingResult their reuse counters.  A
+    # netlist pickles its implementations, so it moves with them.
+    "implementations": 3,
+    "netlist": 2,
     "check": 1,
-    "map": 3,
+    "map": 4,
     # finished job rows spilled by the serve daemon's retention layer
     "jobrow": 1,
 }

@@ -14,8 +14,7 @@
 from repro.mapping.csc import CscResult, csc_conflicts, solve_csc
 from repro.mapping.partition import (IPartition, compute_insertion_sets,
                                      compute_insertion_sets_from_states)
-from repro.mapping.insertion import (InsertionChanges, InsertionPlan,
-                                     InsertionResult, insert_signal,
+from repro.mapping.insertion import (InsertionPlan, insert_signal,
                                      plan_insertion, verify_insertion)
 from repro.mapping.progress import (check_property_31, check_property_32,
                                     estimate_global_impact)
@@ -35,9 +34,7 @@ __all__ = [
     "insert_signal",
     "plan_insertion",
     "verify_insertion",
-    "InsertionChanges",
     "InsertionPlan",
-    "InsertionResult",
     "check_property_31",
     "check_property_32",
     "estimate_global_impact",

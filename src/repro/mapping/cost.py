@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.boolean.minimize import cheaper_polarity
 from repro.boolean.sop import SopCover

@@ -436,7 +436,7 @@ def _planned(sg: StateGraph, block: int,
 def _built(sg: StateGraph, plan: InsertionPlan) -> StateGraph:
     """The graph of a planned trial."""
     return insert_signal(sg, plan.partition, plan.name,
-                         require_csc=False, plan=plan).sg
+                         require_csc=False, plan=plan)
 
 
 def _insert_first_improving_block(

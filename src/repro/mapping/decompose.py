@@ -30,11 +30,14 @@ progress a trial makes on the covers it does not target (Property
 but proves most rejections before minimizing anything: every cover has
 a literal of each variable in which an ON and an OFF vector of its
 problem differ alone (:func:`~repro.boolean.minimize.literal_bound`),
-so set lookups bound each output's oversize mass from below.  The
-decisions stay those of the legacy full pass: the monotonicity repair
-only adds OFF vectors, so the essential variables only grow; a
+so set lookups bound each output's oversize mass from below.  Every
+output of a trial the bound keeps is then synthesized from scratch,
+from the problems the bound posed, so the decisions are those of the
+paper's full pass by construction: the monotonicity repair only adds
+OFF vectors, so the essential variables only grow; a
 :class:`~repro.errors.CoverError` rejects a trial anyway; and the
-rejection test is monotone in the potential.
+rejection test is monotone in the potential.  The full pass itself
+lives in the tests, as the reference the mapper is checked against.
 """
 
 from __future__ import annotations
@@ -47,9 +50,7 @@ from repro.boolean.divisors import algebraic_division, generate_divisors
 from repro.boolean.minimize import (cheaper_polarity, essential_variables,
                                     literal_bound)
 from repro.boolean.sop import SopCover
-from repro.errors import (CoverError, CscViolation, InsertionError,
-                          MappingError)
-from repro.mapping.cost import implementation_cost
+from repro.errors import CoverError, CscViolation, InsertionError
 from repro.mapping.insertion import insert_signal, verify_insertion
 from repro.mapping.partition import IPartition, compute_insertion_sets
 from repro.obs.metrics import default_registry
@@ -62,8 +63,7 @@ from repro.sg.regions import ExcitationRegion
 from repro.stg.stg import Stg
 from repro.synthesis.cover import (ResynthesisStats,
                                    SignalImplementation, SignalProblems,
-                                   resynthesize_signal,
-                                   synthesize_all, synthesize_signal)
+                                   resynthesize_signal, synthesize_all)
 from repro.synthesis.library import GateLibrary
 from repro.synthesis.netlist import Netlist
 
@@ -85,10 +85,6 @@ class MapperConfig:
     #: after-u-until-v heuristic) or "regions" (the reference-[6]
     #: region-algebra method); only consulted when ``solve_csc`` is on
     csc_method: str = "blocks"
-    #: resynthesize only the signals an insertion actually touched
-    #: (byte-identical results to the legacy full pass; False forces
-    #: the paper's "resynthesize everything from scratch")
-    incremental_resynthesis: bool = True
     signal_prefix: str = "x"
 
     def local_ack(self) -> "MapperConfig":
@@ -103,13 +99,7 @@ class MapperConfig:
 
 @dataclass
 class DecompositionStep:
-    """One accepted signal insertion.
-
-    ``resynthesized`` / ``reused`` count how the accepted candidate's
-    synthesis was obtained: signals recomputed from scratch vs covers
-    carried over by incremental resynthesis (a legacy full pass counts
-    every signal as resynthesized).
-    """
+    """One accepted signal insertion."""
 
     signal: str
     target: str              # "event/index" or "complete(signal)"
@@ -119,15 +109,10 @@ class DecompositionStep:
     potential_after: int
     states_before: int
     states_after: int
-    resynthesized: int = 0
-    reused: int = 0
 
     def decision(self) -> Tuple:
-        """The mode-independent fields: what was inserted and why.
-
-        Incremental and full resynthesis must agree on these for every
-        step (the telemetry counters legitimately differ).
-        """
+        """What was inserted and why, as one tuple: the mapper and the
+        tests' full-pass reference must agree on it step by step."""
         return (self.signal, self.target, self.divisor,
                 self.before_complexity, self.potential_before,
                 self.potential_after, self.states_before,
@@ -147,27 +132,15 @@ class MappingResult:
     netlist: Netlist
     initial_netlist: Netlist
     steps: List[DecompositionStep] = field(default_factory=list)
-    #: resynthesis work over *every* trial candidate (accepted or not):
-    #: signals synthesized from scratch, covers carried over, and
-    #: syntheses skipped because the candidate's rejection was proven
-    #: before they ran.
+    #: synthesis work over *every* trial candidate (accepted or not):
+    #: signals synthesized, and syntheses skipped because the
+    #: candidate's rejection was proven before they ran.
     trial_resynthesized: int = 0
-    trial_reused: int = 0
     trial_skipped: int = 0
 
     @property
     def inserted_signals(self) -> int:
         return len(self.steps)
-
-    @property
-    def signals_resynthesized(self) -> int:
-        """Signals synthesized from scratch across all accepted steps."""
-        return sum(step.resynthesized for step in self.steps)
-
-    @property
-    def signals_reused(self) -> int:
-        """Signals whose covers incremental resynthesis carried over."""
-        return sum(step.reused for step in self.steps)
 
     def summary(self) -> str:
         status = (f"{self.inserted_signals} signals inserted"
@@ -305,7 +278,6 @@ class TechnologyMapper:
             initial_netlist=initial_netlist,
             steps=steps,
             trial_resynthesized=self._trial_stats.resynthesized,
-            trial_reused=self._trial_stats.reused,
             trial_skipped=self._trial_stats.skipped,
         )
 
@@ -354,23 +326,20 @@ class TechnologyMapper:
                                 target=unit.label,
                                 step=step_index, trial=trials) as sp:
                     try:
-                        inserted = insert_signal(
+                        new_sg = insert_signal(
                             sg, partition, signal_name,
                             max_states=self.config.max_states)
-                        new_sg = inserted.sg
                         with trace_span("map.resynthesize", "map",
                                         target=unit.label):
-                            evaluated = self._evaluate_candidate(
-                                new_sg, implementations,
-                                inserted.changes, unit, potential,
+                            new_implementations = self._evaluate_candidate(
+                                new_sg, unit, signal_name, potential,
                                 best_neutral[4]
                                 if best_neutral is not None
                                 else None)
                     except (InsertionError, CoverError, CscViolation):
                         continue
-                    if evaluated is None:
+                    if new_implementations is None:
                         continue  # rejection proven before the end
-                    new_implementations, resynth = evaluated
                     if not self._acknowledgment_ok(new_implementations,
                                                    unit, signal_name):
                         continue
@@ -404,13 +373,12 @@ class TechnologyMapper:
                             and (best_neutral is None
                                  or new_potential < best_neutral[4])):
                         best_neutral = (new_sg, new_implementations,
-                                        function, unit, new_potential,
-                                        resynth)
+                                        function, unit, new_potential)
                     continue
                 self._neutral_streak = 0
                 return self._take(sg, signal_name, potential,
                                   (new_sg, new_implementations, function,
-                                   unit, new_potential, resynth))
+                                   unit, new_potential))
         if best_neutral is not None:
             self._neutral_streak += 1 + (best_neutral[4] - potential)
             return self._take(sg, signal_name, potential, best_neutral)
@@ -422,8 +390,7 @@ class TechnologyMapper:
                                          DecompositionStep]:
         """Commit to one candidate, after the whole SI property suite
         (:func:`verify_insertion`), and record the step."""
-        (new_sg, new_implementations, function, unit,
-         new_potential, resynth) = candidate
+        new_sg, new_implementations, function, unit, new_potential = candidate
         verify_insertion(new_sg, signal_name)
         self._used_functions[function] = signal_name
         return new_sg, new_implementations, DecompositionStep(
@@ -434,57 +401,36 @@ class TechnologyMapper:
             potential_before=potential,
             potential_after=new_potential,
             states_before=len(sg),
-            states_after=len(new_sg),
-            resynthesized=resynth.resynthesized,
-            reused=resynth.reused)
+            states_after=len(new_sg))
 
     # ------------------------------------------------------------------
-    # Incremental candidate evaluation
+    # Bound-first candidate evaluation
     # ------------------------------------------------------------------
 
-    def _evaluate_candidate(self, new_sg: StateGraph,
-                            old_implementations: Dict[str, SignalImplementation],
-                            changes, unit: _Unit,
-                            potential: int, bn_potential: Optional[int]
-                            ) -> Optional[Tuple[Dict[str, SignalImplementation],
-                                                ResynthesisStats]]:
-        """Resynthesize a candidate insertion, stopping as soon as its
-        rejection is certain.
+    def _evaluate_candidate(self, new_sg: StateGraph, unit: _Unit,
+                            new_signal: str, potential: int,
+                            bn_potential: Optional[int]
+                            ) -> Optional[Dict[str, SignalImplementation]]:
+        """Synthesize a trial graph's outputs, stopping as soon as the
+        trial's rejection is certain.
 
-        Both paths first make the quick reject: the target signal
-        itself must make progress (:meth:`_target_improved`).  The
-        legacy path (``incremental_resynthesis=False``) then runs
-        :func:`synthesize_all` unconditionally.  The incremental path
-        reaches the same decisions bound first:
-
-        * output by output, it poses the covering problems
+        * Output by output, it poses the covering problems
           (:class:`SignalProblems`) and bounds the oversize mass
           (:meth:`_mass_bound`); in local-acknowledgment mode it
           refuses the trial at the first output whose covers must
-          mention the new signal (:meth:`_acknowledgment_refused`);
-        * the exact masses synthesized so far plus the bounds of the
-          rest bound the potential from below, and synthesis stops
-          once :meth:`_rejection_proven` holds on that bound;
-        * the target is synthesized first; signals untouched by the
-          insertion carry their covers over (:func:`resynthesize_signal`)
-          and the others solve the problems already posed.
+          mention the new signal (:meth:`_acknowledgment_refused`).
+        * It then solves the posed problems output by output
+          (:func:`resynthesize_signal`), the target first for the
+          quick reject (:meth:`_target_improved`).  The exact masses
+          synthesized so far plus the bounds of the rest bound the
+          potential from below, and synthesis stops once
+          :meth:`_rejection_proven` holds on that bound.
 
-        Returns ``None`` when the candidate is rejected early, else
-        ``(implementations, stats)`` with the implementations dict
-        identical to a full :func:`synthesize_all` pass.
+        Returns ``None`` when the trial is rejected early, else the
+        implementations a :func:`synthesize_all` pass would give.
         """
-        if not self.config.incremental_resynthesis:
-            if not self._target_improved(
-                    unit, synthesize_signal(new_sg, unit.signal)):
-                return None
-            implementations = synthesize_all(new_sg)
-            stats = ResynthesisStats(resynthesized=len(implementations))
-            self._trial_stats.add(stats)
-            return implementations, stats
-
         k = self.library.max_literals
-        order = self._evaluation_order(new_sg, unit, changes.signal)
-        stats = ResynthesisStats(skipped=len(order))
+        order = self._evaluation_order(new_sg, unit, new_signal)
         problems: Dict[str, SignalProblems] = {}
         bounds: Dict[str, int] = {}
         computed: Dict[str, SignalImplementation] = {}
@@ -494,24 +440,14 @@ class TechnologyMapper:
                 problems[signal] = posed = SignalProblems(new_sg, signal)
                 bounds[signal] = self._mass_bound(posed, k)
                 pending += bounds[signal]
-                if (self._acknowledgment_refused(posed, unit,
-                                                 changes.signal)
+                if (self._acknowledgment_refused(posed, unit, new_signal)
                         or self._rejection_proven(pending, potential,
                                                   bn_potential)):
                     return None
             partial = 0
             for signal in order:
-                impl, reused = resynthesize_signal(
-                    new_sg, signal,
-                    None if signal == unit.signal
-                    else old_implementations.get(signal),
-                    changes, problems[signal])
-                computed[signal] = impl
-                stats.skipped -= 1
-                if reused:
-                    stats.reused += 1
-                else:
-                    stats.resynthesized += 1
+                impl = computed[signal] = resynthesize_signal(
+                    problems[signal])
                 partial += self._oversize_mass(impl, k)
                 pending -= bounds[signal]
                 if ((signal == unit.signal
@@ -520,8 +456,9 @@ class TechnologyMapper:
                                                   potential, bn_potential)):
                     return None
         finally:
-            self._trial_stats.add(stats)
-        return {s: computed[s] for s in new_sg.outputs}, stats
+            self._trial_stats.add(ResynthesisStats(
+                len(computed), len(order) - len(computed)))
+        return {s: computed[s] for s in new_sg.outputs}
 
     @staticmethod
     def _mass_bound(problems: SignalProblems, k: int) -> int:

@@ -57,43 +57,6 @@ from repro.sg.properties import check_speed_independence, csc_violations
 
 
 @dataclass
-class InsertionChanges:
-    """What a signal insertion did to the state graph.
-
-    The summary is what incremental resynthesis consumes: a signal
-    whose excitation/quiescent zone avoids every split state (and sits
-    at a single level of the new signal per event) kept its covering
-    problem intact and can carry its covers over to the new code space;
-    everything else must be resynthesized.
-
-    ``split`` and ``levels`` are bitsets over the *old* graph's state
-    indices: ``split`` holds the states with both copies reachable (the
-    ER(x+) / ER(x-) states of the partition, minus unreachable copies),
-    ``levels[l]`` the unsplit states whose single copy sits at level
-    ``l`` of the new signal.  ``copies[l][i]`` is the new graph's index
-    of old state ``i``'s level-``l`` copy (``-1`` when it has none).
-    """
-
-    signal: str
-    split: int
-    levels: Tuple[int, int]
-    copies: Tuple[List[int], List[int]]
-
-    def __repr__(self) -> str:
-        unsplit = popcount(self.levels[0] | self.levels[1])
-        return (f"InsertionChanges({self.signal!r}, "
-                f"split={popcount(self.split)}, unsplit={unsplit})")
-
-
-@dataclass
-class InsertionResult:
-    """A signal insertion: the new state graph plus its change summary."""
-
-    sg: StateGraph
-    changes: InsertionChanges
-
-
-@dataclass
 class InsertionPlan:
     """A trial insertion of signal ``name`` along ``partition``,
     decided on bitsets before anything is built.
@@ -160,7 +123,7 @@ def plan_insertion(sg: StateGraph, partition: IPartition, name: str,
                          _conflict_count(sg, enc, levels, reach, lift,
                                          drop))
     if require_csc and plan.conflicts:
-        new_sg, _ = _split_graph(sg, enc, plan)
+        new_sg = _split_graph(sg, enc, plan)
         raise InsertionError(
             f"insertion of {name!r} breaks the specification: "
             + "; ".join(csc_violations(new_sg)[:3]))
@@ -172,7 +135,7 @@ def plan_insertion(sg: StateGraph, partition: IPartition, name: str,
 def insert_signal(sg: StateGraph, partition: IPartition, name: str,
                   require_csc: bool = True,
                   max_states: Optional[int] = None,
-                  plan: Optional[InsertionPlan] = None) -> InsertionResult:
+                  plan: Optional[InsertionPlan] = None) -> StateGraph:
     """Insert a new (internal output) signal according to the partition.
 
     The insertion is decided by :func:`plan_insertion` (``plan``, when
@@ -180,9 +143,7 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
     graph would have more than ``max_states`` states; only then is the
     graph built.  State identities in the result graph are
     ``(old_state, level)`` tuples, ordered by original state with
-    ``(s, 0)`` before ``(s, 1)``; the returned :class:`InsertionResult`
-    pairs the graph with the :class:`InsertionChanges` summary that
-    incremental resynthesis consumes.
+    ``(s, 0)`` before ``(s, 1)``.
     """
     if plan is None:
         plan = plan_insertion(sg, partition, name, require_csc)
@@ -190,12 +151,7 @@ def insert_signal(sg: StateGraph, partition: IPartition, name: str,
         raise InsertionError(
             f"insertion of {name!r} would reach {plan.copies} states, "
             f"more than {max_states}")
-    new_sg, copies = _split_graph(sg, sg.encoding(), plan)
-    reach = plan.reach
-    both = reach[0] & reach[1]
-    changes = InsertionChanges(
-        name, both, (reach[0] & ~both, reach[1] & ~both), copies)
-    return InsertionResult(new_sg, changes)
+    return _split_graph(sg, sg.encoding(), plan)
 
 
 def verify_insertion(sg: StateGraph, name: str,
@@ -332,13 +288,12 @@ def _conflict_count(sg: StateGraph, enc: Encoding,
     return count
 
 
-def _split_graph(sg: StateGraph, enc: Encoding, plan: InsertionPlan
-                 ) -> Tuple[StateGraph, Tuple[List[int], List[int]]]:
+def _split_graph(sg: StateGraph, enc: Encoding,
+                 plan: InsertionPlan) -> StateGraph:
     """Build the planned graph from the reachable copies: ``(s, 0)``
     before ``(s, 1)``, each copy's arcs as its ``x`` arc (if any) then
     the replicated arcs in original order, and every predecessor list
-    as its ``x`` arc then the replicated arcs in source order.  Returns
-    the graph and the new index of every copy, per level."""
+    as its ``x`` arc then the replicated arcs in source order."""
     name, levels, reach = plan.name, plan.levels, plan.reach
     outputs = list(sg.outputs) + [name]
     at = sorted(sg.signals + (name,)).index(name)
@@ -379,4 +334,4 @@ def _split_graph(sg: StateGraph, enc: Encoding, plan: InsertionPlan
     start = plan.start
     return StateGraph.from_arrays(
         sg.name, sg.inputs, outputs, ids, codes, succ,
-        [tuple(arcs) for arcs in pred], copy[start[1]][start[0]]), copy
+        [tuple(arcs) for arcs in pred], copy[start[1]][start[0]])

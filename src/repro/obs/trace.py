@@ -28,8 +28,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.obs.metrics import close_journal, open_journal

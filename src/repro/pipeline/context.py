@@ -60,14 +60,11 @@ class SynthesisContext:
         #: ``stats["sg"] == 1`` no matter how many mappings ran.
         self.stats: Dict[str, int] = {kind: 0 for kind in ARTIFACTS}
         self.stats["stg"] = 1
-        #: incremental-resynthesis telemetry, accumulated over every
-        #: mapping computed through this context: how many signal
-        #: syntheses ran from scratch across all trial candidates, how
-        #: many covers were carried over unchanged, and how many
-        #: syntheses were skipped outright because the candidate's
-        #: rejection was proven first.
+        #: trial-synthesis telemetry, accumulated over every mapping
+        #: computed through this context: how many signal syntheses
+        #: ran across all trial candidates, and how many were skipped
+        #: outright because the candidate's rejection was proven first.
         self.stats["signals_resynthesized"] = 0
-        self.stats["signals_reused"] = 0
         self.stats["signals_skipped"] = 0
 
     # ------------------------------------------------------------------
@@ -239,7 +236,6 @@ class SynthesisContext:
                                                      base.csc_method))
             self.stats["signals_resynthesized"] += (
                 result.trial_resynthesized)
-            self.stats["signals_reused"] += result.trial_reused
             self.stats["signals_skipped"] += result.trial_skipped
             return result
 

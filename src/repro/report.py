@@ -16,7 +16,7 @@ what ``si-mapper report`` and the benchmark harness print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench_suite import benchmark_names

@@ -9,7 +9,7 @@ instance fixes
   same order :func:`repro.boolean.minimize._vector_int` packs vectors
   in), so every state code becomes one machine int;
 * the graph's ``state -> index`` map, so every state *set* (excitation
-  region, quiescent region, insertion block, cover zone) is one
+  region, quiescent region, insertion block) is one
   arbitrary-width int — intersection, union, difference, containment
   and emptiness checks are single bulk bitwise operations;
 * packed adjacency (successor/predecessor bitsets per state) and

@@ -12,7 +12,7 @@ of the first transition of that signal reachable on any path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro._util import FrozenVector
 from repro.errors import ConsistencyError

@@ -14,11 +14,11 @@ the (exponential) state-space construction:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import StgError
 from repro.stg.petri import PetriNet
-from repro.stg.stg import SignalTransition, Stg
+from repro.stg.stg import Stg
 
 
 def is_marked_graph(net: PetriNet) -> bool:

@@ -16,10 +16,10 @@ published benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import StgError
-from repro.stg.stg import SignalTransition, Stg
+from repro.stg.stg import Stg
 
 
 def _declare(stg: Stg, inputs: Iterable[str], outputs: Iterable[str],

@@ -12,7 +12,7 @@ same signal edge; they are distinguished by an instance index, written
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import StgError
 from repro.stg.petri import PetriNet

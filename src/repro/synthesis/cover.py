@@ -28,13 +28,19 @@ and is no more complex than the set/reset networks, the signal is
 implemented combinationally and the C element degenerates to a wire
 (Figure 2 b/c of the paper).
 
+Synthesis has two halves: :class:`SignalProblems` poses one output's
+covering problems, each once, and :func:`resynthesize_signal` solves
+them into the output's :class:`SignalImplementation`.
+:func:`synthesize_signal` does both.  The mapping loop poses a trial
+graph's problems first, to bound the trial's potential, and solves the
+outputs of the trials the bound keeps: every one of them is synthesized
+from scratch, as the paper's loop says.
+
 State sets are bitsets over the graph's state indices throughout: the
 ON/OFF code sets come from the region bitsets, the monotonicity repair
 tests the cover's ON states (:meth:`~repro.sg.encoding.Encoding.
 cover_bits`) against the quiescent region, and a :class:`RegionCover`
-records its restricted quiescent region and its zone as bitsets, which
-incremental resynthesis carries into the new graph through the
-insertion's old→new index map.
+records its restricted quiescent region as a bitset.
 """
 
 from __future__ import annotations
@@ -65,19 +71,13 @@ class RegionCover:
     (:func:`~repro.boolean.minimize.minimize_complement`).
 
     ``quiescent`` is the group's *restricted* quiescent region (sibling
-    closures subtracted) and ``zone`` the group's ER states plus the
-    unrestricted union of its stable closures, both as bitsets over the
-    graph's state indices.  Incremental resynthesis needs the zone: the
-    dirtiness test must see every state whose code participates in the
-    cover's covering conditions, including states the restriction
-    removed from ``quiescent``.
+    closures subtracted), as a bitset over the graph's state indices.
     """
 
     regions: Tuple[ExcitationRegion, ...]
     cover: SopCover
     complement: SopCover
     quiescent: int = 0
-    zone: int = 0
 
     @property
     def region(self) -> ExcitationRegion:
@@ -154,7 +154,6 @@ class CoverProblem:
 
     regions: Tuple[ExcitationRegion, ...]
     quiescent: int
-    zone: int
     on: Set[int]
     off: Set[int]
     support: Tuple[str, ...]
@@ -165,10 +164,9 @@ def _pose_group(sg: StateGraph, group: Sequence[ExcitationRegion],
                 support: Optional[Sequence[str]] = None) -> CoverProblem:
     enc = sg.encoding()
     quiescent_bits = quiescent_region(sg, group, others)
-    er_bits = zone = 0
+    er_bits = 0
     for region in group:
         er_bits |= region.bits
-        zone |= region.bits | stable_closure(sg, region)
     # ON / OFF as packed full-signal codes, re-packed onto ``support``
     # only when the caller restricted it.
     on = enc.codes_of(er_bits)
@@ -177,8 +175,7 @@ def _pose_group(sg: StateGraph, group: Sequence[ExcitationRegion],
     if support != enc.signals:
         on = {enc.project(c, support) for c in on}
         off = {enc.project(c, support) for c in off}
-    return CoverProblem(tuple(group), quiescent_bits, zone, on, off,
-                        support)
+    return CoverProblem(tuple(group), quiescent_bits, on, off, support)
 
 
 def _solve_group(sg: StateGraph, problem: CoverProblem) -> RegionCover:
@@ -192,7 +189,7 @@ def _solve_group(sg: StateGraph, problem: CoverProblem) -> RegionCover:
             complement = minimize_complement(problem.on, off, support,
                                              cover)
             return RegionCover(problem.regions, cover, complement,
-                               problem.quiescent, problem.zone)
+                               problem.quiescent)
         off.add(violation if support == enc.signals
                 else enc.project(violation, support))
     event = problem.regions[0].event
@@ -357,9 +354,10 @@ def _choose_combinational(complete: Optional[SopCover],
 
 class SignalProblems:
     """The covering problems of one output signal, each posed once, on
-    first use: synthesis asks for them in the order it always did (the
-    complete cover's raises :class:`~repro.errors.CscViolation` where
-    :func:`complete_cover` would), the mapper's bound for all at once.
+    first use: :func:`resynthesize_signal` asks for them in the order
+    synthesis always did (the complete cover's raises
+    :class:`~repro.errors.CscViolation` where :func:`complete_cover`
+    would), the mapper's bound for all at once.
     """
 
     def __init__(self, sg: StateGraph, signal: str):
@@ -387,39 +385,32 @@ class SignalProblems:
             self._complete = set(on), set(off)
         return self._complete
 
-    def covers(self, event: str) -> List[RegionCover]:
-        """The monotonous covers of one event, solved."""
-        return [_solve_group(self.sg, problem)
-                for problem in self.groups(event)]
 
-    def implementation(self, set_covers: List[RegionCover],
-                       reset_covers: List[RegionCover]
-                       ) -> SignalImplementation:
-        """The signal's implementation over the given region covers."""
-        on, off = self.complete()
-        pair = _solve_complete(on, off, self.support)
-        complete, complement = pair if pair is not None else (None, None)
-        combinational = _choose_combinational(complete, complement,
-                                              set_covers + reset_covers)
-        return SignalImplementation(self.signal, set_covers, reset_covers,
-                                    complete, complement,
-                                    combinational=combinational)
+def resynthesize_signal(problems: SignalProblems) -> SignalImplementation:
+    """Solve one output's posed covering problems into its
+    implementation: the monotonous covers of its set and reset events,
+    then its complete cover and the architecture choice."""
+    sg, signal = problems.sg, problems.signal
+    set_covers = [_solve_group(sg, problem)
+                  for problem in problems.groups(signal + "+")]
+    reset_covers = [_solve_group(sg, problem)
+                    for problem in problems.groups(signal + "-")]
+    on, off = problems.complete()
+    pair = _solve_complete(on, off, problems.support)
+    complete, complement = pair if pair is not None else (None, None)
+    combinational = _choose_combinational(complete, complement,
+                                          set_covers + reset_covers)
+    return SignalImplementation(signal, set_covers, reset_covers,
+                                complete, complement,
+                                combinational=combinational)
 
 
-def synthesize_signal(sg: StateGraph, signal: str,
-                      problems: Optional[SignalProblems] = None
-                      ) -> SignalImplementation:
-    """Monotonous covers (and complete cover, if any) of one signal.
-
-    ``problems`` may carry the signal's covering problems, already
-    posed on ``sg``."""
+def synthesize_signal(sg: StateGraph, signal: str) -> SignalImplementation:
+    """Monotonous covers (and complete cover, if any) of one signal."""
     if signal in sg.inputs:
         raise CoverError(f"signal {signal!r} is an input; inputs are "
                          "driven by the environment")
-    if problems is None:
-        problems = SignalProblems(sg, signal)
-    return problems.implementation(problems.covers(signal + "+"),
-                                   problems.covers(signal + "-"))
+    return resynthesize_signal(SignalProblems(sg, signal))
 
 
 def synthesize_all(sg: StateGraph) -> Dict[str, SignalImplementation]:
@@ -428,165 +419,15 @@ def synthesize_all(sg: StateGraph) -> Dict[str, SignalImplementation]:
             for signal in sg.outputs}
 
 
-# ----------------------------------------------------------------------
-# Incremental resynthesis after a signal insertion
-# ----------------------------------------------------------------------
-#
-# A signal insertion by state splitting (repro.mapping.insertion) only
-# perturbs the covering conditions of the signals whose excitation /
-# quiescent zones intersect the split states: the conditions are
-# per-region [Kondratyev et al., DAC'94], and a region zone that avoids
-# every split state maps one-to-one onto copies of itself in the new
-# graph (arc replication preserves every arc between unsplit states of
-# the same half-space).  Such a signal's covers remain word-for-word
-# valid — only the *state indices* they reference must be carried into
-# the new graph.  Everything else — the
-# inserted signal itself and every signal whose zone was split or whose
-# zone spans both levels of the new signal (which could re-partition the
-# generalized-cover groups) — is resynthesized from scratch, exactly as
-# the legacy full pass would.
-#
-# The mapper poses every output's problems (SignalProblems) first, to
-# bound the trial's potential; most trials are rejected on that bound
-# alone, and resynthesize_signal solves the problems already posed.
-
-
 @dataclass
 class ResynthesisStats:
-    """Telemetry of one incremental resynthesis pass.
-
-    ``skipped`` counts signals whose synthesis never ran because the
-    surrounding candidate was rejected first (the mapper's bound-first
-    trial evaluation).
-    """
+    """Telemetry of the mapper's trial synthesis: outputs synthesized,
+    and outputs whose synthesis never ran because the trial was
+    rejected first (the bound-first trial evaluation)."""
 
     resynthesized: int = 0
-    reused: int = 0
     skipped: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.resynthesized + self.reused
 
     def add(self, other: "ResynthesisStats") -> None:
         self.resynthesized += other.resynthesized
-        self.reused += other.reused
         self.skipped += other.skipped
-
-
-def _cover_reusable(rc: RegionCover, changes) -> bool:
-    """Did the insertion leave this cover's covering conditions intact?
-
-    Requires every state of the cover's zone (ER states plus the
-    unrestricted stable closure) to be unsplit *and* the whole zone to
-    sit at a single level of the new signal — two mask tests against
-    the insertion's per-level sets: split zone states change the
-    region / quiescent structure outright, and a zone spanning both
-    levels can dissolve the code-sharing relations that grouped regions
-    into generalized covers.
-
-    The criterion is structural and conservative, but equality with a
-    from-scratch pass is not *implied* by it: a fresh minimize() runs
-    with the inserted signal in its support and could, in principle,
-    exploit it to find a different cover for an event classified as
-    untouched here.  The equivalence contract is therefore enforced by
-    regression — ``tests/mapping/test_incremental_mapping.py`` and
-    ``benchmarks/test_incremental_identity.py`` assert identical steps,
-    netlists and report rows against the legacy pass across the
-    benchmark suite.
-    """
-    low, high = changes.levels
-    return not rc.zone & ~low or not rc.zone & ~high
-
-
-def _carry(bits: int, copies: Sequence[int]) -> int:
-    """Map a bitset of old states onto their copies at one level."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << copies[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
-def _extend_event_covers(new_regions: Sequence[ExcitationRegion],
-                         old_covers: Sequence[RegionCover],
-                         changes) -> Optional[List[RegionCover]]:
-    """Carry one event's covers into the new code space.
-
-    ``new_regions`` are the event's excitation regions on the new graph
-    (their indices follow the new BFS numbering); they are matched to
-    the old ones by bitset: every reusable zone sits at one level of
-    the new signal, so an old region's bits map through that level's
-    old→new index map onto its counterpart's.  The expensive minimized
-    covers are reused as-is.  Returns ``None`` when the new region
-    structure does not correspond one-to-one to the old — the caller
-    then falls back to full resynthesis of the event.
-    """
-    if len(new_regions) != sum(len(rc.regions) for rc in old_covers):
-        return None
-    by_bits = {region.bits: region for region in new_regions}
-
-    extended: List[RegionCover] = []
-    for rc in old_covers:
-        copies = changes.copies[0 if not rc.zone & ~changes.levels[0]
-                                else 1]
-        mapped = []
-        for region in rc.regions:
-            counterpart = by_bits.get(_carry(region.bits, copies))
-            if counterpart is None:
-                return None
-            mapped.append(counterpart)
-        mapped.sort(key=lambda r: r.index)
-        extended.append(RegionCover(
-            tuple(mapped), rc.cover, rc.complement,
-            _carry(rc.quiescent, copies), _carry(rc.zone, copies)))
-    extended.sort(key=lambda rc: rc.regions[0].index)
-    return extended
-
-
-def _reuse_event_covers(problems: SignalProblems, event: str,
-                        old_covers: Sequence[RegionCover],
-                        changes) -> Optional[List[RegionCover]]:
-    """The extended covers of one event, or None when any of its
-    groups was touched by the insertion (→ resynthesize the event)."""
-    if not old_covers:
-        return None
-    if not all(_cover_reusable(rc, changes) for rc in old_covers):
-        return None
-    return _extend_event_covers(
-        [region for problem in problems.groups(event)
-         for region in problem.regions],
-        old_covers, changes)
-
-
-def resynthesize_signal(sg: StateGraph, signal: str,
-                        old: Optional[SignalImplementation],
-                        changes,
-                        problems: Optional[SignalProblems] = None
-                        ) -> Tuple[SignalImplementation, bool]:
-    """One signal of the post-insertion graph: reuse what the insertion
-    left intact, resynthesize the rest.
-
-    Reuse is decided per *event* (the covering conditions are
-    per-region, so a split inside the reset phase does not invalidate
-    the set covers).  The complete cover ranges over every state of the
-    graph — an insertion always reshapes its ON/OFF sets — so it is
-    always recomputed.  ``problems`` may carry the signal's covering
-    problems, already posed on ``sg``.  Returns ``(implementation,
-    reused)`` with ``reused`` True when at least one event family was
-    carried over instead of re-minimized.
-    """
-    if problems is None:
-        problems = SignalProblems(sg, signal)
-    reused = False
-    covers = []
-    for event, old_covers in (
-            (signal + "+", old.set_covers if old is not None else ()),
-            (signal + "-", old.reset_covers if old is not None else ())):
-        carried = _reuse_event_covers(problems, event, old_covers,
-                                      changes)
-        reused = reused or carried is not None
-        covers.append(carried if carried is not None
-                      else problems.covers(event))
-    return problems.implementation(*covers), reused

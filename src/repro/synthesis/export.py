@@ -10,11 +10,10 @@ asynchronous back-ends consume such netlists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
-from repro.synthesis.library import GateLibrary
 from repro.synthesis.netlist import Netlist, NetlistGate
 
 

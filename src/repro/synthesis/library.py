@@ -11,8 +11,8 @@ netlist printer uses for readable output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.boolean.sop import SopCover
 from repro.errors import LibraryError

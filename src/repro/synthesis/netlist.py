@@ -18,8 +18,8 @@ fitting for the mapping loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.boolean.sop import SopCover
 from repro.synthesis.cover import RegionCover, SignalImplementation

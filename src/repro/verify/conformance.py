@@ -14,7 +14,7 @@ with.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.sg.graph import State, StateGraph, event_signal
 

@@ -82,10 +82,10 @@ class TestWhatTheSolverBuilds:
             return plan
 
         def insert_spy(sg, partition, name, **kwargs):
-            result = real_insert(sg, partition, name, **kwargs)
+            new_sg = real_insert(sg, partition, name, **kwargs)
             built[name].append(kwargs["plan"].conflicts)
-            graphs[id(result.sg)] = result.sg
-            return result
+            graphs[id(new_sg)] = new_sg
+            return new_sg
 
         def cost_spy(candidate_sg, name):
             assert graphs.get(id(candidate_sg)) is candidate_sg

@@ -1,5 +1,7 @@
-"""The mapping loop with incremental resynthesis: identical decisions
-and netlists to the legacy full pass, plus the telemetry contract."""
+"""The mapping loop against the paper's full pass: the bound-first
+evaluation makes the decisions and netlists of the reference
+(:class:`tests.mapping.full_pass.FullPassMapper`), plus the telemetry
+contract."""
 
 import os
 import subprocess
@@ -8,79 +10,116 @@ import sys
 import pytest
 
 from repro.bench_suite import benchmark
-from repro.mapping.decompose import MapperConfig, map_circuit
+from repro.mapping.csc import solve_csc
+from repro.mapping.decompose import (MapperConfig, TechnologyMapper,
+                                     map_circuit)
+from repro.sg.reachability import state_graph_of
 from repro.synthesis.library import GateLibrary
+from tests.conftest import alternator_stg
+from tests.mapping.full_pass import full_pass_map
 
-#: small enough for tier-1, large enough that trials are rejected and
-#: (for the join circuits) covers are carried over
+#: small enough for tier-1, large enough that trials are rejected
 FAST = ["half", "hazard", "chu133", "seq_mix", "trimos-send"]
 
 
-def _map(name, incremental, literals=2):
-    return map_circuit(benchmark(name), GateLibrary(literals),
-                       MapperConfig(incremental_resynthesis=incremental))
+def assert_same_mapping(got, want):
+    assert ([s.decision() for s in got.steps]
+            == [s.decision() for s in want.steps])
+    assert got.success == want.success
+    assert got.message == want.message
+    assert got.netlist.pretty() == want.netlist.pretty()
+    assert got.initial_netlist.pretty() == want.initial_netlist.pretty()
 
 
 class TestIdenticalToFullResynthesis:
     @pytest.mark.parametrize("name", FAST)
     def test_steps_potentials_netlists_identical(self, name):
-        full = _map(name, incremental=False)
-        incremental = _map(name, incremental=True)
-        assert ([s.decision() for s in incremental.steps]
-                == [s.decision() for s in full.steps])
-        assert incremental.success == full.success
-        assert incremental.message == full.message
-        assert incremental.netlist.pretty() == full.netlist.pretty()
-        assert (incremental.initial_netlist.pretty()
-                == full.initial_netlist.pretty())
+        assert_same_mapping(
+            map_circuit(benchmark(name), GateLibrary(2)),
+            full_pass_map(benchmark(name), GateLibrary(2)))
 
     @pytest.mark.parametrize("name", ["hazard", "seq_mix", "trimos-send"])
     def test_local_mode_identical(self, name):
         """Local acknowledgment: the early refusal of trials whose
         inserted signal is essential elsewhere changes no decision."""
-        full = map_circuit(
-            benchmark(name), GateLibrary(2),
-            MapperConfig(incremental_resynthesis=False).local_ack())
-        incremental = map_circuit(
-            benchmark(name), GateLibrary(2),
-            MapperConfig(incremental_resynthesis=True).local_ack())
-        assert ([s.decision() for s in incremental.steps]
-                == [s.decision() for s in full.steps])
-        assert incremental.success == full.success
-        assert incremental.message == full.message
-        assert incremental.netlist.pretty() == full.netlist.pretty()
+        config = MapperConfig().local_ack()
+        assert_same_mapping(
+            map_circuit(benchmark(name), GateLibrary(2), config),
+            full_pass_map(benchmark(name), GateLibrary(2), config))
+
+
+@pytest.fixture(scope="module")
+def solved_alternators():
+    """``alternator_stg(n)`` for n = 5 and 6, CSC-solved by ``blocks``
+    as ``si-mapper map --solve-csc`` solves it."""
+    return {outputs: solve_csc(state_graph_of(alternator_stg(outputs)),
+                               signal_prefix="csc", method="blocks").sg
+            for outputs in (5, 6)}
+
+
+class TestCscSolvedAlternators:
+    """Carrying a cover over from the graph before an insertion once
+    priced these potentials too high: a carried cover cannot mention
+    the inserted signal, a fresh minimization can.  Every trial output
+    is synthesized fresh now, as in the full pass."""
+
+    @pytest.mark.parametrize("local", [False, True],
+                             ids=["global", "local"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("outputs", [5, 6])
+    def test_same_as_full_pass(self, solved_alternators, outputs, k,
+                               local):
+        config = MapperConfig().local_ack() if local else MapperConfig()
+        sg = solved_alternators[outputs]
+        assert_same_mapping(map_circuit(sg, GateLibrary(k), config),
+                            full_pass_map(sg, GateLibrary(k), config))
+
+    def test_alternator5_maps_with_three_signals_at_k3(
+            self, solved_alternators):
+        result = map_circuit(solved_alternators[5], GateLibrary(3))
+        assert result.success
+        assert result.inserted_signals == 3
 
 
 class TestTelemetry:
     def test_early_abort_skips_rejected_candidates(self):
-        result = _map("trimos-send", incremental=True)
+        result = map_circuit(benchmark("trimos-send"), GateLibrary(2))
         assert result.success
         assert result.trial_skipped > 0
         assert result.trial_resynthesized > 0
 
-    def test_legacy_mode_never_skips_or_reuses(self):
-        result = _map("trimos-send", incremental=False)
-        assert result.trial_skipped == 0
-        assert result.trial_reused == 0
-        assert result.trial_resynthesized > 0
+    def test_bound_synthesizes_less_than_the_full_pass(self):
+        bounded = map_circuit(benchmark("trimos-send"), GateLibrary(2))
+        full = full_pass_map(benchmark("trimos-send"), GateLibrary(2))
+        assert full.trial_skipped == 0
+        assert 0 < bounded.trial_resynthesized < full.trial_resynthesized
 
-    def test_step_counters_cover_all_outputs(self):
-        result = _map("hazard", incremental=True)
-        for step in result.steps:
-            assert step.resynthesized + step.reused > 0
-        assert (result.signals_resynthesized + result.signals_reused
-                == sum(s.resynthesized + s.reused for s in result.steps))
+    def test_trial_counters_cover_every_output(self):
+        """Every output of every evaluated trial is counted once:
+        synthesized, or skipped when the trial was rejected first."""
+        outputs = []
+
+        class CountingMapper(TechnologyMapper):
+            def _evaluate_candidate(self, new_sg, *args):
+                outputs.append(len(new_sg.outputs))
+                return super()._evaluate_candidate(new_sg, *args)
+
+        result = CountingMapper(GateLibrary(2)).map(benchmark("hazard"))
+        assert outputs
+        assert (result.trial_resynthesized + result.trial_skipped
+                == sum(outputs))
 
 
 class TestConfig:
     def test_local_ack_carries_every_field(self):
         """Regression: the hand-copied field list silently dropped new
         config fields; dataclasses.replace must carry them all."""
-        config = MapperConfig(incremental_resynthesis=False,
+        config = MapperConfig(solve_csc=True, csc_method="regions",
                               max_divisors=7, signal_prefix="q")
         local = config.local_ack()
         assert local.global_acknowledgment is False
-        assert local.incremental_resynthesis is False
+        assert local.solve_csc is True
+        assert local.csc_method == "regions"
         assert local.max_divisors == 7
         assert local.signal_prefix == "q"
 

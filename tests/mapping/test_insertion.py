@@ -41,7 +41,7 @@ def crossing_case():
 @pytest.fixture
 def inserted(celement_sg):
     partition = compute_insertion_sets(celement_sg, cover("a b"))
-    new_sg = insert_signal(celement_sg, partition, "x").sg
+    new_sg = insert_signal(celement_sg, partition, "x")
     return celement_sg, new_sg, partition
 
 
@@ -129,7 +129,7 @@ class TestSemantics:
                             counted)
         partition = compute_insertion_sets(celement_sg, cover("a b"))
         insert_signal(celement_sg, partition, "x", require_csc=False)
-        new_sg = insert_signal(celement_sg, partition, "x").sg
+        new_sg = insert_signal(celement_sg, partition, "x")
         assert calls == []
         verify_insertion(new_sg, "x")
         assert calls == [new_sg]
@@ -139,7 +139,7 @@ class TestPlan:
     def test_counts_before_building(self, celement_sg):
         partition = compute_insertion_sets(celement_sg, cover("a b"))
         plan = plan_insertion(celement_sg, partition, "x")
-        new_sg = insert_signal(celement_sg, partition, "x", plan=plan).sg
+        new_sg = insert_signal(celement_sg, partition, "x", plan=plan)
         assert plan.copies == len(new_sg)
         assert plan.conflicts == len(csc_conflicts(new_sg)) == 0
 
@@ -164,7 +164,7 @@ class TestPlan:
         # and the commit check raises on it
         with mock.patch.object(insertion, "_check_crossing"):
             new_sg = insert_signal(sg, partition, "x",
-                                   require_csc=False).sg
+                                   require_csc=False)
         assert violation in check_speed_independence(new_sg).persistency
         with pytest.raises(SpeedIndependenceError, match="disabled by b+"):
             verify_insertion(new_sg, "x", require_csc=False)
@@ -184,7 +184,7 @@ class TestPlan:
                 continue
             conflicted += 1
             new_sg = insert_signal(sg, partition, "x", require_csc=False,
-                                   plan=plan).sg
+                                   plan=plan)
             with pytest.raises(InsertionError) as rejection:
                 plan_insertion(sg, partition, "x")
             assert str(rejection.value) == (

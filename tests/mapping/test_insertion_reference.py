@@ -8,11 +8,11 @@ adds *every* copy and arc one at a time, prunes the copies the initial
 state cannot reach, and verifies the result with the object-level
 property suite.  For every grown partition both must agree exactly —
 state order, codes, successor and predecessor order of every state,
-initial state and :class:`InsertionChanges` — or both raise
-:class:`InsertionError`.  The messages agree too, except where the
-suite finds a speed-independence violation: there the plan's crossing
-test rejects instead, and its message names one crossing state and arc
-in the words of one of the suite's violations.
+and the initial state — or both raise :class:`InsertionError`.  The
+messages agree too, except where the suite finds a speed-independence
+violation: there the plan's crossing test rejects instead, and its
+message names one crossing state and arc in the words of one of the
+suite's violations.
 
 The crossing test is the plan's only SI check, so it is checked as an
 oracle property: on every grown partition it rejects exactly when the
@@ -30,7 +30,7 @@ seq_mix and trimos-send.
 
 import re
 from collections import Counter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 from unittest import mock
 
 import pytest
@@ -44,8 +44,7 @@ from repro.boolean.sop import SopCover
 from repro.errors import InsertionError, SpeedIndependenceError
 from repro.mapping.csc import _conflict_pairs
 from repro.mapping.decompose import map_circuit
-from repro.mapping.insertion import (InsertionChanges, InsertionPlan,
-                                     InsertionResult, insert_signal,
+from repro.mapping.insertion import (InsertionPlan, insert_signal,
                                      plan_insertion, verify_insertion)
 from repro.mapping.partition import (IPartition, compute_insertion_sets,
                                      compute_insertion_sets_from_states)
@@ -72,7 +71,7 @@ class SuiteRejection(InsertionError):
 
 
 def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
-                      require_csc: bool = True) -> InsertionResult:
+                      require_csc: bool = True) -> StateGraph:
     if name in sg.signals:
         raise InsertionError(f"signal name {name!r} already in use")
     index = {state: i for i, state in enumerate(sg.states)}
@@ -134,21 +133,7 @@ def ref_insert_signal(sg: StateGraph, partition: IPartition, name: str,
     new_sg.set_initial(full.initial)
 
     ref_verify_insertion(sg, new_sg, name, require_csc=require_csc)
-
-    split = 0
-    levels = [0, 0]
-    copies_at: Tuple[List[int], List[int]] = ([-1] * len(sg),
-                                              [-1] * len(sg))
-    for k, (original, level) in enumerate(new_sg.states):
-        copies_at[level][index[original]] = k
-    for i in range(len(sg)):
-        held = [level for level in (0, 1) if copies_at[level][i] >= 0]
-        if len(held) > 1:
-            split |= 1 << i
-        elif held:
-            levels[held[0]] |= 1 << i
-    return InsertionResult(new_sg, InsertionChanges(
-        name, split, (levels[0], levels[1]), copies_at))
+    return new_sg
 
 
 def ref_verify_insertion(old_sg: StateGraph, new_sg: StateGraph,
@@ -217,8 +202,7 @@ def assert_names_crossing(error: InsertionError,
     assert crossing.group(1) in violations, (str(error), violations)
 
 
-def assert_same_graph(got: InsertionResult, want: InsertionResult):
-    new, ref = got.sg, want.sg
+def assert_same_graph(new: StateGraph, ref: StateGraph):
     assert (new.name, new.inputs, new.outputs, new.signals) \
         == (ref.name, ref.inputs, ref.outputs, ref.signals)
     assert new.states == ref.states
@@ -227,10 +211,6 @@ def assert_same_graph(got: InsertionResult, want: InsertionResult):
         assert new.code(state) == ref.code(state)
         assert new.successors(state) == ref.successors(state)
         assert new.predecessors(state) == ref.predecessors(state)
-    assert got.changes.signal == want.changes.signal
-    assert got.changes.split == want.changes.split
-    assert got.changes.levels == want.changes.levels
-    assert got.changes.copies == want.changes.copies
 
 
 def assert_same_insertion(sg: StateGraph, partition: IPartition,
@@ -276,7 +256,7 @@ def assert_crossing_oracle(sg: StateGraph, partition: IPartition,
 
 def assert_counts_exact(sg: StateGraph, plan: InsertionPlan) -> None:
     built = insert_signal(sg, plan.partition, plan.name,
-                          require_csc=False, plan=plan).sg
+                          require_csc=False, plan=plan)
     assert plan.conflicts == len(_conflict_pairs(built))
     assert plan.copies == len(built)
 
@@ -332,9 +312,9 @@ class TestDrawnBlocks:
         if result is None:
             return
         # again, on the split graph: (state, level) identities nest
-        second = data.draw(drawn_partitions(result.sg))
+        second = data.draw(drawn_partitions(result))
         if second is not None:
-            assert_same_insertion(result.sg, second, "zy", require_csc)
+            assert_same_insertion(result, second, "zy", require_csc)
 
     @given(handshake_sgs(), st.data(), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -358,7 +338,7 @@ class TestDrawnBlocks:
         if isinstance(got, InsertionError):
             return
         try:
-            verify_insertion(got.sg, "zz", require_csc)
+            verify_insertion(got, "zz", require_csc)
         except SpeedIndependenceError:
             return
         assert not isinstance(want, InsertionError), str(want)
@@ -396,7 +376,7 @@ class TestCrossingOracle:
             outcomes[assert_crossing_oracle(sg, partition, "zz")] += 1
             try:
                 first = insert_signal(sg, partition, "zz",
-                                      require_csc=False).sg
+                                      require_csc=False)
             except InsertionError:
                 return
             second = data.draw(drawn_partitions(first))

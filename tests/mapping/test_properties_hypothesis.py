@@ -119,7 +119,7 @@ class TestInsertionProperties:
     def test_insertions_preserve_everything(self, sg, function):
         try:
             partition = compute_insertion_sets(sg, function)
-            new_sg = insert_signal(sg, partition, "zz").sg
+            new_sg = insert_signal(sg, partition, "zz")
         except InsertionError:
             return
         report = check_speed_independence(new_sg)

@@ -37,12 +37,11 @@ class RecordingMapper(TechnologyMapper):
         super().__init__(library, config)
         self.trials: List[Tuple] = []
 
-    def _evaluate_candidate(self, new_sg, old_implementations, changes,
-                            unit, potential, bn_potential):
-        self.trials.append((new_sg, old_implementations, changes, unit))
+    def _evaluate_candidate(self, new_sg, unit, new_signal, potential,
+                            bn_potential):
+        self.trials.append((new_sg, unit, new_signal))
         return super()._evaluate_candidate(
-            new_sg, old_implementations, changes, unit, potential,
-            bn_potential)
+            new_sg, unit, new_signal, potential, bn_potential)
 
 
 def trials_of(name: str, k: int, local: bool) -> RecordingMapper:
@@ -56,17 +55,14 @@ def trials_of(name: str, k: int, local: bool) -> RecordingMapper:
 def outputs_of(mapper: RecordingMapper):
     """Per evaluated trial and output: the posed problems, and the
     implementation resynthesis gives it (None when it raises)."""
-    for new_sg, old, changes, unit in mapper.trials:
+    for new_sg, unit, new_signal in mapper.trials:
         for signal in new_sg.outputs:
             problems = SignalProblems(new_sg, signal)
             try:
-                impl, _ = resynthesize_signal(
-                    new_sg, signal,
-                    None if signal == unit.signal else old.get(signal),
-                    changes)
+                impl = resynthesize_signal(problems)
             except (CoverError, CscViolation):
                 impl = None
-            yield new_sg, changes, unit, problems, impl
+            yield new_sg, new_signal, unit, problems, impl
 
 
 def mappers(local: bool):
@@ -94,14 +90,14 @@ def test_bound_never_exceeds_the_mass(local):
 def test_local_refusal_only_where_a_cover_mentions_the_signal():
     refused = 0
     for _, _, mapper in mappers(local=True):
-        for new_sg, changes, unit, problems, impl in outputs_of(mapper):
+        for new_sg, new_signal, unit, problems, impl in outputs_of(mapper):
             if not mapper._acknowledgment_refused(problems, unit,
-                                                  changes.signal):
+                                                  new_signal):
                 continue
             refused += 1
             if impl is None:
                 continue    # the trial is rejected whatever the check
-            bit = 1 << new_sg.encoding().bit[changes.signal]
+            bit = 1 << new_sg.encoding().bit[new_signal]
             covers = {(rc.event, tuple(r.index for r in rc.regions)): rc
                       for rc in impl.region_covers}
             essential = [
@@ -111,6 +107,6 @@ def test_local_refusal_only_where_a_cover_mentions_the_signal():
                 if any(code ^ bit in problem.off for code in problem.on)]
             assert essential
             for rc in essential:
-                assert changes.signal in rc.cover.support
-                assert changes.signal in rc.complement.support
+                assert new_signal in rc.cover.support
+                assert new_signal in rc.complement.support
     assert refused > 10

@@ -669,10 +669,11 @@ class TestCscArtifact:
         report = DiskArtifactCache(str(tmp_path)).report()
         assert report.by_kind["csc"][0] == 2
 
-    # every kind whose pickled classes changed shape in the last
-    # format bump (StateGraph, ExcitationRegion, RegionCover)
+    # every kind whose pickled classes changed shape in a format bump
+    # (StateGraph, ExcitationRegion, RegionCover, DecompositionStep,
+    # MappingResult); a netlist pickles its RegionCovers
     @pytest.mark.parametrize("kind", ["sg", "csc", "implementations",
-                                      "map"])
+                                      "netlist", "map"])
     def test_stale_csc_format_recomputes_not_crashes(self, tmp_path,
                                                      monkeypatch, kind):
         config = self._config(tmp_path)
@@ -685,6 +686,35 @@ class TestCscArtifact:
         assert warm.row == cold.row
         assert warm.stats["signals_inserted"] == \
             cold.stats["signals_inserted"]
+
+    def test_format_stamps_follow_the_pickled_shapes(self):
+        """The stamps of the kinds that pickle cover and mapping
+        classes go with these classes' fields.  A field change fails
+        here until every kind whose pickle holds the class is bumped
+        with this table: implementations hold RegionCovers, a netlist
+        its implementations, and a mapping both plus its steps."""
+        from dataclasses import fields
+        from repro.mapping.decompose import DecompositionStep, MappingResult
+        from repro.synthesis.cover import RegionCover, SignalImplementation
+        shapes = {
+            RegionCover: ("regions", "cover", "complement", "quiescent"),
+            SignalImplementation: ("signal", "set_covers", "reset_covers",
+                                   "complete", "complete_complement",
+                                   "combinational"),
+            DecompositionStep: ("signal", "target", "divisor",
+                                "before_complexity", "potential_before",
+                                "potential_after", "states_before",
+                                "states_after"),
+            MappingResult: ("name", "library", "success", "message", "sg",
+                            "implementations", "netlist",
+                            "initial_netlist", "steps",
+                            "trial_resynthesized", "trial_skipped"),
+        }
+        for cls, names in shapes.items():
+            assert tuple(f.name for f in fields(cls)) == names, cls
+        assert ({kind: ARTIFACT_FORMATS[kind]
+                 for kind in ("implementations", "netlist", "map")}
+                == {"implementations": 3, "netlist": 2, "map": 4})
 
 
 def write_v1_entry(store, key, value):

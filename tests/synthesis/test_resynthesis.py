@@ -1,14 +1,13 @@
-"""Incremental resynthesis: identity with the full pass, dirtiness
-classification, and the no-region-cover regression."""
-
-import pytest
+"""Synthesis from posed problems: the order the mapper poses and
+solves them in gives fresh synthesis, and the no-region-cover
+regression."""
 
 from repro._util import FrozenVector
 from repro.boolean.sop import SopCover
 from repro.mapping.insertion import insert_signal
 from repro.mapping.partition import compute_insertion_sets
 from repro.sg.graph import StateGraph
-from repro.synthesis.cover import (ResynthesisStats, SignalImplementation,
+from repro.synthesis.cover import (SignalImplementation, SignalProblems,
                                    resynthesize_signal, synthesize_all,
                                    synthesize_signal)
 
@@ -35,55 +34,25 @@ def _same_implementation(left: SignalImplementation,
     return True
 
 
-class TestIncrementalMatchesFull:
+class TestPosedFirst:
     def test_celement_after_insertion(self, celement_sg):
-        old_implementations = synthesize_all(celement_sg)
+        """The mapper poses every output's problems for its bound
+        before it solves any: solving them then gives what fresh
+        synthesis gives, and leaves the posed problems as they were
+        (the monotonicity repair works on a copy of OFF)."""
         partition = compute_insertion_sets(celement_sg,
                                            SopCover.from_string("a b"))
-        inserted = insert_signal(celement_sg, partition, "x")
-        full = synthesize_all(inserted.sg)
-        reused = {}
+        new_sg = insert_signal(celement_sg, partition, "x")
+        full = synthesize_all(new_sg)
+        assert set(full) == {"c", "x"}
         for signal in full:
-            incremental, reused[signal] = resynthesize_signal(
-                inserted.sg, signal, old_implementations.get(signal),
-                inserted.changes)
-            assert _same_implementation(incremental, full[signal]), signal
-        assert not reused["x"]           # the new signal has no old covers
-
-
-class TestChangeSummary:
-    def test_split_states_and_levels(self, celement_sg):
-        partition = compute_insertion_sets(celement_sg,
-                                           SopCover.from_string("a b"))
-        inserted = insert_signal(celement_sg, partition, "x")
-        changes = inserted.changes
-        new_states = inserted.sg.states
-        assert changes.signal == "x"
-        # Every split state has both copies in the new graph; every
-        # unsplit state's single copy sits at its level, and the copy
-        # index maps point at the (state, level) identities.
-        for i, state in enumerate(celement_sg.states):
-            held = [level for level in (0, 1)
-                    if changes.copies[level][i] >= 0]
-            for level in held:
-                copy = new_states[changes.copies[level][i]]
-                assert copy == (state, level)
-                assert inserted.sg.code(copy)["x"] == level
-            if (changes.split >> i) & 1:
-                assert held == [0, 1]
-            else:
-                (level,) = held
-                assert (changes.levels[level] >> i) & 1
-                assert not (changes.levels[1 - level] >> i) & 1
-        covered = changes.split | changes.levels[0] | changes.levels[1]
-        assert covered == celement_sg.encoding().full_mask
-        assert changes.split == partition.er_plus | partition.er_minus
-        assert "split=" in repr(changes)
-
-    def test_stats_repr(self):
-        stats = ResynthesisStats(resynthesized=2, reused=3)
-        assert stats.total == 5
-        assert "reused=3" in repr(stats)
+            problems = SignalProblems(new_sg, signal)
+            posed = [(set(p.on), set(p.off))
+                     for p in problems.all_groups()]
+            problems.complete()
+            impl = resynthesize_signal(problems)
+            assert _same_implementation(impl, full[signal]), signal
+            assert posed == [(p.on, p.off) for p in problems.all_groups()]
 
 
 class TestConstantOutput:

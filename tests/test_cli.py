@@ -115,8 +115,9 @@ b+/2 a+
         assert "half" in out
         assert "stage timings:" in out and "reach" in out
         # the run's minimizer memo counts follow the resynthesis line
-        assert re.search(r"^resynthesis: .*\nminimizer: \d+ solved, "
-                         r"\d+ reused, \d+ skipped$", out, re.MULTILINE)
+        assert re.search(r"^resynthesis: \d+ signals synthesized, \d+ "
+                         r"skipped\nminimizer: \d+ solved, \d+ reused, "
+                         r"\d+ skipped$", out, re.MULTILINE)
 
     def test_map_cache_dir_warm_run(self, tmp_path, capsys):
         """Second --cache-dir run: identical output, zero heavy

@@ -95,3 +95,19 @@ def test_seqcsc6_example_is_the_six_stage_sequencer():
     assert text == write_g(chained_sequencer_stg(6))
     sg = state_graph_of(parse_g(text))
     assert (len(sg), len(csc_conflicts(sg))) == (28, 21)
+
+
+def test_alternator5_example_is_the_five_output_alternator():
+    """CI maps ``examples/alternator5.g`` at k=3 with ``--solve-csc``:
+    one input handshaking with five outputs in turn, with 20 states
+    and 10 CSC conflict pairs."""
+    from repro.mapping.csc import csc_conflicts
+    from repro.sg.reachability import state_graph_of
+    from repro.stg.parser import parse_g
+    from repro.stg.writer import write_g
+    from tests.conftest import alternator_stg
+
+    text = (EXAMPLES / "alternator5.g").read_text()
+    assert text == write_g(alternator_stg(5))
+    sg = state_graph_of(parse_g(text))
+    assert (len(sg), len(csc_conflicts(sg))) == (20, 10)

@@ -50,7 +50,7 @@ class TestInsertionConformance:
     def test_insertion_is_weakly_bisimilar(self, celement_sg):
         partition = compute_insertion_sets(
             celement_sg, SopCover.from_string("a b"))
-        new_sg = insert_signal(celement_sg, partition, "x").sg
+        new_sg = insert_signal(celement_sg, partition, "x")
         assert weakly_bisimilar(celement_sg, new_sg, {"x"})
 
     def test_alphabet_mismatch_fails(self, celement_sg, two_er_sg):
