@@ -1,9 +1,14 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the mapper's three tunable knobs.
 
-* divisor family (§3.1): kernels + OR/AND subsets + recursion vs the
-  non-recursive family vs gate-splitting only;
-* the Property-3.1/3.2 progress filters (§3.3/3.4) on vs off;
-* neutral-step budget (the Property-3.2 "+1 literal" allowance).
+These are the only callers that vary them, which is why they stay
+:class:`~repro.mapping.decompose.MapperConfig` fields:
+
+* ``max_divisors`` — the divisor budget per oversized gate (§3.1),
+  halved from 48 to 24;
+* ``use_progress_filters`` — the Property-3.1/3.2 ranking filters
+  (§3.3/3.4), on vs off;
+* ``max_neutral_steps`` — the neutral-step budget (the Property-3.2
+  "+1 literal" allowance), 8 vs 0.
 
 Each ablation runs the mapper in the degraded configuration on circuits
 where the full configuration is known to work and reports success and
@@ -25,8 +30,7 @@ def _run(name, config):
 
 
 @pytest.mark.parametrize("name", CIRCUITS)
-def test_ablation_no_recursive_divisors(benchmark, name):
-    config = MapperConfig()
+def test_ablation_halved_divisor_budget(benchmark, name):
     result_full = _run(name, MapperConfig())
     result = benchmark.pedantic(
         _run, args=(name, MapperConfig(max_divisors=24)),

@@ -12,10 +12,11 @@ Each benchmark prints the same rows the paper reports:
   overhead claim (< 10 % of area, §4).
 
 Absolute values differ from the 1997 table (the circuits are
-reconstructions — DESIGN.md §3), but the *shape* assertions encoded
-here are the paper's claims: most circuits map at 2 literals, the
-global-acknowledgment method dominates the local one, coarser
-libraries need fewer insertions, and the SI overhead stays small.
+reconstructions — see :mod:`repro.bench_suite`), but the *shape*
+assertions encoded here are the paper's claims: most circuits map at 2
+literals, the global-acknowledgment method dominates the local one,
+coarser libraries need fewer insertions, and the SI overhead stays
+small.
 
 Run ``REPRO_FULL_TABLE1=1 pytest benchmarks/test_table1.py
 --benchmark-only -s`` for all 32 circuits.

@@ -16,8 +16,9 @@ Quickstart::
     print(result.summary())
     print(result.netlist.pretty())
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview; the docstrings of
+:mod:`repro.synthesis` and :mod:`repro.mapping` map the paper's
+sections to modules.
 """
 
 from repro.boolean import Cube, SopCover, minimize

@@ -6,7 +6,8 @@ paper; every circuit here is a *reconstruction* — a valid STG
 same name, built from the standard asynchronous-control patterns
 (handshake joins, fork/join controllers, sequencers, micropipelines)
 with signal counts and initial cover complexities in the range Table 1
-reports.  See DESIGN.md §3 for the substitution rationale.
+reports.  Absolute Table-1 values therefore differ from the paper's;
+what carries over is the shape of its claims.
 
 Use :func:`~repro.bench_suite.circuits.benchmark` /
 :func:`~repro.bench_suite.circuits.benchmark_names` to access them.

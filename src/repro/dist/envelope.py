@@ -63,7 +63,9 @@ ARTIFACT_FORMATS: Dict[str, int] = {
     "implementations": 3,
     "netlist": 2,
     "check": 1,
-    "map": 4,
+    # v5: MappingResult drops its initial netlist (the context's
+    # "netlist" artifact is the one copy)
+    "map": 5,
     # finished job rows spilled by the serve daemon's retention layer
     "jobrow": 1,
 }

@@ -6,8 +6,10 @@
   (§2.3, Figure 3), planned on bitsets before it is built;
 * :mod:`~repro.mapping.progress` — Property 3.1 (safe substitution in
   the target cover) and Property 3.2 (bounded impact on other covers);
-* :mod:`~repro.mapping.cost` — the literal complexity measure and
-  global cost estimates (§3.4, §4);
+* :mod:`~repro.mapping.cost` — literal and C-element costs of whole
+  implementations, and the non-SI tree decomposition (§3.4, §4);
+* :mod:`~repro.mapping.csc` — complete state coding by the same
+  SIP-preserving insertion (the stage the paper takes from [6]);
 * :mod:`~repro.mapping.decompose` — the technology-mapping loop (§3).
 """
 
@@ -18,8 +20,7 @@ from repro.mapping.insertion import (InsertionPlan, insert_signal,
                                      plan_insertion, verify_insertion)
 from repro.mapping.progress import (check_property_31, check_property_32,
                                     estimate_global_impact)
-from repro.mapping.cost import (cover_complexity, implementation_cost,
-                                tree_decomposition_cost)
+from repro.mapping.cost import implementation_cost, tree_decomposition_cost
 from repro.mapping.decompose import (DecompositionStep, MapperConfig,
                                      MappingResult, TechnologyMapper,
                                      map_circuit)
@@ -38,7 +39,6 @@ __all__ = [
     "check_property_31",
     "check_property_32",
     "estimate_global_impact",
-    "cover_complexity",
     "implementation_cost",
     "tree_decomposition_cost",
     "TechnologyMapper",

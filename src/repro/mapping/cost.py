@@ -1,8 +1,9 @@
 """Cost model (§3.4, §4).
 
-* :func:`cover_complexity` — the paper's gate-complexity measure:
-  literals of the minimized SOP, complemented or not, whichever is
-  smaller (a 2-input XOR is a 4-literal gate);
+Gates are priced at :attr:`repro.synthesis.cover.RegionCover.complexity`:
+literals of the minimized SOP or of its complement, whichever is fewer
+(a 2-input XOR is a 4-literal gate).
+
 * :func:`implementation_cost` — total literals + C elements of a
   standard-C implementation (the ``lit/C`` notation of Table 1's last
   columns);
@@ -18,11 +19,6 @@ from typing import Dict, Tuple
 from repro.boolean.minimize import cheaper_polarity
 from repro.boolean.sop import SopCover
 from repro.synthesis.cover import SignalImplementation
-
-
-def cover_complexity(cover: SopCover, complement: SopCover) -> int:
-    """min(lit(f), lit(f')) over pre-minimized polarities."""
-    return cheaper_polarity(cover, complement).literal_count()
 
 
 def signal_logic_cost(impl: SignalImplementation) -> int:

@@ -12,7 +12,7 @@ different output events.
 CSC conflicts are, by definition, *not* separable by any function of
 the existing signals (the conflicting states have equal codes), so
 candidate blocks must be generated extensionally.  Two candidate
-families are available, selected by :attr:`CscConfig.method`:
+families are available, selected by :func:`solve_csc`'s ``method``:
 
 * ``"regions"`` (the reference-[6] method) — blocks are built from the
   region algebra of :mod:`repro.sg.regions`: the atomic *cones*
@@ -43,7 +43,7 @@ Both families run on the graph's packed
 bitsets, ranked by the conflict pairs they split, and the blocks
 tried go to the I-partition growth as they are.  The solver
 builds and ranks only what its trial loop reads: the first ``limit``
-(:attr:`CscConfig.max_candidates`) places of the ranking.
+(:data:`MAX_CANDIDATES`) places of the ranking.
 
 * *Slices.*  Every slice cut at one stop ``v`` is reachability in the
   subgraph of the states where ``v`` is not enabled.  One
@@ -67,52 +67,27 @@ builds and ranks only what its trial loop reads: the first ``limit``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from heapq import heappush, heapreplace
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util import popcount
 from repro.errors import CoverError, CscViolation, InsertionError
-from repro.mapping.insertion import (InsertionPlan, insert_signal,
-                                     plan_insertion, verify_insertion)
+from repro.mapping.insertion import (InsertionPlan, fresh_name,
+                                     insert_signal, plan_insertion,
+                                     verify_insertion)
 from repro.mapping.partition import compute_insertion_sets_from_states
 from repro.sg.encoding import Encoding
 from repro.sg.graph import State, StateGraph
 from repro.sg.regions import encoding_atoms, excitation_regions
 
-#: the candidate families :attr:`CscConfig.method` may select
+#: the candidate families :func:`solve_csc`'s ``method`` may select
 CSC_METHODS = ("regions", "blocks")
-
-
-@dataclass(frozen=True)
-class CscConfig:
-    """Tuning knobs of the CSC solver.
-
-    ``method`` selects the candidate-block family (``"regions"`` is the
-    reference-[6] algebra, ``"blocks"`` the original after-u-until-v
-    heuristic); ``max_signals`` bounds the number of inserted encoding
-    signals (0 or more); ``max_candidates`` bounds the candidate blocks
-    tried per signal (at least 1); ``signal_prefix`` names the
-    inserted signals.
-    """
-
-    method: str = "blocks"
-    max_signals: int = 8
-    max_candidates: int = 24
-    signal_prefix: str = "csc"
-
-    def __post_init__(self):
-        if self.method not in CSC_METHODS:
-            raise ValueError(
-                f"unknown CSC method {self.method!r} "
-                f"(choose from {', '.join(CSC_METHODS)})")
-        if self.max_candidates < 1:
-            raise ValueError(f"max_candidates must be at least 1, got "
-                             f"{self.max_candidates}")
-        if self.max_signals < 0:
-            raise ValueError(f"max_signals must not be negative, got "
-                             f"{self.max_signals}")
+#: candidate blocks tried per inserted signal
+MAX_CANDIDATES = 24
+#: names of the inserted encoding signals: csc0, csc1, ...
+SIGNAL_PREFIX = "csc"
 
 
 def csc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
@@ -362,63 +337,47 @@ class CscResult:
 # The solver
 # ----------------------------------------------------------------------
 
-def solve_csc(sg: StateGraph, max_signals: Optional[int] = None,
-              signal_prefix: Optional[str] = None,
-              config: Optional[CscConfig] = None,
-              method: Optional[str] = None) -> CscResult:
+def solve_csc(sg: StateGraph, max_signals: int = 8,
+              method: str = "blocks") -> CscResult:
     """Insert encoding signals until the state graph satisfies CSC.
 
-    ``config`` bundles every knob; the ``max_signals`` /
-    ``signal_prefix`` / ``method`` arguments are conveniences layered
-    on top of it (an argument passed explicitly — i.e. not ``None`` —
-    wins over the config's field).  Raises :class:`CscViolation` if
-    the conflict count cannot be driven to zero within the insertion
-    budget (both candidate families are heuristic, not complete).
+    ``method`` selects the candidate-block family (``"regions"`` is the
+    reference-[6] algebra, ``"blocks"`` the original after-u-until-v
+    heuristic); ``max_signals`` bounds the number of inserted encoding
+    signals (0 or more).  Raises :class:`ValueError` for any other
+    method or a negative bound, and :class:`CscViolation` if the
+    conflict count cannot be driven to zero within the bound (both
+    candidate families are heuristic, not complete).
     """
-    if config is None:
-        config = CscConfig()
-    if max_signals is not None:
-        config = replace(config, max_signals=max_signals)
-    if signal_prefix is not None:
-        config = replace(config, signal_prefix=signal_prefix)
-    if method is not None:
-        config = replace(config, method=method)
+    if method not in CSC_METHODS:
+        raise ValueError(f"unknown CSC method {method!r} "
+                         f"(choose from {', '.join(CSC_METHODS)})")
+    if max_signals < 0:
+        raise ValueError(f"max_signals must not be negative, got "
+                         f"{max_signals}")
 
     current = sg.copy()
     steps: List[CscStep] = []
-    for index in range(config.max_signals):
+    for index in range(max_signals):
         conflicts = _conflict_pairs(current)
         if not conflicts:
-            return CscResult(current, steps, config.method)
-        name = _fresh_name(current, config.signal_prefix, index)
-        if config.method == "regions":
-            step = _insert_best_region_block(current, conflicts, name,
-                                             config)
+            return CscResult(current, steps, method)
+        name = fresh_name(current, SIGNAL_PREFIX, index)
+        if method == "regions":
+            step = _insert_best_region_block(current, conflicts, name)
         else:
-            step = _insert_first_improving_block(current, conflicts,
-                                                 name, config)
+            step = _insert_first_improving_block(current, conflicts, name)
         if step is None:
             raise CscViolation(
-                f"CSC solving ({config.method}) stalled with "
+                f"CSC solving ({method}) stalled with "
                 f"{len(conflicts)} conflicts after {len(steps)} "
                 "insertions")
         current, record = step
         steps.append(record)
     if _conflict_pairs(current):
         raise CscViolation(
-            f"CSC not solved within {config.max_signals} signal "
-            "insertions")
-    return CscResult(current, steps, config.method)
-
-
-def _fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
-    name = f"{prefix}{index}"
-    taken = set(sg.signals)
-    suffix = index
-    while name in taken:
-        suffix += 1
-        name = f"{prefix}{suffix}"
-    return name
+            f"CSC not solved within {max_signals} signal insertions")
+    return CscResult(current, steps, method)
 
 
 def _planned(sg: StateGraph, block: int,
@@ -440,13 +399,12 @@ def _built(sg: StateGraph, plan: InsertionPlan) -> StateGraph:
 
 
 def _insert_first_improving_block(
-        sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
-        name: str, config: CscConfig
+        sg: StateGraph, conflicts: Sequence[Tuple[int, int]], name: str
         ) -> Optional[Tuple[StateGraph, CscStep]]:
     """The legacy strategy: first candidate that reduces conflicts."""
     evaluated = 0
     for _, label, block in _ranked_blocks(sg, conflicts, "blocks",
-                                          config.max_candidates):
+                                          MAX_CANDIDATES):
         plan = _planned(sg, block, name)
         evaluated += 1
         if plan is None or plan.conflicts >= len(conflicts):
@@ -487,8 +445,7 @@ def _candidate_cost(candidate_sg: StateGraph, name: str) -> int:
 
 
 def _insert_best_region_block(
-        sg: StateGraph, conflicts: Sequence[Tuple[int, int]],
-        name: str, config: CscConfig
+        sg: StateGraph, conflicts: Sequence[Tuple[int, int]], name: str
         ) -> Optional[Tuple[StateGraph, CscStep]]:
     """The regions strategy: plan the top candidates of the region
     algebra and keep the one with the best (conflicts remaining,
@@ -497,8 +454,7 @@ def _insert_best_region_block(
     Conflicts remaining dominate the score, so only the candidates at
     the fewest remaining conflicts are built and priced, in rank
     order."""
-    ranked = _ranked_blocks(sg, conflicts, "regions",
-                            config.max_candidates)
+    ranked = _ranked_blocks(sg, conflicts, "regions", MAX_CANDIDATES)
     plans = []
     for _, label, block in ranked:
         plan = _planned(sg, block, name)

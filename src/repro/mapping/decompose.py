@@ -51,7 +51,8 @@ from repro.boolean.minimize import (cheaper_polarity, essential_variables,
                                     literal_bound)
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError, CscViolation, InsertionError
-from repro.mapping.insertion import insert_signal, verify_insertion
+from repro.mapping.insertion import (fresh_name, insert_signal,
+                                     verify_insertion)
 from repro.mapping.partition import IPartition, compute_insertion_sets
 from repro.obs.metrics import default_registry
 from repro.obs.trace import trace_span
@@ -68,16 +69,23 @@ from repro.synthesis.library import GateLibrary
 from repro.synthesis.netlist import Netlist
 
 
+#: limits of the loop: accepted insertions, divisors tried per oversized
+#: gate (twice as many, at least 8, are grown and ranked), the rise in
+#: potential a kept trial may take, and the states of one trial graph;
+#: the inserted signals are named x0, x1, ...
+MAX_ITERATIONS = 40
+MAX_INSERTION_TRIALS = 12
+MAX_REGRESSION = 2
+MAX_STATES = 6000
+SIGNAL_PREFIX = "x"
+
+
 @dataclass
 class MapperConfig:
     """Tuning knobs of the mapping loop."""
 
-    max_iterations: int = 40
     max_divisors: int = 48
-    max_insertion_trials: int = 12
     max_neutral_steps: int = 8
-    max_regression: int = 2
-    max_states: int = 6000
     global_acknowledgment: bool = True
     use_progress_filters: bool = True
     solve_csc: bool = False
@@ -85,10 +93,14 @@ class MapperConfig:
     #: after-u-until-v heuristic) or "regions" (the reference-[6]
     #: region-algebra method); only consulted when ``solve_csc`` is on
     csc_method: str = "blocks"
-    signal_prefix: str = "x"
 
     def local_ack(self) -> "MapperConfig":
-        """A copy configured like the Siegel-style baseline.
+        """A copy configured like the Siegel & De Micheli baseline (the
+        "[12]" column of Table 1), which the paper says "only decomposes
+        existing gates (e.g., a 3-input AND into 2 2-input ANDs)" and
+        acknowledges each new signal *locally*, by the cover it was
+        extracted from: divisors are AND/OR gate splits, and a trial is
+        refused when another output's cover would mention the new signal.
 
         Uses :func:`dataclasses.replace` so that newly added
         configuration fields are carried over automatically — a
@@ -130,7 +142,6 @@ class MappingResult:
     sg: StateGraph
     implementations: Dict[str, SignalImplementation]
     netlist: Netlist
-    initial_netlist: Netlist
     steps: List[DecompositionStep] = field(default_factory=list)
     #: synthesis work over *every* trial candidate (accepted or not):
     #: signals synthesized, and syntheses skipped because the
@@ -231,14 +242,12 @@ class TechnologyMapper:
             sg = circuit.copy()
         if self.config.solve_csc:
             from repro.mapping.csc import solve_csc
-            sg = solve_csc(sg, signal_prefix="csc",
-                           method=self.config.csc_method).sg
+            sg = solve_csc(sg, method=self.config.csc_method).sg
             implementations = None
         assert_implementable(sg)
 
         if implementations is None:
             implementations = synthesize_all(sg)
-        initial_netlist = Netlist(sg.name, implementations)
         steps: List[DecompositionStep] = []
         self._neutral_streak = 0
         self._used_functions = {}
@@ -253,7 +262,7 @@ class TechnologyMapper:
                            if steps else "already fits the library")
                 success = True
                 break
-            if len(steps) >= self.config.max_iterations:
+            if len(steps) >= MAX_ITERATIONS:
                 success, message = False, "iteration limit reached"
                 break
             step = self._try_decompose(sg, implementations, units,
@@ -275,7 +284,6 @@ class TechnologyMapper:
             sg=sg,
             implementations=implementations,
             netlist=Netlist(sg.name, implementations),
-            initial_netlist=initial_netlist,
             steps=steps,
             trial_resynthesized=self._trial_stats.resynthesized,
             trial_skipped=self._trial_stats.skipped,
@@ -307,7 +315,7 @@ class TechnologyMapper:
             key = (u.signal, u.key[0])
             self._event_mass[key] = (self._event_mass.get(key, 0)
                                      + max(0, u.complexity - k))
-        signal_name = self._fresh_name(sg, step_index)
+        signal_name = fresh_name(sg, SIGNAL_PREFIX, step_index)
         covers_by_region = {
             u.key: (u.region, u.cover) for u in units
             if u.region is not None}
@@ -318,7 +326,7 @@ class TechnologyMapper:
                                              covers_by_region)
             trials = 0
             for _, function, partition in candidates:
-                if trials >= self.config.max_insertion_trials:
+                if trials >= MAX_INSERTION_TRIALS:
                     break
                 trials += 1
                 self._count_candidate()
@@ -328,7 +336,7 @@ class TechnologyMapper:
                     try:
                         new_sg = insert_signal(
                             sg, partition, signal_name,
-                            max_states=self.config.max_states)
+                            max_states=MAX_STATES)
                         with trace_span("map.resynthesize", "map",
                                         target=unit.label):
                             new_implementations = self._evaluate_candidate(
@@ -345,8 +353,7 @@ class TechnologyMapper:
                         continue
                     new_units = _units_of(new_implementations)
                     new_potential = _potential(new_units, self.library)
-                    if (new_potential
-                            > potential + self.config.max_regression):
+                    if new_potential > potential + MAX_REGRESSION:
                         continue
                     accepted = new_potential < potential
                     if sp is not None:
@@ -518,13 +525,12 @@ class TechnologyMapper:
         needs the (potential-dependent) streak budget and must beat the
         incumbent ``best_neutral``.
         """
-        config = self.config
-        if partial > potential + config.max_regression:
+        if partial > potential + MAX_REGRESSION:
             return True
         if partial < potential:
             return False
         cost = 1 + (partial - potential)    # lower bound of the streak cost
-        if self._neutral_streak + cost > config.max_neutral_steps:
+        if self._neutral_streak + cost > self.config.max_neutral_steps:
             return True
         return bn_potential is not None and partial >= bn_potential
 
@@ -577,7 +583,7 @@ class TechnologyMapper:
             pre.append(((fits_cheap, estimate, function.to_string()),
                         function, quotient, remainder))
         pre.sort(key=lambda item: item[0])
-        budget = max(self.config.max_insertion_trials * 2, 8)
+        budget = max(MAX_INSERTION_TRIALS * 2, 8)
         ranked: List[Tuple[Tuple, SopCover, IPartition]] = []
         for _, function, quotient, remainder in pre[:budget]:
             try:
@@ -662,15 +668,6 @@ class TechnologyMapper:
                 if signal_name in cover.support:
                     return False
         return True
-
-    def _fresh_name(self, sg: StateGraph, step_index: int) -> str:
-        name = f"{self.config.signal_prefix}{step_index}"
-        taken = set(sg.signals)
-        suffix = step_index
-        while name in taken:
-            suffix += 1
-            name = f"{self.config.signal_prefix}{suffix}"
-        return name
 
 
 def map_circuit(circuit: Union[Stg, StateGraph], library: GateLibrary,

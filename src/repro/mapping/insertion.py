@@ -168,6 +168,15 @@ def verify_insertion(sg: StateGraph, name: str,
             + "; ".join(violations[:3]))
 
 
+def fresh_name(sg: StateGraph, prefix: str, index: int) -> str:
+    """``prefix`` and ``index`` as a new signal's name, the index raised
+    past any name the graph already has."""
+    taken = set(sg.signals)
+    while f"{prefix}{index}" in taken:
+        index += 1
+    return f"{prefix}{index}"
+
+
 def _reachable_copies(enc: Encoding, levels: Tuple[int, int], lift: int,
                       drop: int, start: Tuple[int, int]) -> Tuple[int, int]:
     """Per-level bitsets of the original states whose copy at that level

@@ -43,11 +43,6 @@ ARTIFACTS = ("stg", "sg", "check", "csc", "implementations", "netlist",
              "map")
 
 
-def _config_key(config: MapperConfig) -> Tuple:
-    """A hashable fingerprint of a mapper configuration."""
-    return astuple(config)
-
-
 class SynthesisContext:
     """Memoized artifacts of the synthesis flow for one circuit."""
 
@@ -148,9 +143,7 @@ class SynthesisContext:
         """The encoded state graph (one reachability pass per circuit)."""
         return self._artifact("sg", (), lambda: state_graph_of(self._stg))
 
-    def csc_result(self, max_signals: int = 8,
-                   signal_prefix: str = "csc",
-                   method: str = "blocks"):
+    def csc_result(self, max_signals: int = 8, method: str = "blocks"):
         """The full CSC solve (state graph + steps + telemetry).
 
         The artifact is the whole :class:`~repro.mapping.csc.CscResult`
@@ -161,17 +154,13 @@ class SynthesisContext:
         def compute():
             from repro.mapping.csc import solve_csc
             return solve_csc(self.state_graph(), max_signals=max_signals,
-                             signal_prefix=signal_prefix, method=method)
-        return self._artifact("csc", (method, max_signals,
-                                      signal_prefix), compute)
+                             method=method)
+        return self._artifact("csc", (method, max_signals), compute)
 
     def csc_state_graph(self, max_signals: int = 8,
-                        signal_prefix: str = "csc",
                         method: str = "blocks") -> StateGraph:
         """The CSC-resolved state graph (state-signal insertion)."""
-        return self.csc_result(max_signals=max_signals,
-                               signal_prefix=signal_prefix,
-                               method=method).sg
+        return self.csc_result(max_signals=max_signals, method=method).sg
 
     def implementations(self, csc: bool = False,
                         csc_method: str = "blocks"
@@ -240,7 +229,7 @@ class SynthesisContext:
             return result
 
         return self._artifact(
-            "map", (literals, mode, _config_key(base)), compute)
+            "map", (literals, mode, astuple(base)), compute)
 
     def __repr__(self) -> str:
         return (f"SynthesisContext({self.name!r}, "

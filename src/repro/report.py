@@ -1,6 +1,8 @@
 """Table-1-style reporting.
 
-:func:`table1_row` runs the full experiment battery for one benchmark:
+A :class:`Table1Row` holds the full experiment battery for one
+circuit, as one :class:`repro.pipeline.Pipeline` run computes it
+(``Pipeline(config).run(name).row``):
 
 * the initial gate-complexity histogram (first column group);
 * our technology mapping for libraries of 2/3/4 literals (number of
@@ -10,8 +12,9 @@
 * the non-SI tree-decomposition cost and the SI decomposition cost in
   the paper's ``literals/C-elements`` notation (last column group).
 
-:func:`table1` formats the whole suite like the paper's Table 1 and is
-what ``si-mapper report`` and the benchmark harness print.
+:func:`run_battery` runs the battery over many circuits, and
+:func:`render_report` formats the rows like the paper's Table 1; that
+text is what ``si-mapper report`` and the shard merge print.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench_suite import benchmark_names
 from repro.mapping.decompose import MapperConfig
 
 
@@ -107,27 +109,6 @@ class Table1Row:
             siegel_ran=data["siegel_ran"],
             csc_signals=data["csc_signals"],
         )
-
-
-def table1_row(name: str, libraries: Sequence[int] = (2, 3, 4),
-               config: Optional[MapperConfig] = None,
-               with_siegel: bool = True,
-               cache_dir: Optional[str] = None,
-               cache_url: Optional[str] = None,
-               cache_s3: Optional[str] = None) -> Table1Row:
-    """Run the full Table-1 battery for one benchmark.
-
-    One :class:`repro.pipeline.Pipeline` run: the k-battery and the
-    baseline share a single reachability pass and initial synthesis.
-    With ``cache_dir`` (or a ``cache_url`` server / ``cache_s3``
-    bucket) they also persist across processes and machines.
-    """
-    from repro.pipeline import Pipeline, PipelineConfig
-    pipeline = Pipeline(PipelineConfig(
-        libraries=tuple(libraries), with_siegel=with_siegel,
-        mapper=config, keep_artifacts=False, cache_dir=cache_dir,
-        cache_url=cache_url, cache_s3=cache_s3))
-    return pipeline.run(name).row
 
 
 def header_for(libraries: Sequence[int],
@@ -219,11 +200,11 @@ def run_battery(names: Sequence[str],
     """Run the Table-1 battery over ``names``; the raw ``BatchItem``
     list in input order (one per circuit, errored or not).
 
-    This is the layer under :func:`table1` that shard runs use
-    directly — a shard file needs the failures and the exact subset,
-    not just the formatted text.  With ``cache_dir`` / ``cache_url``
-    / ``cache_s3`` every worker warm-starts from (and feeds) the
-    persistent, remote, or object-store artifact tier.
+    The suite fans out over a :class:`repro.pipeline.BatchRunner`
+    (``jobs=None`` uses every CPU, ``jobs=1`` forces serial); a circuit
+    that errors is a failed item, not a failed run.  With ``cache_dir``
+    / ``cache_url`` / ``cache_s3`` every worker warm-starts from (and
+    feeds) the persistent, remote, or object-store artifact tier.
     """
     from repro.pipeline import BatchRunner, PipelineConfig
     runner = BatchRunner(PipelineConfig(
@@ -241,46 +222,13 @@ def render_report(rows: Sequence[Table1Row],
                   failures: Sequence[Tuple[str, str]] = ()) -> str:
     """The printed report: table, headline summary, error lines.
 
-    One rendering shared by the in-process :func:`table1` and the
-    shard merge (:func:`repro.dist.shard.merge_shards`) — byte-for-
-    byte, which is what makes "merged output == unsharded output" a
-    meaningful equality.
+    One rendering shared by ``si-mapper report`` and the shard merge
+    (:func:`repro.dist.shard.merge_shards`) — byte-for-byte, which is
+    what makes "merged output == unsharded output" a meaningful
+    equality.
     """
     text = format_rows(rows) + "\n\n" + summarize(rows)
     if failures:
         text += "\n\n" + "\n".join(
             f"{name}: ERROR {error}" for name, error in failures)
     return text
-
-
-def table1(names: Optional[Sequence[str]] = None,
-           libraries: Sequence[int] = (2, 3, 4),
-           config: Optional[MapperConfig] = None,
-           with_siegel: bool = True,
-           progress: bool = False,
-           jobs: Optional[int] = None,
-           cache_dir: Optional[str] = None,
-           cache_url: Optional[str] = None,
-           cache_s3: Optional[str] = None
-           ) -> Tuple[List[Table1Row], str]:
-    """Run the whole Table-1 experiment; returns (rows, formatted).
-
-    The suite fans out over a :class:`repro.pipeline.BatchRunner`
-    (``jobs=None`` uses every CPU, ``jobs=1`` forces serial).  A
-    circuit that errors is reported below the table instead of killing
-    the run.  With ``cache_dir`` every worker warm-starts from (and
-    feeds) the persistent artifact store at that path; ``cache_url``
-    does the same against a ``si-mapper serve`` daemon.  Sharded
-    multi-machine runs live in the CLI (``report --shard`` /
-    ``--merge``) on top of :func:`run_battery` — see
-    :mod:`repro.dist.shard`.
-    """
-    chosen = list(names) if names is not None else benchmark_names()
-    items = run_battery(chosen, libraries=libraries, config=config,
-                        with_siegel=with_siegel, progress=progress,
-                        jobs=jobs, cache_dir=cache_dir,
-                        cache_url=cache_url, cache_s3=cache_s3)
-    rows = [item.record.row for item in items if item.ok]
-    failures = [(item.name, item.error) for item in items
-                if not item.ok]
-    return rows, render_report(rows, failures)

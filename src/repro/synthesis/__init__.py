@@ -1,8 +1,9 @@
 """Monotonous-cover synthesis and the standard-C architecture.
 
 * :mod:`~repro.synthesis.library` — literal-bounded gate libraries;
-* :mod:`~repro.synthesis.cover` — monotonous covers per excitation
-  region (§2.2) and complete covers for combinational signals;
+* :mod:`~repro.synthesis.cover` — one output's covering problems,
+  posed once and solved into its monotonous covers per excitation
+  region (§2.2) and its complete cover, if it can be combinational;
 * :mod:`~repro.synthesis.netlist` — the standard-C netlist (first-level
   AND-OR cover gates, OR join networks, C elements / wires) with the
   paper's complexity statistics.
@@ -13,8 +14,6 @@ from repro.synthesis.cover import (
     RegionCover,
     ResynthesisStats,
     SignalImplementation,
-    complete_cover,
-    monotonous_cover,
     synthesize_all,
     synthesize_signal,
 )
@@ -26,8 +25,6 @@ __all__ = [
     "RegionCover",
     "ResynthesisStats",
     "SignalImplementation",
-    "monotonous_cover",
-    "complete_cover",
     "synthesize_signal",
     "synthesize_all",
     "Netlist",

@@ -19,8 +19,8 @@ OFF-set grows strictly.
 codes (or one ER's codes appear in a sibling's quiescent region),
 separate covers cannot exist — condition 2 would contradict condition 1.
 The underlying theory generalizes to one cover serving *several* regions
-(the paper's footnote 3); :func:`synthesize_event_covers` merges such
-regions into groups and synthesizes one monotonous cover per group.
+(the paper's footnote 3); synthesis merges such regions into groups and
+synthesizes one monotonous cover per group.
 
 A *complete cover* is the minimized next-state function of a signal,
 restricted to a support that excludes the signal itself; when it exists
@@ -148,39 +148,31 @@ def _group_regions(sg: StateGraph,
 
 @dataclass
 class CoverProblem:
-    """One generalized-cover group's covering problem: ON = its ER
-    codes, OFF = every code outside ER ∪ QR.  :func:`_solve_group`
-    repairs monotonicity on a copy of ``off``, only adding codes."""
+    """One generalized-cover group's covering problem over all signals:
+    ON = its ER codes, OFF = every code outside ER ∪ QR.
+    :func:`_solve_group` repairs monotonicity on a copy of ``off``,
+    only adding codes."""
 
     regions: Tuple[ExcitationRegion, ...]
     quiescent: int
     on: Set[int]
     off: Set[int]
-    support: Tuple[str, ...]
 
 
 def _pose_group(sg: StateGraph, group: Sequence[ExcitationRegion],
-                others: Sequence[ExcitationRegion],
-                support: Optional[Sequence[str]] = None) -> CoverProblem:
+                others: Sequence[ExcitationRegion]) -> CoverProblem:
     enc = sg.encoding()
     quiescent_bits = quiescent_region(sg, group, others)
     er_bits = 0
     for region in group:
         er_bits |= region.bits
-    # ON / OFF as packed full-signal codes, re-packed onto ``support``
-    # only when the caller restricted it.
     on = enc.codes_of(er_bits)
     off = enc.codes_of(enc.full_mask & ~(er_bits | quiescent_bits))
-    support = enc.signals if support is None else tuple(support)
-    if support != enc.signals:
-        on = {enc.project(c, support) for c in on}
-        off = {enc.project(c, support) for c in off}
-    return CoverProblem(tuple(group), quiescent_bits, on, off, support)
+    return CoverProblem(tuple(group), quiescent_bits, on, off)
 
 
 def _solve_group(sg: StateGraph, problem: CoverProblem) -> RegionCover:
-    enc = sg.encoding()
-    support = problem.support
+    support = sg.encoding().signals
     off = set(problem.off)
     for _ in range(len(sg) + 1):
         cover = minimize(problem.on, off, support)
@@ -190,45 +182,18 @@ def _solve_group(sg: StateGraph, problem: CoverProblem) -> RegionCover:
                                              cover)
             return RegionCover(problem.regions, cover, complement,
                                problem.quiescent)
-        off.add(violation if support == enc.signals
-                else enc.project(violation, support))
+        off.add(violation)
     event = problem.regions[0].event
     raise CoverError(
         f"monotonicity repair for {event} did not converge")
 
 
-def monotonous_cover(sg: StateGraph, region: ExcitationRegion,
-                     siblings: Sequence[ExcitationRegion] = (),
-                     support: Optional[Sequence[str]] = None) -> RegionCover:
-    """Synthesize the monotonous cover of one excitation region.
-
-    ``siblings`` must contain the other ERs of the same event (used for
-    the restricted quiescent regions); ``support`` restricts the signals
-    the cover may mention (default: all).  Raises :class:`CoverError`
-    when no per-region cover exists — callers that must always succeed
-    use :func:`synthesize_event_covers`, which merges regions instead.
-    """
-    others = [r for r in siblings
-              if (r.event, r.index) != (region.event, region.index)]
-    return _solve_group(sg, _pose_group(sg, [region], others, support))
-
-
-def _pose_event(sg: StateGraph, event: str,
-                support: Optional[Sequence[str]] = None
-                ) -> List[CoverProblem]:
+def _pose_event(sg: StateGraph, event: str) -> List[CoverProblem]:
     """The covering problems of an event, one per region group."""
     groups = _group_regions(sg, excitation_regions(sg, event))
     return [_pose_group(sg, group,
-                        [r for g in groups if g is not group for r in g],
-                        support)
+                        [r for g in groups if g is not group for r in g])
             for group in groups]
-
-
-def synthesize_event_covers(sg: StateGraph, event: str,
-                            support: Optional[Sequence[str]] = None) -> List[RegionCover]:
-    """All monotonous covers of an event, merging regions as needed."""
-    return [_solve_group(sg, problem)
-            for problem in _pose_event(sg, event, support)]
 
 
 def _monotonicity_violation(sg: StateGraph, cover: SopCover,
@@ -254,20 +219,12 @@ def _monotonicity_violation(sg: StateGraph, cover: SopCover,
     return None
 
 
-def complete_cover(sg: StateGraph, signal: str) -> Optional[Tuple[SopCover, SopCover]]:
-    """Minimized next-state function without self-dependency.
-
-    Returns ``(cover, complement)`` when the signal admits a
-    combinational implementation (its next-state function does not need
-    the signal itself in the support), else ``None``.
-    """
-    support = [s for s in sg.signals if s != signal]
-    on, off = next_state_ints(sg, signal, support)
-    return _solve_complete(on, off, support)
-
-
 def _solve_complete(on, off, support: Sequence[str]
                     ) -> Optional[Tuple[SopCover, SopCover]]:
+    """Minimized next-state function without self-dependency:
+    ``(cover, complement)`` when the signal admits a combinational
+    implementation (its next-state function does not need the signal
+    itself in the support), else ``None``."""
     try:
         cover = minimize(on, off, support)
         complement = minimize_complement(on, off, support, cover)
@@ -356,8 +313,8 @@ class SignalProblems:
     """The covering problems of one output signal, each posed once, on
     first use: :func:`resynthesize_signal` asks for them in the order
     synthesis always did (the complete cover's raises
-    :class:`~repro.errors.CscViolation` where :func:`complete_cover`
-    would), the mapper's bound for all at once.
+    :class:`~repro.errors.CscViolation` on a graph with CSC conflicts),
+    the mapper's bound for all at once.
     """
 
     def __init__(self, sg: StateGraph, signal: str):

@@ -32,7 +32,7 @@ class NetlistGate:
 
     name: str
     output: str       # net name this gate drives
-    cover: SopCover   # chosen polarity
+    cover: SopCover   # the positive cover f
     complexity: int   # min(lit(f), lit(f')) — the paper's measure
     role: str         # "cover", "or-join", "complete"
 
@@ -188,12 +188,25 @@ class Netlist:
     # ------------------------------------------------------------------
 
     def pretty(self, library: Optional[GateLibrary] = None) -> str:
+        """One line per gate and C element.  With a ``library``, the
+        :meth:`oversized_gates` are tagged ``[OVERSIZE]``, other gates
+        with their positive cover's cell, or as fitting only through
+        their complement or as an OR tree."""
         lines = [f"# netlist {self.name}"]
+        oversized = ({gate.output for gate in self.oversized_gates(library)}
+                     if library is not None else set())
         for gate in self.gates:
             cell = ""
             if library is not None:
                 matched = library.cell_for(gate.cover)
-                cell = f"  [{matched.name}]" if matched else "  [OVERSIZE]"
+                if gate.output in oversized:
+                    cell = "  [OVERSIZE]"
+                elif matched is not None:
+                    cell = f"  [{matched.name}]"
+                elif gate.role == "or-join":
+                    cell = "  [OR tree]"
+                else:
+                    cell = f"  [complement, {gate.complexity} literals]"
             lines.append(
                 f"{gate.output:>12} = {gate.cover.to_string()}{cell}")
         for celem in self.c_elements:

@@ -4,8 +4,7 @@ import pytest
 
 from repro._util import FrozenVector
 from repro.errors import CscViolation
-from repro.mapping.csc import (CSC_METHODS, CscConfig, csc_conflicts,
-                               solve_csc)
+from repro.mapping.csc import CSC_METHODS, csc_conflicts, solve_csc
 from repro.mapping.decompose import MapperConfig, map_circuit
 from repro.sg.graph import StateGraph
 from repro.sg.properties import check_speed_independence, csc_violations
@@ -98,30 +97,25 @@ class TestSolver:
         with pytest.raises(CscViolation):
             solve_csc(bad_sequencer_sg, max_signals=0)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            CscConfig(method="magic")
+    def test_zero_budget_accepted_on_clean_graph(self, celement_sg):
+        assert solve_csc(celement_sg, max_signals=0).inserted_signals == 0
 
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_candidate_budget_must_be_positive(self, budget):
-        """A budget below one would slice the ranking from the end
-        (-1) or try nothing and report a stall (0)."""
-        with pytest.raises(ValueError, match="max_candidates"):
-            CscConfig(max_candidates=budget)
+    def test_unknown_method_rejected(self, bad_sequencer_sg):
+        with pytest.raises(ValueError) as raised:
+            solve_csc(bad_sequencer_sg, method="magic")
+        message = str(raised.value)
+        assert "'magic'" in message
+        assert all(method in message for method in CSC_METHODS)
 
     def test_negative_signal_budget_rejected(self, bad_sequencer_sg):
         with pytest.raises(ValueError, match="max_signals"):
-            CscConfig(max_signals=-1)
-        with pytest.raises(ValueError, match="max_signals"):
             solve_csc(bad_sequencer_sg, max_signals=-1)
-        assert CscConfig(max_signals=0).max_signals == 0
 
     @pytest.mark.parametrize("method", CSC_METHODS)
     def test_both_methods_solve_and_stamp_result(self,
                                                  bad_sequencer_sg,
                                                  method):
-        result = solve_csc(bad_sequencer_sg,
-                           config=CscConfig(method=method))
+        result = solve_csc(bad_sequencer_sg, method=method)
         assert result.method == method
         assert not csc_conflicts(result.sg)
         assert result.candidates_evaluated >= result.inserted_signals
@@ -130,17 +124,10 @@ class TestSolver:
             "candidates_evaluated": result.candidates_evaluated}
 
     def test_regions_steps_carry_costs(self, bad_sequencer_sg):
-        result = solve_csc(bad_sequencer_sg,
-                           config=CscConfig(method="regions"))
+        result = solve_csc(bad_sequencer_sg, method="regions")
         assert result.steps
         for step in result.steps:
             assert step.cost is not None and step.cost >= 0
-
-    def test_method_argument_overrides_config(self, bad_sequencer_sg):
-        result = solve_csc(bad_sequencer_sg,
-                           config=CscConfig(method="blocks"),
-                           method="regions")
-        assert result.method == "regions"
 
 
 class TestMapperIntegration:
@@ -153,3 +140,8 @@ class TestMapperIntegration:
     def test_mapper_rejects_without_flag(self, bad_sequencer_sg):
         with pytest.raises(CscViolation):
             map_circuit(bad_sequencer_sg, GateLibrary(2))
+
+    def test_mapper_refuses_unknown_csc_method(self, bad_sequencer_sg):
+        config = MapperConfig(solve_csc=True, csc_method="magic")
+        with pytest.raises(ValueError, match="magic"):
+            map_circuit(bad_sequencer_sg, GateLibrary(2), config)

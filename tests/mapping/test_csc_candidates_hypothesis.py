@@ -25,7 +25,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mapping.csc import (CSC_METHODS, CscConfig, _conflict_pairs,
+from repro.mapping.csc import (CSC_METHODS, _conflict_pairs,
                                _event_slices, _insert_best_region_block,
                                _insert_first_improving_block,
                                _ranked_blocks, csc_conflicts)
@@ -264,8 +264,7 @@ def mid_solve(sg: StateGraph, method: str, steps: int) -> StateGraph:
         conflicts = _conflict_pairs(sg)
         if not conflicts:
             break
-        step = strategy(sg, conflicts, f"csc{index}",
-                        CscConfig(method=method))
+        step = strategy(sg, conflicts, f"csc{index}")
         if step is None:
             break
         sg = step[0]

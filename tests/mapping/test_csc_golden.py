@@ -15,7 +15,7 @@ cost, candidates_evaluated)``.
 
 import pytest
 
-from repro.mapping.csc import CscConfig, solve_csc
+from repro.mapping.csc import solve_csc
 from repro.sg.reachability import state_graph_of
 from tests.conftest import alternator_stg, chained_sequencer_stg
 
@@ -138,7 +138,7 @@ def test_solver_steps_match_golden_record(member):
     family = circuit.rstrip("0123456789")
     size = int(circuit[len(family):])
     sg = state_graph_of(BUILDERS[family](size))
-    result = solve_csc(sg, config=CscConfig(method=method))
+    result = solve_csc(sg, method=method)
     assert [(step.signal, step.block_label, step.conflicts_before,
              step.conflicts_after, step.cost, step.candidates_evaluated)
             for step in result.steps] == GOLDEN[member]

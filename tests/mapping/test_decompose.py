@@ -4,8 +4,10 @@ import pytest
 
 from repro.bench_suite import benchmark
 from repro.errors import CscViolation
+from repro.mapping import decompose
 from repro.mapping.decompose import (MapperConfig, TechnologyMapper,
                                      map_circuit)
+from repro.pipeline import SynthesisContext
 from repro.sg.reachability import state_graph_of
 from repro.synthesis.library import GateLibrary
 from repro.verify import verify_implementation, weakly_bisimilar
@@ -63,7 +65,8 @@ class TestDecomposition:
     def test_high_fanin_join(self):
         result = map_circuit(benchmark("trimos-send"), GateLibrary(2))
         assert result.success
-        assert result.initial_netlist.stats().max_complexity == 3
+        initial = SynthesisContext.from_benchmark("trimos-send")
+        assert initial.initial_netlist().stats().max_complexity == 3
         assert result.netlist.stats().max_complexity <= 2
         verify_implementation(result.sg, result.implementations)
 
@@ -75,10 +78,9 @@ class TestDecomposition:
 
 
 class TestFailureModes:
-    def test_iteration_limit(self):
-        config = MapperConfig(max_iterations=0)
-        result = map_circuit(benchmark("trimos-send"), GateLibrary(2),
-                             config)
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(decompose, "MAX_ITERATIONS", 0)
+        result = map_circuit(benchmark("trimos-send"), GateLibrary(2))
         assert not result.success
         assert "iteration limit" in result.message
 
@@ -103,8 +105,8 @@ class TestFailureModes:
 
 class TestLocalAckMode:
     def test_local_ack_restricts_acknowledgment(self):
-        from repro.baselines.local_ack import map_local_ack
-        result = map_local_ack(benchmark("hazard"), GateLibrary(2))
+        result = map_circuit(benchmark("hazard"), GateLibrary(2),
+                             MapperConfig().local_ack())
         if result.success:
             # No foreign cover may mention an inserted signal.
             inserted = {step.signal for step in result.steps}
@@ -117,9 +119,9 @@ class TestLocalAckMode:
                     covers.append(impl.complete)
 
     def test_local_ack_weaker_than_global(self):
-        from repro.baselines.local_ack import map_local_ack
         ours = map_circuit(benchmark("trimos-send"), GateLibrary(2))
-        local = map_local_ack(benchmark("trimos-send"), GateLibrary(2))
+        local = map_circuit(benchmark("trimos-send"), GateLibrary(2),
+                            MapperConfig().local_ack())
         assert ours.success
         # the gate-splitting baseline fails where sharing is needed
         assert not local.success or \

@@ -9,8 +9,8 @@ from repro._util import FrozenVector
 from repro.boolean.sop import SopCover
 from repro.errors import InsertionError, SpeedIndependenceError
 from repro.mapping.csc import csc_conflicts
-from repro.mapping.insertion import (insert_signal, plan_insertion,
-                                     verify_insertion)
+from repro.mapping.insertion import (fresh_name, insert_signal,
+                                     plan_insertion, verify_insertion)
 from repro.mapping.partition import (IPartition, compute_insertion_sets,
                                      compute_insertion_sets_from_states)
 from repro.sg.graph import StateGraph
@@ -55,6 +55,12 @@ class TestStructure:
         partition = compute_insertion_sets(celement_sg, cover("a b"))
         with pytest.raises(InsertionError):
             insert_signal(celement_sg, partition, "a")
+
+    def test_fresh_name_skips_taken_names(self, celement_sg):
+        partition = compute_insertion_sets(celement_sg, cover("a b"))
+        new_sg = insert_signal(celement_sg, partition, "x1")
+        assert fresh_name(new_sg, "x", 0) == "x0"
+        assert fresh_name(new_sg, "x", 1) == "x2"
 
     def test_er_states_split(self, inserted):
         old_sg, new_sg, partition = inserted

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError, CscViolation, InsertionError
-from repro.mapping.csc import CSC_METHODS, CscConfig, csc_conflicts, solve_csc
+from repro.mapping.csc import CSC_METHODS, csc_conflicts, solve_csc
 from repro.mapping.insertion import insert_signal
 from repro.mapping.partition import compute_insertion_sets
 from repro.sg.properties import check_speed_independence, csc_violations
@@ -140,8 +140,7 @@ class TestCscSolverProperties:
         violations within its budget or raises CscViolation — and a
         returned result really is conflict-free."""
         try:
-            result = solve_csc(sg, config=CscConfig(
-                method=method, max_signals=6))
+            result = solve_csc(sg, max_signals=6, method=method)
         except CscViolation:
             return
         assert csc_violations(result.sg) == []
@@ -154,8 +153,7 @@ class TestCscSolverProperties:
         """Encoding signals must be invisible to the environment: new
         outputs, never inputs, never renames of existing signals."""
         try:
-            result = solve_csc(sg, config=CscConfig(
-                method=method, max_signals=6))
+            result = solve_csc(sg, max_signals=6, method=method)
         except CscViolation:
             return
         inserted = set(result.inserted_names)
@@ -173,8 +171,7 @@ class TestCscSolverProperties:
         (every original state keeps 1 or 2 copies), so the solved
         graph is bounded by |S| * 2^inserted."""
         try:
-            result = solve_csc(sg, config=CscConfig(
-                method=method, max_signals=6))
+            result = solve_csc(sg, max_signals=6, method=method)
         except CscViolation:
             return
         bound = len(sg) * (2 ** result.inserted_signals)

@@ -1,22 +1,20 @@
 """The pipeline reproduces the pre-refactor Table-1 battery exactly.
 
-``_legacy_table1_row`` is a verbatim replica of the direct-call glue
-that ``repro.report.table1_row`` used before the pipeline existed; the
-regression contract is that the pipeline's row equals it field for
-field, and that the formatted table text is identical however the
-batch is executed.
+``_legacy_table1_row`` is a replica of the direct-call glue the
+Table-1 row was built with before the pipeline existed; the regression
+contract is that the pipeline's row equals it field for field, and that
+the formatted table text is identical however the batch is executed.
 """
 
 from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.baselines.local_ack import map_local_ack
 from repro.bench_suite import benchmark
 from repro.mapping.cost import implementation_cost, non_si_cost
-from repro.mapping.decompose import map_circuit
+from repro.mapping.decompose import MapperConfig, map_circuit
 from repro.pipeline import Pipeline, PipelineConfig, STAGES
-from repro.report import Table1Row, table1, table1_row
+from repro.report import Table1Row, render_report, run_battery
 from repro.sg.reachability import state_graph_of
 from repro.synthesis.cover import synthesize_all
 from repro.synthesis.library import GateLibrary
@@ -43,7 +41,8 @@ def _legacy_table1_row(name, libraries=(2, 3, 4), config=None,
 
     siegel: Optional[int] = None
     if with_siegel:
-        siegel_result = map_local_ack(sg, GateLibrary(2), config)
+        siegel_result = map_circuit(sg, GateLibrary(2),
+                                    (config or MapperConfig()).local_ack())
         siegel = (siegel_result.inserted_signals
                   if siegel_result.success else None)
 
@@ -57,26 +56,35 @@ def _legacy_table1_row(name, libraries=(2, 3, 4), config=None,
     )
 
 
+def _table(names, libraries, with_siegel, jobs):
+    """Rows and report text, as ``si-mapper report`` prints them."""
+    items = run_battery(names, libraries=libraries,
+                        with_siegel=with_siegel, jobs=jobs)
+    rows = [item.record.row for item in items if item.ok]
+    failures = [(item.name, item.error) for item in items
+                if not item.ok]
+    return rows, render_report(rows, failures)
+
+
 @pytest.mark.parametrize("name", FAST)
 def test_row_identical_to_direct_calls(name):
     legacy = _legacy_table1_row(name, libraries=(2, 3),
                                 with_siegel=True)
-    pipelined = table1_row(name, libraries=(2, 3), with_siegel=True)
+    pipelined = Pipeline(PipelineConfig(libraries=(2, 3),
+                                        with_siegel=True)).run(name).row
     assert pipelined == legacy
 
 
 def test_table_text_identical_serial_vs_parallel():
-    serial = table1(names=FAST, libraries=(2,), with_siegel=True,
-                    jobs=1)
-    parallel = table1(names=FAST, libraries=(2,), with_siegel=True,
-                      jobs=2)
+    serial = _table(FAST, libraries=(2,), with_siegel=True, jobs=1)
+    parallel = _table(FAST, libraries=(2,), with_siegel=True, jobs=2)
     assert serial[1] == parallel[1]
     assert serial[0] == parallel[0]
 
 
 def test_table_survives_one_bad_circuit():
-    rows, text = table1(names=["half", "no-such-circuit"],
-                        libraries=(2,), with_siegel=False, jobs=1)
+    rows, text = _table(["half", "no-such-circuit"], libraries=(2,),
+                        with_siegel=False, jobs=1)
     assert [row.name for row in rows] == ["half"]
     assert "no-such-circuit: ERROR" in text
 

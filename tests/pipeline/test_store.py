@@ -706,15 +706,14 @@ class TestCscArtifact:
                                 "potential_after", "states_before",
                                 "states_after"),
             MappingResult: ("name", "library", "success", "message", "sg",
-                            "implementations", "netlist",
-                            "initial_netlist", "steps",
+                            "implementations", "netlist", "steps",
                             "trial_resynthesized", "trial_skipped"),
         }
         for cls, names in shapes.items():
             assert tuple(f.name for f in fields(cls)) == names, cls
         assert ({kind: ARTIFACT_FORMATS[kind]
                  for kind in ("implementations", "netlist", "map")}
-                == {"implementations": 3, "netlist": 2, "map": 4})
+                == {"implementations": 3, "netlist": 2, "map": 5})
 
 
 def write_v1_entry(store, key, value):

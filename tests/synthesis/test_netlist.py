@@ -1,13 +1,22 @@
 """Unit tests for the standard-C netlist and gate libraries."""
 
+import pathlib
+from dataclasses import replace
+
 import pytest
 
 from repro.boolean.sop import SopCover
 from repro.errors import LibraryError
-from repro.synthesis.cover import synthesize_all
+from repro.mapping.decompose import MapperConfig, map_circuit
+from repro.sg.reachability import state_graph_of
+from repro.stg.builders import marked_graph
+from repro.stg.parser import load_g
+from repro.synthesis.cover import synthesize_all, synthesize_signal
 from repro.synthesis.library import (FOUR_LITERAL, THREE_LITERAL,
                                      TWO_LITERAL, Gate, GateLibrary)
 from repro.synthesis.netlist import Netlist
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestGateLibrary:
@@ -80,6 +89,44 @@ class TestNetlist:
         text = netlist.pretty(TWO_LITERAL)
         assert "[AND2]" in text
         assert "C(set_c_1, reset_c_1)" in text
+
+    def test_oversize_tag_marks_exactly_the_oversized_gates(self):
+        """alternator5, CSC-solved by blocks, maps at k=3.  The positive
+        cover of its ``set_csc2_1`` gate has 5 literals, but the
+        complement has 2, so the gate fits: the tag must follow the
+        gate's complexity, as :meth:`Netlist.oversized_gates` does, not
+        the positive cover's literal count."""
+        result = map_circuit(load_g(str(EXAMPLES / "alternator5.g")),
+                             THREE_LITERAL, MapperConfig(solve_csc=True))
+        assert result.success
+        lines = result.netlist.pretty(THREE_LITERAL).splitlines()[1:]
+        tagged = {line.split(" = ")[0].strip() for line in lines
+                  if "[OVERSIZE]" in line}
+        oversized = {gate.output for gate
+                     in result.netlist.oversized_gates(THREE_LITERAL)}
+        assert tagged == oversized
+        assert any(line.strip().startswith("set_csc2_1 = ")
+                   and line.endswith("[complement, 2 literals]")
+                   for line in lines)
+
+    def test_wide_or_join_is_an_or_tree_not_oversized(self):
+        """x rises after a+, b+ and c+ (three set regions, one OR join
+        of three nets).  Built as standard-C, that join is wider than
+        lib2's ORs but splits into 2-input ORs, so it is no OVERSIZE."""
+        seq = ["a+", "x+", "a-", "x-", "b+", "x+/2", "b-", "x-/2",
+               "c+", "x+/3", "c-", "x-/3"]
+        stg = marked_graph("orjoin", ["a", "b", "c"], ["x"],
+                           list(zip(seq, seq[1:])), [(seq[-1], seq[0])])
+        impl = synthesize_signal(state_graph_of(stg), "x")
+        netlist = Netlist("orjoin", {"x": replace(impl,
+                                                  combinational=False)})
+        lines = netlist.pretty(TWO_LITERAL).splitlines()
+        assert "set_x = set_x_1 + set_x_2 + set_x_3  [OR tree]" in [
+            line.strip() for line in lines]
+        assert ([line.split(" = ")[0].strip() for line in lines
+                 if "[OVERSIZE]" in line]
+                == [gate.output for gate
+                    in netlist.oversized_gates(TWO_LITERAL)])
 
     def test_or_join_for_multiple_regions(self):
         # A signal with two set regions gets an or-join gate.

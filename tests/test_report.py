@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.report import (Table1Row, format_rows, summarize, table1,
-                          table1_row)
+from repro.pipeline import Pipeline, PipelineConfig
+from repro.report import (Table1Row, format_rows, render_report,
+                          run_battery, summarize)
 
 FAST = ["half", "hazard", "chu133"]
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return [table1_row(name, libraries=(2,), with_siegel=True)
-            for name in FAST]
+    pipeline = Pipeline(PipelineConfig(libraries=(2,), with_siegel=True))
+    return [pipeline.run(name).row for name in FAST]
 
 
 class TestRow:
@@ -115,7 +116,9 @@ class TestFormatting:
 
 class TestTable1Driver:
     def test_subset_run(self):
-        rows, text = table1(names=["half", "hazard"], libraries=(2,),
+        items = run_battery(["half", "hazard"], libraries=(2,),
                             with_siegel=False)
+        rows = [item.record.row for item in items]
+        text = render_report(rows)
         assert len(rows) == 2
         assert "half" in text and "hazard" in text

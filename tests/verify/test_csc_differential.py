@@ -21,7 +21,7 @@ solver is a strict no-op: identical state sets, arcs and codes.
 import pytest
 
 from repro.bench_suite import benchmark_names
-from repro.mapping.csc import CSC_METHODS, CscConfig, csc_conflicts, solve_csc
+from repro.mapping.csc import CSC_METHODS, csc_conflicts, solve_csc
 from repro.sg.properties import check_speed_independence, csc_violations
 from repro.sg.reachability import state_graph_of
 from repro.stg.parser import parse_g
@@ -80,7 +80,7 @@ def solved():
     def run(name: str, sg, method: str):
         key = (name, method)
         if key not in cache:
-            cache[key] = solve_csc(sg, config=CscConfig(method=method))
+            cache[key] = solve_csc(sg, method=method)
         return cache[key]
 
     return run
